@@ -89,7 +89,7 @@ class FiniteAlgebra:
 
 
 def _validate(alg: FiniteAlgebra) -> None:
-    if not isinstance(alg.size, int) or alg.size < 1:
+    if type(alg.size) is not int or alg.size < 1:
         raise MalformedDoc(f"algebra size must be a positive integer, got {alg.size!r}")
     seen = set()
     for op in alg.operations:
@@ -98,7 +98,7 @@ def _validate(alg: FiniteAlgebra) -> None:
         if op.name in seen:
             raise MalformedDoc(f"duplicate operation name {op.name!r}")
         seen.add(op.name)
-        if not isinstance(op.arity, int) or op.arity < 0:
+        if type(op.arity) is not int or op.arity < 0:
             raise MalformedDoc(f"operation {op.name!r} has invalid arity {op.arity!r}")
         expected = alg.size**op.arity
         if len(op.table) != expected:
@@ -107,7 +107,7 @@ def _validate(alg: FiniteAlgebra) -> None:
                 f"expected {alg.size}**{op.arity} = {expected}"
             )
         for value in op.table:
-            if not isinstance(value, int) or not 0 <= value < alg.size:
+            if type(value) is not int or not 0 <= value < alg.size:
                 raise EntryRange(
                     f"operation {op.name!r}: entry {value!r} outside 0..{alg.size - 1}"
                 )
@@ -140,7 +140,7 @@ def parse_algebra(doc: dict) -> FiniteAlgebra:
         if not isinstance(entry, dict) or set(entry) != {"name", "arity", "table"}:
             raise MalformedDoc(f"bad operation entry: {entry!r}")
         table = entry["table"]
-        if not isinstance(table, list) or not all(isinstance(v, int) for v in table):
+        if not isinstance(table, list) or not all(type(v) is int for v in table):
             raise MalformedDoc(f"operation {entry['name']!r}: table must be a list of ints")
         operations.append(Operation(entry["name"], entry["arity"], tuple(table)))
     return FiniteAlgebra(name, size, tuple(operations))

@@ -26,6 +26,7 @@ from .commutator import commutator, surrogate_checks
 from .congruences import con_lattice, congruence_from_blocks
 from .errors import (
     CongruenceLabError,
+    Falsified,
     HypothesisNotMet,
     InputError,
     SizeBudgetExceeded,
@@ -472,6 +473,9 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return run(config)
+    except Falsified as exc:
+        print(f"falsified: {exc}", file=sys.stderr)
+        return EXIT_FALSIFIED
     except (TheoryHypothesisFailed, HypothesisNotMet) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

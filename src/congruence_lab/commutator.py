@@ -12,12 +12,25 @@ M(alpha, beta) is generated by the row matrices [[a, a], [a', a']] for
 beta.  Viewing a matrix as its pair of rows, M is a reflexive symmetric
 compatible relation on the pair algebra A(beta) (the subalgebra of A^2 with
 universe beta), and its transitive closure is the congruence of A(beta)
-generated by the diagonal pairs ((a, a), (a', a')).  A congruence delta is
-closed under the term condition for M exactly when it is closed for that
-transitive closure, because the condition propagates along chains; so the
-fixpoint below iterates over the generated congruence's classes instead of
-materializing M.  ``matrix_subalgebra`` still materializes M for
-cross-checking at small sizes.
+generated by the diagonal pairs ((a, a), (a', a')), written
+Delta_{alpha,beta} (Freese & McKenzie, *Commutator Theory for Congruence
+Modular Varieties*, ch. 4).  A congruence delta is closed under the term
+condition for M exactly when it is closed for that transitive closure,
+because the condition propagates along chains; so the fixpoint below
+iterates over the classes of Delta instead of materializing M.
+
+Delta_{alpha v alpha', beta} = Delta_{alpha,beta} v Delta_{alpha',beta} in
+every algebra: the diagonal pairs of alpha v alpha' chain through the
+diagonal pairs of alpha and alpha', and a join of congruences is the
+transitive closure of their union.  So only join-irreducible alpha get an
+operation closure on A(beta), cached on the lattice as one label list per
+(alpha, beta); every other Delta is a union-find join of those labels over
+the join-irreducibles below alpha, and is not cached.  The closure reads
+each binary table through per-element row slices (and column slices when
+the table is not commutative), built once per algebra.
+
+``matrix_subalgebra`` materializes M and, with the reference fixpoint in
+``verify``, is the independent oracle for all of this at small sizes.
 """
 
 from __future__ import annotations
@@ -127,42 +140,92 @@ def matrix_subalgebra(
     return MatrixSubalgebra(alg, alpha, beta, frozenset(elements))
 
 
-def _row_classes(
-    alg: FiniteAlgebra, alpha: Congruence, beta: Congruence
-) -> list[list[tuple[int, int]]]:
-    """Classes of the congruence of the pair algebra A(beta) generated by the
-    diagonal alpha-pairs; these are the row classes of the transitive closure
-    of M(alpha, beta)."""
+def _binary_translations(lattice: CongruenceLattice) -> list:
+    """Per algebra, the basic translations of every binary table as slices:
+    the rows ``table[a*n:(a+1)*n]`` (x -> f(a, x)) and, unless the table is
+    commutative, the columns ``table[a::n]`` (x -> f(x, a)).  Built on first
+    use and kept on the lattice."""
+    slices = lattice._caches.get("binary_translations")
+    if slices is None:
+        alg = lattice.algebra
+        n = alg.size
+        slices = []
+        for op in alg.operations:
+            if op.arity != 2:
+                continue
+            table = op.table
+            slices.append([table[a * n : (a + 1) * n] for a in range(n)])
+            if any(table[a * n + b] != table[b * n + a] for a in range(n) for b in range(a)):
+                slices.append([table[a::n] for a in range(n)])
+        lattice._caches["binary_translations"] = slices
+    return slices
+
+
+def _pair_algebra(lattice: CongruenceLattice, b: int):
+    """The universe of A(beta) for beta = congruences[b]: its members (x, y)
+    with x beta y, and a flat list mapping x*n + y to the member's index."""
+    cache = lattice._caches.setdefault("pair_algebra", {})
+    hit = cache.get(b)
+    if hit is None:
+        n = lattice.algebra.size
+        blocks = lattice.congruences[b].blocks
+        members = [(x, y) for x in range(n) for y in range(n) if blocks[x] == blocks[y]]
+        index_of = [-1] * (n * n)
+        for i, (x, y) in enumerate(members):
+            index_of[x * n + y] = i
+        hit = cache[b] = (members, index_of)
+    return hit
+
+
+class _Partition:
+    """Quick-find partition of range(size): ``label[i]`` names the class of i
+    and is itself a member of that class.  A merge relabels the smaller class
+    and queues the merged pair of labels on ``pending`` for a caller that
+    closes the partition under translations."""
+
+    __slots__ = ("label", "groups", "pending")
+
+    def __init__(self, size: int):
+        self.label = list(range(size))
+        self.groups = [[i] for i in range(size)]
+        self.pending: list[tuple[int, int]] = []
+
+    def merge(self, u: int, v: int) -> None:
+        """Merge the distinct classes labelled u and v."""
+        groups = self.groups
+        if len(groups[u]) < len(groups[v]):
+            u, v = v, u
+        label = self.label
+        for i in groups[v]:
+            label[i] = u
+        groups[u].extend(groups[v])
+        groups[v] = None
+        self.pending.append((u, v))
+
+    def union(self, i: int, j: int) -> None:
+        u, v = self.label[i], self.label[j]
+        if u != v:
+            self.merge(u, v)
+
+
+def _close_delta(lattice: CongruenceLattice, a: int, b: int) -> list[int]:
+    """Delta_{alpha,beta}: the congruence of the pair algebra A(beta)
+    generated by the diagonal alpha-pairs ((x, x), (x', x')), as a class
+    label for each member of A(beta); every label is a member of its class."""
+    alg = lattice.algebra
     n = alg.size
-    members: list[tuple[int, int]] = [
-        (x, y) for x in range(n) for y in range(n) if beta.related(x, y)
-    ]
-    index_of = {x * n + y: i for i, (x, y) in enumerate(members)}
-    size = len(members)
-    parent = list(range(size))
+    members, index_of = _pair_algebra(lattice, b)
+    part = _Partition(len(members))
+    label, merge, union, pending = part.label, part.merge, part.union, part.pending
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            if ri > rj:
-                ri, rj = rj, ri
-            parent[rj] = ri
-            pending.append((ri, rj))
-
-    pending: list[tuple[int, int]] = []
-    for a in range(n):
-        rep = alpha.blocks[a]
-        if rep != a:
-            union(index_of[rep * n + rep], index_of[a * n + a])
+    alpha = lattice.congruences[a].blocks
+    for x in range(n):
+        rep = alpha[x]
+        if rep != x:
+            union(index_of[rep * n + rep], index_of[x * n + x])
 
     unary = [op.table for op in alg.operations if op.arity == 1]
-    binary = [op.table for op in alg.operations if op.arity == 2]
+    translations = _binary_translations(lattice)
     higher = [op for op in alg.operations if op.arity > 2]
     while pending:
         i, j = pending.pop()
@@ -170,16 +233,13 @@ def _row_classes(
         q0, q1 = members[j]
         for table in unary:
             union(index_of[table[p0] * n + table[p1]], index_of[table[q0] * n + table[q1]])
-        for table in binary:
+        for slices in translations:
+            rp0, rp1, rq0, rq1 = slices[p0], slices[p1], slices[q0], slices[q1]
             for s0, s1 in members:
-                union(
-                    index_of[table[p0 * n + s0] * n + table[p1 * n + s1]],
-                    index_of[table[q0 * n + s0] * n + table[q1 * n + s1]],
-                )
-                union(
-                    index_of[table[s0 * n + p0] * n + table[s1 * n + p1]],
-                    index_of[table[s0 * n + q0] * n + table[s1 * n + q1]],
-                )
+                u = label[index_of[rp0[s0] * n + rp1[s1]]]
+                v = label[index_of[rq0[s0] * n + rq1[s1]]]
+                if u != v:
+                    merge(u, v)
         for op in higher:
             arity = op.arity
             for pos in range(arity):
@@ -193,11 +253,44 @@ def _row_classes(
                         n, [arg[1] for arg in alt]
                     )
                     union(index_of[left], index_of[right])
+    return label
 
+
+def _delta_classes(
+    lattice: CongruenceLattice, a: int, b: int
+) -> list[list[tuple[int, int]]]:
+    """Classes of Delta_{alpha,beta}, the row classes of the transitive
+    closure of M(alpha, beta).
+
+    Only join-irreducible alpha get an operation closure, cached per
+    (alpha, beta); any other alpha is the join of the join-irreducibles
+    below it, and Delta_{alpha v alpha', beta} = Delta_{alpha,beta} v
+    Delta_{alpha',beta}, so its classes come from a union-find join of the
+    cached labels (the bottom is the empty join).
+    """
+    members, _ = _pair_algebra(lattice, b)
+    if lattice.join_irreducible_flags[a]:
+        labels = _join_irreducible_delta(lattice, a, b)
+    else:
+        part = _Partition(len(members))
+        labels = part.label
+        for g in lattice.join_irreducible_indices():
+            if lattice.leq_index(g, a):
+                for i, rep in enumerate(_join_irreducible_delta(lattice, g, b)):
+                    if labels[i] != labels[rep]:
+                        part.merge(labels[i], labels[rep])
     classes: dict[int, list[tuple[int, int]]] = {}
-    for i in range(size):
-        classes.setdefault(find(i), []).append(members[i])
+    for member, label in zip(members, labels):
+        classes.setdefault(label, []).append(member)
     return list(classes.values())
+
+
+def _join_irreducible_delta(lattice: CongruenceLattice, g: int, b: int) -> list[int]:
+    cache = lattice._caches.setdefault("delta", {})
+    labels = cache.get((g, b))
+    if labels is None:
+        labels = cache[(g, b)] = _close_delta(lattice, g, b)
+    return labels
 
 
 def commutator(
@@ -209,8 +302,10 @@ def commutator(
     """[alpha, beta]; results are cached on the congruence lattice.
 
     Raises :class:`SizeBudgetExceeded` when the matrix state bound (number of
-    related pairs squared) exceeds ``cap``.
+    related pairs squared) exceeds ``cap``; the bound is checked before
+    Con(A) is built.
     """
+    _check_matrix_budget(alpha, beta, cap)
     lattice = con_lattice(alg)
     i, j = lattice.index(alpha), lattice.index(beta)
     return lattice.congruences[commutator_index(lattice, i, j, cap=cap)]
@@ -219,24 +314,16 @@ def commutator(
 def commutator_index(
     lattice: CongruenceLattice, i: int, j: int, cap: int | None = None
 ) -> int:
-    if cap is None:
-        cap = config.MATRIX_CAP
     cache = lattice._caches.setdefault("commutator", {})
     key = (i, j) if i <= j else (j, i)
     hit = cache.get(key)
     if hit is not None:
         return hit
     alg = lattice.algebra
-    alpha = lattice.congruences[key[0]]
-    beta = lattice.congruences[key[1]]
-    budget = max(_pair_count(alpha), _pair_count(beta))
-    if budget * budget > cap:
-        raise SizeBudgetExceeded(
-            f"matrix subalgebra budget {cap} exceeded: up to {budget * budget} matrices"
-        )
-    class_families = [_row_classes(alg, alpha, beta)]
+    _check_matrix_budget(lattice.congruences[key[0]], lattice.congruences[key[1]], cap)
+    class_families = [_delta_classes(lattice, key[0], key[1])]
     if key[0] != key[1]:
-        class_families.append(_row_classes(alg, beta, alpha))
+        class_families.append(_delta_classes(lattice, key[1], key[0]))
     delta = lattice.bottom
     while True:
         new_pairs = []
@@ -253,6 +340,18 @@ def commutator_index(
     result = lattice.index(delta)
     cache[key] = result
     return result
+
+
+def _check_matrix_budget(alpha: Congruence, beta: Congruence, cap: int | None) -> None:
+    """The matrix state bound: at most max(pairs(alpha), pairs(beta))**2
+    matrices, refused above ``cap`` (default: the process-wide MATRIX_CAP)."""
+    if cap is None:
+        cap = config.MATRIX_CAP
+    budget = max(_pair_count(alpha), _pair_count(beta))
+    if budget * budget > cap:
+        raise SizeBudgetExceeded(
+            f"matrix subalgebra budget {cap} exceeded: up to {budget * budget} matrices"
+        )
 
 
 def _pair_count(theta: Congruence) -> int:

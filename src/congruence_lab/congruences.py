@@ -199,7 +199,7 @@ def congruence_from_blocks(alg: FiniteAlgebra, blocks) -> Congruence:
     least: dict[int, int] = {}
     normalized = []
     for x, label in enumerate(blocks):
-        if not isinstance(label, int) or not 0 <= label < alg.size:
+        if type(label) is not int or not 0 <= label < alg.size:
             raise NotACongruence(f"block entry {label!r} outside 0..{alg.size - 1}")
         least.setdefault(label, x)
         normalized.append(least[label])

@@ -2,7 +2,8 @@
 
 Input problems (bad documents, bad tables, bad arguments) are distinct from
 theory-hypothesis failures so that the CLI can map them to different exit
-codes: 2 for input errors, 3 for hypothesis failures.
+codes: 1 for falsified internal cross-checks, 2 for input errors, 3 for
+hypothesis failures.
 """
 
 
@@ -60,3 +61,7 @@ class TheoryHypothesisFailed(CongruenceLabError):
 
 class HypothesisNotMet(CongruenceLabError):
     """A stated precondition of a theorem-verification operation is not met."""
+
+
+class Falsified(CongruenceLabError):
+    """An internal cross-check between two routes to the same result failed."""

@@ -7,7 +7,7 @@ projection is surjective: every complemented congruence of A/theta is
 quotient is computed twice, once inside the interval [theta) via residuation
 (chi/theta is complemented iff chi v (chi -> theta) is the top congruence)
 and once directly on the quotient algebra; a disagreement is an internal
-falsification and raises AssertionError.
+falsification and raises :class:`Falsified`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .congruences import (
     congruence_from_pairs,
 )
 from .errors import (
+    Falsified,
     HypothesisNotMet,
     NoCBLP,
     NotOrthogonal,
@@ -121,9 +122,10 @@ def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
             alg, lattice.congruences[i], lattice.bottom
         )
         p = lattice.index(perp)
-        assert p in mates[i], (
-            f"{alg.name}: annihilator of a complemented congruence is not a complement"
-        )
+        if p not in mates[i]:
+            raise Falsified(
+                f"{alg.name}: annihilator of a complemented congruence is not a complement"
+            )
         complement[lattice.congruences[i].blocks] = perp
     atom_indices = [
         i
@@ -191,9 +193,8 @@ def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -
         for other in cls[1:]:
             seeds.append((block_of[first], block_of[theta.blocks[other]]))
     via_generation = congruence_from_pairs(quo, seeds)
-    assert via_interval.blocks == via_generation.blocks, (
-        f"{alg.name}: projected join and generated image disagree"
-    )
+    if via_interval.blocks != via_generation.blocks:
+        raise Falsified(f"{alg.name}: projected join and generated image disagree")
     return via_interval
 
 
@@ -240,9 +241,10 @@ def quotient_center_congruences(
         if lattice.join_index(j, lattice.index(arrow)) == top:
             interval_route.add(project_congruence(alg, theta, chi).blocks)
     direct_route = {beta.blocks for beta in center.elements}
-    assert interval_route == direct_route, (
-        f"{alg.name}: interval and direct quotient centers disagree for theta={theta}"
-    )
+    if interval_route != direct_route:
+        raise Falsified(
+            f"{alg.name}: interval and direct quotient centers disagree for theta={theta}"
+        )
     return quo, center
 
 
@@ -801,16 +803,14 @@ def lift_orthogonal(
         sofar = lattice.congruences[
             lattice.join_many(lattice.index(x) for x in lifted)
         ]
-        assert sofar.blocks in center.complement, (
-            f"{alg.name}: join of complemented congruences left the center"
-        )
+        if sofar.blocks not in center.complement:
+            raise Falsified(f"{alg.name}: join of complemented congruences left the center")
         cut = center.complement[sofar.blocks]
         alpha = lattice.congruences[
             lattice.meet_index(lattice.index(raw), lattice.index(cut))
         ]
-        assert (
-            projection_image(alg, theta, alpha).blocks == beta.blocks
-        ), f"{alg.name}: disjointed lift of {beta} no longer projects onto it"
+        if projection_image(alg, theta, alpha).blocks != beta.blocks:
+            raise Falsified(f"{alg.name}: disjointed lift of {beta} no longer projects onto it")
         lifted.append(alpha)
     _check_orthogonal(center, lattice, lifted)
     return lifted

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .algebra import FiniteAlgebra
 from .commutator import commutator_index, require_theory, _iterate_chain
 from .congruences import Congruence, con_lattice
+from .errors import Falsified
 
 __all__ = [
     "SpectrumData",
@@ -245,7 +246,7 @@ def clopens_of_max(alg: FiniteAlgebra, cap: int = 20) -> list[ClopenWitness]:
     """Every clopen of Max(A), each with a witnessing pair (alpha, beta).
 
     Completeness is checked against the direct clopen enumeration and each
-    witness is re-verified; both failures raise AssertionError since they
+    witness is re-verified; both failures raise :class:`Falsified` since they
     would falsify the theory on a hypothesis-passing algebra.
     """
     require_theory(alg)
@@ -274,10 +275,13 @@ def clopens_of_max(alg: FiniteAlgebra, cap: int = 20) -> list[ClopenWitness]:
                     break
             if found:
                 break
-        assert found is not None, f"no witness pair for clopen {members} of {alg.name}"
+        if found is None:
+            raise Falsified(f"no witness pair for clopen {members} of {alg.name}")
         a, b = found
-        assert lattice.join_index(a, b) == lattice.top_index
-        assert lattice.leq_index(commutator_index(lattice, a, b), rad_index)
+        if lattice.join_index(a, b) != lattice.top_index or not lattice.leq_index(
+            commutator_index(lattice, a, b), rad_index
+        ):
+            raise Falsified(f"witness pair for clopen {members} of {alg.name} fails re-check")
         witnesses.append(
             ClopenWitness(
                 members=members,

@@ -80,6 +80,26 @@ def test_parse_rejects_out_of_range_entry():
         parse_algebra(doc)
 
 
+def test_parse_rejects_boolean_table_entries():
+    # JSON true/false decode to bool, a subclass of int
+    text = (
+        '{"name": "bad", "size": 2, "operations": '
+        '[{"name": "f", "arity": 1, "table": [true, 0]}]}'
+    )
+    with pytest.raises(MalformedDoc):
+        load_algebra(text)
+
+
+def test_algebra_validation_rejects_boolean_entries():
+    with pytest.raises(EntryRange):
+        FiniteAlgebra("x", 2, (Operation("f", 1, (False, True)),))
+
+
+def test_congruence_from_blocks_rejects_boolean_labels(z6):
+    with pytest.raises(NotACongruence):
+        congruence_from_blocks(z6, [False, True, False, True, False, True])
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -197,3 +197,18 @@ def test_bad_congruence_argument(z12_path, capsys):
     assert main(["commutator", z12_path, "nonsense", "[0]"]) == EXIT_INPUT
     capsys.readouterr()
     assert main(["commutator", z12_path, "[0,0,0]", "[0,0,0]"]) == EXIT_INPUT
+
+
+def test_falsified_cross_check_exits_one(tmp_path, monkeypatch, capsys):
+    """A failing internal cross-check is an error mapped to exit 1, not an
+    assert that vanishes under python -O."""
+    from congruence_lab import lifting
+    from congruence_lab.algebra import product
+
+    path = tmp_path / "z3xz2.json"
+    path.write_text(dump_algebra(product(ring_zn(3), ring_zn(2))))
+    # break the residuation route of the Boolean-center cross-check: the
+    # annihilator of each complemented congruence becomes the congruence itself
+    monkeypatch.setattr(lifting, "residuation", lambda alg, alpha, beta: alpha)
+    assert main(["center", str(path)]) == EXIT_FALSIFIED
+    assert "annihilator of a complemented congruence" in capsys.readouterr().err

@@ -1,12 +1,16 @@
 """The term-condition commutator, its iterates, residuation and surrogates."""
 
+import importlib
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from congruence_lab import (
     SizeBudgetExceeded,
     TheoryHypothesisFailed,
+    all_congruences,
     annihilator,
     commutator,
     commutator_stabilization,
@@ -15,11 +19,14 @@ from congruence_lab import (
     iterated_commutator,
     matrix_subalgebra,
     nabla,
+    parse_algebra,
     quotient,
     residuation,
     surrogate_checks,
 )
+from congruence_lab.algebra import FiniteAlgebra, Operation
 from congruence_lab.builders import (
+    boolean_lattice,
     chain_lattice,
     diamond,
     mv_chain,
@@ -31,6 +38,7 @@ from congruence_lab.commutator import commutator_index, require_theory
 from congruence_lab.spectrum import spectrum
 
 from conftest import theta
+from test_algebra import algebra_docs
 
 
 def test_commutator_ring_gcd_examples(z12, z4):
@@ -221,8 +229,6 @@ def test_pointed_pair_commutator_degenerates():
 def majority_algebra(k):
     """The k-chain with the ternary median operation: exercises the generic
     arity >= 3 translation and matrix machinery."""
-    from congruence_lab.algebra import FiniteAlgebra, Operation
-
     table = tuple(
         sorted((x, y, z))[1]
         for x in range(k)
@@ -250,3 +256,117 @@ def test_arity_three_matrix_cross_check():
         for beta in lattice.congruences:
             m = matrix_subalgebra(alg, alpha, beta)
             assert _term_condition_fixpoint(alg, m) == commutator(alg, alpha, beta)
+
+
+def test_commutator_budget_checked_before_con_lattice():
+    from congruence_lab.commutator import DEFAULT_MATRIX_CAP
+
+    alg = ring_zn(64)
+    before = con_lattice.cache_info().currsize
+    # 64**2 pairs in nabla, so up to 64**4 matrices: over the cap
+    with pytest.raises(SizeBudgetExceeded, match="matrix subalgebra budget"):
+        commutator(alg, nabla(alg), nabla(alg), cap=DEFAULT_MATRIX_CAP)
+    assert con_lattice.cache_info().currsize == before
+
+
+@st.composite
+def noncommutative_algebras(draw):
+    """A random algebra of size 2..4 plus a non-commutative binary operation,
+    so the closure translates by both the rows and the columns of a table."""
+    doc = draw(algebra_docs().filter(lambda d: d["size"] >= 2))
+    n = doc["size"]
+    table = draw(
+        st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n).filter(
+            lambda t: any(t[a * n + b] != t[b * n + a] for a in range(n) for b in range(a))
+        )
+    )
+    doc["operations"].append({"name": "nc", "arity": 2, "table": table})
+    return parse_algebra(doc)
+
+
+def _assert_matches_materialized_fixpoint(alg):
+    from congruence_lab.verify import _term_condition_fixpoint
+
+    for alpha in con_lattice(alg).congruences:
+        for beta in con_lattice(alg).congruences:
+            m = matrix_subalgebra(alg, alpha, beta)
+            assert _term_condition_fixpoint(alg, m) == commutator(alg, alpha, beta)
+
+
+# few random tables need the column translations to get Delta right; this
+# one does, so it is always run
+@example(FiniteAlgebra("nc_3", 3, (Operation("nc", 2, (2, 2, 1, 0, 0, 1, 2, 2, 1)),)))
+@given(noncommutative_algebras())
+@settings(max_examples=40, deadline=None)
+def test_commutator_matches_oracle_on_random_algebras(alg):
+    _assert_matches_materialized_fixpoint(alg)
+
+
+def test_commutator_matches_oracle_with_ternary_operation():
+    """x - y + z on Z_3, with x -> -x: an abelian Mal'cev algebra whose Delta
+    closure goes through the arity >= 3 translations."""
+    table = tuple((x - y + z) % 3 for x in range(3) for y in range(3) for z in range(3))
+    alg = FiniteAlgebra(
+        "malcev_3",
+        3,
+        (Operation("p", 3, table), Operation("neg", 1, (0, 2, 1))),
+    )
+    _assert_matches_materialized_fixpoint(alg)
+    assert commutator(alg, nabla(alg), nabla(alg)) == delta(alg)  # affine
+
+
+def _delta_partition(lattice, a, b):
+    from congruence_lab.commutator import _close_delta, _pair_algebra
+
+    members, _ = _pair_algebra(lattice, b)
+    classes = {}
+    for member, label in zip(members, _close_delta(lattice, a, b)):
+        classes.setdefault(label, set()).add(member)
+    return frozenset(frozenset(cls) for cls in classes.values())
+
+
+def _join_partitions(p, q):
+    merged = []
+    for cls in list(p) + list(q):
+        cls = set(cls)
+        for other in [m for m in merged if m & cls]:
+            merged.remove(other)
+            cls |= other
+        merged.append(cls)
+    return frozenset(frozenset(cls) for cls in merged)
+
+
+@pytest.mark.parametrize("alg", [boolean_lattice(4), ring_zn(24)], ids=["B_4", "Z_24"])
+def test_delta_of_a_join_is_the_join_of_deltas(alg):
+    """Delta_{alpha v alpha', beta} = Delta_{alpha,beta} v Delta_{alpha',beta},
+    with every Delta closed directly, and the production classes agree."""
+    from congruence_lab.commutator import _delta_classes
+
+    lattice = all_congruences(alg)
+    size = len(lattice)
+    for b in range(size):
+        closed = [_delta_partition(lattice, a, b) for a in range(size)]
+        for a in range(size):
+            production = frozenset(frozenset(cls) for cls in _delta_classes(lattice, a, b))
+            assert production == closed[a]
+            for a2 in range(a + 1, size):
+                joined = closed[lattice.join_index(a, a2)]
+                assert joined == _join_partitions(closed[a], closed[a2])
+
+
+def test_full_table_closes_only_join_irreducible_deltas(monkeypatch):
+    module = importlib.import_module("congruence_lab.commutator")
+    calls = []
+    close = module._close_delta
+    monkeypatch.setattr(
+        module, "_close_delta", lambda lattice, a, b: calls.append(a) or close(lattice, a, b)
+    )
+    lattice = all_congruences(boolean_lattice(4))  # uncached: a cold lattice
+    ji = lattice.join_irreducible_indices()
+    commutator_index(lattice, lattice.top_index, lattice.top_index)
+    assert sorted(calls) == ji  # a cold query: the JIs below nabla, once each
+    for i in range(len(lattice)):
+        for j in range(len(lattice)):
+            commutator_index(lattice, i, j)
+    assert set(calls) == set(ji)
+    assert len(calls) == len(ji) * len(lattice)
