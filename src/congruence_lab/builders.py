@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .algebra import FiniteAlgebra, Operation
 from .errors import MalformedDoc, NotALattice
+from .lattices import lattice_from_leq
 
 __all__ = [
     "ring_congruence",
@@ -58,30 +59,15 @@ def ring_zn(n: int) -> FiniteAlgebra:
 
 
 def _bounded_lattice(name: str, n: int, leq) -> FiniteAlgebra:
-    join = []
-    meet = []
-    for a in range(n):
-        for b in range(n):
-            uppers = [c for c in range(n) if leq(a, c) and leq(b, c)]
-            lowers = [c for c in range(n) if leq(c, a) and leq(c, b)]
-            lub = [c for c in uppers if all(leq(c, d) for d in uppers)]
-            glb = [c for c in lowers if all(leq(d, c) for d in lowers)]
-            if len(lub) != 1 or len(glb) != 1:
-                raise NotALattice(f"elements {a}, {b} lack a unique lub/glb")
-            join.append(lub[0])
-            meet.append(glb[0])
-    bottoms = [c for c in range(n) if all(leq(c, d) for d in range(n))]
-    tops = [c for c in range(n) if all(leq(d, c) for d in range(n))]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise NotALattice("order has no unique bottom/top")
+    lattice = lattice_from_leq([[leq(a, b) for b in range(n)] for a in range(n)])
     return FiniteAlgebra(
         name,
         n,
         (
-            Operation("join", 2, tuple(join)),
-            Operation("meet", 2, tuple(meet)),
-            Operation("bot", 0, (bottoms[0],)),
-            Operation("top", 0, (tops[0],)),
+            Operation("join", 2, tuple(v for row in lattice.join_table for v in row)),
+            Operation("meet", 2, tuple(v for row in lattice.meet_table for v in row)),
+            Operation("bot", 0, (lattice.bottom_index,)),
+            Operation("top", 0, (lattice.top_index,)),
         ),
     )
 

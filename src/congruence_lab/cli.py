@@ -216,34 +216,43 @@ def report_full(alg, all_pairs=False) -> dict:
 
 def _verify_one_path(path: str) -> dict:
     """Worker for verify: self-contained so it can run in a subprocess, and
-    failures in one input never mask the others."""
+    failures in one input never mask the others.  A budget error is that
+    input's error (exit 2); a falsification is a failed check on it (exit 1)."""
     from .verify import verify_algebra
 
+    result = {
+        "path": path,
+        "algebra": None,
+        "exploratory": False,
+        "elapsed": 0.0,
+        "checks": [],
+        "ok": False,
+        "input_error": None,
+    }
     try:
         alg = _load(path)
     except InputError as exc:
-        return {
-            "path": path,
-            "algebra": None,
-            "exploratory": False,
-            "elapsed": 0.0,
-            "checks": [],
-            "ok": False,
-            "input_error": str(exc),
-        }
-    report = verify_algebra(alg)
-    return {
-        "path": path,
-        "algebra": alg.name,
-        "exploratory": report.exploratory,
-        "elapsed": round(report.elapsed, 3),
-        "checks": [
+        result["input_error"] = str(exc)
+        return result
+    result["algebra"] = alg.name
+    try:
+        report = verify_algebra(alg)
+    except SizeBudgetExceeded as exc:
+        result["input_error"] = str(exc)
+        return result
+    except Falsified as exc:
+        result["checks"] = [{"name": "falsified", "passed": False, "detail": str(exc)}]
+        return result
+    result.update(
+        exploratory=report.exploratory,
+        elapsed=round(report.elapsed, 3),
+        checks=[
             {"name": c.name, "passed": c.passed, "detail": c.detail}
             for c in report.checks
         ],
-        "ok": report.ok,
-        "input_error": None,
-    }
+        ok=report.ok,
+    )
+    return result
 
 
 def report_verify(paths: list[str], jobs: int) -> dict:

@@ -43,6 +43,7 @@ from .algebra import FiniteAlgebra
 from .congruences import (
     Congruence,
     CongruenceLattice,
+    _pair_count,
     con_lattice,
     congruence_from_pairs,
 )
@@ -305,7 +306,11 @@ def commutator(
     related pairs squared) exceeds ``cap``; the bound is checked before
     Con(A) is built.
     """
-    _check_matrix_budget(alpha, beta, cap)
+    if cap is None:
+        cap = config.MATRIX_CAP
+    bound = max(_pair_count(alpha.blocks), _pair_count(beta.blocks)) ** 2
+    if bound > cap:
+        raise _budget_error(bound, cap)
     lattice = con_lattice(alg)
     i, j = lattice.index(alpha), lattice.index(beta)
     return lattice.congruences[commutator_index(lattice, i, j, cap=cap)]
@@ -314,17 +319,24 @@ def commutator(
 def commutator_index(
     lattice: CongruenceLattice, i: int, j: int, cap: int | None = None
 ) -> int:
+    """[congruences[i], congruences[j]] as an index; the matrix budget is
+    checked on every call, cached or not."""
+    # inline rather than a helper call: a C_7 verify makes about 1.4M calls
+    if cap is None:
+        cap = config.MATRIX_CAP
+    bounds = lattice.matrix_bounds
+    if bounds[i] > cap or bounds[j] > cap:
+        raise _budget_error(max(bounds[i], bounds[j]), cap)
     cache = lattice._caches.setdefault("commutator", {})
     key = (i, j) if i <= j else (j, i)
     hit = cache.get(key)
     if hit is not None:
         return hit
     alg = lattice.algebra
-    _check_matrix_budget(lattice.congruences[key[0]], lattice.congruences[key[1]], cap)
     class_families = [_delta_classes(lattice, key[0], key[1])]
     if key[0] != key[1]:
         class_families.append(_delta_classes(lattice, key[1], key[0]))
-    delta = lattice.bottom
+    delta = lattice.congruences[lattice.bottom_index]
     while True:
         new_pairs = []
         for classes in class_families:
@@ -342,20 +354,12 @@ def commutator_index(
     return result
 
 
-def _check_matrix_budget(alpha: Congruence, beta: Congruence, cap: int | None) -> None:
-    """The matrix state bound: at most max(pairs(alpha), pairs(beta))**2
-    matrices, refused above ``cap`` (default: the process-wide MATRIX_CAP)."""
-    if cap is None:
-        cap = config.MATRIX_CAP
-    budget = max(_pair_count(alpha), _pair_count(beta))
-    if budget * budget > cap:
-        raise SizeBudgetExceeded(
-            f"matrix subalgebra budget {cap} exceeded: up to {budget * budget} matrices"
-        )
-
-
-def _pair_count(theta: Congruence) -> int:
-    return sum(len(cls) ** 2 for cls in theta.classes())
+def _budget_error(bound: int, cap: int) -> SizeBudgetExceeded:
+    """The matrix state bound max(pairs(alpha), pairs(beta))**2 is over
+    ``cap`` (default: the process-wide MATRIX_CAP)."""
+    return SizeBudgetExceeded(
+        f"matrix subalgebra budget {cap} exceeded: up to {bound} matrices"
+    )
 
 
 def iterated_commutator(alg: FiniteAlgebra, alpha: Congruence, n: int) -> Congruence:
@@ -414,7 +418,7 @@ def residuation(alg: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> Cong
 def annihilator(alg: FiniteAlgebra, alpha: Congruence) -> Congruence:
     """alpha^perp = alpha -> bottom."""
     lattice = con_lattice(alg)
-    return residuation(alg, alpha, lattice.bottom)
+    return residuation(alg, alpha, lattice.congruences[lattice.bottom_index])
 
 
 @dataclass(frozen=True)
@@ -431,7 +435,6 @@ class SurrogateReport:
     modular: bool
     top_idempotent: bool  # [nabla, nabla] = nabla
     top_neutral: bool  # [theta, nabla] = theta for every theta
-    closed_under_commutator: bool
     con_size: int
 
     @property
@@ -446,8 +449,6 @@ class SurrogateReport:
             out.append("[nabla, nabla] != nabla")
         if not self.top_neutral:
             out.append("[theta, nabla] != theta for some theta")
-        if not self.closed_under_commutator:
-            out.append("Con(A) is not closed under the commutator")
         return out
 
 
@@ -465,9 +466,6 @@ def surrogate_checks(alg: FiniteAlgebra) -> SurrogateReport:
         top_neutral=all(
             commutator_index(lattice, i, top) == i for i in range(len(lattice))
         ),
-        # fixpoint output is a member of Con(A) by construction; recorded so
-        # the report mirrors the standing closure hypothesis
-        closed_under_commutator=True,
         con_size=len(lattice),
     )
     lattice._caches["surrogate"] = report

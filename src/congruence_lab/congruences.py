@@ -16,13 +16,15 @@ intersection.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product as iproduct
 
 from . import config
 from .algebra import FiniteAlgebra
 from .errors import ParentMismatch, SizeBudgetExceeded
+from .lattices import FiniteLattice
 
 __all__ = [
     "Congruence",
@@ -276,8 +278,8 @@ def meet(theta: Congruence, chi: Congruence) -> Congruence:
 
 
 @dataclass(frozen=True)
-class CongruenceLattice:
-    """All congruences of an algebra, with join/meet tables and markers.
+class CongruenceLattice(FiniteLattice):
+    """Con(A) as a finite lattice: element i is ``congruences[i]``.
 
     On a finite algebra every congruence is a join of principal congruences,
     so the compact elements are all of Con(A); this is recorded as a stated
@@ -286,21 +288,11 @@ class CongruenceLattice:
 
     algebra: FiniteAlgebra
     congruences: tuple[Congruence, ...]  # canonically sorted by block array
-    bottom_index: int
-    top_index: int
-    join_irreducible_flags: tuple[bool, ...]
     principal_witnesses: tuple[tuple[int, int] | None, ...]
+    # the matrix budget of each congruence: its number of related pairs, squared
+    matrix_bounds: tuple[int, ...]
     _index: dict = field(compare=False, hash=False, repr=False)
-    _join_table: list = field(compare=False, hash=False, repr=False)
-    _meet_table: list = field(compare=False, hash=False, repr=False)
-    _leq: list = field(compare=False, hash=False, repr=False)
     _caches: dict = field(compare=False, hash=False, repr=False)
-
-    def __len__(self):
-        return len(self.congruences)
-
-    def __iter__(self):
-        return iter(self.congruences)
 
     def index(self, theta: Congruence) -> int:
         try:
@@ -310,64 +302,13 @@ class CongruenceLattice:
                 f"{list(theta.blocks)} is not a congruence of {self.algebra.name}"
             ) from None
 
-    @property
-    def bottom(self) -> Congruence:
-        return self.congruences[self.bottom_index]
-
-    @property
-    def top(self) -> Congruence:
-        return self.congruences[self.top_index]
-
-    def join_index(self, i: int, j: int) -> int:
-        return self._join_table[i][j]
-
-    def meet_index(self, i: int, j: int) -> int:
-        return self._meet_table[i][j]
-
-    def leq_index(self, i: int, j: int) -> bool:
-        return self._leq[i][j]
-
-    def join_many(self, indices) -> int:
-        out = self.bottom_index
-        for i in indices:
-            out = self._join_table[out][i]
-        return out
-
-    def meet_many(self, indices) -> int:
-        out = self.top_index
-        for i in indices:
-            out = self._meet_table[out][i]
-        return out
+    @cached_property
+    def join_irreducible_flags(self) -> tuple[bool, ...]:
+        """Elements with exactly one lower cover."""
+        return tuple(len(self.lower_covers(i)) == 1 for i in range(self.size))
 
     def join_irreducible_indices(self) -> list[int]:
         return [i for i, flag in enumerate(self.join_irreducible_flags) if flag]
-
-    def lower_covers(self, i: int) -> list[int]:
-        below = [j for j in range(len(self.congruences)) if j != i and self._leq[j][i]]
-        return [
-            j
-            for j in below
-            if not any(k != j and self._leq[j][k] for k in below)
-        ]
-
-    def upper_covers(self, i: int) -> list[int]:
-        above = [j for j in range(len(self.congruences)) if j != i and self._leq[i][j]]
-        return [
-            j
-            for j in above
-            if not any(k != j and self._leq[k][j] for k in above)
-        ]
-
-    def is_modular(self) -> bool:
-        size = len(self.congruences)
-        for x in range(size):
-            for z in range(size):
-                if not self._leq[x][z]:
-                    continue
-                for y in range(size):
-                    if self._join_table[x][self._meet_table[y][z]] != self._meet_table[self._join_table[x][y]][z]:
-                        return False
-        return True
 
 
 def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLattice:
@@ -406,10 +347,10 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
     ordered = sorted(elements)
     index = {blocks: i for i, blocks in enumerate(ordered)}
     size = len(ordered)
-    leq = [
-        [all(other[rep] == other[x] for x, rep in enumerate(blocks)) for other in ordered]
+    leq = tuple(
+        tuple(all(other[rep] == other[x] for x, rep in enumerate(blocks)) for other in ordered)
         for blocks in ordered
-    ]
+    )
     join_table = [[0] * size for _ in range(size)]
     meet_table = [[0] * size for _ in range(size)]
     for i, bi in enumerate(ordered):
@@ -425,26 +366,24 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
             join_table[i][j] = join_table[j][i] = jn
             meet_table[i][j] = meet_table[j][i] = mt
 
-    congruences = tuple(Congruence(alg, blocks) for blocks in ordered)
-    ji_flags = []
-    for i in range(size):
-        below = [j for j in range(size) if j != i and leq[j][i]]
-        covers = [j for j in below if not any(k != j and leq[j][k] for k in below)]
-        ji_flags.append(len(covers) == 1)
-    witnesses = tuple(principal.get(blocks) for blocks in ordered)
     return CongruenceLattice(
-        algebra=alg,
-        congruences=congruences,
+        leq=leq,
+        join_table=tuple(tuple(row) for row in join_table),
+        meet_table=tuple(tuple(row) for row in meet_table),
         bottom_index=index[bottom],
         top_index=index[(0,) * n],
-        join_irreducible_flags=tuple(ji_flags),
-        principal_witnesses=witnesses,
+        algebra=alg,
+        congruences=tuple(Congruence(alg, blocks) for blocks in ordered),
+        principal_witnesses=tuple(principal.get(blocks) for blocks in ordered),
+        matrix_bounds=tuple(_pair_count(blocks) ** 2 for blocks in ordered),
         _index=index,
-        _join_table=join_table,
-        _meet_table=meet_table,
-        _leq=leq,
         _caches={},
     )
+
+
+def _pair_count(blocks) -> int:
+    """The number of related pairs (x, y) of a block array."""
+    return sum(k * k for k in Counter(blocks).values())
 
 
 def _join_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

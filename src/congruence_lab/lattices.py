@@ -1,19 +1,30 @@
-"""Finite bounded lattices given by their order relation.
+"""Finite bounded lattices and their ideals.
 
-Used for the reticulation of an algebra and for standalone distributive
-lattices in the ideal lifting machinery.  A lattice serializes as
-``{"size": k, "leq": [[bool, ...], ...]}``.
+:class:`FiniteLattice` is the one lattice type of the package: a lattice on
+the elements 0..size-1 given by its order matrix and its join and meet
+tables.  The congruence lattice Con(A) is its subclass
+``congruences.CongruenceLattice``; the reticulation and the standalone
+distributive lattices of the ideal lifting machinery are plain instances.
+A lattice serializes as ``{"size": k, "leq": [[bool, ...], ...]}``.
+
+``lattice_from_leq`` is the validating constructor, for orders that come
+from outside (documents, builders, the reticulation): it checks the order
+axioms and finds every join and meet by a lub/glb search.  Code that already
+holds correct tables (Con(A), the interval quotient) builds the type
+directly.
 
 Every ideal of a finite lattice is principal (a nonempty down-set closed
-under binary join contains the join of all its members), so ideals are
-enumerated as the principal down-sets; the :class:`LatticeIdeal` type still
-stores membership flags and validates the down-set and join-closure
-conditions so non-principal candidates are rejected.
+under binary join contains the join of all its members), so a
+:class:`LatticeIdeal` is stored as its generator g and stands for the
+down-set (g] = {x : x <= g}; membership is read off the order.  The prime
+ideals are the down-sets of the meet-prime elements, the maximal ideals
+those of the coatoms, and the quotient by (g] is the interval [g, 1].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import MalformedDoc, NotALattice
 
@@ -36,59 +47,96 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    """A bounded lattice on 0..size-1 described by its order matrix."""
+    """A bounded lattice on 0..size-1: order matrix, join and meet tables."""
 
     leq: tuple[tuple[bool, ...], ...]
-    _join: tuple = field(compare=False, hash=False, repr=False)
-    _meet: tuple = field(compare=False, hash=False, repr=False)
-    bottom: int = field(compare=False)
-    top: int = field(compare=False)
+    join_table: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    meet_table: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    bottom_index: int = field(compare=False)
+    top_index: int = field(compare=False)
 
     @property
     def size(self) -> int:
         return len(self.leq)
 
-    def le(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
+    def __len__(self):
+        return len(self.leq)
 
-    def join(self, a: int, b: int) -> int:
-        return self._join[a][b]
+    def leq_index(self, i: int, j: int) -> bool:
+        return self.leq[i][j]
 
-    def meet(self, a: int, b: int) -> int:
-        return self._meet[a][b]
+    def join_index(self, i: int, j: int) -> int:
+        return self.join_table[i][j]
 
-    def join_many(self, items) -> int:
-        out = self.bottom
-        for x in items:
-            out = self._join[out][x]
+    def meet_index(self, i: int, j: int) -> int:
+        return self.meet_table[i][j]
+
+    def join_many(self, indices) -> int:
+        out = self.bottom_index
+        for i in indices:
+            out = self.join_table[out][i]
         return out
 
-    def meet_many(self, items) -> int:
-        out = self.top
-        for x in items:
-            out = self._meet[out][x]
+    def meet_many(self, indices) -> int:
+        out = self.top_index
+        for i in indices:
+            out = self.meet_table[out][i]
         return out
+
+    def lower_covers(self, i: int) -> list[int]:
+        below = [j for j in range(self.size) if j != i and self.leq[j][i]]
+        return [
+            j
+            for j in below
+            if not any(k != j and self.leq[j][k] for k in below)
+        ]
+
+    def upper_covers(self, i: int) -> list[int]:
+        above = [j for j in range(self.size) if j != i and self.leq[i][j]]
+        return [
+            j
+            for j in above
+            if not any(k != j and self.leq[k][j] for k in above)
+        ]
+
+    def atoms(self) -> list[int]:
+        return self.upper_covers(self.bottom_index)
+
+    @cached_property
+    def complements(self) -> tuple[tuple[int, ...], ...]:
+        """For each element x, every y with x v y = top and x ^ y = bottom."""
+        join, meet = self.join_table, self.meet_table
+        top, bottom = self.top_index, self.bottom_index
+        return tuple(
+            tuple(
+                y
+                for y in range(self.size)
+                if join[x][y] == top and meet[x][y] == bottom
+            )
+            for x in range(self.size)
+        )
 
     def is_distributive(self) -> bool:
         n = self.size
+        join, meet = self.join_table, self.meet_table
         return all(
-            self._meet[x][self._join[y][z]]
-            == self._join[self._meet[x][y]][self._meet[x][z]]
+            meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
             for x in range(n)
             for y in range(n)
             for z in range(n)
         )
 
-    def atoms(self) -> list[int]:
-        return [
-            a
-            for a in range(self.size)
-            if a != self.bottom
-            and all(
-                x == self.bottom or x == a or not self.leq[x][a]
-                for x in range(self.size)
-            )
-        ]
+    def is_modular(self) -> bool:
+        n = self.size
+        join, meet = self.join_table, self.meet_table
+        for x in range(n):
+            for z in range(n):
+                if not self.leq[x][z]:
+                    continue
+                for y in range(n):
+                    if join[x][meet[y][z]] != meet[join[x][y]][z]:
+                        return False
+        return True
 
 
 def lattice_from_leq(leq) -> FiniteLattice:
@@ -128,10 +176,10 @@ def lattice_from_leq(leq) -> FiniteLattice:
         raise NotALattice("order has no unique bottom/top")
     return FiniteLattice(
         leq=matrix,
-        _join=tuple(tuple(row) for row in join_table),
-        _meet=tuple(tuple(row) for row in meet_table),
-        bottom=bottoms[0],
-        top=tops[0],
+        join_table=tuple(tuple(row) for row in join_table),
+        meet_table=tuple(tuple(row) for row in meet_table),
+        bottom_index=bottoms[0],
+        top_index=tops[0],
     )
 
 
@@ -152,59 +200,50 @@ def parse_lattice(doc: dict) -> FiniteLattice:
 
 @dataclass(frozen=True)
 class LatticeIdeal:
-    """A nonempty down-set closed under finite join, as membership flags."""
+    """The ideal (generator] = {x : x <= generator} of a finite lattice;
+    every ideal of a finite lattice has this form."""
 
     lattice: FiniteLattice
-    flags: tuple[bool, ...]
+    generator: int
 
     def __post_init__(self):
-        lat = self.lattice
-        members = self.members()
-        if not members:
-            raise NotALattice("an ideal must be nonempty")
-        for x in members:
-            for y in range(lat.size):
-                if lat.le(y, x) and not self.flags[y]:
-                    raise NotALattice(f"ideal not a down-set: {y} <= {x}")
-        for x in members:
-            for y in members:
-                if not self.flags[lat.join(x, y)]:
-                    raise NotALattice(f"ideal not join-closed at {x}, {y}")
+        if not 0 <= self.generator < self.lattice.size:
+            raise NotALattice(
+                f"ideal generator {self.generator} outside 0..{self.lattice.size - 1}"
+            )
 
     def members(self) -> list[int]:
-        return [x for x, inside in enumerate(self.flags) if inside]
+        g = self.generator
+        return [x for x, row in enumerate(self.lattice.leq) if row[g]]
 
     def __contains__(self, x: int) -> bool:
-        return self.flags[x]
-
-    def generator(self) -> int:
-        """The largest member; every ideal of a finite lattice is principal."""
-        return self.lattice.join_many(self.members())
+        return self.lattice.leq[x][self.generator]
 
     def is_proper(self) -> bool:
-        return not self.flags[self.lattice.top]
+        return self.generator != self.lattice.top_index
 
 
 def principal_ideal(lattice: FiniteLattice, x: int) -> LatticeIdeal:
-    return LatticeIdeal(
-        lattice, tuple(lattice.le(y, x) for y in range(lattice.size))
-    )
+    return LatticeIdeal(lattice, x)
 
 
 def all_ideals(lattice: FiniteLattice) -> list[LatticeIdeal]:
-    return [principal_ideal(lattice, x) for x in range(lattice.size)]
+    return [LatticeIdeal(lattice, x) for x in range(lattice.size)]
 
 
 def is_prime_ideal(ideal: LatticeIdeal) -> bool:
-    """Proper, and x ^ y inside forces x or y inside."""
+    """Proper, and x ^ y inside forces x or y inside: the generator is
+    meet-prime."""
     lat = ideal.lattice
     if not ideal.is_proper():
         return False
-    for x in range(lat.size):
-        for y in range(lat.size):
-            if ideal.flags[lat.meet(x, y)] and not (ideal.flags[x] or ideal.flags[y]):
-                return False
-    return True
+    inside = [row[ideal.generator] for row in lat.leq]
+    meet = lat.meet_table
+    return all(
+        inside[x] or inside[y] or not inside[meet[x][y]]
+        for x in range(lat.size)
+        for y in range(lat.size)
+    )
 
 
 def prime_ideals(lattice: FiniteLattice) -> list[LatticeIdeal]:
@@ -212,55 +251,37 @@ def prime_ideals(lattice: FiniteLattice) -> list[LatticeIdeal]:
 
 
 def maximal_ideals(lattice: FiniteLattice) -> list[LatticeIdeal]:
-    proper = [ideal for ideal in all_ideals(lattice) if ideal.is_proper()]
-    out = []
-    for ideal in proper:
-        g = ideal.generator()
-        if not any(
-            other.generator() != g and lattice.le(g, other.generator())
-            for other in proper
-        ):
-            out.append(ideal)
-    return out
+    """The down-sets of the coatoms."""
+    return [
+        LatticeIdeal(lattice, g) for g in lattice.lower_covers(lattice.top_index)
+    ]
 
 
 def quotient_by_ideal(ideal: LatticeIdeal) -> tuple[FiniteLattice, list[int]]:
-    """L/I under x ~ y iff x v i = y v i for some i in I.
+    """L/I under x ~ y iff x v i = y v i for some i in I = (g].
 
-    This is the congruence generated by collapsing I to the bottom of a
-    distributive lattice.  Returns the quotient and the class map.
+    Every i in I lies below g, so x v i = y v i gives x v g = y v g, and
+    i = g gives the converse: the classes are the fibers of x -> x v g,
+    which maps L onto the interval [g, 1] and, in a distributive lattice
+    such as the reticulation, is a lattice homomorphism.  The quotient is
+    that interval with the parent's order, joins and meets; its classes are
+    numbered in the order of their least members.  Returns the quotient and
+    the class map.
     """
-    lat = ideal.lattice
-    members = ideal.members()
-    n = lat.size
-
-    def equivalent(x: int, y: int) -> bool:
-        return any(lat.join(x, i) == lat.join(y, i) for i in members)
-
-    class_of = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        for k, r in enumerate(reps):
-            if equivalent(x, r):
-                class_of[x] = k
-                break
-        else:
-            class_of[x] = len(reps)
-            reps.append(x)
-    k = len(reps)
-    leq = [[False] * k for _ in range(k)]
-    for i, r in enumerate(reps):
-        for j, s in enumerate(reps):
-            # class order: some members are related
-            leq[i][j] = any(
-                lat.le(x, y)
-                for x in range(n)
-                if class_of[x] == i
-                for y in range(n)
-                if class_of[y] == j
-            )
-    quotient = lattice_from_leq(leq)
-    return quotient, class_of
+    lat, g = ideal.lattice, ideal.generator
+    image = lat.join_table[g]  # x v g for every x
+    position: dict[int, int] = {}
+    for y in image:
+        position.setdefault(y, len(position))
+    reps = list(position)
+    quotient = FiniteLattice(
+        leq=tuple(tuple(lat.leq[a][b] for b in reps) for a in reps),
+        join_table=tuple(tuple(position[lat.join_table[a][b]] for b in reps) for a in reps),
+        meet_table=tuple(tuple(position[lat.meet_table[a][b]] for b in reps) for a in reps),
+        bottom_index=position[g],
+        top_index=position[lat.top_index],
+    )
+    return quotient, [position[y] for y in image]
 
 
 def complemented_elements(lattice: FiniteLattice) -> dict[int, int]:
@@ -270,14 +291,9 @@ def complemented_elements(lattice: FiniteLattice) -> dict[int, int]:
     would indicate a non-distributive input and raises NotALattice.
     """
     out: dict[int, int] = {}
-    for x in range(lattice.size):
-        mates = [
-            y
-            for y in range(lattice.size)
-            if lattice.join(x, y) == lattice.top and lattice.meet(x, y) == lattice.bottom
-        ]
+    for x, mates in enumerate(lattice.complements):
         if len(mates) > 1:
-            raise NotALattice(f"element {x} has several complements: {mates}")
+            raise NotALattice(f"element {x} has several complements: {list(mates)}")
         if mates:
             out[x] = mates[0]
     return out

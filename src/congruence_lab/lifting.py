@@ -13,6 +13,7 @@ falsification and raises :class:`Falsified`.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -74,14 +75,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BooleanCenter:
-    """The complemented elements of a bounded lattice, with complements.
+    """The complemented congruences of an algebra, with complements."""
 
-    ``parent`` is the congruence lattice or the finite distributive lattice
-    the center was taken in.
-    """
-
-    parent: object
-    elements: tuple  # congruences, or element indices for a FiniteLattice
+    elements: tuple  # congruences
     complement: dict
     atoms: tuple
 
@@ -93,7 +89,7 @@ class BooleanCenter:
 
 
 def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
-    """B(Con(A)) by exhaustive complement search.
+    """B(Con(A)) from the lattice's complement search.
 
     Membership means some complement exists; the recorded complement is the
     annihilator, which is cross-checked to be one.
@@ -103,24 +99,12 @@ def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
     cached = lattice._caches.get("center")
     if cached is not None:
         return cached
-    size = len(lattice)
-    member_indices = []
-    mates: dict[int, list[int]] = {}
-    for i in range(size):
-        found = [
-            j
-            for j in range(size)
-            if lattice.join_index(i, j) == lattice.top_index
-            and lattice.meet_index(i, j) == lattice.bottom_index
-        ]
-        if found:
-            member_indices.append(i)
-            mates[i] = found
+    mates = lattice.complements
+    member_indices = [i for i in range(len(lattice)) if mates[i]]
+    bottom = lattice.congruences[lattice.bottom_index]
     complement: dict[tuple, Congruence] = {}
     for i in member_indices:
-        perp = residuation(
-            alg, lattice.congruences[i], lattice.bottom
-        )
+        perp = residuation(alg, lattice.congruences[i], bottom)
         p = lattice.index(perp)
         if p not in mates[i]:
             raise Falsified(
@@ -137,7 +121,6 @@ def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
         )
     ]
     center = BooleanCenter(
-        parent=lattice,
         elements=tuple(lattice.congruences[i] for i in member_indices),
         complement=complement,
         atoms=tuple(lattice.congruences[i] for i in atom_indices),
@@ -205,21 +188,10 @@ def section_congruence(
     the given congruence of A/theta."""
     reps = sorted(set(theta.blocks))
     labels = [
-        quotient_congruence.blocks[_rep_index(reps, theta.blocks[x])]
+        quotient_congruence.blocks[bisect_left(reps, theta.blocks[x])]
         for x in range(alg.size)
     ]
     return congruence_from_blocks(alg, labels)
-
-
-def _rep_index(reps: list[int], rep: int) -> int:
-    lo, hi = 0, len(reps)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reps[mid] < rep:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def quotient_center_congruences(
@@ -535,21 +507,13 @@ def diamond_star_commute(alg: FiniteAlgebra, theta: Congruence) -> bool:
 
     retic = build_reticulation(alg)
     lat = retic.lattice
-
-    def ideal_diamond(ideal: LatticeIdeal) -> tuple[bool, ...]:
-        inside = [x for x in ideal.members() if x in set(lattice_center(lat))]
-        gen = lat.join_many(inside)
-        return tuple(lat.le(y, gen) for y in range(lat.size))
-
-    star_then_diamond = ideal_diamond(star(retic, theta))
-    diamond_then_star = star(retic, diamond(alg, theta)).flags
-    if star_then_diamond != diamond_then_star:
+    center = set(lattice_center(lat))
+    ideal = star(retic, theta)
+    # the generator of the ideal generated by the complemented part of theta*
+    ideal_diamond = lat.join_many(x for x in ideal.members() if x in center)
+    if ideal_diamond != star(retic, diamond(alg, theta)).generator:
         return False
-    if is_regular(alg, theta):
-        ideal = star(retic, theta)
-        if ideal_diamond(ideal) != ideal.flags:
-            return False
-    return True
+    return not is_regular(alg, theta) or ideal_diamond == ideal.generator
 
 
 def _coprime_pairs(lattice: CongruenceLattice) -> list[tuple[int, int, int]]:
@@ -715,10 +679,6 @@ class BNormalReport:
     b_normal: bool
     counterexample: tuple | None  # a coprime pair with no separating pair
 
-    @property
-    def witness_count(self) -> int:
-        return 0 if self.counterexample else 1
-
 
 def is_b_normal(alg: FiniteAlgebra) -> BNormalReport:
     """For every coprime pair (chi, eps) there are complemented alpha, beta
@@ -871,7 +831,7 @@ def orthogonal_uniqueness_and_atoms(
     for alpha in center.elements:
         if (
             lattice.leq_index(lattice.index(alpha), rad_index)
-            and alpha.blocks != lattice.bottom.blocks
+            and lattice.index(alpha) != lattice.bottom_index
         ):
             lemma = False
     for alpha in center.elements:

@@ -24,7 +24,6 @@ from .lattices import (
     lattice_from_leq,
     maximal_ideals,
     prime_ideals,
-    principal_ideal,
     serialize_lattice,
 )
 from .spectrum import radical, spectrum, v_set
@@ -54,11 +53,11 @@ class Reticulation:
 
     @property
     def bottom(self) -> Congruence:
-        return self.elements[self.lattice.bottom]
+        return self.elements[self.lattice.bottom_index]
 
     @property
     def top(self) -> Congruence:
-        return self.elements[self.lattice.top]
+        return self.elements[self.lattice.top_index]
 
     def element_index(self, value: Congruence) -> int:
         for k, element in enumerate(self.elements):
@@ -105,12 +104,12 @@ def build_reticulation(alg: FiniteAlgebra) -> Reticulation:
                 raise TheoryHypothesisFailed(
                     f"{alg.name}: intersection of radical congruences is not radical"
                 )
-            if retic_lattice.meet(a, b) != position[met]:
+            if retic_lattice.meet_index(a, b) != position[met]:
                 raise TheoryHypothesisFailed(
                     f"{alg.name}: reticulation meet disagrees with intersection"
                 )
             joined = lambda_by_con[lattice.join_index(radicals[a], radicals[b])]
-            if retic_lattice.join(a, b) != position[joined]:
+            if retic_lattice.join_index(a, b) != position[joined]:
                 raise TheoryHypothesisFailed(
                     f"{alg.name}: reticulation join disagrees with rho of the join"
                 )
@@ -132,26 +131,24 @@ def lambda_(retic: Reticulation, theta: Congruence) -> Congruence:
 
 
 def star(retic: Reticulation, theta: Congruence) -> LatticeIdeal:
-    """theta* = {lambda(alpha) : alpha <= theta}, an ideal of the reticulation.
+    """theta* = {lambda(alpha) : alpha <= theta}, the ideal (lambda(theta)]
+    of the reticulation.
 
-    On a finite algebra this is the principal ideal generated by
-    lambda(theta); the set is computed from the definition and the principal
-    shape is left to the tests.
+    lambda is monotone, so every lambda(alpha) with alpha <= theta lies below
+    lambda(theta), which is itself in the set; the ideal is therefore stored
+    as its generator lambda(theta).  The definitional set is recomputed and
+    compared by the ``verify`` reticulation suite.
     """
-    lattice = con_lattice(retic.algebra)
-    i = lattice.index(theta)
-    flags = [False] * retic.lattice.size
-    for j in range(len(lattice)):
-        if lattice.leq_index(j, i):
-            flags[retic._lambda_by_con[j]] = True
-    return LatticeIdeal(retic.lattice, tuple(flags))
+    return LatticeIdeal(retic.lattice, retic.lambda_index(theta))
 
 
 def costar(retic: Reticulation, ideal: LatticeIdeal) -> Congruence:
-    """I_* = join of all congruences whose lambda-image lies in I."""
+    """I_* = join of all congruences whose lambda-image lies in I = (g],
+    that is the congruences j with lambda(j) <= g."""
     lattice = con_lattice(retic.algebra)
+    inside = [row[ideal.generator] for row in retic.lattice.leq]
     qualifying = [
-        j for j in range(len(lattice)) if ideal.flags[retic._lambda_by_con[j]]
+        j for j, lam in enumerate(retic._lambda_by_con) if inside[lam]
     ]
     return lattice.congruences[lattice.join_many(qualifying)]
 
@@ -192,7 +189,7 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
 
     primes = list(data.primes)
     ideal_primes, _ = ideal_spectra(retic.lattice)
-    ideal_keys = {ideal.flags for ideal in ideal_primes}
+    ideal_keys = {ideal.generator for ideal in ideal_primes}
 
     if len(primes) != len(ideal_primes):
         failures.append(
@@ -202,14 +199,14 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
     images = {}
     for phi in primes:
         u_phi = star(retic, phi)
-        if u_phi.flags not in ideal_keys:
+        if u_phi.generator not in ideal_keys:
             failures.append(f"star of prime {phi} is not a prime ideal")
             continue
         images[phi.blocks] = u_phi
         back = costar(retic, u_phi)
         if back.blocks != phi.blocks:
             failures.append(f"costar(star({phi})) != {phi}")
-    if len({ideal.flags for ideal in images.values()}) != len(images):
+    if len({ideal.generator for ideal in images.values()}) != len(images):
         failures.append("star is not injective on primes")
 
     for ideal in ideal_primes:
@@ -217,14 +214,14 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
         if not any(down.blocks == phi.blocks for phi in primes):
             failures.append("costar of a prime ideal is not a prime congruence")
             continue
-        if star(retic, down).flags != ideal.flags:
+        if star(retic, down).generator != ideal.generator:
             failures.append("star(costar(I)) != I for a prime ideal")
 
     if len(images) == len(primes):
         for phi in primes:
             for psi in primes:
-                forward = set(images[phi.blocks].members()) <= set(
-                    images[psi.blocks].members()
+                forward = retic.lattice.leq_index(
+                    images[phi.blocks].generator, images[psi.blocks].generator
                 )
                 if phi.leq(psi) != forward:
                     failures.append(
@@ -237,7 +234,7 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
         lam = retic.lambda_index(alpha)
         left = {primes[k].blocks for k in v_set(alg, alpha)}
         right = {
-            costar(retic, ideal).blocks for ideal in ideal_primes if ideal.flags[lam]
+            costar(retic, ideal).blocks for ideal in ideal_primes if lam in ideal
         }
         if left != right:
             failures.append(f"V({alpha}) does not match V_Id(lambda) on primes")
@@ -246,9 +243,9 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
     # isomorphism
     radicals = retic.elements
     star_of = {r.blocks: star(retic, r) for r in radicals}
-    if len({ideal.flags for ideal in star_of.values()}) != len(radicals):
+    generators = {star_of[r.blocks].generator for r in radicals}
+    if len(generators) != len(radicals):
         failures.append("star is not injective on radical congruences")
-    generators = {star_of[r.blocks].generator() for r in radicals}
     if generators != set(range(retic.lattice.size)):
         failures.append("star does not reach every ideal of the reticulation")
     for x in radicals:
@@ -256,15 +253,11 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
             ix, iy = lattice.index(x), lattice.index(y)
             met = lattice.congruences[lattice.meet_index(ix, iy)]
             joined = radical(alg, lattice.congruences[lattice.join_index(ix, iy)])
-            meet_flags = tuple(
-                a and b for a, b in zip(star_of[x.blocks].flags, star_of[y.blocks].flags)
-            )
-            if star(retic, met).flags != meet_flags:
+            gx, gy = star_of[x.blocks].generator, star_of[y.blocks].generator
+            # (gx] n (gy] = (gx ^ gy]
+            if star(retic, met).generator != retic.lattice.meet_index(gx, gy):
                 failures.append(f"star breaks meets at {x}, {y}")
-            join_gen = retic.lattice.join(
-                star_of[x.blocks].generator(), star_of[y.blocks].generator()
-            )
-            if star(retic, joined).flags != principal_ideal(retic.lattice, join_gen).flags:
+            if star(retic, joined).generator != retic.lattice.join_index(gx, gy):
                 failures.append(f"star breaks joins at {x}, {y}")
 
     return SpecHomeomorphismReport(

@@ -106,17 +106,8 @@ def spectrum(alg: FiniteAlgebra, all_pairs: bool = False) -> SpectrumData:
     cached = lattice._caches.get(key)
     if cached is not None:
         return cached
-    size = len(lattice)
-    top = lattice.top_index
     primes = _prime_indices(lattice, all_pairs)
-    maximals = [
-        i
-        for i in range(size)
-        if i != top
-        and not any(
-            j != i and j != top and lattice.leq_index(i, j) for j in range(size)
-        )
-    ]
+    maximals = lattice.lower_covers(lattice.top_index)
     prime_set = set(primes)
     if not set(maximals) <= prime_set:
         from .errors import TheoryHypothesisFailed
@@ -177,7 +168,7 @@ def is_semiprime(alg: FiniteAlgebra) -> bool:
     """True when rho(bottom) is the bottom congruence."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    return spectrum(alg).nilradical.blocks == lattice.bottom.blocks
+    return lattice.index(spectrum(alg).nilradical) == lattice.bottom_index
 
 
 def v_set(alg: FiniteAlgebra, theta: Congruence) -> tuple[int, ...]:

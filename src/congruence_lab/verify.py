@@ -36,7 +36,7 @@ from .congruences import (
     interval_above,
     principal_congruence,
 )
-from .lattices import lattice_center, principal_ideal
+from .lattices import all_ideals, lattice_center
 from .lifting import (
     boolean_center_of_congruences,
     cblp_characterization,
@@ -548,29 +548,29 @@ def _suite_reticulation(alg):
     nil = lattice.index(spectrum(alg).nilradical)
     semiprime = is_semiprime(alg)
     for a in range(size):
-        if (lam[a] == rl.top) != (a == lattice.top_index):
+        if (lam[a] == rl.top_index) != (a == lattice.top_index):
             ok = False
         chain, _ = _iterate_chain(lattice, a)
         # some iterate (n >= 1) is the bottom congruence iff the stable value
         # is; a length-1 chain is its own square
         reaches_bottom = chain[-1] == lattice.bottom_index
-        if (lam[a] == rl.bottom) != reaches_bottom:
+        if (lam[a] == rl.bottom_index) != reaches_bottom:
             ok = False
-        if (lam[a] == rl.bottom) != lattice.leq_index(a, nil):
+        if (lam[a] == rl.bottom_index) != lattice.leq_index(a, nil):
             ok = False
-        if semiprime and (lam[a] == rl.bottom) != (a == lattice.bottom_index):
+        if semiprime and (lam[a] == rl.bottom_index) != (a == lattice.bottom_index):
             ok = False
         for value in chain[1:] or chain:
             if lam[value] != lam[a]:
                 ok = False
         for b in range(size):
-            if lam[lattice.join_index(a, b)] != rl.join(lam[a], lam[b]):
+            if lam[lattice.join_index(a, b)] != rl.join_index(lam[a], lam[b]):
                 ok = False
             met = lattice.meet_index(a, b)
             com = commutator_index(lattice, a, b)
-            if not (lam[met] == lam[com] == rl.meet(lam[a], lam[b])):
+            if not (lam[met] == lam[com] == rl.meet_index(lam[a], lam[b])):
                 ok = False
-            le = rl.le(lam[a], lam[b])
+            le = rl.leq_index(lam[a], lam[b])
             if le != lattice.leq_index(rho[a], rho[b]):
                 ok = False
             if le != lattice.leq_index(chain[-1], b):
@@ -578,39 +578,36 @@ def _suite_reticulation(alg):
     yield Check("lambda-clause-suite", ok)
 
     star_of = {i: star(retic, lattice.congruences[i]) for i in range(size)}
+    gen = {i: star_of[i].generator for i in range(size)}
     star_ok = True
     for a in range(size):
-        principal = principal_ideal(rl, lam[a])
-        if star_of[a].flags != principal.flags:
+        # the definition {lambda(alpha) : alpha <= theta} against (lambda(theta)]
+        definitional = {lam[j] for j in range(size) if lattice.leq_index(j, a)}
+        if definitional != set(star_of[a].members()):
             star_ok = False
-        if star_of[a].flags != star_of[rho[a]].flags:
+        if gen[a] != gen[rho[a]]:
             star_ok = False
         for b in range(size):
-            joined = star_of[lattice.join_index(a, b)]
-            want = principal_ideal(rl, rl.join(star_of[a].generator(), star_of[b].generator()))
-            if joined.flags != want.flags:
+            if gen[lattice.join_index(a, b)] != rl.join_index(gen[a], gen[b]):
                 star_ok = False
             com = commutator_index(lattice, a, b)
             met = lattice.meet_index(a, b)
-            intersect = tuple(
-                x and y for x, y in zip(star_of[a].flags, star_of[b].flags)
-            )
-            if not (star_of[com].flags == star_of[met].flags == intersect):
+            # (g] n (h] = (g ^ h]
+            if not (gen[com] == gen[met] == rl.meet_index(gen[a], gen[b])):
                 star_ok = False
     yield Check("star-identity-suite", star_ok)
 
     costar_ok = True
-    ideals = [principal_ideal(rl, x) for x in range(rl.size)]
-    for ideal in ideals:
+    for ideal in all_ideals(rl):
         down = costar(retic, ideal)
         d = lattice.index(down)
         if rho[d] != d:
             costar_ok = False
-        if star(retic, down).flags != ideal.flags:
+        if star(retic, down).generator != ideal.generator:
             costar_ok = False
         for a in range(size):
             inside = lattice.leq_index(a, d)
-            if inside != ideal.flags[lam[a]]:
+            if inside != (lam[a] in ideal):
                 costar_ok = False
     for a in range(size):
         if lattice.index(costar(retic, star_of[a])) != rho[a]:
@@ -642,14 +639,8 @@ def _suite_boolean_center(alg):
 
     unique_ok = True
     for alpha in center.elements:
-        i = lattice.index(alpha)
-        mates = [
-            beta
-            for beta in center.elements
-            if lattice.join_index(i, lattice.index(beta)) == lattice.top_index
-            and lattice.meet_index(i, lattice.index(beta)) == lattice.bottom_index
-        ]
-        if len(mates) != 1 or mates[0].blocks != center.complement[alpha.blocks].blocks:
+        mates = lattice.complements[lattice.index(alpha)]
+        if mates != (lattice.index(center.complement[alpha.blocks]),):
             unique_ok = False
     yield Check("center-complement-unique", unique_ok)
 
@@ -718,9 +709,9 @@ def _suite_boolean_center(alg):
                 a, b = lattice.index(alpha), lattice.index(beta)
                 joined = lattice.congruences[lattice.join_index(a, b)].blocks
                 met = lattice.congruences[lattice.meet_index(a, b)].blocks
-                if images[joined] != rl.join(images[alpha.blocks], images[beta.blocks]):
+                if images[joined] != rl.join_index(images[alpha.blocks], images[beta.blocks]):
                     lam_ok = False
-                if images[met] != rl.meet(images[alpha.blocks], images[beta.blocks]):
+                if images[met] != rl.meet_index(images[alpha.blocks], images[beta.blocks]):
                     lam_ok = False
     yield Check("lambda-boolean-embedding", lam_ok)
 
@@ -817,8 +808,7 @@ def _suite_lifting(alg):
     )
 
     ideal_ok = True
-    for x in range(retic.lattice.size):
-        ideal = principal_ideal(retic.lattice, x)
+    for ideal in all_ideals(retic.lattice):
         left = has_id_blp(retic.lattice, ideal).lifts
         right = has_cblp(alg, costar(retic, ideal)).cblp
         if left != right:

@@ -140,6 +140,45 @@ def test_verify_isolates_bad_input(z6_path, bad_path, capsys):
     assert "ERROR" in out
 
 
+def test_verify_isolates_budget_error(tmp_path, capsys, monkeypatch):
+    """A budget error on one input is that input's ERROR; the others still
+    report, and the run exits 2."""
+    from congruence_lab import config
+
+    monkeypatch.setattr(config, "CON_CAP", config.CON_CAP)  # restored after
+    small, large = tmp_path / "z2.json", tmp_path / "z12.json"
+    small.write_text(dump_algebra(ring_zn(2)))
+    large.write_text(dump_algebra(ring_zn(12)))
+    assert main(["--cap-con", "3", "verify", str(small), str(large)]) == EXIT_INPUT
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("PASS") and str(small) in line for line in lines)
+    assert any(
+        line.startswith("ERROR") and str(large) in line and "exceeds the cap of 3" in line
+        for line in lines
+    )
+
+
+def test_verify_isolates_falsification(z6_path, z12_path, capsys, monkeypatch):
+    """A falsification raised on one input is a failed check on it (exit 1);
+    the other inputs still report."""
+    from congruence_lab import verify as verify_mod
+    from congruence_lab.errors import Falsified
+
+    real = verify_mod.verify_algebra
+
+    def falsify_z12(alg):
+        if alg.size == 12:
+            raise Falsified("synthetic falsification")
+        return real(alg)
+
+    monkeypatch.setattr(verify_mod, "verify_algebra", falsify_z12)
+    assert main(["verify", z6_path, z12_path]) == EXIT_FALSIFIED
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("PASS") and z6_path in line for line in lines)
+    assert any(line.startswith("FAIL") and z12_path in line for line in lines)
+    assert "    FAIL falsified synthetic falsification" in lines
+
+
 def test_verify_falsification_exit_code(z6_path, capsys, monkeypatch):
     from congruence_lab import verify as verify_mod
     from congruence_lab.verify import AlgebraReport, Check

@@ -202,6 +202,16 @@ def test_commutator_cap():
         commutator(alg, nabla(alg), nabla(alg), cap=10)
 
 
+def test_commutator_cap_applies_to_cached_values():
+    """The budget is checked on every call: a value cached by an uncapped
+    call is still refused under a cap it exceeds."""
+    lattice = con_lattice(ring_zn(4))
+    top = lattice.top_index
+    assert commutator_index(lattice, top, top) == top
+    with pytest.raises(SizeBudgetExceeded):
+        commutator_index(lattice, top, top, cap=10)
+
+
 def test_commutator_agrees_with_materialized_fixpoint():
     """Dual-route check at small size: the production fixpoint equals the
     reference fixpoint over the materialized matrix set."""
@@ -209,10 +219,9 @@ def test_commutator_agrees_with_materialized_fixpoint():
 
     for alg in [ring_zn(4), chain_lattice(3), pentagon()]:
         lattice = con_lattice(alg)
-        pairs = [
-            (lattice.bottom, lattice.top),
-            (lattice.top, lattice.top),
-        ]
+        bottom = lattice.congruences[lattice.bottom_index]
+        top = lattice.congruences[lattice.top_index]
+        pairs = [(bottom, top), (top, top)]
         ji = lattice.join_irreducible_indices()
         if ji:
             pairs.append((lattice.congruences[ji[0]], lattice.congruences[ji[-1]]))

@@ -245,5 +245,5 @@ def test_principal_witnesses_recorded(z12):
 
 def test_bottom_top_markers(z12):
     lattice = con_lattice(z12)
-    assert lattice.bottom == delta(z12)
-    assert lattice.top == nabla(z12)
+    assert lattice.congruences[lattice.bottom_index] == delta(z12)
+    assert lattice.congruences[lattice.top_index] == nabla(z12)

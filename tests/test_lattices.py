@@ -67,9 +67,9 @@ def test_lattice_from_leq_validates():
 
 def test_join_meet_tables():
     b = boolean(2)
-    assert b.join(1, 2) == 3
-    assert b.meet(1, 2) == 0
-    assert b.bottom == 0 and b.top == 3
+    assert b.join_index(1, 2) == 3
+    assert b.meet_index(1, 2) == 0
+    assert b.bottom_index == 0 and b.top_index == 3
     assert b.is_distributive()
     assert not m3_lattice().is_distributive()
 
@@ -88,18 +88,15 @@ def test_ideals_are_principal_downsets():
     assert len(ideals) == lat.size
     for ideal in ideals:
         members = ideal.members()
-        g = ideal.generator()
-        assert members == [x for x in range(lat.size) if lat.le(x, g)]
+        g = ideal.generator
+        assert members == [x for x in range(lat.size) if lat.leq_index(x, g)]
 
 
 def test_ideal_validation():
     lat = boolean(2)
-    with pytest.raises(NotALattice):
-        LatticeIdeal(lat, (False, False, False, False))  # empty
-    with pytest.raises(NotALattice):
-        LatticeIdeal(lat, (False, True, False, False))  # not a down-set
-    with pytest.raises(NotALattice):
-        LatticeIdeal(lat, (True, True, True, False))  # not join-closed
+    for generator in (-1, lat.size):
+        with pytest.raises(NotALattice):
+            LatticeIdeal(lat, generator)
 
 
 def test_prime_ideals_of_boolean_square():
@@ -139,11 +136,59 @@ def test_quotient_by_ideal_kite():
     assert len(lattice_center(quo)) == 4  # quotient is the Boolean square
 
 
+def definitional_quotient(ideal):
+    """Reference for quotient_by_ideal, from the definition: x ~ y iff
+    x v i = y v i for some i in I (an equivalence, since i, j in I give
+    i v j in I), classes numbered in the order of their least members and
+    ordered by "some members are related"."""
+    lat = ideal.lattice
+    members = ideal.members()
+    class_of = []
+    reps: list[int] = []
+    for x in range(lat.size):
+        for k, r in enumerate(reps):
+            if any(lat.join_index(x, i) == lat.join_index(r, i) for i in members):
+                class_of.append(k)
+                break
+        else:
+            class_of.append(len(reps))
+            reps.append(x)
+    leq = [[False] * len(reps) for _ in reps]
+    for x in range(lat.size):
+        for y in range(lat.size):
+            if lat.leq_index(x, y):
+                leq[class_of[x]][class_of[y]] = True
+    return lattice_from_leq(leq), class_of
+
+
+def _reticulations():
+    from congruence_lab import build_reticulation, standard_corpus, surrogate_checks
+
+    return [
+        build_reticulation(alg).lattice
+        for alg in standard_corpus()
+        if surrogate_checks(alg).ok
+    ]
+
+
+def test_quotient_by_ideal_matches_definition():
+    lattices = [chain(5), boolean(3), kite_lattice()] + _reticulations()
+    for lat in lattices:
+        for ideal in all_ideals(lat):
+            quo, class_of = quotient_by_ideal(ideal)
+            ref, ref_class_of = definitional_quotient(ideal)
+            assert class_of == ref_class_of
+            assert quo.leq == ref.leq
+            assert quo.join_table == ref.join_table
+            assert quo.meet_table == ref.meet_table
+            assert (quo.bottom_index, quo.top_index) == (ref.bottom_index, ref.top_index)
+
+
 def test_quotient_by_trivial_and_total_ideal():
     lat = boolean(2)
-    quo, class_of = quotient_by_ideal(principal_ideal(lat, lat.bottom))
+    quo, class_of = quotient_by_ideal(principal_ideal(lat, lat.bottom_index))
     assert quo.size == lat.size and class_of == list(range(lat.size))
-    quo, _ = quotient_by_ideal(principal_ideal(lat, lat.top))
+    quo, _ = quotient_by_ideal(principal_ideal(lat, lat.top_index))
     assert quo.size == 1
 
 

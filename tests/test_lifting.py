@@ -180,7 +180,7 @@ def test_id_blp_negative_kite():
 
 def test_id_blp_trivial_ideal():
     lat = kite_as_lattice()
-    report = has_id_blp(lat, principal_ideal(lat, lat.bottom))
+    report = has_id_blp(lat, principal_ideal(lat, lat.bottom_index))
     assert report.lifts
 
 

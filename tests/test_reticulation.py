@@ -69,7 +69,7 @@ def test_lambda_examples(z12, z4):
 
 def test_star_examples(z12):
     retic = build_reticulation(z12)
-    bottom = retic.lattice.bottom
+    bottom = retic.lattice.bottom_index
     assert star(retic, theta(z12, 6)).members() == [bottom]
     assert star(retic, nabla(z12)).members() == list(range(retic.lattice.size))
     expected = {retic.element_index(theta(z12, 6)), retic.element_index(theta(z12, 2))}
@@ -77,12 +77,14 @@ def test_star_examples(z12):
 
 
 def test_star_is_principal_on_lambda(z12):
-    retic = build_reticulation(z12)
-    for c in con_lattice(z12).congruences:
-        ideal = star(retic, c)
-        assert ideal.flags == principal_ideal(
-            retic.lattice, retic.lambda_index(c)
-        ).flags
+    for alg in (z12, chain_lattice(5), boolean_lattice(3)):
+        retic = build_reticulation(alg)
+        congruences = con_lattice(alg).congruences
+        for c in congruences:
+            definitional = {retic.lambda_index(a) for a in congruences if a.leq(c)}
+            ideal = star(retic, c)
+            assert set(ideal.members()) == definitional
+            assert ideal.generator == retic.lambda_index(c)
 
 
 def test_costar_examples(z12):
@@ -90,7 +92,7 @@ def test_costar_examples(z12):
     two = retic.element_index(theta(z12, 2))
     ideal = principal_ideal(retic.lattice, two)
     assert costar(retic, ideal) == theta(z12, 2)
-    bottom_ideal = principal_ideal(retic.lattice, retic.lattice.bottom)
+    bottom_ideal = principal_ideal(retic.lattice, retic.lattice.bottom_index)
     assert costar(retic, bottom_ideal) == theta(z12, 6)  # rho(bottom)
 
 
@@ -154,4 +156,4 @@ def test_reticulation_serialize(z4):
     # canonical element order puts the total congruence first
     assert retic.elements[0] == nabla(z4)
     assert doc["leq"] == [[True, False], [True, True]]
-    assert retic.lattice.bottom == 1 and retic.lattice.top == 0
+    assert retic.lattice.bottom_index == 1 and retic.lattice.top_index == 0
