@@ -63,6 +63,16 @@ class FiniteAlgebra:
 
     def __post_init__(self):
         _validate(self)
+        # the tables are immutable, so the structural hash is computed once;
+        # lru_caches keyed on the algebra would otherwise rehash every table
+        object.__setattr__(self, "_hash", hash((self.size, self.operations)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild rather than copy _hash
+        return (FiniteAlgebra, (self.name, self.size, self.operations))
 
     @property
     def universe(self) -> range:

@@ -18,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import config
 from .algebra import FiniteAlgebra, load_algebra
@@ -59,14 +60,13 @@ class RunConfig:
         if self.cap_con <= 0 or self.cap_matrix <= 0 or self.jobs <= 0:
             raise InputError("caps and job counts must be positive")
 
-    def apply_caps(self) -> None:
-        if (config.CON_CAP, config.MATRIX_CAP) != (self.cap_con, self.cap_matrix):
-            # cached lattices were built under the old budgets
-            from .congruences import con_lattice
 
-            con_lattice.cache_clear()
-        config.CON_CAP = self.cap_con
-        config.MATRIX_CAP = self.cap_matrix
+def _apply_caps(caps: tuple[int, int]) -> None:
+    """Set the process-wide ``(CON_CAP, MATRIX_CAP)``."""
+    if (config.CON_CAP, config.MATRIX_CAP) != caps:
+        # cached lattices were built under the old budgets
+        con_lattice.cache_clear()
+    config.CON_CAP, config.MATRIX_CAP = caps
 
 
 def _load(path: str) -> FiniteAlgebra:
@@ -214,12 +214,17 @@ def report_full(alg, all_pairs=False) -> dict:
     }
 
 
-def _verify_one_path(path: str) -> dict:
+def _verify_one_path(caps: tuple[int, int], path: str) -> dict:
     """Worker for verify: self-contained so it can run in a subprocess, and
     failures in one input never mask the others.  A budget error is that
-    input's error (exit 2); a falsification is a failed check on it (exit 1)."""
+    input's error (exit 2); a falsification is a failed check on it (exit 1).
+
+    The caps ``(cap_con, cap_matrix)`` are passed in and applied here, since
+    a worker started by ``spawn`` or ``forkserver`` re-imports ``config``
+    with the default budgets."""
     from .verify import verify_algebra
 
+    _apply_caps(caps)
     result = {
         "path": path,
         "algebra": None,
@@ -255,12 +260,13 @@ def _verify_one_path(path: str) -> dict:
     return result
 
 
-def report_verify(paths: list[str], jobs: int) -> dict:
+def report_verify(paths: list[str], jobs: int, caps: tuple[int, int]) -> dict:
+    worker = partial(_verify_one_path, caps)
     if jobs > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_verify_one_path, paths))
+            results = list(pool.map(worker, paths))
     else:
-        results = [_verify_one_path(p) for p in paths]
+        results = [worker(p) for p in paths]
     return {
         "results": results,
         "ok": all(r["ok"] for r in results),
@@ -427,9 +433,10 @@ def _config_from_args(args) -> RunConfig:
 
 
 def run(config: RunConfig) -> int:
-    config.apply_caps()
+    caps = (config.cap_con, config.cap_matrix)
+    _apply_caps(caps)
     if config.command == "verify":
-        rep = report_verify(config.paths, config.jobs)
+        rep = report_verify(config.paths, config.jobs, caps)
         if config.json_output:
             print(json.dumps(rep, indent=2))
         else:

@@ -8,6 +8,11 @@ quotient is computed twice, once inside the interval [theta) via residuation
 (chi/theta is complemented iff chi v (chi -> theta) is the top congruence)
 and once directly on the quotient algebra; a disagreement is an internal
 falsification and raises :class:`Falsified`.
+
+Every per-congruence result (the quotient center, the projections chi/theta,
+the diamond) and the center-preservation report are stored on the lattice's
+``_caches`` and computed once per Con(A); the cross-checks and validations
+run on that first computation for each argument.
 """
 
 from __future__ import annotations
@@ -150,10 +155,17 @@ def project_congruence(
     """chi/theta for theta <= chi, as a congruence of the quotient algebra."""
     if not theta.leq(chi):
         raise HypothesisNotMet("chi must contain theta")
-    quo = _quotient_algebra(alg, theta)
-    reps = sorted(set(theta.blocks))
-    labels = [chi.blocks[r] for r in reps]
-    return congruence_from_blocks(quo, [labels.index(v) for v in labels])
+    lattice = con_lattice(alg)
+    cache = lattice._caches.setdefault("projections", {})
+    key = (lattice.index(theta), lattice.index(chi))
+    hit = cache.get(key)
+    if hit is None:
+        quo = _quotient_algebra(alg, theta)
+        reps = sorted(set(theta.blocks))
+        labels = [chi.blocks[r] for r in reps]
+        hit = congruence_from_blocks(quo, [labels.index(v) for v in labels])
+        cache[key] = hit
+    return hit
 
 
 def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -> Congruence:
@@ -199,10 +211,14 @@ def quotient_center_congruences(
 ) -> tuple[FiniteAlgebra, BooleanCenter]:
     """B(Con(A/theta)), computed on the quotient algebra and cross-checked
     against the interval route chi v (chi -> theta) = nabla."""
+    lattice = con_lattice(alg)
+    cache = lattice._caches.setdefault("quotient_center", {})
+    i = lattice.index(theta)
+    hit = cache.get(i)
+    if hit is not None:
+        return hit
     quo = _quotient_algebra(alg, theta)
     center = boolean_center_of_congruences(quo)
-    lattice = con_lattice(alg)
-    i = lattice.index(theta)
     top = lattice.top_index
     interval_route = set()
     for j in range(len(lattice)):
@@ -217,6 +233,7 @@ def quotient_center_congruences(
         raise Falsified(
             f"{alg.name}: interval and direct quotient centers disagree for theta={theta}"
         )
+    cache[i] = (quo, center)
     return quo, center
 
 
@@ -485,14 +502,19 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
 def diamond(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
     """Join of the complemented congruences below theta."""
     lattice = con_lattice(alg)
+    cache = lattice._caches.setdefault("diamond", {})
     i = lattice.index(theta)
-    center = boolean_center_of_congruences(alg)
-    below = [
-        lattice.index(alpha)
-        for alpha in center.elements
-        if lattice.leq_index(lattice.index(alpha), i)
-    ]
-    return lattice.congruences[lattice.join_many(below)]
+    hit = cache.get(i)
+    if hit is None:
+        center = boolean_center_of_congruences(alg)
+        below = [
+            lattice.index(alpha)
+            for alpha in center.elements
+            if lattice.leq_index(lattice.index(alpha), i)
+        ]
+        hit = lattice.congruences[lattice.join_many(below)]
+        cache[i] = hit
+    return hit
 
 
 def is_regular(alg: FiniteAlgebra, theta: Congruence) -> bool:
@@ -692,14 +714,19 @@ def is_b_normal(alg: FiniteAlgebra) -> BNormalReport:
     bottom = lattice.bottom_index
     center = boolean_center_of_congruences(alg)
     center_indices = [lattice.index(alpha) for alpha in center.elements]
+    coprime = _coprime_pairs(lattice)
+    # the candidate separating pairs, in the order the scan below tries them
+    orthogonal = [
+        (a, b)
+        for a in center_indices
+        for b in center_indices
+        if commutator_index(lattice, a, b) == bottom
+    ]
     counterexample = None
-    for i, j, _ in _coprime_pairs(lattice):
+    for i, j, _ in coprime:
         found = any(
-            lattice.join_index(i, a) == top
-            and lattice.join_index(j, b) == top
-            and commutator_index(lattice, a, b) == bottom
-            for a in center_indices
-            for b in center_indices
+            lattice.join_index(i, a) == top and lattice.join_index(j, b) == top
+            for a, b in orthogonal
         )
         if not found:
             counterexample = (lattice.congruences[i], lattice.congruences[j])

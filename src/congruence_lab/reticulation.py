@@ -286,13 +286,17 @@ class CenterPreservationReport:
 
 def preserves_boolean_center(alg: FiniteAlgebra) -> CenterPreservationReport:
     """True when every congruence whose reticulation image is complemented
-    has some complemented iterate [alpha, alpha]^n (n >= 0)."""
+    has some complemented iterate [alpha, alpha]^n (n >= 0).  Computed once
+    per Con(A)."""
     require_theory(alg)
     from .lifting import boolean_center_of_congruences
     from .spectrum import is_semiprime
 
-    retic = build_reticulation(alg)
     lattice = con_lattice(alg)
+    cached = lattice._caches.get("center_preservation")
+    if cached is not None:
+        return cached
+    retic = build_reticulation(alg)
     center_blocks = {
         theta.blocks for theta in boolean_center_of_congruences(alg).elements
     }
@@ -307,13 +311,15 @@ def preserves_boolean_center(alg: FiniteAlgebra) -> CenterPreservationReport:
             preserves = False
             violating = theta
             break
-    return CenterPreservationReport(
+    report = CenterPreservationReport(
         algebra=alg,
         preserves=preserves,
         violating=violating,
         star_property=_star_property(alg),
         semiprime=is_semiprime(alg),
     )
+    lattice._caches["center_preservation"] = report
+    return report
 
 
 def _star_property(alg: FiniteAlgebra) -> bool:

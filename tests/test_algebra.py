@@ -1,5 +1,9 @@
 """Algebra documents, quotients, products and the corpus builders."""
 
+import os
+import pickle
+import subprocess
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -287,6 +291,27 @@ def test_structural_equality_ignores_name():
     a = ring_zn(6)
     b = a.rename("other")
     assert a == b and hash(a) == hash(b)
+
+
+def test_stored_hash_is_recomputed_after_unpickling():
+    """The hash stored on an algebra covers its operation names, whose string
+    hashes differ between processes; unpickling must not carry it over."""
+    code = (
+        "import pickle, sys\n"
+        "from congruence_lab.algebra import FiniteAlgebra\n"
+        "alg = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = FiniteAlgebra(alg.name, alg.size, alg.operations)\n"
+        "print(alg.name, alg == fresh, hash(alg) == hash(fresh))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        input=pickle.dumps(ring_zn(6).rename("Z6")),
+        capture_output=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.decode().split() == ["Z6", "True", "True"]
 
 
 def test_operation_apply_row_major():

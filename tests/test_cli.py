@@ -1,6 +1,10 @@
 """The command-line front end: subcommands, exit codes, output formats."""
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,30 @@ def test_verify_isolates_budget_error(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_verify_caps_reach_spawned_workers(tmp_path, capsys, monkeypatch):
+    """The caps are passed to each verify worker, so a worker started by
+    spawn (which re-imports the config module) still applies them."""
+    from congruence_lab import cli, config
+
+    monkeypatch.setattr(config, "CON_CAP", config.CON_CAP)  # restored after
+    monkeypatch.setattr(
+        cli,
+        "ProcessPoolExecutor",
+        partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")),
+    )
+    small, large = tmp_path / "z2.json", tmp_path / "z12.json"
+    small.write_text(dump_algebra(ring_zn(2)))
+    large.write_text(dump_algebra(ring_zn(12)))
+    argv = ["--cap-con", "3", "--jobs", "2", "verify", str(small), str(large)]
+    assert main(argv) == EXIT_INPUT
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("PASS") and str(small) in line for line in lines)
+    assert any(
+        line.startswith("ERROR") and str(large) in line and "exceeds the cap of 3" in line
+        for line in lines
+    )
+
+
 def test_verify_isolates_falsification(z6_path, z12_path, capsys, monkeypatch):
     """A falsification raised on one input is a failed check on it (exit 1);
     the other inputs still report."""
@@ -251,3 +279,19 @@ def test_falsified_cross_check_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lifting, "residuation", lambda alg, alpha, beta: alpha)
     assert main(["center", str(path)]) == EXIT_FALSIFIED
     assert "annihilator of a complemented congruence" in capsys.readouterr().err
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_verify_json_contract_on_corpus(capsys, monkeypatch):
+    """``--json --jobs 1 verify corpus/*.json`` with every ``elapsed`` removed
+    is pinned byte for byte in tests/data/verify_corpus.json."""
+    monkeypatch.chdir(REPO)
+    paths = sorted(f"corpus/{path.name}" for path in (REPO / "corpus").glob("*.json"))
+    assert main(["--json", "--jobs", "1", "verify", *paths]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    for result in report["results"]:
+        del result["elapsed"]
+    expected = (REPO / "tests" / "data" / "verify_corpus.json").read_text()
+    assert json.dumps(report, indent=2) + "\n" == expected

@@ -1,6 +1,8 @@
 """Boolean centers, CBLP, the characterization theorem and orthogonal lifts."""
 
 import json
+import sys
+from itertools import count
 
 import pytest
 
@@ -8,11 +10,13 @@ from congruence_lab import (
     HypothesisNotMet,
     NoCBLP,
     NotOrthogonal,
+    Falsified,
     boolean_center_of_congruences,
     cblp_characterization,
     cblp_star_transfer,
     con_lattice,
     congruence_from_blocks,
+    congruence_from_pairs,
     delta,
     diamond,
     has_cblp,
@@ -25,6 +29,7 @@ from congruence_lab import (
     nabla,
     noncoprime_meet_transfer,
     orthogonal_uniqueness_and_atoms,
+    preserves_boolean_center,
     projection_image,
     quotient,
     quotient_cblp_descent,
@@ -41,10 +46,13 @@ from congruence_lab.builders import (
     pentagon,
     ring_zn,
 )
+from congruence_lab.algebra import FiniteAlgebra, Operation
 from congruence_lab.lattices import lattice_from_leq, principal_ideal
 from congruence_lab.lifting import (
+    BooleanCenter,
     literal_quotient_descent,
     project_congruence,
+    quotient_center_congruences,
     ring_idempotent_lifting,
     ring_idempotents,
     section_congruence,
@@ -433,3 +441,141 @@ def test_boolean_lattice_algebra_centers():
     # the congruence lattice of the Boolean square is Boolean: everything
     # is complemented
     assert len(center.elements) == len(lattice)
+
+
+# ---------------------------------------------------------------------------
+# Per-congruence results stored on Con(A)
+
+_fresh_tags = count()
+
+
+def fresh_copy(alg):
+    """A structurally new copy of alg (operations renamed), so nothing stored
+    for alg or for an earlier copy is reused by it."""
+    tag = next(_fresh_tags)
+    return FiniteAlgebra(
+        alg.name,
+        alg.size,
+        tuple(Operation(f"{op.name}~{tag}", op.arity, op.table) for op in alg.operations),
+    )
+
+
+def _center_blocks(center):
+    return (
+        [c.blocks for c in center.elements],
+        {key: value.blocks for key, value in center.complement.items()},
+        [a.blocks for a in center.atoms],
+    )
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [chain_lattice(5), boolean_lattice(3), pentagon(), ring_zn(12)],
+    ids=lambda alg: alg.name,
+)
+def test_stored_results_match_direct_computation(alg):
+    lattice = con_lattice(alg)
+    n, size = alg.size, len(lattice)
+    bottom, top = lattice.bottom_index, lattice.top_index
+    complemented = [
+        i
+        for i in range(size)
+        if any(
+            lattice.meet_index(i, c) == bottom and lattice.join_index(i, c) == top
+            for c in range(size)
+        )
+    ]
+    for t, th in enumerate(lattice.congruences):
+        for _ in range(2):  # the first call computes, the second reads the store
+            _, qcenter = quotient_center_congruences(alg, th)
+            direct = boolean_center_of_congruences(fresh_copy(quotient(alg, th)))
+            assert _center_blocks(qcenter) == _center_blocks(direct)
+
+            reps = sorted(set(th.blocks))
+            for c, chi in enumerate(lattice.congruences):
+                if not lattice.leq_index(t, c):
+                    continue
+                labels = [chi.blocks[r] for r in reps]
+                relabelled = tuple(labels.index(v) for v in labels)
+                assert project_congruence(alg, th, chi).blocks == relabelled
+
+            below = [lattice.congruences[i] for i in complemented if lattice.leq_index(i, t)]
+            joined = congruence_from_pairs(
+                alg, [(x, b.blocks[x]) for b in below for x in range(n)]
+            )
+            assert diamond(alg, th).blocks == joined.blocks
+
+    report = preserves_boolean_center(alg)
+    assert preserves_boolean_center(alg) is report
+    other = preserves_boolean_center(fresh_copy(alg))
+    assert (report.preserves, report.star_property, report.semiprime) == (
+        other.preserves,
+        other.star_property,
+        other.semiprime,
+    )
+    assert (report.violating and report.violating.blocks) == (
+        other.violating and other.violating.blocks
+    )
+
+
+def test_star_property_runs_once_per_verify(monkeypatch):
+    from congruence_lab import reticulation
+    from congruence_lab.verify import verify_algebra
+
+    calls = []
+    real = reticulation._star_property
+
+    def counting(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(reticulation, "_star_property", counting)
+    assert verify_algebra(fresh_copy(chain_lattice(5))).ok
+    assert len(calls) == 1
+
+
+def test_projection_validates_once_per_comparable_pair(monkeypatch):
+    """project_congruence reaches congruence_from_blocks, and so its
+    compatibility test, at most once per (Con(A), theta <= chi)."""
+    from congruence_lab import lifting
+    from congruence_lab.verify import verify_algebra
+
+    validated = []
+    real = lifting.congruence_from_blocks
+
+    def counting(alg, blocks):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "project_congruence":
+            lattice = caller.f_locals["lattice"]
+            t, c = caller.f_locals["key"]
+            assert lattice.leq_index(t, c)
+            validated.append((caller.f_locals["alg"], t, c))
+        return real(alg, blocks)
+
+    monkeypatch.setattr(lifting, "congruence_from_blocks", counting)
+    assert verify_algebra(fresh_copy(chain_lattice(5))).ok
+    assert validated
+    assert len(validated) == len(set(validated))
+
+
+def test_quotient_center_cross_check_raises_on_first_call(monkeypatch):
+    """A broken direct route is caught on the first call for theta, and the
+    failed result is not stored."""
+    from congruence_lab import lifting
+
+    alg = fresh_copy(ring_zn(12))
+    theta6 = theta(alg, 6)
+    real = lifting.boolean_center_of_congruences
+
+    def drop_one(target):
+        center = real(target)
+        if target == alg:
+            return center
+        return BooleanCenter(center.elements[:-1], center.complement, center.atoms)
+
+    monkeypatch.setattr(lifting, "boolean_center_of_congruences", drop_one)
+    with pytest.raises(Falsified, match="interval and direct quotient centers disagree"):
+        quotient_center_congruences(alg, theta6)
+    monkeypatch.undo()
+    _, center = quotient_center_congruences(alg, theta6)
+    assert len(center) == len(ring_idempotents(6))
