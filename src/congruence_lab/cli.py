@@ -63,9 +63,6 @@ class RunConfig:
 
 def _apply_caps(caps: tuple[int, int]) -> None:
     """Set the process-wide ``(CON_CAP, MATRIX_CAP)``."""
-    if (config.CON_CAP, config.MATRIX_CAP) != caps:
-        # cached lattices were built under the old budgets
-        con_lattice.cache_clear()
     config.CON_CAP, config.MATRIX_CAP = caps
 
 

@@ -86,10 +86,14 @@ def matrix_subalgebra(
     beta: Congruence,
     cap: int | None = None,
 ) -> MatrixSubalgebra:
-    """Materialize M(alpha, beta) by worklist closure.
+    """Materialize M(alpha, beta) by semi-naive worklist closure.
 
-    Quadratic in |M| per binary operation; meant for small cross-checks only,
-    the commutator itself never materializes M.
+    Each popped matrix joins ``done`` and is combined, in every argument
+    position, with the members of ``done``, itself included, so each ordered
+    pair of matrices goes through a binary operation once.  Meant for small
+    cross-checks only: the commutator itself never materializes M, and this
+    function shares no cache or helper with the Delta route, so it stays an
+    independent oracle for it.
     """
     if cap is None:
         cap = config.MATRIX_CAP
@@ -115,29 +119,32 @@ def matrix_subalgebra(
             elements.add(tup)
             worklist.append(tup)
 
+    # constants are already among the generators
+    unary = [op.table for op in alg.operations if op.arity == 1]
+    binary = [
+        [op.table[a * n : (a + 1) * n] for a in range(n)]
+        for op in alg.operations
+        if op.arity == 2
+    ]
+    higher = [op for op in alg.operations if op.arity > 2]
+    done = []
     while worklist:
         current = worklist.pop()
-        pool = list(elements)  # later additions each get their own pass
-        for op in alg.operations:
-            if op.arity == 0:
-                continue  # constants are already among the generators
-            table = op.table
-            if op.arity == 1:
-                push(tuple(table[c] for c in current))
-            elif op.arity == 2:
-                for s in pool:
-                    push(tuple(table[a * n + b] for a, b in zip(current, s)))
-                    push(tuple(table[a * n + b] for a, b in zip(s, current)))
-            else:
-                for pos in range(op.arity):
-                    for fillers in iproduct(pool, repeat=op.arity - 1):
-                        args = fillers[:pos] + (current,) + fillers[pos:]
-                        push(
-                            tuple(
-                                op.apply(n, [arg[i] for arg in args])
-                                for i in range(4)
-                            )
-                        )
+        x0, x1, x2, x3 = current
+        for table in unary:
+            push((table[x0], table[x1], table[x2], table[x3]))
+        for rows in binary:
+            r0, r1, r2, r3 = rows[x0], rows[x1], rows[x2], rows[x3]
+            for s0, s1, s2, s3 in done:
+                push((r0[s0], r1[s1], r2[s2], r3[s3]))
+                push((rows[s0][x0], rows[s1][x1], rows[s2][x2], rows[s3][x3]))
+            push((r0[x0], r1[x1], r2[x2], r3[x3]))
+        done.append(current)
+        for op in higher:
+            for pos in range(op.arity):
+                for fillers in iproduct(done, repeat=op.arity - 1):
+                    args = fillers[:pos] + (current,) + fillers[pos:]
+                    push(tuple(op.apply(n, coords) for coords in zip(*args)))
     return MatrixSubalgebra(alg, alpha, beta, frozenset(elements))
 
 

@@ -412,9 +412,31 @@ def _meet_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _cached_lattice(alg: FiniteAlgebra) -> list:
+    """One slot per structural algebra, holding its Con(A) once enumerated;
+    it stays empty after an enumeration that went over its budget."""
+    return []
+
+
 def con_lattice(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLattice:
-    """Cached Con(A); all analyses share one lattice per structural algebra."""
-    return all_congruences(alg, cap=cap)
+    """Cached Con(A); all analyses share one lattice per structural algebra.
+
+    The budget is checked on every call, cached or not: |Con(A)| > cap
+    raises :class:`SizeBudgetExceeded` (default cap: the process-wide
+    CON_CAP), whatever cap the cached lattice was enumerated under.
+    """
+    if cap is None:
+        cap = config.CON_CAP
+    slot = _cached_lattice(alg)
+    if not slot:
+        slot.append(all_congruences(alg, cap=cap))
+    elif len(slot[0]) > cap:
+        raise SizeBudgetExceeded(f"|Con({alg.name})| exceeds the cap of {cap}")
+    return slot[0]
+
+
+con_lattice.cache_info = _cached_lattice.cache_info
+con_lattice.cache_clear = _cached_lattice.cache_clear
 
 
 def join_irreducibles(lattice: CongruenceLattice) -> list[Congruence]:

@@ -173,16 +173,18 @@ def _suite_con_enumeration(alg):
 def _suite_commutator_axioms(alg):
     lattice = con_lattice(alg)
     size = len(lattice)
-    com = lambda i, j: commutator_index(lattice, i, j)
+    # [i, j] on this lattice, read by every check below; reads on quotient
+    # lattices and inside residuation/annihilator go through their own calls
+    table = [[commutator_index(lattice, i, j) for j in range(size)] for i in range(size)]
 
     below_ok = all(
-        lattice.leq_index(com(i, j), lattice.meet_index(i, j))
+        lattice.leq_index(table[i][j], lattice.meet_index(i, j))
         for i in range(size)
         for j in range(size)
     )
     yield Check("commutator-below-meet", below_ok)
 
-    commutative_ok = all(com(i, j) == com(j, i) for i in range(size) for j in range(size))
+    commutative_ok = all(table[i][j] == table[j][i] for i in range(size) for j in range(size))
     yield Check("commutator-commutative", commutative_ok)
 
     monotone_ok = True
@@ -190,14 +192,14 @@ def _suite_commutator_axioms(alg):
         for i2 in range(size):
             if not lattice.leq_index(i, i2):
                 continue
-            if not all(lattice.leq_index(com(i, b), com(i2, b)) for b in range(size)):
+            if not all(lattice.leq_index(table[i][b], table[i2][b]) for b in range(size)):
                 monotone_ok = False
                 break
     yield Check("commutator-monotone", monotone_ok)
 
     if size <= TRIPLE_CAP:
         distributive_ok = all(
-            com(lattice.join_index(i, j), b) == lattice.join_index(com(i, b), com(j, b))
+            table[lattice.join_index(i, j)][b] == lattice.join_index(table[i][b], table[j][b])
             for i in range(size)
             for j in range(size)
             for b in range(size)
@@ -215,7 +217,7 @@ def _suite_commutator_axioms(alg):
                     left = project_congruence(
                         alg,
                         theta,
-                        lattice.congruences[lattice.join_index(com(i, j), t)],
+                        lattice.congruences[lattice.join_index(table[i][j], t)],
                     )
                     qi = qlat.index(
                         project_congruence(
@@ -249,7 +251,7 @@ def _suite_commutator_axioms(alg):
         for g in range(len(lattice)):
             if lattice.join_index(i, g) == lattice.top_index:
                 met = lattice.meet_index(j, g)
-                cjg = commutator_index(lattice, j, g)
+                cjg = table[j][g]
                 if (
                     lattice.join_index(i, cjg) != lattice.top_index
                     or lattice.join_index(i, met) != lattice.top_index
@@ -273,7 +275,7 @@ def _suite_commutator_axioms(alg):
                     qj = qlat.index(project_congruence(alg, theta, lattice.congruences[j]))
                     qc = commutator_index(qlat, qi, qj)
                     chain_q, _ = _iterate_chain(qlat, qc)
-                    base = commutator_index(lattice, i, j)
+                    base = table[i][j]
                     chain_a, _ = _iterate_chain(lattice, base)
                     bound = max(len(chain_q), len(chain_a))
                     for n in range(1, bound + 1):
@@ -301,7 +303,7 @@ def _suite_commutator_axioms(alg):
         for b in range(size):
             for c in range(size):
                 if lattice.leq_index(a, residuum[b, c]) != lattice.leq_index(
-                    com(a, b), c
+                    table[a][b], c
                 ):
                     adjunction_ok = False
     yield Check("residuation-adjunction", adjunction_ok)
@@ -317,11 +319,9 @@ def _suite_commutator_axioms(alg):
         n = alg.size
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         ring_ok = all(
-            commutator_index(
-                lattice,
-                lattice.index(ring_congruence(alg, d)),
-                lattice.index(ring_congruence(alg, e)),
-            )
+            table[lattice.index(ring_congruence(alg, d))][
+                lattice.index(ring_congruence(alg, e))
+            ]
             == lattice.index(ring_congruence(alg, gcd(d * e, n)))
             for d in divisors
             for e in divisors
@@ -330,7 +330,7 @@ def _suite_commutator_axioms(alg):
 
     if _is_lattice_signature(alg):
         cd_ok = all(
-            com(i, j) == lattice.meet_index(i, j)
+            table[i][j] == lattice.meet_index(i, j)
             for i in range(size)
             for j in range(size)
         )
@@ -348,7 +348,7 @@ def _suite_commutator_axioms(alg):
                             matrix_ok = False
                         if beta.related(a, a2) and (a, a2, a, a2) not in m.matrices:
                             matrix_ok = False
-                value = lattice.congruences[com(i, j)]
+                value = lattice.congruences[table[i][j]]
                 fix = _term_condition_fixpoint(alg, m)
                 if fix.blocks != value.blocks:
                     matrix_ok = False

@@ -1,6 +1,7 @@
 """The term-condition commutator, its iterates, residuation and surrogates."""
 
 import importlib
+from itertools import product as iproduct
 from math import gcd
 
 import pytest
@@ -322,6 +323,90 @@ def test_commutator_matches_oracle_with_ternary_operation():
     )
     _assert_matches_materialized_fixpoint(alg)
     assert commutator(alg, nabla(alg), nabla(alg)) == delta(alg)  # affine
+
+
+def _pool_matrix_subalgebra(alg, alpha, beta):
+    """Reference closure for M(alpha, beta): each popped matrix is combined
+    with a snapshot of every matrix found so far, popped or not."""
+    n = alg.size
+    generators = set()
+    for a in range(n):
+        for a2 in range(n):
+            if alpha.related(a, a2):
+                generators.add((a, a, a2, a2))
+            if beta.related(a, a2):
+                generators.add((a, a2, a, a2))
+    elements = set(generators)
+    worklist = list(generators)
+
+    def push(tup):
+        if tup not in elements:
+            elements.add(tup)
+            worklist.append(tup)
+
+    while worklist:
+        current = worklist.pop()
+        pool = list(elements)
+        for op in alg.operations:
+            if op.arity == 0:
+                continue
+            table = op.table
+            if op.arity == 1:
+                push(tuple(table[c] for c in current))
+            elif op.arity == 2:
+                for s in pool:
+                    push(tuple(table[a * n + b] for a, b in zip(current, s)))
+                    push(tuple(table[a * n + b] for a, b in zip(s, current)))
+            else:
+                for pos in range(op.arity):
+                    for fillers in iproduct(pool, repeat=op.arity - 1):
+                        args = fillers[:pos] + (current,) + fillers[pos:]
+                        push(tuple(op.apply(n, coords) for coords in zip(*args)))
+    return frozenset(elements)
+
+
+def _assert_matches_pool_closure(alg):
+    congruences = con_lattice(alg).congruences
+    for alpha in congruences:
+        for beta in congruences:
+            got = matrix_subalgebra(alg, alpha, beta).matrices
+            assert got == _pool_matrix_subalgebra(alg, alpha, beta)
+
+
+# f(m, m) gives a matrix of M(nabla, nabla) here that no pair of distinct
+# matrices gives, so it is always run
+@example(FiniteAlgebra("r_3", 3, (Operation("f", 2, (2, 0, 0, 0, 1, 0, 0, 0, 0)),)))
+@given(noncommutative_algebras())
+@settings(max_examples=20, deadline=None)
+def test_matrix_subalgebra_matches_pool_closure_on_random_algebras(alg):
+    _assert_matches_pool_closure(alg)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        majority_algebra(2),
+        majority_algebra(3),
+        mv_chain(3),
+        FiniteAlgebra("t_2", 2, (Operation("t", 3, (1, 0, 1, 1, 1, 1, 1, 1)),)),
+    ],
+    ids=["median_2", "median_3", "L_3", "t_2"],
+)
+def test_matrix_subalgebra_matches_pool_closure(alg):
+    """Ternary and unary operations, besides binary.  In t_2, M(nabla, nabla)
+    needs argument tuples that repeat the newest matrix."""
+    _assert_matches_pool_closure(alg)
+
+
+def test_matrix_subalgebra_cap_boundary():
+    """The cap refuses exactly when |M| > cap, whatever the closure order."""
+    alg = ring_zn(4)
+    top = nabla(alg)
+    matrices = matrix_subalgebra(alg, top, top).matrices
+    size = len(matrices)
+    assert matrix_subalgebra(alg, top, top, cap=size).matrices == matrices
+    with pytest.raises(SizeBudgetExceeded, match=f"exceeds the cap of {size - 1} matrices"):
+        matrix_subalgebra(alg, top, top, cap=size - 1)
 
 
 def _delta_partition(lattice, a, b):

@@ -38,3 +38,37 @@ def test_lattice_signature_oracle_runs():
     names = {c.name for c in report.checks}
     assert "commutator.distributive-meet-oracle" in names
     assert report.ok
+
+
+def _commutator_calls(monkeypatch, alg):
+    """Run the commutator suite on alg; count verify's commutator_index
+    calls on Con(alg) itself and on the other lattices (quotients)."""
+    from congruence_lab import verify
+    from congruence_lab.congruences import con_lattice
+
+    lattice = con_lattice(alg)
+    counts = {"own": 0, "other": 0}
+    real = verify.commutator_index
+
+    def counting(lat, i, j, cap=None):
+        counts["own" if lat is lattice else "other"] += 1
+        return real(lat, i, j, cap)
+
+    monkeypatch.setattr(verify, "commutator_index", counting)
+    checks = list(verify._suite_commutator_axioms(alg))
+    assert checks and all(c.passed for c in checks)
+    return len(lattice), counts
+
+
+def test_commutator_suite_reads_one_table(monkeypatch):
+    """One commutator_index call per ordered pair of Con(A); every other read
+    of [i, j] on Con(A) comes from that table."""
+    size, counts = _commutator_calls(monkeypatch, chain_lattice(5))
+    assert size == 16
+    assert counts == {"own": 256, "other": 0}
+
+    # A/Delta is A, so at theta = Delta the projection and quotient-iterate
+    # checks read Con(A) itself as their quotient lattice, once per pair each
+    size, counts = _commutator_calls(monkeypatch, ring_zn(12))
+    assert size == 6
+    assert counts == {"own": 36 + 2 * 36, "other": 214}
