@@ -410,8 +410,13 @@ def _config_from_args(args) -> RunConfig:
             env_value = int(env_cap)
         except ValueError:
             raise InputError(f"CONGRUENCE_LAB_CAP must be an integer, got {env_cap!r}")
-    cap_con = args.cap_con or env_value or config.DEFAULT_CON_CAP
-    cap_matrix = args.cap_matrix or env_value or config.DEFAULT_MATRIX_CAP
+
+    def resolve(flag, default):
+        # a given value, zero included, reaches RunConfig's positivity check
+        return next(v for v in (flag, env_value, default) if v is not None)
+
+    cap_con = resolve(args.cap_con, config.DEFAULT_CON_CAP)
+    cap_matrix = resolve(args.cap_matrix, config.DEFAULT_MATRIX_CAP)
     paths = getattr(args, "paths", None) or [args.path]
     return RunConfig(
         command=args.command,

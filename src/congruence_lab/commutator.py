@@ -23,9 +23,9 @@ Delta_{alpha v alpha', beta} = Delta_{alpha,beta} v Delta_{alpha',beta} in
 every algebra: the diagonal pairs of alpha v alpha' chain through the
 diagonal pairs of alpha and alpha', and a join of congruences is the
 transitive closure of their union.  So only join-irreducible alpha get an
-operation closure on A(beta), cached on the lattice as one label list per
+operation closure on A(beta), stored on the lattice as one label list per
 (alpha, beta); every other Delta is a union-find join of those labels over
-the join-irreducibles below alpha, and is not cached.  The closure reads
+the join-irreducibles below alpha, and is not stored.  The closure reads
 each binary table through per-element row slices (and column slices when
 the table is not commutative), built once per algebra.
 
@@ -46,6 +46,7 @@ from .congruences import (
     _pair_count,
     con_lattice,
     congruence_from_pairs,
+    stored,
 )
 from .errors import SizeBudgetExceeded, TheoryHypothesisFailed
 
@@ -148,41 +149,35 @@ def matrix_subalgebra(
     return MatrixSubalgebra(alg, alpha, beta, frozenset(elements))
 
 
+@stored
 def _binary_translations(lattice: CongruenceLattice) -> list:
     """Per algebra, the basic translations of every binary table as slices:
     the rows ``table[a*n:(a+1)*n]`` (x -> f(a, x)) and, unless the table is
-    commutative, the columns ``table[a::n]`` (x -> f(x, a)).  Built on first
-    use and kept on the lattice."""
-    slices = lattice._caches.get("binary_translations")
-    if slices is None:
-        alg = lattice.algebra
-        n = alg.size
-        slices = []
-        for op in alg.operations:
-            if op.arity != 2:
-                continue
-            table = op.table
-            slices.append([table[a * n : (a + 1) * n] for a in range(n)])
-            if any(table[a * n + b] != table[b * n + a] for a in range(n) for b in range(a)):
-                slices.append([table[a::n] for a in range(n)])
-        lattice._caches["binary_translations"] = slices
+    commutative, the columns ``table[a::n]`` (x -> f(x, a))."""
+    alg = lattice.algebra
+    n = alg.size
+    slices = []
+    for op in alg.operations:
+        if op.arity != 2:
+            continue
+        table = op.table
+        slices.append([table[a * n : (a + 1) * n] for a in range(n)])
+        if any(table[a * n + b] != table[b * n + a] for a in range(n) for b in range(a)):
+            slices.append([table[a::n] for a in range(n)])
     return slices
 
 
+@stored
 def _pair_algebra(lattice: CongruenceLattice, b: int):
     """The universe of A(beta) for beta = congruences[b]: its members (x, y)
     with x beta y, and a flat list mapping x*n + y to the member's index."""
-    cache = lattice._caches.setdefault("pair_algebra", {})
-    hit = cache.get(b)
-    if hit is None:
-        n = lattice.algebra.size
-        blocks = lattice.congruences[b].blocks
-        members = [(x, y) for x in range(n) for y in range(n) if blocks[x] == blocks[y]]
-        index_of = [-1] * (n * n)
-        for i, (x, y) in enumerate(members):
-            index_of[x * n + y] = i
-        hit = cache[b] = (members, index_of)
-    return hit
+    n = lattice.algebra.size
+    blocks = lattice.congruences[b].blocks
+    members = [(x, y) for x in range(n) for y in range(n) if blocks[x] == blocks[y]]
+    index_of = [-1] * (n * n)
+    for i, (x, y) in enumerate(members):
+        index_of[x * n + y] = i
+    return members, index_of
 
 
 class _Partition:
@@ -270,11 +265,11 @@ def _delta_classes(
     """Classes of Delta_{alpha,beta}, the row classes of the transitive
     closure of M(alpha, beta).
 
-    Only join-irreducible alpha get an operation closure, cached per
+    Only join-irreducible alpha get an operation closure, stored per
     (alpha, beta); any other alpha is the join of the join-irreducibles
     below it, and Delta_{alpha v alpha', beta} = Delta_{alpha,beta} v
     Delta_{alpha',beta}, so its classes come from a union-find join of the
-    cached labels (the bottom is the empty join).
+    stored labels (the bottom is the empty join).
     """
     members, _ = _pair_algebra(lattice, b)
     if lattice.join_irreducible_flags[a]:
@@ -293,12 +288,9 @@ def _delta_classes(
     return list(classes.values())
 
 
+@stored
 def _join_irreducible_delta(lattice: CongruenceLattice, g: int, b: int) -> list[int]:
-    cache = lattice._caches.setdefault("delta", {})
-    labels = cache.get((g, b))
-    if labels is None:
-        labels = cache[(g, b)] = _close_delta(lattice, g, b)
-    return labels
+    return _close_delta(lattice, g, b)
 
 
 def commutator(
@@ -389,20 +381,15 @@ def commutator_stabilization(alg: FiniteAlgebra, alpha: Congruence) -> tuple[Con
     return lattice.congruences[chain[-1]], stable_at
 
 
+@stored
 def _iterate_chain(lattice: CongruenceLattice, i: int) -> tuple[list[int], int]:
-    cache = lattice._caches.setdefault("iterate_chain", {})
-    hit = cache.get(i)
-    if hit is not None:
-        return hit
     chain = [i]
     while True:
         nxt = commutator_index(lattice, chain[-1], chain[-1])
         if nxt == chain[-1]:
             break
         chain.append(nxt)
-    result = (chain, len(chain) - 1)
-    cache[i] = result
-    return result
+    return chain, len(chain) - 1
 
 
 def residuation(alg: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> Congruence:
@@ -459,14 +446,12 @@ class SurrogateReport:
         return out
 
 
+@stored
 def surrogate_checks(alg: FiniteAlgebra) -> SurrogateReport:
     """Run the hypothesis surrogates; pure report, never raises."""
     lattice = con_lattice(alg)
-    cached = lattice._caches.get("surrogate")
-    if cached is not None:
-        return cached
     top = lattice.top_index
-    report = SurrogateReport(
+    return SurrogateReport(
         algebra=alg,
         modular=lattice.is_modular(),
         top_idempotent=commutator_index(lattice, top, top) == top,
@@ -475,8 +460,6 @@ def surrogate_checks(alg: FiniteAlgebra) -> SurrogateReport:
         ),
         con_size=len(lattice),
     )
-    lattice._caches["surrogate"] = report
-    return report
 
 
 def require_theory(alg: FiniteAlgebra) -> SurrogateReport:

@@ -16,9 +16,10 @@ intersection.
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations, product as iproduct
 
 from . import config
@@ -44,6 +45,7 @@ __all__ = [
     "congruence_from_pairs",
     "all_partitions",
     "brute_force_congruences",
+    "stored",
 ]
 
 DEFAULT_CON_CAP = config.DEFAULT_CON_CAP
@@ -250,31 +252,13 @@ def is_congruence(alg: FiniteAlgebra, blocks) -> bool:
 def join(theta: Congruence, chi: Congruence) -> Congruence:
     """Transitive closure of the union; the result is automatically compatible."""
     _check_parent(theta, chi)
-    n = len(theta.blocks)
-    parent = list(theta.blocks)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in range(n):
-        rx, ry = find(x), find(chi.blocks[x])
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    return Congruence(theta.algebra, _normalize(parent))
+    return Congruence(theta.algebra, _join_blocks(theta.blocks, chi.blocks))
 
 
 def meet(theta: Congruence, chi: Congruence) -> Congruence:
     """Blockwise intersection."""
     _check_parent(theta, chi)
-    seen: dict[tuple[int, int], int] = {}
-    blocks = []
-    for x, key in enumerate(zip(theta.blocks, chi.blocks)):
-        seen.setdefault(key, x)
-        blocks.append(seen[key])
-    return Congruence(theta.algebra, tuple(blocks))
+    return Congruence(theta.algebra, _meet_blocks(theta.blocks, chi.blocks))
 
 
 @dataclass(frozen=True)
@@ -292,7 +276,8 @@ class CongruenceLattice(FiniteLattice):
     # the matrix budget of each congruence: its number of related pairs, squared
     matrix_bounds: tuple[int, ...]
     _index: dict = field(compare=False, hash=False, repr=False)
-    _caches: dict = field(compare=False, hash=False, repr=False)
+    # the results of @stored functions, one dict per function
+    _caches: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     def index(self, theta: Congruence) -> int:
         try:
@@ -377,7 +362,6 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
         principal_witnesses=tuple(principal.get(blocks) for blocks in ordered),
         matrix_bounds=tuple(_pair_count(blocks) ** 2 for blocks in ordered),
         _index=index,
-        _caches={},
     )
 
 
@@ -387,6 +371,7 @@ def _pair_count(blocks) -> int:
 
 
 def _join_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Union-find join of two block arrays, normalized."""
     parent = list(a)
 
     def find(x: int) -> int:
@@ -403,6 +388,7 @@ def _join_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _meet_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Blockwise intersection of two block arrays: one block per pair of labels."""
     seen: dict[tuple[int, int], int] = {}
     blocks = []
     for x, key in enumerate(zip(a, b)):
@@ -437,6 +423,41 @@ def con_lattice(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLattice
 
 con_lattice.cache_info = _cached_lattice.cache_info
 con_lattice.cache_clear = _cached_lattice.cache_clear
+
+_MISSING = object()
+
+
+def stored(fn):
+    """Compute ``fn(owner, *args)`` once per argument and keep the result on
+    Con(A).
+
+    ``owner`` is an algebra or its Con(A).  Each other argument is a
+    congruence, keyed by its index in Con(A), or an index or flag, keyed as
+    itself.  Arguments are bound to ``fn``'s signature first, so a default
+    left out and the same value passed by keyword share one entry.  A result
+    is stored only when ``fn`` returns: a cross-check that raises stores
+    nothing and runs again on the next call.
+    """
+    signature = inspect.signature(fn)
+    arity = len(signature.parameters)
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def once(*args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        owner = args[0]
+        lattice = owner if isinstance(owner, CongruenceLattice) else con_lattice(owner)
+        key = tuple([lattice.index(a) if isinstance(a, Congruence) else a for a in args[1:]])
+        results = lattice._caches.setdefault(name, {})
+        hit = results.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = results[key] = fn(*args)
+        return hit
+
+    return once
 
 
 def join_irreducibles(lattice: CongruenceLattice) -> list[Congruence]:

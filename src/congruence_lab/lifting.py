@@ -9,10 +9,8 @@ quotient is computed twice, once inside the interval [theta) via residuation
 and once directly on the quotient algebra; a disagreement is an internal
 falsification and raises :class:`Falsified`.
 
-Every per-congruence result (the quotient center, the projections chi/theta,
-the diamond) and the center-preservation report are stored on the lattice's
-``_caches`` and computed once per Con(A); the cross-checks and validations
-run on that first computation for each argument.
+Every per-congruence result is computed once per Con(A) through
+``@stored``, so its cross-checks run on the first call for each argument.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from .congruences import (
     con_lattice,
     congruence_from_blocks,
     congruence_from_pairs,
+    stored,
 )
 from .errors import (
     Falsified,
@@ -93,6 +92,7 @@ class BooleanCenter:
         return iter(self.elements)
 
 
+@stored
 def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
     """B(Con(A)) from the lattice's complement search.
 
@@ -101,9 +101,6 @@ def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
     """
     require_theory(alg)
     lattice = con_lattice(alg)
-    cached = lattice._caches.get("center")
-    if cached is not None:
-        return cached
     mates = lattice.complements
     member_indices = [i for i in range(len(lattice)) if mates[i]]
     bottom = lattice.congruences[lattice.bottom_index]
@@ -125,49 +122,34 @@ def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
             for j in member_indices
         )
     ]
-    center = BooleanCenter(
+    return BooleanCenter(
         elements=tuple(lattice.congruences[i] for i in member_indices),
         complement=complement,
         atoms=tuple(lattice.congruences[i] for i in atom_indices),
     )
-    lattice._caches["center"] = center
-    return center
 
 
 # ---------------------------------------------------------------------------
 # Canonical projections
 
 
-def _quotient_algebra(alg: FiniteAlgebra, theta: Congruence) -> FiniteAlgebra:
-    lattice = con_lattice(alg)
-    cache = lattice._caches.setdefault("quotients", {})
-    i = lattice.index(theta)
-    hit = cache.get(i)
-    if hit is None:
-        hit = quotient(alg, theta)
-        cache[i] = hit
-    return hit
+_quotient_algebra = stored(quotient)
 
 
+@stored
 def project_congruence(
     alg: FiniteAlgebra, theta: Congruence, chi: Congruence
 ) -> Congruence:
     """chi/theta for theta <= chi, as a congruence of the quotient algebra."""
     if not theta.leq(chi):
         raise HypothesisNotMet("chi must contain theta")
-    lattice = con_lattice(alg)
-    cache = lattice._caches.setdefault("projections", {})
-    key = (lattice.index(theta), lattice.index(chi))
-    hit = cache.get(key)
-    if hit is None:
-        quo = _quotient_algebra(alg, theta)
-        reps = sorted(set(theta.blocks))
-        labels = [chi.blocks[r] for r in reps]
-        hit = congruence_from_blocks(quo, [labels.index(v) for v in labels])
-        cache[key] = hit
-    return hit
+    quo = _quotient_algebra(alg, theta)
+    reps = sorted(set(theta.blocks))
+    labels = [chi.blocks[r] for r in reps]
+    return congruence_from_blocks(quo, [labels.index(v) for v in labels])
 
 
+@stored
 def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -> Congruence:
     """The image congruence (alpha v theta)/theta of the canonical projection.
 
@@ -206,17 +188,14 @@ def section_congruence(
     return congruence_from_blocks(alg, labels)
 
 
+@stored
 def quotient_center_congruences(
     alg: FiniteAlgebra, theta: Congruence
 ) -> tuple[FiniteAlgebra, BooleanCenter]:
     """B(Con(A/theta)), computed on the quotient algebra and cross-checked
     against the interval route chi v (chi -> theta) = nabla."""
     lattice = con_lattice(alg)
-    cache = lattice._caches.setdefault("quotient_center", {})
     i = lattice.index(theta)
-    hit = cache.get(i)
-    if hit is not None:
-        return hit
     quo = _quotient_algebra(alg, theta)
     center = boolean_center_of_congruences(quo)
     top = lattice.top_index
@@ -233,7 +212,6 @@ def quotient_center_congruences(
         raise Falsified(
             f"{alg.name}: interval and direct quotient centers disagree for theta={theta}"
         )
-    cache[i] = (quo, center)
     return quo, center
 
 
@@ -290,15 +268,10 @@ class LiftingReport:
         return json.dumps(self.to_json_dict())
 
 
+@stored
 def has_cblp(alg: FiniteAlgebra, theta: Congruence) -> LiftingReport:
     """Decide whether B(p_theta) is surjective and record witnesses."""
     require_theory(alg)
-    lattice = con_lattice(alg)
-    cache = lattice._caches.setdefault("cblp", {})
-    i = lattice.index(theta)
-    hit = cache.get(i)
-    if hit is not None:
-        return hit
     _, qcenter = quotient_center_congruences(alg, theta)
     center = boolean_center_of_congruences(alg)
     images = {
@@ -321,7 +294,7 @@ def has_cblp(alg: FiniteAlgebra, theta: Congruence) -> LiftingReport:
             break
         witnesses.append((beta, lift))
     dia = diamond(alg, theta)
-    report = LiftingReport(
+    return LiftingReport(
         algebra=alg,
         theta=theta,
         cblp=counterexample is None,
@@ -330,8 +303,6 @@ def has_cblp(alg: FiniteAlgebra, theta: Congruence) -> LiftingReport:
         regular=dia.blocks == theta.blocks,
         diamond=dia,
     )
-    cache[i] = report
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +470,17 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
 # Regular congruences and the characterization theorem
 
 
+@stored
 def diamond(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
     """Join of the complemented congruences below theta."""
     lattice = con_lattice(alg)
-    cache = lattice._caches.setdefault("diamond", {})
     i = lattice.index(theta)
-    hit = cache.get(i)
-    if hit is None:
-        center = boolean_center_of_congruences(alg)
-        below = [
-            lattice.index(alpha)
-            for alpha in center.elements
-            if lattice.leq_index(lattice.index(alpha), i)
-        ]
-        hit = lattice.congruences[lattice.join_many(below)]
-        cache[i] = hit
-    return hit
+    below = [
+        lattice.index(alpha)
+        for alpha in boolean_center_of_congruences(alg).elements
+        if lattice.leq_index(lattice.index(alpha), i)
+    ]
+    return lattice.congruences[lattice.join_many(below)]
 
 
 def is_regular(alg: FiniteAlgebra, theta: Congruence) -> bool:
@@ -538,21 +504,17 @@ def diamond_star_commute(alg: FiniteAlgebra, theta: Congruence) -> bool:
     return not is_regular(alg, theta) or ideal_diamond == ideal.generator
 
 
+@stored
 def _coprime_pairs(lattice: CongruenceLattice) -> list[tuple[int, int, int]]:
     """(i, j, [i,j]) for all ordered pairs with join the top congruence."""
-    cached = lattice._caches.get("coprime_pairs")
-    if cached is not None:
-        return cached
     size = len(lattice)
     top = lattice.top_index
-    pairs = [
+    return [
         (i, j, commutator_index(lattice, i, j))
         for i in range(size)
         for j in range(size)
         if lattice.join_index(i, j) == top
     ]
-    lattice._caches["coprime_pairs"] = pairs
-    return pairs
 
 
 def cblp_characterization(alg: FiniteAlgebra, theta: Congruence) -> LiftingReport:
@@ -702,14 +664,12 @@ class BNormalReport:
     counterexample: tuple | None  # a coprime pair with no separating pair
 
 
+@stored
 def is_b_normal(alg: FiniteAlgebra) -> BNormalReport:
     """For every coprime pair (chi, eps) there are complemented alpha, beta
     with chi v alpha = eps v beta = nabla and [alpha, beta] = bottom."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    cached = lattice._caches.get("b_normal")
-    if cached is not None:
-        return cached
     top = lattice.top_index
     bottom = lattice.bottom_index
     center = boolean_center_of_congruences(alg)
@@ -731,11 +691,9 @@ def is_b_normal(alg: FiniteAlgebra) -> BNormalReport:
         if not found:
             counterexample = (lattice.congruences[i], lattice.congruences[j])
             break
-    report = BNormalReport(
+    return BNormalReport(
         algebra=alg, b_normal=counterexample is None, counterexample=counterexample
     )
-    lattice._caches["b_normal"] = report
-    return report
 
 
 def hyperarchimedean_cblp(alg: FiniteAlgebra) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .algebra import FiniteAlgebra
 from .commutator import require_theory, _iterate_chain
-from .congruences import Congruence, con_lattice
+from .congruences import Congruence, con_lattice, stored
 from .errors import TheoryHypothesisFailed
 from .lattices import (
     FiniteLattice,
@@ -73,15 +73,13 @@ class Reticulation:
         return serialize_lattice(self.lattice)
 
 
+@stored
 def build_reticulation(alg: FiniteAlgebra) -> Reticulation:
     """Construct the reticulation; distributivity and meet-closure of the
     radical congruences are verified and their failure raises
     TheoryHypothesisFailed."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    cached = lattice._caches.get("reticulation")
-    if cached is not None:
-        return cached
     radicals: list[int] = []
     lambda_by_con = []
     for theta in lattice.congruences:
@@ -115,14 +113,12 @@ def build_reticulation(alg: FiniteAlgebra) -> Reticulation:
                 )
     if not retic_lattice.is_distributive():
         raise TheoryHypothesisFailed(f"{alg.name}: reticulation is not distributive")
-    result = Reticulation(
+    return Reticulation(
         algebra=alg,
         elements=tuple(lattice.congruences[i] for i in radicals),
         lattice=retic_lattice,
         _lambda_by_con=tuple(position[i] for i in lambda_by_con),
     )
-    lattice._caches["reticulation"] = result
-    return result
 
 
 def lambda_(retic: Reticulation, theta: Congruence) -> Congruence:
@@ -284,18 +280,15 @@ class CenterPreservationReport:
         return self.star_property or self.semiprime
 
 
+@stored
 def preserves_boolean_center(alg: FiniteAlgebra) -> CenterPreservationReport:
     """True when every congruence whose reticulation image is complemented
-    has some complemented iterate [alpha, alpha]^n (n >= 0).  Computed once
-    per Con(A)."""
+    has some complemented iterate [alpha, alpha]^n (n >= 0)."""
     require_theory(alg)
     from .lifting import boolean_center_of_congruences
     from .spectrum import is_semiprime
 
     lattice = con_lattice(alg)
-    cached = lattice._caches.get("center_preservation")
-    if cached is not None:
-        return cached
     retic = build_reticulation(alg)
     center_blocks = {
         theta.blocks for theta in boolean_center_of_congruences(alg).elements
@@ -311,15 +304,13 @@ def preserves_boolean_center(alg: FiniteAlgebra) -> CenterPreservationReport:
             preserves = False
             violating = theta
             break
-    report = CenterPreservationReport(
+    return CenterPreservationReport(
         algebra=alg,
         preserves=preserves,
         violating=violating,
         star_property=_star_property(alg),
         semiprime=is_semiprime(alg),
     )
-    lattice._caches["center_preservation"] = report
-    return report
 
 
 def _star_property(alg: FiniteAlgebra) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra
 from .commutator import commutator_index, require_theory, _iterate_chain
-from .congruences import Congruence, con_lattice
+from .congruences import Congruence, con_lattice, stored
 from .errors import Falsified
 
 __all__ = [
@@ -99,13 +99,10 @@ def is_prime(alg: FiniteAlgebra, phi: Congruence, all_pairs: bool = False) -> bo
     return lattice.index(phi) in set(_prime_indices(lattice, all_pairs))
 
 
+@stored
 def spectrum(alg: FiniteAlgebra, all_pairs: bool = False) -> SpectrumData:
     require_theory(alg)
     lattice = con_lattice(alg)
-    key = ("spectrum", all_pairs)
-    cached = lattice._caches.get(key)
-    if cached is not None:
-        return cached
     primes = _prime_indices(lattice, all_pairs)
     maximals = lattice.lower_covers(lattice.top_index)
     prime_set = set(primes)
@@ -117,33 +114,27 @@ def spectrum(alg: FiniteAlgebra, all_pairs: bool = False) -> SpectrumData:
         )
     rad = lattice.meet_many(maximals)
     nil = lattice.meet_many(primes)
-    data = SpectrumData(
+    return SpectrumData(
         algebra=alg,
         primes=tuple(lattice.congruences[i] for i in primes),
         maximals=tuple(lattice.congruences[i] for i in maximals),
         rad=lattice.congruences[rad],
         nilradical=lattice.congruences[nil],
     )
-    lattice._caches[key] = data
-    return data
 
 
+@stored
 def radical(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
     """rho(theta): meet of the primes above theta; the empty meet is the top
     congruence, so rho(nabla) = nabla."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    cache = lattice._caches.setdefault("radical", {})
     i = lattice.index(theta)
-    hit = cache.get(i)
-    if hit is None:
-        data = spectrum(alg)
-        above = [
-            lattice.index(phi) for phi in data.primes if lattice.leq_index(i, lattice.index(phi))
-        ]
-        hit = lattice.meet_many(above)
-        cache[i] = hit
-    return lattice.congruences[hit]
+    data = spectrum(alg)
+    above = [
+        lattice.index(phi) for phi in data.primes if lattice.leq_index(i, lattice.index(phi))
+    ]
+    return lattice.congruences[lattice.meet_many(above)]
 
 
 def radical_oracle(alg: FiniteAlgebra, theta: Congruence) -> Congruence:

@@ -208,7 +208,10 @@ def _suite_commutator_axioms(alg):
 
     if size <= TRIPLE_CAP:
         projection_ok = True
+        # at theta = Delta, A/theta is A and both sides read [i, j] itself
         for t in range(size):
+            if t == lattice.bottom_index:
+                continue
             theta = lattice.congruences[t]
             quo = quotient(alg, theta)
             qlat = con_lattice(quo)
@@ -263,7 +266,9 @@ def _suite_commutator_axioms(alg):
 
     if size <= TRIPLE_CAP:
         quotient_iterates_ok = True
-        for t in range(size):
+        for t in range(size):  # theta = Delta skipped as above
+            if t == lattice.bottom_index:
+                continue
             theta = lattice.congruences[t]
             quo = quotient(alg, theta)
             qlat = con_lattice(quo)

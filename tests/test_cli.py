@@ -249,6 +249,19 @@ def test_env_cap_override(z12_path, capsys, monkeypatch):
     assert main(["--cap-con", "100", "congruences", z12_path]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "flags, env",
+    [(["--cap-con", "0"], None), (["--cap-matrix", "0"], None), ([], "0")],
+    ids=["cap-con", "cap-matrix", "env"],
+)
+def test_zero_cap_is_rejected(z12_path, capsys, monkeypatch, flags, env):
+    """A zero cap is refused like a negative one, not read as the default."""
+    if env is not None:
+        monkeypatch.setenv("CONGRUENCE_LAB_CAP", env)
+    assert main([*flags, "congruences", z12_path]) == EXIT_INPUT
+    assert "caps and job counts must be positive" in capsys.readouterr().err
+
+
 def test_env_cap_must_be_integer(z12_path, capsys, monkeypatch):
     monkeypatch.setenv("CONGRUENCE_LAB_CAP", "lots")
     assert main(["congruences", z12_path]) == EXIT_INPUT
@@ -294,4 +307,27 @@ def test_verify_json_contract_on_corpus(capsys, monkeypatch):
     for result in report["results"]:
         del result["elapsed"]
     expected = (REPO / "tests" / "data" / "verify_corpus.json").read_text()
+    assert json.dumps(report, indent=2) + "\n" == expected
+
+
+def test_verify_json_contract_on_ladder(capsys, monkeypatch, tmp_path):
+    """``--json --jobs 1 verify`` on B_4, Z_24 and Z_2xZ_9 documents written
+    from the builders, with every ``elapsed`` removed, is pinned byte for
+    byte in tests/data/verify_ladder.json; the paths are bare file names."""
+    from congruence_lab.algebra import product
+    from congruence_lab.builders import boolean_lattice
+
+    ladder = {
+        "B_4.json": boolean_lattice(4),
+        "Z_24.json": ring_zn(24),
+        "Z_2xZ_9.json": product(ring_zn(2), ring_zn(9)),
+    }
+    for name, alg in ladder.items():
+        (tmp_path / name).write_text(dump_algebra(alg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--json", "--jobs", "1", "verify", *ladder]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    for result in report["results"]:
+        del result["elapsed"]
+    expected = (REPO / "tests" / "data" / "verify_ladder.json").read_text()
     assert json.dumps(report, indent=2) + "\n" == expected

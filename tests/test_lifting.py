@@ -546,10 +546,11 @@ def test_projection_validates_once_per_comparable_pair(monkeypatch):
     def counting(alg, blocks):
         caller = sys._getframe(1)
         if caller.f_code.co_name == "project_congruence":
-            lattice = caller.f_locals["lattice"]
-            t, c = caller.f_locals["key"]
+            frame = caller.f_locals
+            lattice = con_lattice(frame["alg"])
+            t, c = lattice.index(frame["theta"]), lattice.index(frame["chi"])
             assert lattice.leq_index(t, c)
-            validated.append((caller.f_locals["alg"], t, c))
+            validated.append((frame["alg"], t, c))
         return real(alg, blocks)
 
     monkeypatch.setattr(lifting, "congruence_from_blocks", counting)

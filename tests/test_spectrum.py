@@ -161,3 +161,14 @@ def test_hyperarchimedean(z4, z12):
 
 def test_spectrum_is_cached(z12):
     assert spectrum(z12) is spectrum(z12)
+
+
+def test_spectrum_default_and_keyword_share_one_entry(z12):
+    """A default left out, passed by keyword or passed by position is one
+    stored result; the all-pairs oracle is another."""
+    data = spectrum(z12)
+    assert spectrum(z12, all_pairs=False) is data
+    assert spectrum(z12, False) is data
+    oracle = spectrum(z12, all_pairs=True)
+    assert oracle is not data
+    assert oracle == data

@@ -67,8 +67,8 @@ def test_commutator_suite_reads_one_table(monkeypatch):
     assert size == 16
     assert counts == {"own": 256, "other": 0}
 
-    # A/Delta is A, so at theta = Delta the projection and quotient-iterate
-    # checks read Con(A) itself as their quotient lattice, once per pair each
+    # the projection and quotient-iterate checks skip theta = Delta, whose
+    # quotient lattice would be Con(A) itself
     size, counts = _commutator_calls(monkeypatch, ring_zn(12))
     assert size == 6
-    assert counts == {"own": 36 + 2 * 36, "other": 214}
+    assert counts == {"own": 36, "other": 214}
