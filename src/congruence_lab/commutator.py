@@ -421,8 +421,10 @@ class SurrogateReport:
 
     A single finite algebra does not determine its variety, so instead of
     attempting variety membership we check the consequences the analyses
-    rely on.  Downstream operations refuse algebras failing ``modular`` or
-    ``top_idempotent``.
+    rely on.  Downstream operations refuse algebras failing any of the
+    three: in a semidegenerate congruence-modular variety [theta, nabla] =
+    theta for every theta (Kollar; Agliano and Ursini), which gives
+    [nabla, nabla] = nabla as its case theta = nabla.
     """
 
     algebra: FiniteAlgebra
@@ -433,7 +435,7 @@ class SurrogateReport:
 
     @property
     def ok(self) -> bool:
-        return self.modular and self.top_idempotent
+        return self.modular and self.top_idempotent and self.top_neutral
 
     def failures(self) -> list[str]:
         out = []

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import inspect
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, wraps
 from itertools import combinations, product as iproduct
 
 from . import config
@@ -287,14 +287,6 @@ class CongruenceLattice(FiniteLattice):
                 f"{list(theta.blocks)} is not a congruence of {self.algebra.name}"
             ) from None
 
-    @cached_property
-    def join_irreducible_flags(self) -> tuple[bool, ...]:
-        """Elements with exactly one lower cover."""
-        return tuple(len(self.lower_covers(i)) == 1 for i in range(self.size))
-
-    def join_irreducible_indices(self) -> list[int]:
-        return [i for i, flag in enumerate(self.join_irreducible_flags) if flag]
-
 
 def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLattice:
     """Enumerate Con(A) by closing the principal congruences under binary join.
@@ -437,6 +429,11 @@ def stored(fn):
     left out and the same value passed by keyword share one entry.  A result
     is stored only when ``fn`` returns: a cross-check that raises stores
     nothing and runs again on the next call.
+
+    Algebras with the same tables share Con(A), and so the stored results.
+    A stored report (any result with an ``algebra`` field, congruences
+    aside) that names such an algebra under another name comes back as a
+    copy naming the caller's algebra; the stored report is left as it is.
     """
     signature = inspect.signature(fn)
     arity = len(signature.parameters)
@@ -455,6 +452,15 @@ def stored(fn):
         hit = results.get(key, _MISSING)
         if hit is _MISSING:
             hit = results[key] = fn(*args)
+        else:
+            named = getattr(hit, "algebra", owner)
+            if (
+                named is not owner
+                and not isinstance(hit, Congruence)
+                and named == owner
+                and named.name != owner.name
+            ):
+                hit = replace(hit, algebra=owner)
         return hit
 
     return once

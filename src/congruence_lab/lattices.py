@@ -116,14 +116,33 @@ class FiniteLattice:
             for x in range(self.size)
         )
 
+    @cached_property
+    def join_irreducible_flags(self) -> tuple[bool, ...]:
+        """x is join-irreducible iff the join of everything strictly below x
+        is not x (for the bottom that join is empty, hence the bottom)."""
+        return tuple(
+            self.join_many(y for y, row in enumerate(self.leq) if row[x] and y != x) != x
+            for x in range(self.size)
+        )
+
+    @cached_property
+    def _join_irreducibles(self) -> tuple[int, ...]:
+        return tuple(i for i, flag in enumerate(self.join_irreducible_flags) if flag)
+
+    def join_irreducible_indices(self) -> tuple[int, ...]:
+        return self._join_irreducibles
+
     def is_distributive(self) -> bool:
-        n = self.size
-        join, meet = self.join_table, self.meet_table
+        """Birkhoff's test: x -> {join-irreducibles <= x}, as a bitmask,
+        sends every join to the union of the two sets."""
+        masks = [0] * self.size
+        for bit, g in enumerate(self._join_irreducibles):
+            for x, below in enumerate(self.leq[g]):
+                if below:
+                    masks[x] |= 1 << bit
         return all(
-            meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
-            for x in range(n)
-            for y in range(n)
-            for z in range(n)
+            [masks[v] for v in row] == [mx | my for my in masks]
+            for mx, row in zip(masks, self.join_table)
         )
 
     def is_modular(self) -> bool:
@@ -144,40 +163,50 @@ def lattice_from_leq(leq) -> FiniteLattice:
 
     Raises :class:`NotALattice` when the matrix is not a bounded lattice
     order (reflexive, antisymmetric, transitive, all joins/meets exist).
+    The checks run over int bitsets of up-sets and down-sets: transitivity
+    is up(b) within up(a) for every a <= b, and the lub of a, b is the
+    element whose up-set is up(a) & up(b) (the glb likewise on down-sets).
     """
     matrix = tuple(tuple(bool(v) for v in row) for row in leq)
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise NotALattice("leq must be a nonempty square matrix")
+    up = [sum(1 << c for c, above in enumerate(row) if above) for row in matrix]
+    down = [sum(1 << c for c in range(n) if matrix[c][a]) for a in range(n)]
     for a in range(n):
         if not matrix[a][a]:
             raise NotALattice(f"order not reflexive at {a}")
         for b in range(n):
-            if a != b and matrix[a][b] and matrix[b][a]:
+            if not matrix[a][b]:
+                continue
+            if a != b and matrix[b][a]:
                 raise NotALattice(f"order not antisymmetric at {a}, {b}")
-            for c in range(n):
-                if matrix[a][b] and matrix[b][c] and not matrix[a][c]:
-                    raise NotALattice(f"order not transitive at {a}, {b}, {c}")
-    join_table = [[0] * n for _ in range(n)]
-    meet_table = [[0] * n for _ in range(n)]
+            missing = up[b] & ~up[a]
+            if missing:
+                c = (missing & -missing).bit_length() - 1
+                raise NotALattice(f"order not transitive at {a}, {b}, {c}")
+    # antisymmetry makes the up-sets (and the down-sets) pairwise distinct
+    by_up = {mask: c for c, mask in enumerate(up)}
+    by_down = {mask: c for c, mask in enumerate(down)}
+    join_table = []
+    meet_table = []
     for a in range(n):
-        for b in range(n):
-            ups = [c for c in range(n) if matrix[a][c] and matrix[b][c]]
-            downs = [c for c in range(n) if matrix[c][a] and matrix[c][b]]
-            lub = [c for c in ups if all(matrix[c][d] for d in ups)]
-            glb = [c for c in downs if all(matrix[d][c] for d in downs)]
-            if len(lub) != 1 or len(glb) != 1:
-                raise NotALattice(f"elements {a}, {b} lack a unique lub/glb")
-            join_table[a][b] = lub[0]
-            meet_table[a][b] = glb[0]
-    bottoms = [a for a in range(n) if all(matrix[a][b] for b in range(n))]
-    tops = [a for a in range(n) if all(matrix[b][a] for b in range(n))]
+        join_row = [by_up.get(up[a] & mask) for mask in up]
+        meet_row = [by_down.get(down[a] & mask) for mask in down]
+        if None in join_row or None in meet_row:
+            b = next(b for b in range(n) if join_row[b] is None or meet_row[b] is None)
+            raise NotALattice(f"elements {a}, {b} lack a unique lub/glb")
+        join_table.append(tuple(join_row))
+        meet_table.append(tuple(meet_row))
+    full = (1 << n) - 1
+    bottoms = [a for a in range(n) if up[a] == full]
+    tops = [a for a in range(n) if down[a] == full]
     if len(bottoms) != 1 or len(tops) != 1:
         raise NotALattice("order has no unique bottom/top")
     return FiniteLattice(
         leq=matrix,
-        join_table=tuple(tuple(row) for row in join_table),
-        meet_table=tuple(tuple(row) for row in meet_table),
+        join_table=tuple(join_table),
+        meet_table=tuple(meet_table),
         bottom_index=bottoms[0],
         top_index=tops[0],
     )

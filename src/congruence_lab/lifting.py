@@ -517,6 +517,26 @@ def _coprime_pairs(lattice: CongruenceLattice) -> list[tuple[int, int, int]]:
     ]
 
 
+@stored
+def _center_pair_bits(alg: FiniteAlgebra) -> tuple[list[int], list[int]]:
+    """Over the center pairs (alpha, alpha'), k-th in center order, where
+    alpha' is alpha's complement: for each congruence x, the int bitsets
+    {k : alpha_k <= x} and {k : alpha'_k <= x}."""
+    lattice = con_lattice(alg)
+    center = boolean_center_of_congruences(alg)
+    below_a = [0] * len(lattice)
+    below_na = [0] * len(lattice)
+    for k, alpha in enumerate(center.elements):
+        a = lattice.index(alpha)
+        na = lattice.index(center.complement[alpha.blocks])
+        for x, (above_a, above_na) in enumerate(zip(lattice.leq[a], lattice.leq[na])):
+            if above_a:
+                below_a[x] |= 1 << k
+            if above_na:
+                below_na[x] |= 1 << k
+    return below_a, below_na
+
+
 def cblp_characterization(alg: FiniteAlgebra, theta: Congruence) -> LiftingReport:
     """The four equivalent characterizations of CBLP for theta:
 
@@ -535,26 +555,15 @@ def cblp_characterization(alg: FiniteAlgebra, theta: Congruence) -> LiftingRepor
     exploratory = not preserves_boolean_center(alg).preserves
     lattice = con_lattice(alg)
     t = lattice.index(theta)
-    center = boolean_center_of_congruences(alg)
-    center_pairs = [
-        (lattice.index(alpha), lattice.index(center.complement[alpha.blocks]))
-        for alpha in center.elements
-    ]
+    below_a, below_na = _center_pair_bits(alg)
+    leq, join_t = lattice.leq, lattice.join_table[t]
 
-    def separated(phi: int, psi: int) -> bool:
-        tp = lattice.join_index(t, phi)
-        tq = lattice.join_index(t, psi)
-        return any(
-            lattice.leq_index(a, tp) and lattice.leq_index(na, tq)
-            for a, na in center_pairs
-        )
-
+    # phi, psi are separated when some center pair (alpha, alpha') has
+    # alpha <= theta v phi and alpha' <= theta v psi
     c2 = True
     c3 = True  # c3's pairs ([phi,psi] = theta) are a subset of c2's
     for i, j, cij in _coprime_pairs(lattice):
-        if not lattice.leq_index(cij, t):
-            continue
-        if separated(i, j):
+        if not leq[cij][t] or below_a[join_t[i]] & below_na[join_t[j]]:
             continue
         c2 = False
         if cij == t:
@@ -674,21 +683,31 @@ def is_b_normal(alg: FiniteAlgebra) -> BNormalReport:
     bottom = lattice.bottom_index
     center = boolean_center_of_congruences(alg)
     center_indices = [lattice.index(alpha) for alpha in center.elements]
-    coprime = _coprime_pairs(lattice)
-    # the candidate separating pairs, in the order the scan below tries them
+    # the candidate separating pairs (alpha, beta), k-th as an int bit
     orthogonal = [
         (a, b)
         for a in center_indices
         for b in center_indices
         if commutator_index(lattice, a, b) == bottom
     ]
+    by_a: dict[int, int] = {}  # a -> {k : alpha_k = a}
+    by_b: dict[int, int] = {}
+    for k, (a, b) in enumerate(orthogonal):
+        by_a[a] = by_a.get(a, 0) | 1 << k
+        by_b[b] = by_b.get(b, 0) | 1 << k
+    # for each chi: {k : chi v alpha_k = nabla} and {k : chi v beta_k = nabla}
+    cov_a = [0] * len(lattice)
+    cov_b = [0] * len(lattice)
+    for x, row in enumerate(lattice.join_table):
+        for a, bits in by_a.items():
+            if row[a] == top:
+                cov_a[x] |= bits
+        for b, bits in by_b.items():
+            if row[b] == top:
+                cov_b[x] |= bits
     counterexample = None
-    for i, j, _ in coprime:
-        found = any(
-            lattice.join_index(i, a) == top and lattice.join_index(j, b) == top
-            for a, b in orthogonal
-        )
-        if not found:
+    for i, j, _ in _coprime_pairs(lattice):
+        if not cov_a[i] & cov_b[j]:
             counterexample = (lattice.congruences[i], lattice.congruences[j])
             break
     return BNormalReport(

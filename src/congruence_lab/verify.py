@@ -5,10 +5,17 @@ single algebra and yields Check records; ``verify_algebra`` runs every suite
 the algebra's hypothesis surrogates allow, and ``verify_corpus`` adds the
 cross-algebra checks (direct products, quotient correspondences).
 
-Loops over pairs of congruences run corpus-wide; loops over triples are
-capped so chains with |Con(A)| = 64 stay fast.  The caps match the sizes the
-suites are specified at and are recorded in each check's detail string when
-they bite.
+Every quantifier runs over all of Con(A) except the capped ones below.  The
+identities quantified over pairs and triples (the lattice axioms, commutator
+monotonicity and residuation, the radical lemmas and the radical frame, the
+spectral topology, the lambda and star clauses, center distributivity) read
+the join, meet and order tables into locals, take the commutator one row at
+a time, and compare whole rows, or int bitsets of down-sets, instead of
+calling a lattice method per element.  The commutator identities over triples that go through
+quotient algebras stay capped at TRIPLE_CAP congruences, and the matrix and
+brute-force oracles at their universe sizes, as before.  The caps match the
+sizes the suites are specified at and are recorded in each check's detail
+string when they bite.
 """
 
 from __future__ import annotations
@@ -118,6 +125,14 @@ def _is_lattice_signature(alg: FiniteAlgebra) -> bool:
     return alg.signature() == (("join", 2), ("meet", 2), ("bot", 0), ("top", 0))
 
 
+def _bits(indices) -> int:
+    """A set of nonnegative indices as an int bitset."""
+    out = 0
+    for k in indices:
+        out |= 1 << k
+    return out
+
+
 # ---------------------------------------------------------------------------
 # suite pieces
 
@@ -147,14 +162,12 @@ def _suite_con_enumeration(alg):
                     minimal_ok = False
         yield Check("principal-minimality", minimal_ok)
     size = len(lattice)
-    lattice_ok = True
+    join, meet = lattice.join_table, lattice.meet_table
+    # commutativity: each table equals its transpose; absorption, row by row
+    lattice_ok = tuple(zip(*join)) == join and tuple(zip(*meet)) == meet
     for i in range(size):
-        for j in range(size):
-            jn, mt = lattice.join_index(i, j), lattice.meet_index(i, j)
-            if jn != lattice.join_index(j, i) or mt != lattice.meet_index(j, i):
-                lattice_ok = False
-            if lattice.meet_index(i, jn) != i or lattice.join_index(i, mt) != i:
-                lattice_ok = False  # absorption
+        if {meet[i][jn] for jn in join[i]} != {i} or {join[i][mt] for mt in meet[i]} != {i}:
+            lattice_ok = False
     yield Check("join-meet-lattice-axioms", lattice_ok)
     ji = lattice.join_irreducible_indices()
     decompose_ok = all(
@@ -176,11 +189,11 @@ def _suite_commutator_axioms(alg):
     # [i, j] on this lattice, read by every check below; reads on quotient
     # lattices and inside residuation/annihilator go through their own calls
     table = [[commutator_index(lattice, i, j) for j in range(size)] for i in range(size)]
+    leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
+    top = lattice.top_index
 
     below_ok = all(
-        lattice.leq_index(table[i][j], lattice.meet_index(i, j))
-        for i in range(size)
-        for j in range(size)
+        leq[c][m] for row, meet_row in zip(table, meet) for c, m in zip(row, meet_row)
     )
     yield Check("commutator-below-meet", below_ok)
 
@@ -188,13 +201,11 @@ def _suite_commutator_axioms(alg):
     yield Check("commutator-commutative", commutative_ok)
 
     monotone_ok = True
-    for i in range(size):
-        for i2 in range(size):
-            if not lattice.leq_index(i, i2):
-                continue
-            if not all(lattice.leq_index(table[i][b], table[i2][b]) for b in range(size)):
+    for i, row in enumerate(table):
+        ups = [leq[c] for c in row]  # ups[b][x]: [i, b] <= x
+        for i2, above in enumerate(leq[i]):
+            if above and not all(up[c] for up, c in zip(ups, table[i2])):
                 monotone_ok = False
-                break
     yield Check("commutator-monotone", monotone_ok)
 
     if size <= TRIPLE_CAP:
@@ -251,15 +262,14 @@ def _suite_commutator_axioms(alg):
             b = chain_j[min(n, len(chain_j) - 1)]
             if lattice.join_index(a, b) != lattice.top_index:
                 coprime_iterates_ok = False
-        for g in range(len(lattice)):
-            if lattice.join_index(i, g) == lattice.top_index:
-                met = lattice.meet_index(j, g)
-                cjg = table[j][g]
-                if (
-                    lattice.join_index(i, cjg) != lattice.top_index
-                    or lattice.join_index(i, met) != lattice.top_index
-                ):
-                    coprime_joins_ok = False
+        # for every g coprime to i: [j, g] and j ^ g stay coprime to i
+        join_i, com_j, meet_j = join[i], table[j], meet[j]
+        if not all(
+            join_i[com_j[g]] == top == join_i[meet_j[g]]
+            for g, jg in enumerate(join_i)
+            if jg == top
+        ):
+            coprime_joins_ok = False
     yield Check("coprime-commutator-is-meet", coprime_meet_ok)
     yield Check("coprime-iterates-stay-coprime", coprime_iterates_ok)
     yield Check("coprime-join-transfer", coprime_joins_ok)
@@ -297,20 +307,27 @@ def _suite_commutator_axioms(alg):
                             quotient_iterates_ok = False
         yield Check("quotient-iterate-identity", quotient_iterates_ok, f"|Con|={size}")
 
-    adjunction_ok = True
     residuum = {}
     for i in range(size):
         for j in range(size):
             residuum[i, j] = lattice.index(
                 residuation(alg, lattice.congruences[i], lattice.congruences[j])
             )
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                if lattice.leq_index(a, residuum[b, c]) != lattice.leq_index(
-                    table[a][b], c
-                ):
-                    adjunction_ok = False
+    # a <= b -> c iff [a, b] <= c, compared one column of a per (b, c) as
+    # bitsets: down[x] is {a : a <= x}, fibers[v] is {a : [a, b] = v}
+    down = [sum(1 << a for a, row in enumerate(leq) if row[x]) for x in range(size)]
+    adjunction_ok = True
+    for b in range(size):
+        fibers: dict[int, int] = {}
+        for a, row in enumerate(table):
+            fibers[row[b]] = fibers.get(row[b], 0) | 1 << a
+        for c in range(size):
+            below_c = 0
+            for v, members in fibers.items():
+                if leq[v][c]:
+                    below_c |= members
+            if down[residuum[b, c]] != below_c:
+                adjunction_ok = False
     yield Check("residuation-adjunction", adjunction_ok)
 
     annihilator_ok = all(
@@ -383,7 +400,8 @@ def _term_condition_fixpoint(alg, m) -> Congruence:
 def _suite_radicals(alg):
     lattice = con_lattice(alg)
     size = len(lattice)
-    rho = {i: lattice.index(radical(alg, lattice.congruences[i])) for i in range(size)}
+    leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
+    rho = [lattice.index(radical(alg, theta)) for theta in lattice.congruences]
 
     dual_ok = all(
         rho[i] == lattice.index(radical_oracle(alg, lattice.congruences[i]))
@@ -394,26 +412,27 @@ def _suite_radicals(alg):
     lemma_ok = True
     top = lattice.top_index
     for a in range(size):
-        if not lattice.leq_index(a, rho[a]):
+        ra = rho[a]
+        if not leq[a][ra]:
             lemma_ok = False
-        if (rho[a] == top) != (a == top):
+        if (ra == top) != (a == top):
             lemma_ok = False
-        if rho[rho[a]] != rho[a]:
+        if rho[ra] != ra:
             lemma_ok = False
         chain, _ = _iterate_chain(lattice, a)
         for value in chain:
-            if rho[value] != rho[a]:
+            if rho[value] != ra:
                 lemma_ok = False
-        for b in range(size):
-            met = lattice.meet_index(a, b)
-            com = commutator_index(lattice, a, b)
-            if not (rho[met] == rho[com] == lattice.meet_index(rho[a], rho[b])):
-                lemma_ok = False
-            joined = lattice.join_index(a, b)
-            if rho[joined] != rho[lattice.join_index(rho[a], rho[b])]:
-                lemma_ok = False
-            if (lattice.join_index(rho[a], rho[b]) == top) != (joined == top):
-                lemma_ok = False
+        # the identities in b, one row of b at a time
+        com_row = [commutator_index(lattice, a, b) for b in range(size)]
+        meet_rho = [meet[ra][rb] for rb in rho]  # rho(a) ^ rho(b)
+        join_rho = [join[ra][rb] for rb in rho]  # rho(a) v rho(b)
+        if not ([rho[m] for m in meet[a]] == [rho[c] for c in com_row] == meet_rho):
+            lemma_ok = False
+        if [rho[j] for j in join[a]] != [rho[j] for j in join_rho]:
+            lemma_ok = False
+        if [j == top for j in join_rho] != [j == top for j in join[a]]:
+            lemma_ok = False
     yield Check("radical-lemma-suite", lemma_ok)
 
     primes_radical_ok = all(
@@ -423,27 +442,29 @@ def _suite_radicals(alg):
 
     # the radical congruences form a bounded distributive lattice under
     # intersection and radical-of-join
-    radicals = sorted({rho[i] for i in range(size)})
-    frame_ok = True
+    radicals = sorted(set(rho))
+    is_radical = [False] * size
     for x in radicals:
-        for y in radicals:
-            met = lattice.meet_index(x, y)
-            if met not in radicals:
-                frame_ok = False
-            if rho[lattice.join_index(x, y)] not in radicals:
-                frame_ok = False
+        is_radical[x] = True
+    rho_join = [[rho[v] for v in row] for row in join]  # rho(x v y)
+    frame_ok = all(
+        is_radical[meet[x][y]] and is_radical[rho_join[x][y]]
+        for x in radicals
+        for y in radicals
+    )
+    # x ^ rho(y v z) = rho((x ^ y) v (x ^ z)) over radical x, y, z, one row
+    # of z per (x, y); the right row depends on y only through x ^ y
+    rho_join_radicals = [[row[z] for z in radicals] for row in rho_join]
     for x in radicals:
+        meet_x = meet[x]
+        meet_x_radicals = [meet_x[z] for z in radicals]
+        right: dict[int, list[int]] = {}
         for y in radicals:
-            for z in radicals:
-                joined = rho[lattice.join_index(y, z)]
-                left = lattice.meet_index(x, joined)
-                right = rho[
-                    lattice.join_index(
-                        lattice.meet_index(x, y), lattice.meet_index(x, z)
-                    )
-                ]
-                if left != right:
-                    frame_ok = False
+            u = meet_x[y]
+            if u not in right:
+                right[u] = list(map(rho_join[u].__getitem__, meet_x_radicals))
+            if list(map(meet_x.__getitem__, rho_join_radicals[y])) != right[u]:
+                frame_ok = False
     yield Check("radical-lattice-distributive", frame_ok, f"{len(radicals)} radicals")
 
 
@@ -460,36 +481,31 @@ def _suite_spectrum(alg):
     yield Check("primality-all-pairs-oracle", prime_set == oracle_primes)
 
     size = len(lattice)
-    d_members = {
-        i: frozenset(d_set(alg, lattice.congruences[i]).members) for i in range(size)
-    }
+    # D(theta) as an int bitset over the prime indices
+    d_bits = [_bits(d_set(alg, theta).members) for theta in lattice.congruences]
     topology_ok = True
     for i in range(size):
-        for j in range(size):
-            com = commutator_index(lattice, i, j)
-            if d_members[com] != d_members[i] & d_members[j]:
-                topology_ok = False
-            joined = lattice.join_index(i, j)
-            if d_members[joined] != d_members[i] | d_members[j]:
-                topology_ok = False
-    full = frozenset(range(len(data.primes)))
-    if d_members[lattice.top_index] != full or d_members[lattice.bottom_index] not in (
-        frozenset(),
-        full,
-    ):
+        di = d_bits[i]
+        com_row = [commutator_index(lattice, i, j) for j in range(size)]
+        if [d_bits[c] for c in com_row] != [di & dj for dj in d_bits]:
+            topology_ok = False
+        if [d_bits[j] for j in lattice.join_table[i]] != [di | dj for dj in d_bits]:
+            topology_ok = False
+    full = (1 << len(data.primes)) - 1
+    bottom = lattice.bottom_index
+    if d_bits[lattice.top_index] != full or d_bits[bottom] not in (0, full):
         topology_ok = False
-    if d_members[lattice.bottom_index] != frozenset(
+    if d_bits[bottom] != _bits(
         k
         for k, phi in enumerate(data.primes)
-        if not lattice.leq_index(lattice.bottom_index, lattice.index(phi))
+        if not lattice.leq_index(bottom, lattice.index(phi))
     ):
         topology_ok = False
     yield Check("spectral-topology-identities", topology_ok)
 
     v_ok = all(
-        set(v_set(alg, lattice.congruences[i]))
-        == set(range(len(data.primes))) - set(d_members[i])
-        for i in range(size)
+        _bits(v_set(alg, theta)) == full & ~d_bits[i]
+        for i, theta in enumerate(lattice.congruences)
     )
     yield Check("v-d-complement", v_ok)
 
@@ -544,9 +560,11 @@ def _suite_reticulation(alg):
     lattice = con_lattice(alg)
     retic = build_reticulation(alg)
     size = len(lattice)
-    lam = {i: retic.lambda_index(lattice.congruences[i]) for i in range(size)}
-    rho = {i: lattice.index(radical(alg, lattice.congruences[i])) for i in range(size)}
+    leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
+    lam = [retic.lambda_index(theta) for theta in lattice.congruences]
+    rho = [lattice.index(radical(alg, theta)) for theta in lattice.congruences]
     rl = retic.lattice
+    com = [[commutator_index(lattice, a, b) for b in range(size)] for a in range(size)]
 
     # the eight quotient-map clauses
     ok = True
@@ -568,38 +586,35 @@ def _suite_reticulation(alg):
         for value in chain[1:] or chain:
             if lam[value] != lam[a]:
                 ok = False
-        for b in range(size):
-            if lam[lattice.join_index(a, b)] != rl.join_index(lam[a], lam[b]):
-                ok = False
-            met = lattice.meet_index(a, b)
-            com = commutator_index(lattice, a, b)
-            if not (lam[met] == lam[com] == rl.meet_index(lam[a], lam[b])):
-                ok = False
-            le = rl.leq_index(lam[a], lam[b])
-            if le != lattice.leq_index(rho[a], rho[b]):
-                ok = False
-            if le != lattice.leq_index(chain[-1], b):
-                ok = False
+        # the clauses in b, one row of b at a time
+        la = lam[a]
+        if [lam[j] for j in join[a]] != [rl.join_table[la][lb] for lb in lam]:
+            ok = False
+        rl_meet = [rl.meet_table[la][lb] for lb in lam]
+        if not ([lam[m] for m in meet[a]] == [lam[c] for c in com[a]] == rl_meet):
+            ok = False
+        le = [rl.leq[la][lb] for lb in lam]
+        if le != [leq[rho[a]][rb] for rb in rho] or le != list(leq[chain[-1]]):
+            ok = False
     yield Check("lambda-clause-suite", ok)
 
-    star_of = {i: star(retic, lattice.congruences[i]) for i in range(size)}
-    gen = {i: star_of[i].generator for i in range(size)}
+    star_of = [star(retic, theta) for theta in lattice.congruences]
+    gen = [ideal.generator for ideal in star_of]
     star_ok = True
     for a in range(size):
         # the definition {lambda(alpha) : alpha <= theta} against (lambda(theta)]
-        definitional = {lam[j] for j in range(size) if lattice.leq_index(j, a)}
+        definitional = {lam[j] for j in range(size) if leq[j][a]}
         if definitional != set(star_of[a].members()):
             star_ok = False
         if gen[a] != gen[rho[a]]:
             star_ok = False
-        for b in range(size):
-            if gen[lattice.join_index(a, b)] != rl.join_index(gen[a], gen[b]):
-                star_ok = False
-            com = commutator_index(lattice, a, b)
-            met = lattice.meet_index(a, b)
-            # (g] n (h] = (g ^ h]
-            if not (gen[com] == gen[met] == rl.meet_index(gen[a], gen[b])):
-                star_ok = False
+        # one row of b at a time; (g] n (h] = (g ^ h]
+        ga = gen[a]
+        if [gen[j] for j in join[a]] != [rl.join_table[ga][gb] for gb in gen]:
+            star_ok = False
+        rl_meet = [rl.meet_table[ga][gb] for gb in gen]
+        if not ([gen[c] for c in com[a]] == [gen[m] for m in meet[a]] == rl_meet):
+            star_ok = False
     yield Check("star-identity-suite", star_ok)
 
     costar_ok = True
@@ -611,7 +626,7 @@ def _suite_reticulation(alg):
         if star(retic, down).generator != ideal.generator:
             costar_ok = False
         for a in range(size):
-            inside = lattice.leq_index(a, d)
+            inside = leq[a][d]
             if inside != (lam[a] in ideal):
                 costar_ok = False
     for a in range(size):
@@ -649,20 +664,23 @@ def _suite_boolean_center(alg):
             unique_ok = False
     yield Check("center-complement-unique", unique_ok)
 
+    join, meet = lattice.join_table, lattice.meet_table
     meet_ok = True
     distributive_ok = True
     for alpha in center.elements:
         a = lattice.index(alpha)
+        join_a = [row[a] for row in join]  # t v a, for every t
+        if [commutator_index(lattice, t, a) for t in range(size)] != [row[a] for row in meet]:
+            meet_ok = False
+        # (t ^ u) v a = (t v a) ^ (u v a), one row of u per t; the right row
+        # depends on t only through t v a
+        right: dict[int, list[int]] = {}
         for t in range(size):
-            if commutator_index(lattice, t, a) != lattice.meet_index(t, a):
-                meet_ok = False
-            for u in range(size):
-                left = lattice.join_index(lattice.meet_index(t, u), a)
-                right = lattice.meet_index(
-                    lattice.join_index(t, a), lattice.join_index(u, a)
-                )
-                if left != right:
-                    distributive_ok = False
+            v = join_a[t]
+            if v not in right:
+                right[v] = list(map(meet[v].__getitem__, join_a))
+            if list(map(join_a.__getitem__, meet[t])) != right[v]:
+                distributive_ok = False
     yield Check("center-meet-is-commutator", meet_ok)
     yield Check("center-join-distributes", distributive_ok)
 

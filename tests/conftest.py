@@ -1,6 +1,9 @@
+from itertools import count
+
 import pytest
 
 from congruence_lab import con_lattice, congruence_from_blocks
+from congruence_lab.algebra import FiniteAlgebra, Operation
 from congruence_lab.builders import ring_zn
 
 
@@ -26,3 +29,17 @@ def z4():
 
 def congruences_of(alg):
     return con_lattice(alg).congruences
+
+
+_fresh_tags = count()
+
+
+def fresh_copy(alg):
+    """A structurally new copy of alg (operations renamed), so nothing stored
+    for alg or for an earlier copy is reused by it."""
+    tag = next(_fresh_tags)
+    return FiniteAlgebra(
+        alg.name,
+        alg.size,
+        tuple(Operation(f"{op.name}~{tag}", op.arity, op.table) for op in alg.operations),
+    )

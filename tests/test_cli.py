@@ -131,6 +131,15 @@ def test_verify_pass_and_exploratory(z6_path, flagged_path, capsys):
     assert "EXPLORATORY" in out
 
 
+def test_verify_top_commutator_failure_is_exploratory(tmp_path, capsys):
+    from test_verify import R338
+
+    path = tmp_path / "r338.json"
+    path.write_text(dump_algebra(R338))
+    assert main(["verify", str(path)]) == EXIT_OK
+    assert "EXPLORATORY" in capsys.readouterr().out
+
+
 def test_verify_pentagon_passes(tmp_path, capsys):
     path = tmp_path / "n5.json"
     path.write_text(dump_algebra(pentagon()))

@@ -456,7 +456,7 @@ def test_full_table_closes_only_join_irreducible_deltas(monkeypatch):
         module, "_close_delta", lambda lattice, a, b: calls.append(a) or close(lattice, a, b)
     )
     lattice = all_congruences(boolean_lattice(4))  # uncached: a cold lattice
-    ji = lattice.join_irreducible_indices()
+    ji = list(lattice.join_irreducible_indices())
     commutator_index(lattice, lattice.top_index, lattice.top_index)
     assert sorted(calls) == ji  # a cold query: the JIs below nabla, once each
     for i in range(len(lattice)):

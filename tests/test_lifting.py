@@ -2,7 +2,6 @@
 
 import json
 import sys
-from itertools import count
 
 import pytest
 
@@ -46,7 +45,6 @@ from congruence_lab.builders import (
     pentagon,
     ring_zn,
 )
-from congruence_lab.algebra import FiniteAlgebra, Operation
 from congruence_lab.lattices import lattice_from_leq, principal_ideal
 from congruence_lab.lifting import (
     BooleanCenter,
@@ -58,7 +56,7 @@ from congruence_lab.lifting import (
     section_congruence,
 )
 
-from conftest import theta
+from conftest import fresh_copy, theta
 
 
 def kite_as_lattice():
@@ -446,20 +444,6 @@ def test_boolean_lattice_algebra_centers():
 # ---------------------------------------------------------------------------
 # Per-congruence results stored on Con(A)
 
-_fresh_tags = count()
-
-
-def fresh_copy(alg):
-    """A structurally new copy of alg (operations renamed), so nothing stored
-    for alg or for an earlier copy is reused by it."""
-    tag = next(_fresh_tags)
-    return FiniteAlgebra(
-        alg.name,
-        alg.size,
-        tuple(Operation(f"{op.name}~{tag}", op.arity, op.table) for op in alg.operations),
-    )
-
-
 def _center_blocks(center):
     return (
         [c.blocks for c in center.elements],
@@ -580,3 +564,46 @@ def test_quotient_center_cross_check_raises_on_first_call(monkeypatch):
     monkeypatch.undo()
     _, center = quotient_center_congruences(alg, theta6)
     assert len(center) == len(ring_idempotents(6))
+
+
+def test_stored_reports_name_the_callers_algebra(monkeypatch):
+    """Algebras with the same tables share the stored results; a report read
+    through a renamed copy names that copy, and the stored one is kept."""
+    from congruence_lab import congruences, surrogate_checks
+    from congruence_lab.reticulation import build_reticulation
+    from congruence_lab.verify import verify_algebra
+
+    z6 = ring_zn(6)
+    theta2 = theta(z6, 2)
+    first = has_cblp(z6, theta2)
+    assert first.algebra.name == "Z_6"
+    renamed = z6.rename("Renamed")
+    assert has_cblp(renamed, theta2).algebra.name == "Renamed"
+    assert has_cblp(renamed, theta2).cblp == first.cblp
+    assert cblp_characterization(renamed, theta2).algebra.name == "Renamed"
+    assert is_b_normal(z6).algebra.name == "Z_6"
+    assert is_b_normal(renamed).algebra.name == "Renamed"
+    for report in (
+        surrogate_checks,
+        spectrum,
+        build_reticulation,
+        preserves_boolean_center,
+    ):
+        assert report(z6).algebra.name == "Z_6"
+        assert report(renamed).algebra.name == "Renamed"
+    assert has_cblp(z6, theta2) is first
+
+    # a renamed copy reads the same stored results: its verify run makes
+    # exactly the closures of a repeated run on the original
+    alg = fresh_copy(ring_zn(12))
+    assert verify_algebra(alg).ok
+    closures = []
+    real = congruences._close_pairs
+    monkeypatch.setattr(
+        congruences, "_close_pairs", lambda *a: closures.append(a) or real(*a)
+    )
+    verify_algebra(alg)
+    again = len(closures)
+    report = verify_algebra(alg.rename("Renamed"))
+    assert report.ok and report.algebra.name == "Renamed"
+    assert len(closures) == 2 * again

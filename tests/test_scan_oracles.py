@@ -1,0 +1,225 @@
+"""The former library scans, kept as oracles for their bitset replacements.
+
+* ``FiniteLattice.is_distributive``: the cubic test of
+  x ^ (y v z) = (x ^ y) v (x ^ z), against Birkhoff's join-irreducible test;
+* ``lattice_from_leq``: the triple transitivity loop and the lub/glb list
+  search, against the up-set/down-set bitsets, down to the exact
+  ``NotALattice`` message;
+* ``cblp_characterization``'s separation scan (c2, c3) and ``is_b_normal``'s
+  orthogonal-pair scan, against their bitset forms.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from congruence_lab import NotALattice
+from congruence_lab.builders import standard_corpus
+from congruence_lab.commutator import commutator_index, surrogate_checks
+from congruence_lab.congruences import con_lattice
+from congruence_lab.lattices import FiniteLattice, lattice_from_leq
+from congruence_lab.lifting import (
+    _coprime_pairs,
+    boolean_center_of_congruences,
+    cblp_characterization,
+    is_b_normal,
+)
+from congruence_lab.reticulation import build_reticulation
+
+
+def cubic_is_distributive(lattice: FiniteLattice) -> bool:
+    n = lattice.size
+    join, meet = lattice.join_table, lattice.meet_table
+    return all(
+        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+def scan_lattice_from_leq(leq) -> FiniteLattice:
+    matrix = tuple(tuple(bool(v) for v in row) for row in leq)
+    n = len(matrix)
+    if n == 0 or any(len(row) != n for row in matrix):
+        raise NotALattice("leq must be a nonempty square matrix")
+    for a in range(n):
+        if not matrix[a][a]:
+            raise NotALattice(f"order not reflexive at {a}")
+        for b in range(n):
+            if a != b and matrix[a][b] and matrix[b][a]:
+                raise NotALattice(f"order not antisymmetric at {a}, {b}")
+            for c in range(n):
+                if matrix[a][b] and matrix[b][c] and not matrix[a][c]:
+                    raise NotALattice(f"order not transitive at {a}, {b}, {c}")
+    join_table = [[0] * n for _ in range(n)]
+    meet_table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ups = [c for c in range(n) if matrix[a][c] and matrix[b][c]]
+            downs = [c for c in range(n) if matrix[c][a] and matrix[c][b]]
+            lub = [c for c in ups if all(matrix[c][d] for d in ups)]
+            glb = [c for c in downs if all(matrix[d][c] for d in downs)]
+            if len(lub) != 1 or len(glb) != 1:
+                raise NotALattice(f"elements {a}, {b} lack a unique lub/glb")
+            join_table[a][b] = lub[0]
+            meet_table[a][b] = glb[0]
+    bottoms = [a for a in range(n) if all(matrix[a][b] for b in range(n))]
+    tops = [a for a in range(n) if all(matrix[b][a] for b in range(n))]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise NotALattice("order has no unique bottom/top")
+    return FiniteLattice(
+        leq=matrix,
+        join_table=tuple(tuple(row) for row in join_table),
+        meet_table=tuple(tuple(row) for row in meet_table),
+        bottom_index=bottoms[0],
+        top_index=tops[0],
+    )
+
+
+def _outcome(build, leq):
+    """The built lattice's tables and bounds, or the NotALattice message."""
+    try:
+        lat = build(leq)
+    except NotALattice as exc:
+        return str(exc)
+    return lat.join_table, lat.meet_table, lat.bottom_index, lat.top_index
+
+
+def assert_same_lattice_verdicts(leq):
+    expected = _outcome(scan_lattice_from_leq, leq)
+    assert _outcome(lattice_from_leq, leq) == expected
+    if not isinstance(expected, str):
+        lattice = lattice_from_leq(leq)
+        assert lattice.is_distributive() == cubic_is_distributive(lattice)
+
+
+def _order(n, pairs):
+    """The reflexive-transitive closure of the given (lower, upper) pairs."""
+    leq = [[a == b or (a, b) in pairs for b in range(n)] for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            for b in range(n):
+                leq[a][b] = leq[a][b] or (leq[a][k] and leq[k][b])
+    return leq
+
+
+NAMED_ORDERS = {
+    "M3": _order(5, {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}),
+    "N5": _order(5, {(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)}),
+    "C_5": [[a <= b for b in range(5)] for a in range(5)],
+    "B_3": [[a & b == a for b in range(8)] for a in range(8)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
+def test_named_lattices_match_the_scans(name):
+    assert_same_lattice_verdicts(NAMED_ORDERS[name])
+
+
+def test_named_lattices_distributivity():
+    verdicts = {
+        name: lattice_from_leq(leq).is_distributive() for name, leq in NAMED_ORDERS.items()
+    }
+    assert verdicts == {"M3": False, "N5": False, "C_5": True, "B_3": True}
+
+
+def _in_theory_corpus():
+    return [alg for alg in standard_corpus() if surrogate_checks(alg).ok]
+
+
+def test_corpus_reticulations_match_the_scans():
+    for alg in _in_theory_corpus():
+        lattice = build_reticulation(alg).lattice
+        assert lattice.is_distributive() and cubic_is_distributive(lattice)
+        assert_same_lattice_verdicts(lattice.leq)
+        # Con(A) itself: the modular non-distributive ones included
+        con = con_lattice(alg)
+        assert con.is_distributive() == cubic_is_distributive(con)
+
+
+@st.composite
+def orders(draw):
+    """Square 0/1 matrices on at most 7 points: raw matrices, partial orders
+    and orders with an added bottom and top, sometimes with one cell flipped,
+    so that lattices and every kind of non-lattice come up."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["raw", "order", "bounded"]))
+    if kind == "raw":
+        leq = [[draw(st.booleans()) for _ in range(n)] for _ in range(n)]
+    else:
+        pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+        if kind == "bounded":
+            edges |= {(0, x) for x in range(1, n)} | {(x, n - 1) for x in range(n - 1)}
+        perm = draw(st.permutations(range(n)))
+        base = _order(n, edges)
+        leq = [[base[perm[a]][perm[b]] for b in range(n)] for a in range(n)]
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        leq[a][b] = not leq[a][b]
+    return leq
+
+
+@given(orders())
+@settings(max_examples=300, deadline=None)
+def test_random_orders_match_the_scans(leq):
+    assert_same_lattice_verdicts(leq)
+
+
+def scan_c2_c3(alg, theta):
+    lattice = con_lattice(alg)
+    t = lattice.index(theta)
+    center = boolean_center_of_congruences(alg)
+    center_pairs = [
+        (lattice.index(alpha), lattice.index(center.complement[alpha.blocks]))
+        for alpha in center.elements
+    ]
+
+    def separated(phi, psi):
+        tp = lattice.join_index(t, phi)
+        tq = lattice.join_index(t, psi)
+        return any(
+            lattice.leq_index(a, tp) and lattice.leq_index(na, tq) for a, na in center_pairs
+        )
+
+    c2 = True
+    c3 = True
+    for i, j, cij in _coprime_pairs(lattice):
+        if not lattice.leq_index(cij, t):
+            continue
+        if separated(i, j):
+            continue
+        c2 = False
+        if cij == t:
+            c3 = False
+            break
+    return c2, c3
+
+
+def scan_b_normal(alg):
+    lattice = con_lattice(alg)
+    top, bottom = lattice.top_index, lattice.bottom_index
+    center_indices = [lattice.index(alpha) for alpha in boolean_center_of_congruences(alg)]
+    orthogonal = [
+        (a, b)
+        for a in center_indices
+        for b in center_indices
+        if commutator_index(lattice, a, b) == bottom
+    ]
+    for i, j, _ in _coprime_pairs(lattice):
+        if not any(
+            lattice.join_index(i, a) == top and lattice.join_index(j, b) == top
+            for a, b in orthogonal
+        ):
+            return False, (lattice.congruences[i], lattice.congruences[j])
+    return True, None
+
+
+@pytest.mark.parametrize("alg", _in_theory_corpus(), ids=lambda alg: alg.name)
+def test_separation_and_b_normal_scans_on_the_corpus(alg):
+    for theta in con_lattice(alg).congruences:
+        thm = cblp_characterization(alg, theta).thm63
+        assert (thm["c2"], thm["c3"]) == scan_c2_c3(alg, theta)
+    report = is_b_normal(alg)
+    assert (report.b_normal, report.counterexample) == scan_b_normal(alg)

@@ -1,7 +1,14 @@
 """The property-suite runner and the cross-algebra checks."""
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from congruence_lab.algebra import FiniteAlgebra, Operation
 from congruence_lab.builders import pointed_pair, ring_zn, chain_lattice
 from congruence_lab.verify import verify_algebra, verify_corpus
+
+# Con(R338) is the 3-chain with [nabla, theta] = Delta for its middle theta
+R338 = FiniteAlgebra("R338", 3, (Operation("f", 2, (2, 1, 1, 0, 1, 1, 0, 1, 1)),))
 
 
 def test_verify_algebra_passes_on_z6(z6):
@@ -72,3 +79,31 @@ def test_commutator_suite_reads_one_table(monkeypatch):
     size, counts = _commutator_calls(monkeypatch, ring_zn(12))
     assert size == 6
     assert counts == {"own": 36, "other": 214}
+
+
+def test_top_commutator_gate_makes_r338_exploratory():
+    report = verify_algebra(R338)
+    assert report.exploratory
+    assert report.ok
+    hypotheses = [c for c in report.checks if c.name == "surrogate.hypotheses"]
+    assert hypotheses[0].detail == "EXPLORATORY: [theta, nabla] != theta for some theta"
+
+
+@st.composite
+def small_algebras(draw):
+    """A random algebra on at most 4 elements: one binary table and, half the
+    time, a unary one."""
+    n = draw(st.integers(1, 4))
+    cells = st.integers(0, n - 1)
+    operations = [Operation("f", 2, tuple(draw(st.lists(cells, min_size=n * n, max_size=n * n))))]
+    if draw(st.booleans()):
+        operations.append(Operation("g", 1, tuple(draw(st.lists(cells, min_size=n, max_size=n)))))
+    return FiniteAlgebra(f"random_{n}", n, tuple(operations))
+
+
+@example(R338)
+@given(small_algebras())
+@settings(max_examples=200, deadline=None)
+def test_verify_passes_or_is_exploratory_on_random_algebras(alg):
+    report = verify_algebra(alg)  # raises nothing
+    assert report.ok

@@ -1,0 +1,167 @@
+"""Planted faults: each table-row check of ``verify`` reports failed, by name,
+when one cell it reads is wrong.
+
+Every check passes on every corpus input, so the pinned JSON alone cannot
+tell a working check from one that has become always-true.  Each test plants
+one wrong cell (a commutator value, a radical, a lambda value, or a join or
+meet cell of Con(A)) in what one suite reads, runs that suite on a fresh
+copy of C_5 and asserts that the named check fails.  Con(C_5) is the
+16-element Boolean lattice: every congruence is central and radical, and the
+commutator is the meet.
+"""
+
+import dataclasses
+
+import pytest
+
+from congruence_lab import verify
+from congruence_lab.builders import chain_lattice
+from congruence_lab.congruences import con_lattice
+from congruence_lab.reticulation import build_reticulation
+
+from conftest import fresh_copy
+
+
+@pytest.fixture()
+def alg():
+    """A fresh C_5 whose every stored result is already computed, so a plant
+    changes only what the suite under test reads."""
+    alg = fresh_copy(chain_lattice(5))
+    assert verify.verify_algebra(alg).ok
+    return alg
+
+
+def _failed(suite, alg) -> set[str]:
+    return {check.name for check in suite(alg) if not check.passed}
+
+
+def _elements(alg):
+    """Bottom, top and three of the four atoms of Con(alg)."""
+    lattice = con_lattice(alg)
+    a1, a2, a3, _ = lattice.atoms()
+    return lattice.bottom_index, lattice.top_index, a1, a2, a3
+
+
+def _plant_cell(monkeypatch, alg, table: str, x: int, y: int, value: int) -> None:
+    """verify reads Con(alg) with one cell of its join or meet table wrong."""
+    lattice = con_lattice(alg)
+    rows = [list(row) for row in getattr(lattice, table)]
+    assert rows[x][y] != value
+    rows[x][y] = value
+    planted = dataclasses.replace(lattice, **{table: tuple(map(tuple, rows))})
+    real = verify.con_lattice
+    monkeypatch.setattr(
+        verify, "con_lattice", lambda a, cap=None: planted if a is alg else real(a, cap)
+    )
+
+
+def _plant_commutator(monkeypatch, alg, i: int, j: int, value: int) -> None:
+    """verify reads [i, j] = [j, i] = value on Con(alg)."""
+    lattice = con_lattice(alg)
+    assert verify.commutator_index(lattice, i, j) != value
+    real = verify.commutator_index
+
+    def planted(lat, a, b, cap=None):
+        if lat is lattice and {a, b} == {i, j}:
+            return value
+        return real(lat, a, b, cap)
+
+    monkeypatch.setattr(verify, "commutator_index", planted)
+
+
+@pytest.mark.parametrize("table", ["join_table", "meet_table"])
+def test_lattice_axioms_catch_one_cell(monkeypatch, alg, table):
+    bottom, top, a1, a2, _ = _elements(alg)
+    _plant_cell(monkeypatch, alg, table, a1, a2, top if table == "join_table" else a1)
+    assert "join-meet-lattice-axioms" in _failed(verify._suite_con_enumeration, alg)
+
+
+def test_commutator_above_its_meet(monkeypatch, alg):
+    bottom, top, a1, _, _ = _elements(alg)
+    _plant_commutator(monkeypatch, alg, bottom, a1, top)
+    failed = _failed(verify._suite_commutator_axioms, alg)
+    assert {"commutator-below-meet", "commutator-monotone"} <= failed
+
+
+def test_commutator_cell_breaks_adjunction_and_coprime_transfer(monkeypatch, alg):
+    # [a1, a1] = bottom stays below the meet and monotone, but the coatom
+    # complementing a1 no longer joins it to the top
+    bottom, _, a1, _, _ = _elements(alg)
+    _plant_commutator(monkeypatch, alg, a1, a1, bottom)
+    failed = _failed(verify._suite_commutator_axioms, alg)
+    assert {"residuation-adjunction", "coprime-join-transfer"} <= failed
+    assert not {"commutator-below-meet", "commutator-monotone"} & failed
+
+
+def test_radical_of_an_atom(monkeypatch, alg):
+    lattice = con_lattice(alg)
+    _, top, a1, _, _ = _elements(alg)
+    real = verify.radical
+    monkeypatch.setattr(
+        verify,
+        "radical",
+        lambda a, theta: lattice.congruences[top]
+        if a is alg and lattice.index(theta) == a1
+        else real(a, theta),
+    )
+    failed = _failed(verify._suite_radicals, alg)
+    assert {"radical-lemma-suite", "radical-lattice-distributive"} <= failed
+
+
+def test_radical_frame_distributivity_catches_one_join(monkeypatch, alg):
+    # a1 v a2 read as the top: the radical lemmas read that cell on both
+    # sides and still hold, the frame's distributive law does not
+    _, top, a1, a2, _ = _elements(alg)
+    _plant_cell(monkeypatch, alg, "join_table", a1, a2, top)
+    failed = _failed(verify._suite_radicals, alg)
+    assert "radical-lattice-distributive" in failed
+    assert "radical-lemma-suite" not in failed
+
+
+def test_spectral_topology_catches_one_commutator(monkeypatch, alg):
+    _, _, a1, a2, _ = _elements(alg)
+    _plant_commutator(monkeypatch, alg, a1, a2, a1)
+    assert "spectral-topology-identities" in _failed(verify._suite_spectrum, alg)
+
+
+def test_v_d_complement_catches_one_v_set(monkeypatch, alg):
+    lattice = con_lattice(alg)
+    _, _, a1, _, _ = _elements(alg)
+    real = verify.v_set
+    monkeypatch.setattr(
+        verify,
+        "v_set",
+        lambda a, theta: real(a, theta)[1:]
+        if a is alg and lattice.index(theta) == a1
+        else real(a, theta),
+    )
+    assert "v-d-complement" in _failed(verify._suite_spectrum, alg)
+
+
+def test_lambda_and_star_catch_one_lambda_value(monkeypatch, alg):
+    _, _, a1, _, _ = _elements(alg)
+    retic = build_reticulation(alg)
+    lam = list(retic._lambda_by_con)
+    lam[a1] = retic.lattice.top_index
+    planted = dataclasses.replace(retic, _lambda_by_con=tuple(lam))
+    real = verify.build_reticulation
+    monkeypatch.setattr(
+        verify, "build_reticulation", lambda a: planted if a is alg else real(a)
+    )
+    failed = _failed(verify._suite_reticulation, alg)
+    assert {"lambda-clause-suite", "star-identity-suite", "costar-identity-suite"} <= failed
+
+
+def test_center_meet_catches_one_commutator(monkeypatch, alg):
+    _, _, a1, a2, _ = _elements(alg)
+    _plant_commutator(monkeypatch, alg, a1, a2, a1)
+    assert "center-meet-is-commutator" in _failed(verify._suite_boolean_center, alg)
+
+
+def test_center_distributivity_catches_one_meet(monkeypatch, alg):
+    # (a1 v a2) ^ (a1 v a3) read as the bottom instead of a1
+    lattice = con_lattice(alg)
+    bottom, _, a1, a2, a3 = _elements(alg)
+    p, q = lattice.join_index(a1, a2), lattice.join_index(a1, a3)
+    _plant_cell(monkeypatch, alg, "meet_table", p, q, bottom)
+    assert "center-join-distributes" in _failed(verify._suite_boolean_center, alg)
