@@ -33,7 +33,7 @@ print(text.splitlines()[0], "...")
 assert load_algebra(text) == z6
 
 print("\n" + "=" * 66)
-print("Principal congruences by union-find closure under translations.")
+print("Principal congruences by partition closure under translations.")
 print("=" * 66)
 
 cg = principal_congruence(z6, 0, 2)

@@ -96,12 +96,6 @@ def _ring_labels(alg: FiniteAlgebra) -> dict[tuple, str]:
     return out
 
 
-def _blocks_str(alg, congruence, labels) -> str:
-    label = labels.get(congruence.blocks)
-    body = json.dumps(list(congruence.blocks))
-    return f"{label} = {body}" if label else body
-
-
 # ---------------------------------------------------------------------------
 # report builders (dictionaries rendered by both output modes)
 

@@ -24,10 +24,11 @@ every algebra: the diagonal pairs of alpha v alpha' chain through the
 diagonal pairs of alpha and alpha', and a join of congruences is the
 transitive closure of their union.  So only join-irreducible alpha get an
 operation closure on A(beta), stored on the lattice as one label list per
-(alpha, beta); every other Delta is a union-find join of those labels over
-the join-irreducibles below alpha, and is not stored.  The closure reads
-each binary table through per-element row slices (and column slices when
-the table is not commutative), built once per algebra.
+(alpha, beta); every other Delta is a partition join of those labels over
+the join-irreducibles below alpha, and is not stored.  The closure is the
+engine of congruence generation lifted to A(beta): the same quick-find
+partition, closed under the same translation table of A, read once on the
+firsts and once on the seconds of each pair.
 
 ``matrix_subalgebra`` materializes M and, with the reference fixpoint in
 ``verify``, is the independent oracle for all of this at small sizes.
@@ -43,7 +44,9 @@ from .algebra import FiniteAlgebra
 from .congruences import (
     Congruence,
     CongruenceLattice,
+    _Partition,
     _pair_count,
+    _translation_plan,
     con_lattice,
     congruence_from_pairs,
     stored,
@@ -150,24 +153,6 @@ def matrix_subalgebra(
 
 
 @stored
-def _binary_translations(lattice: CongruenceLattice) -> list:
-    """Per algebra, the basic translations of every binary table as slices:
-    the rows ``table[a*n:(a+1)*n]`` (x -> f(a, x)) and, unless the table is
-    commutative, the columns ``table[a::n]`` (x -> f(x, a))."""
-    alg = lattice.algebra
-    n = alg.size
-    slices = []
-    for op in alg.operations:
-        if op.arity != 2:
-            continue
-        table = op.table
-        slices.append([table[a * n : (a + 1) * n] for a in range(n)])
-        if any(table[a * n + b] != table[b * n + a] for a in range(n) for b in range(a)):
-            slices.append([table[a::n] for a in range(n)])
-    return slices
-
-
-@stored
 def _pair_algebra(lattice: CongruenceLattice, b: int):
     """The universe of A(beta) for beta = congruences[b]: its members (x, y)
     with x beta y, and a flat list mapping x*n + y to the member's index."""
@@ -180,82 +165,42 @@ def _pair_algebra(lattice: CongruenceLattice, b: int):
     return members, index_of
 
 
-class _Partition:
-    """Quick-find partition of range(size): ``label[i]`` names the class of i
-    and is itself a member of that class.  A merge relabels the smaller class
-    and queues the merged pair of labels on ``pending`` for a caller that
-    closes the partition under translations."""
-
-    __slots__ = ("label", "groups", "pending")
-
-    def __init__(self, size: int):
-        self.label = list(range(size))
-        self.groups = [[i] for i in range(size)]
-        self.pending: list[tuple[int, int]] = []
-
-    def merge(self, u: int, v: int) -> None:
-        """Merge the distinct classes labelled u and v."""
-        groups = self.groups
-        if len(groups[u]) < len(groups[v]):
-            u, v = v, u
-        label = self.label
-        for i in groups[v]:
-            label[i] = u
-        groups[u].extend(groups[v])
-        groups[v] = None
-        self.pending.append((u, v))
-
-    def union(self, i: int, j: int) -> None:
-        u, v = self.label[i], self.label[j]
-        if u != v:
-            self.merge(u, v)
-
-
 def _close_delta(lattice: CongruenceLattice, a: int, b: int) -> list[int]:
     """Delta_{alpha,beta}: the congruence of the pair algebra A(beta)
     generated by the diagonal alpha-pairs ((x, x), (x', x')), as a class
-    label for each member of A(beta); every label is a member of its class."""
-    alg = lattice.algebra
-    n = alg.size
+    label for each member of A(beta); every label is a member of its class.
+
+    A translation of A(beta) freezes its other arguments to members of
+    A(beta), so it acts on the firsts and on the seconds of a member as the
+    A-translations whose frozen tuples are the firsts and the seconds of
+    those members; ``fillers[width]`` holds the ranks of the two tuples for
+    every choice of ``width`` members, in product order.
+    """
+    n = lattice.algebra.size
     members, index_of = _pair_algebra(lattice, b)
     part = _Partition(len(members))
-    label, merge, union, pending = part.label, part.merge, part.union, part.pending
+    label, merge, pending = part.label, part.merge, part.pending
 
     alpha = lattice.congruences[a].blocks
-    for x in range(n):
-        rep = alpha[x]
+    for x, rep in enumerate(alpha):
         if rep != x:
-            union(index_of[rep * n + rep], index_of[x * n + x])
+            part.union(index_of[rep * n + rep], index_of[x * n + x])
 
-    unary = [op.table for op in alg.operations if op.arity == 1]
-    translations = _binary_translations(lattice)
-    higher = [op for op in alg.operations if op.arity > 2]
+    plan = _translation_plan(lattice.algebra)
+    fillers = [[(0, 0)], members]
+    for _ in range(2, max((width for width, _ in plan), default=1) + 1):
+        fillers.append([(r0 * n + s0, r1 * n + s1) for r0, r1 in fillers[-1] for s0, s1 in members])
     while pending:
         i, j = pending.pop()
         p0, p1 = members[i]
         q0, q1 = members[j]
-        for table in unary:
-            union(index_of[table[p0] * n + table[p1]], index_of[table[q0] * n + table[q1]])
-        for slices in translations:
-            rp0, rp1, rq0, rq1 = slices[p0], slices[p1], slices[q0], slices[q1]
-            for s0, s1 in members:
+        for width, rows in plan:
+            rp0, rp1, rq0, rq1 = rows[p0], rows[p1], rows[q0], rows[q1]
+            for s0, s1 in fillers[width]:
                 u = label[index_of[rp0[s0] * n + rp1[s1]]]
                 v = label[index_of[rq0[s0] * n + rq1[s1]]]
                 if u != v:
                     merge(u, v)
-        for op in higher:
-            arity = op.arity
-            for pos in range(arity):
-                for fillers in iproduct(members, repeat=arity - 1):
-                    args = list(fillers[:pos]) + [(p0, p1)] + list(fillers[pos:])
-                    alt = list(fillers[:pos]) + [(q0, q1)] + list(fillers[pos:])
-                    left = op.apply(n, [arg[0] for arg in args]) * n + op.apply(
-                        n, [arg[1] for arg in args]
-                    )
-                    right = op.apply(n, [arg[0] for arg in alt]) * n + op.apply(
-                        n, [arg[1] for arg in alt]
-                    )
-                    union(index_of[left], index_of[right])
     return label
 
 
@@ -268,7 +213,7 @@ def _delta_classes(
     Only join-irreducible alpha get an operation closure, stored per
     (alpha, beta); any other alpha is the join of the join-irreducibles
     below it, and Delta_{alpha v alpha', beta} = Delta_{alpha,beta} v
-    Delta_{alpha',beta}, so its classes come from a union-find join of the
+    Delta_{alpha',beta}, so its classes come from a partition join of the
     stored labels (the bottom is the empty join).
     """
     members, _ = _pair_algebra(lattice, b)

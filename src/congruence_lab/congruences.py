@@ -5,13 +5,14 @@ element to the least element of its block, e.g. [0, 1, 0, 1, 0, 1] for the
 mod-2 partition of a 6-element universe.  The lexicographic order on block
 arrays gives a deterministic total order used for all iteration downstream.
 
-Generation works by union-find closure under the basic translations of the
-algebra (each operation with all but one argument frozen): iterating the
-translations over every merged pair closes the relation under all unary
-polynomials, which is exactly congruence generation.  Con(A) is then the
-closure of the principal congruences under binary join; join is the
-transitive closure of the union (automatically compatible), meet is blockwise
-intersection.
+Generation closes a quick-find partition under the basic translations of
+the algebra (each operation with all but one argument frozen), read from one
+translation table per algebra: iterating the translations over every merged
+pair closes the relation under all unary polynomials, which is exactly
+congruence generation.  The Delta_{alpha,beta} closure of ``commutator``
+runs the same partition over the same table.  Con(A) is then the closure of
+the principal congruences under binary join; join is the transitive closure
+of the union (automatically compatible), meet is blockwise intersection.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import inspect
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, wraps
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from . import config
 from .algebra import FiniteAlgebra
@@ -104,83 +105,87 @@ def _check_parent(theta: Congruence, chi: Congruence) -> None:
         )
 
 
-def _normalize(parent: list[int]) -> tuple[int, ...]:
-    """Collapse a union-find parent array to least-representative form."""
-    n = len(parent)
-    for x in range(n):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-    least: dict[int, int] = {}
-    for x in range(n):
-        least.setdefault(parent[x], x)
-    return tuple(least[parent[x]] for x in range(n))
-
-
 @lru_cache(maxsize=None)
 def _translation_plan(alg: FiniteAlgebra):
-    """Per-algebra list of (table, stride, bases) describing every basic
-    translation x -> f(..., x, ...); symmetric binary tables keep one slot."""
+    """Every basic translation x -> f(..., x, ...) of the algebra, as one
+    ``(width, rows)`` entry per operation and argument position.
+
+    ``width`` is the number of frozen arguments, and ``rows[x][r]`` is the
+    value at x of the translation whose frozen arguments are the r-th tuple
+    of ``product(range(n), repeat=width)``.  For a binary table the rows
+    are its row slices (x in the first position) and its column slices (x in
+    the second); a commutative binary table keeps only the first position.
+    """
     plan = []
     n = alg.size
     for op in alg.operations:
-        if op.arity == 0:
-            continue
-        symmetric = (
-            op.arity == 2
-            and all(op.table[a * n + b] == op.table[b * n + a] for a in range(n) for b in range(n))
+        table, width = op.table, op.arity - 1
+        commutative = width == 1 and all(
+            table[a * n + b] == table[b * n + a] for a in range(n) for b in range(a)
         )
-        positions = range(1 if symmetric else op.arity)
-        for pos in positions:
-            stride = n ** (op.arity - 1 - pos)
-            bases = []
-            for fillers in iproduct(range(n), repeat=op.arity - 1):
-                index = 0
-                for j in range(op.arity):
-                    if j == pos:
-                        index = index * n
-                    else:
-                        index = index * n + fillers[j if j < pos else j - 1]
-                bases.append(index)
-            plan.append((op.table, stride, tuple(bases)))
+        for pos in range(1 if commutative else op.arity):
+            # frozen tuple r = hi * stride + lo splits around position pos
+            stride = n ** (width - pos)
+            rows = tuple(
+                tuple([table[(r // stride * n + x) * stride + r % stride] for r in range(n**width)])
+                for x in range(n)
+            )
+            plan.append((width, rows))
     return tuple(plan)
+
+
+class _Partition:
+    """Quick-find partition of range(size): ``label[i]`` names the class of i
+    and is itself a member of that class.  A merge relabels the smaller class
+    and queues the merged pair of labels on ``pending`` for a caller that
+    closes the partition under translations."""
+
+    __slots__ = ("label", "groups", "pending")
+
+    def __init__(self, size: int):
+        self.label = list(range(size))
+        self.groups = [[i] for i in range(size)]
+        self.pending: list[tuple[int, int]] = []
+
+    def merge(self, u: int, v: int) -> None:
+        """Merge the distinct classes labelled u and v."""
+        groups = self.groups
+        if len(groups[u]) < len(groups[v]):
+            u, v = v, u
+        label = self.label
+        for i in groups[v]:
+            label[i] = u
+        groups[u].extend(groups[v])
+        groups[v] = None
+        self.pending.append((u, v))
+
+    def union(self, i: int, j: int) -> None:
+        u, v = self.label[i], self.label[j]
+        if u != v:
+            self.merge(u, v)
+
+
+def _canonical(labels) -> tuple[int, ...]:
+    """Relabel each element by the least element with the same label."""
+    least: dict = {}
+    return tuple([least.setdefault(label, x) for x, label in enumerate(labels)])
 
 
 def _close_pairs(alg: FiniteAlgebra, seeds) -> tuple[int, ...]:
     """Least congruence containing the seed pairs, as a normalized block array."""
-    n = alg.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pending = []
+    part = _Partition(alg.size)
+    label, merge, pending = part.label, part.merge, part.pending
     for a, b in seeds:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            pending.append((ra, rb))
-
+        part.union(a, b)
     plan = _translation_plan(alg)
     while pending:
         a, b = pending.pop()
-        for table, stride, bases in plan:
-            for base in bases:
-                u = find(table[base + a * stride])
-                v = find(table[base + b * stride])
+        for _, rows in plan:
+            for u, v in zip(rows[a], rows[b]):
+                u, v = label[u], label[v]
                 if u != v:
-                    if u > v:
-                        u, v = v, u
-                    parent[v] = u
-                    pending.append((u, v))
-    return _normalize(parent)
+                    merge(u, v)
+    return _canonical(label)
 
 
 def delta(alg: FiniteAlgebra) -> Congruence:
@@ -200,16 +205,13 @@ def congruence_from_blocks(alg: FiniteAlgebra, blocks) -> Congruence:
         raise NotACongruence(
             f"block array has length {len(blocks)}, expected {alg.size}"
         )
-    least: dict[int, int] = {}
-    normalized = []
-    for x, label in enumerate(blocks):
+    for label in blocks:
         if type(label) is not int or not 0 <= label < alg.size:
             raise NotACongruence(f"block entry {label!r} outside 0..{alg.size - 1}")
-        least.setdefault(label, x)
-        normalized.append(least[label])
+    normalized = _canonical(blocks)
     if not is_congruence(alg, normalized):
         raise NotACongruence(f"{blocks} is not compatible with {alg.name}")
-    return Congruence(alg, tuple(normalized))
+    return Congruence(alg, normalized)
 
 
 def congruence_from_pairs(alg: FiniteAlgebra, pairs) -> Congruence:
@@ -239,12 +241,12 @@ def is_congruence(alg: FiniteAlgebra, blocks) -> bool:
     for x, rep in enumerate(blocks):
         classes.setdefault(rep, []).append(x)
     related = [cls for cls in classes.values() if len(cls) > 1]
-    for table, stride, bases in _translation_plan(alg):
+    for _, rows in _translation_plan(alg):
         for cls in related:
-            first = cls[0]
+            first = rows[cls[0]]
             for other in cls[1:]:
-                for base in bases:
-                    if blocks[table[base + first * stride]] != blocks[table[base + other * stride]]:
+                for u, v in zip(first, rows[other]):
+                    if blocks[u] != blocks[v]:
                         return False
     return True
 
@@ -363,30 +365,17 @@ def _pair_count(blocks) -> int:
 
 
 def _join_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Union-find join of two block arrays, normalized."""
-    parent = list(a)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in range(len(a)):
-        rx, ry = find(x), find(b[x])
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    return _normalize(parent)
+    """Join of two block arrays: the classes of the union, normalized."""
+    part = _Partition(len(a))
+    for x, (p, q) in enumerate(zip(a, b)):
+        part.union(x, p)
+        part.union(x, q)
+    return _canonical(part.label)
 
 
 def _meet_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Blockwise intersection of two block arrays: one block per pair of labels."""
-    seen: dict[tuple[int, int], int] = {}
-    blocks = []
-    for x, key in enumerate(zip(a, b)):
-        seen.setdefault(key, x)
-        blocks.append(seen[key])
-    return tuple(blocks)
+    return _canonical(zip(a, b))
 
 
 @lru_cache(maxsize=None)

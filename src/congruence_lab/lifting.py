@@ -72,6 +72,8 @@ __all__ = [
     "ring_idempotent_lifting",
 ]
 
+FAMILY_CAP = 100_000  # orthogonal families enumerated on one quotient center
+
 
 # ---------------------------------------------------------------------------
 # Boolean centers
@@ -432,7 +434,6 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
     f_iso = (
         len(set(f_values.values())) == len(f_values)
         and set(f_values.values()) == clopens
-        and all(u in clopens for u in f_values.values())
     )
     if not f_iso:
         return False
@@ -808,9 +809,7 @@ def _orthogonal_families(center: BooleanCenter, lattice) -> list[tuple]:
     return families
 
 
-def orthogonal_uniqueness_and_atoms(
-    alg: FiniteAlgebra, theta: Congruence, family_cap: int = 100_000
-) -> OrthogonalReport:
+def orthogonal_uniqueness_and_atoms(alg: FiniteAlgebra, theta: Congruence) -> OrthogonalReport:
     """For theta below Rad(A): liftable orthogonal families lift uniquely and
     orthogonally; when theta has CBLP, atom families lift to atom families.
 
@@ -858,9 +857,9 @@ def orthogonal_uniqueness_and_atoms(
     unique = all(len(v) == 1 for v in fibers.values())
 
     families = _orthogonal_families(qcenter, qlattice)
-    if len(families) > family_cap:
+    if len(families) > FAMILY_CAP:
         raise SizeBudgetExceeded(
-            f"{len(families)} orthogonal families exceed the cap {family_cap}"
+            f"{len(families)} orthogonal families exceed the cap {FAMILY_CAP}"
         )
     lifts_orthogonal = True
     for family in families:

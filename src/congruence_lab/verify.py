@@ -93,6 +93,7 @@ __all__ = ["Check", "AlgebraReport", "verify_algebra", "verify_corpus"]
 TRIPLE_CAP = 12  # |Con(A)| bound for cubic commutator identities
 BRUTE_FORCE_CAP = 7  # universe bound for whole-partition enumeration
 MATRIX_CHECK_CAP = 4  # universe bound for materializing M(alpha, beta)
+PAIR_SIZE_CAP = 16  # |A| * |B| bound for the corpus product checks
 
 
 @dataclass
@@ -1069,7 +1070,7 @@ def _product_congruence(prod, a_con, b_con, b_size):
     return congruence_from_blocks(prod, labels)
 
 
-def verify_corpus(algebras, pair_size_cap: int = 16) -> list[AlgebraReport]:
+def verify_corpus(algebras) -> list[AlgebraReport]:
     """Per-algebra reports plus a synthetic report of cross-algebra checks."""
     from .algebra import product
 
@@ -1086,7 +1087,7 @@ def verify_corpus(algebras, pair_size_cap: int = 16) -> list[AlgebraReport]:
         (a, b)
         for a in passing
         for b in passing
-        if a.signature() == b.signature() and a.size * b.size <= pair_size_cap
+        if a.signature() == b.signature() and a.size * b.size <= PAIR_SIZE_CAP
     ]
     hf_ok = True
     for a, b in eligible:
@@ -1129,7 +1130,7 @@ def verify_corpus(algebras, pair_size_cap: int = 16) -> list[AlgebraReport]:
         for b in algebras
         for c in algebras
         if a.signature() == b.signature() == c.signature()
-        and a.size * b.size * c.size <= pair_size_cap
+        and a.size * b.size * c.size <= PAIR_SIZE_CAP
     ]
     for a, b, c in triples:
         left = product(product(a, b), c)

@@ -1,6 +1,6 @@
 """Congruence generation, Con(A) enumeration and the lattice structure."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from congruence_lab import (
     principal_congruence,
     quotient,
 )
+from congruence_lab.algebra import FiniteAlgebra, Operation
 from congruence_lab.builders import (
     boolean_lattice,
     chain_lattice,
@@ -117,6 +118,48 @@ def test_partition_membership_is_compatibility(z6, index):
     blocks = partitions[index]
     in_con = blocks in {c.blocks for c in con_lattice(z6).congruences}
     assert is_congruence(z6, blocks) == in_con
+
+
+@st.composite
+def random_algebras(draw):
+    """A random algebra on at most 5 elements with one to three operations of
+    arity 0 to 2; on at most 3 elements an operation may also be ternary."""
+    n = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(0, 3 if n <= 3 else 2), min_size=1, max_size=3))
+    cells = st.integers(0, n - 1)
+    operations = tuple(
+        Operation(f"f{i}", k, tuple(draw(st.lists(cells, min_size=n**k, max_size=n**k))))
+        for i, k in enumerate(arities)
+    )
+    return FiniteAlgebra(f"random_{n}", n, operations)
+
+
+def _compatible(alg, blocks) -> bool:
+    """Read from the tables alone: every operation sends each pair of
+    coordinatewise-related argument tuples to related values."""
+    n = alg.size
+    related = [(x, y) for x in range(n) for y in range(n) if blocks[x] == blocks[y]]
+    for op in alg.operations:
+        for pairs in product(related, repeat=op.arity):
+            left = right = 0
+            for x, y in pairs:
+                left, right = left * n + x, right * n + y
+            if blocks[op.table[left]] != blocks[op.table[right]]:
+                return False
+    return True
+
+
+@given(random_algebras())
+@settings(max_examples=300, deadline=None)
+def test_con_matches_independent_compatibility_check(alg):
+    """Con(A) is exactly the partitions that pass a compatibility check
+    sharing no code with generation, and is_congruence agrees with that
+    check on every partition."""
+    partitions = list(all_partitions(alg.size))
+    compatible = {blocks for blocks in partitions if _compatible(alg, blocks)}
+    assert {c.blocks for c in all_congruences(alg).congruences} == compatible
+    for blocks in partitions:
+        assert is_congruence(alg, blocks) == (blocks in compatible)
 
 
 def test_random_partition_cross_check_z12(z12):

@@ -43,3 +43,34 @@ def test_stored_results_have_one_home():
         "congruences.stored",
         "commutator.commutator_index",
     }
+
+
+def test_commutator_oracle_names_no_fast_path_helper():
+    """The materialized M(alpha, beta) and the term-condition fixpoint on it
+    are the oracle for the Delta route, so neither names its table, its
+    partition or its closures."""
+    fast_path = {
+        "_translation_plan",
+        "_Partition",
+        "_pair_algebra",
+        "_close_delta",
+        "_delta_classes",
+        "_join_irreducible_delta",
+    }
+    oracle = {("commutator", "matrix_subalgebra"), ("verify", "_term_condition_fixpoint")}
+    found = {}
+    for module, function in oracle:
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        (node,) = [
+            top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == function
+        ]
+        names = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                names.add(sub.name)
+        found[function] = sorted(names & fast_path)
+    assert found == {"matrix_subalgebra": [], "_term_condition_fixpoint": []}
