@@ -74,10 +74,6 @@ class FiniteAlgebra:
         # string hashes differ between processes: rebuild rather than copy _hash
         return (FiniteAlgebra, (self.name, self.size, self.operations))
 
-    @property
-    def universe(self) -> range:
-        return range(self.size)
-
     def operation(self, name: str) -> Operation:
         for op in self.operations:
             if op.name == name:

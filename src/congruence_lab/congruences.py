@@ -13,6 +13,11 @@ congruence generation.  The Delta_{alpha,beta} closure of ``commutator``
 runs the same partition over the same table.  Con(A) is then the closure of
 the principal congruences under binary join; join is the transitive closure
 of the union (automatically compatible), meet is blockwise intersection.
+
+``projection(A, theta)`` stores the canonical projection A -> A/theta once
+per theta: the quotient algebra, its Con(A/theta), and the correspondence
+between the interval [theta, nabla] of Con(A) and Con(A/theta) as two index
+maps, ``down`` (chi -> chi/theta) and ``up`` (its inverse).
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from functools import lru_cache, wraps
 from itertools import combinations
 
 from . import config
-from .algebra import FiniteAlgebra
-from .errors import ParentMismatch, SizeBudgetExceeded
+from .algebra import FiniteAlgebra, quotient
+from .errors import Falsified, ParentMismatch, SizeBudgetExceeded
 from .lattices import FiniteLattice
 
 __all__ = [
@@ -47,6 +52,8 @@ __all__ = [
     "all_partitions",
     "brute_force_congruences",
     "stored",
+    "Projection",
+    "projection",
 ]
 
 DEFAULT_CON_CAP = config.DEFAULT_CON_CAP
@@ -68,22 +75,11 @@ class Congruence:
             out.setdefault(rep, []).append(x)
         return [out[rep] for rep in sorted(out)]
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [
-            (a, b)
-            for a in range(len(self.blocks))
-            for b in range(len(self.blocks))
-            if self.blocks[a] == self.blocks[b]
-        ]
-
     def num_blocks(self) -> int:
         return len(set(self.blocks))
 
     def is_delta(self) -> bool:
         return all(rep == x for x, rep in enumerate(self.blocks))
-
-    def is_nabla(self) -> bool:
-        return all(rep == 0 for rep in self.blocks)
 
     def leq(self, other: "Congruence") -> bool:
         """Refinement order: every block of self lies inside a block of other."""
@@ -453,6 +449,52 @@ def stored(fn):
         return hit
 
     return once
+
+
+@dataclass(frozen=True)
+class Projection:
+    """The canonical projection A -> A/theta as the correspondence between
+    the interval [theta, nabla] of Con(A) and Con(A/theta).
+
+    ``down[j]`` is the index in ``lattice`` of chi_j/theta when theta <= chi_j
+    and None otherwise; ``up[k]`` is the j with ``down[j] == k``.
+    """
+
+    quotient: FiniteAlgebra
+    lattice: CongruenceLattice  # Con(quotient)
+    down: tuple[int | None, ...]
+    up: tuple[int, ...]
+
+
+@stored
+def projection(alg: FiniteAlgebra, theta: Congruence) -> Projection:
+    """The projection onto ``quotient(alg, theta)``, whose element k is the
+    theta-block of the k-th least representative.
+
+    By the correspondence theorem, chi -> chi/theta is a bijection from
+    [theta, nabla] onto Con(A/theta); a projected block array that is not a
+    congruence of the quotient, or a quotient congruence that no chi
+    projects to, raises :class:`Falsified`.
+    """
+    lattice = con_lattice(alg)
+    quo = quotient(alg, theta)
+    qlattice = con_lattice(quo)
+    reps = sorted(set(theta.blocks))
+    t = lattice.index(theta)
+    down: list[int | None] = []
+    up: list[int | None] = [None] * len(qlattice)
+    for j, chi in enumerate(lattice.congruences):
+        if not lattice.leq_index(t, j):
+            down.append(None)
+            continue
+        k = qlattice._index.get(_canonical([chi.blocks[r] for r in reps]))
+        if k is None:
+            raise Falsified(f"{alg.name}: {chi}/{theta} is not a congruence of the quotient")
+        down.append(k)
+        up[k] = j
+    if None in up:
+        raise Falsified(f"{alg.name}: Con(A/{theta}) is larger than the interval above theta")
+    return Projection(quo, qlattice, tuple(down), tuple(up))
 
 
 def join_irreducibles(lattice: CongruenceLattice) -> list[Congruence]:

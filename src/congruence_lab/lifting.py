@@ -11,23 +11,24 @@ falsification and raises :class:`Falsified`.
 
 Every per-congruence result is computed once per Con(A) through
 ``@stored``, so its cross-checks run on the first call for each argument.
+The quotient A/theta, chi/theta and the section back into [theta) are read
+from the index maps of ``congruences.projection``.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import FiniteAlgebra, quotient
+from .algebra import FiniteAlgebra
 from .commutator import commutator_index, require_theory, residuation
 from .congruences import (
     Congruence,
     CongruenceLattice,
     con_lattice,
-    congruence_from_blocks,
     congruence_from_pairs,
+    projection,
     stored,
 )
 from .errors import (
@@ -135,20 +136,15 @@ def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
 # Canonical projections
 
 
-_quotient_algebra = stored(quotient)
-
-
-@stored
 def project_congruence(
     alg: FiniteAlgebra, theta: Congruence, chi: Congruence
 ) -> Congruence:
     """chi/theta for theta <= chi, as a congruence of the quotient algebra."""
-    if not theta.leq(chi):
+    p = projection(alg, theta)
+    k = p.down[con_lattice(alg).index(chi)]
+    if k is None:
         raise HypothesisNotMet("chi must contain theta")
-    quo = _quotient_algebra(alg, theta)
-    reps = sorted(set(theta.blocks))
-    labels = [chi.blocks[r] for r in reps]
-    return congruence_from_blocks(quo, [labels.index(v) for v in labels])
+    return p.lattice.congruences[k]
 
 
 @stored
@@ -159,11 +155,10 @@ def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -
     generated by the projected pairs of alpha; the two must agree.
     """
     lattice = con_lattice(alg)
-    joined = lattice.congruences[
-        lattice.join_index(lattice.index(alpha), lattice.index(theta))
+    p = projection(alg, theta)
+    via_interval = p.lattice.congruences[
+        p.down[lattice.join_index(lattice.index(alpha), lattice.index(theta))]
     ]
-    via_interval = project_congruence(alg, theta, joined)
-    quo = _quotient_algebra(alg, theta)
     reps = sorted(set(theta.blocks))
     block_of = {r: k for k, r in enumerate(reps)}
     seeds = []
@@ -171,7 +166,7 @@ def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -
         first = theta.blocks[cls[0]]
         for other in cls[1:]:
             seeds.append((block_of[first], block_of[theta.blocks[other]]))
-    via_generation = congruence_from_pairs(quo, seeds)
+    via_generation = congruence_from_pairs(p.quotient, seeds)
     if via_interval.blocks != via_generation.blocks:
         raise Falsified(f"{alg.name}: projected join and generated image disagree")
     return via_interval
@@ -182,12 +177,8 @@ def section_congruence(
 ) -> Congruence:
     """The inverse of chi -> chi/theta: the member of [theta) projecting to
     the given congruence of A/theta."""
-    reps = sorted(set(theta.blocks))
-    labels = [
-        quotient_congruence.blocks[bisect_left(reps, theta.blocks[x])]
-        for x in range(alg.size)
-    ]
-    return congruence_from_blocks(alg, labels)
+    p = projection(alg, theta)
+    return con_lattice(alg).congruences[p.up[p.lattice.index(quotient_congruence)]]
 
 
 @stored
@@ -197,24 +188,22 @@ def quotient_center_congruences(
     """B(Con(A/theta)), computed on the quotient algebra and cross-checked
     against the interval route chi v (chi -> theta) = nabla."""
     lattice = con_lattice(alg)
-    i = lattice.index(theta)
-    quo = _quotient_algebra(alg, theta)
-    center = boolean_center_of_congruences(quo)
+    p = projection(alg, theta)
+    center = boolean_center_of_congruences(p.quotient)
     top = lattice.top_index
     interval_route = set()
-    for j in range(len(lattice)):
-        if not lattice.leq_index(i, j):
+    for j, k in enumerate(p.down):
+        if k is None:
             continue
-        chi = lattice.congruences[j]
-        arrow = residuation(alg, chi, theta)
+        arrow = residuation(alg, lattice.congruences[j], theta)
         if lattice.join_index(j, lattice.index(arrow)) == top:
-            interval_route.add(project_congruence(alg, theta, chi).blocks)
-    direct_route = {beta.blocks for beta in center.elements}
+            interval_route.add(k)
+    direct_route = {p.lattice.index(beta) for beta in center.elements}
     if interval_route != direct_route:
         raise Falsified(
             f"{alg.name}: interval and direct quotient centers disagree for theta={theta}"
         )
-    return quo, center
+    return p.quotient, center
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +415,12 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
     ) == clopens
 
     # the quotient-center map: classes of [Rad) project to Clop(Max(A))
-    quo, qcenter = quotient_center_congruences(alg, rad)
+    p = projection(alg, rad)
+    _, qcenter = quotient_center_congruences(alg, rad)
     f_values = {}
     for beta in qcenter.elements:
-        chi = section_congruence(alg, rad, beta)
-        f_values[beta.blocks] = g_image(lattice.index(chi))
+        k = p.lattice.index(beta)
+        f_values[k] = g_image(p.up[k])
     f_iso = (
         len(set(f_values.values())) == len(f_values)
         and set(f_values.values()) == clopens
@@ -438,22 +428,12 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
     if not f_iso:
         return False
     # join/meet preservation for f on the quotient center
-    qlattice = con_lattice(quo)
-    for b1 in qcenter.elements:
-        for b2 in qcenter.elements:
-            j = qlattice.congruences[
-                qlattice.join_index(qlattice.index(b1), qlattice.index(b2))
-            ]
-            m = qlattice.congruences[
-                qlattice.meet_index(qlattice.index(b1), qlattice.index(b2))
-            ]
-            if set(f_values[j.blocks]) != set(f_values[b1.blocks]) | set(
-                f_values[b2.blocks]
-            ):
+    qjoin, qmeet = p.lattice.join_table, p.lattice.meet_table
+    for k1 in f_values:
+        for k2 in f_values:
+            if set(f_values[qjoin[k1][k2]]) != set(f_values[k1]) | set(f_values[k2]):
                 return False
-            if set(f_values[m.blocks]) != set(f_values[b1.blocks]) & set(
-                f_values[b2.blocks]
-            ):
+            if set(f_values[qmeet[k1][k2]]) != set(f_values[k1]) & set(f_values[k2]):
                 return False
 
     # injectivity of the center map of the Rad projection

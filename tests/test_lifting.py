@@ -1,7 +1,6 @@
 """Boolean centers, CBLP, the characterization theorem and orthogonal lifts."""
 
 import json
-import sys
 
 import pytest
 
@@ -37,6 +36,7 @@ from congruence_lab import (
     regular_join_transfer,
     spectrum,
 )
+from congruence_lab.algebra import FiniteAlgebra
 from congruence_lab.builders import (
     boolean_lattice,
     chain_lattice,
@@ -120,13 +120,49 @@ def test_projection_image_examples(z12):
     assert projection_image(z12, t6, t6) == delta(quo)
 
 
-def test_section_inverts_projection(z12):
-    t6 = theta(z12, 6)
-    lattice = con_lattice(z12)
-    for chi in lattice.congruences:
-        if t6.leq(chi):
-            down = project_congruence(z12, t6, chi)
-            assert section_congruence(z12, t6, down) == chi
+# the algebras whose stored per-congruence results are checked below
+STORED_ALGEBRAS = [chain_lattice(5), boolean_lattice(3), pentagon(), ring_zn(12)]
+
+
+def test_section_inverts_projection():
+    """chi -> chi/theta and its section are inverse bijections between
+    [theta) and Con(A/theta), for every theta."""
+    for alg in STORED_ALGEBRAS:
+        lattice = con_lattice(alg)
+        for th in lattice.congruences:
+            qlattice = con_lattice(quotient(alg, th))
+            above = [chi for chi in lattice.congruences if th.leq(chi)]
+            assert len(above) == len(qlattice)
+            for chi in lattice.congruences:
+                if chi not in above:
+                    with pytest.raises(HypothesisNotMet):
+                        project_congruence(alg, th, chi)
+                    continue
+                down = project_congruence(alg, th, chi)
+                assert section_congruence(alg, th, down) == chi
+            for beta in qlattice.congruences:
+                assert project_congruence(alg, th, section_congruence(alg, th, beta)) == beta
+
+
+def test_projection_outside_the_quotient_lattice_is_falsified(monkeypatch):
+    """A projected congruence missing from Con(A/theta), or a congruence of
+    A/theta that nothing projects to, contradicts the correspondence
+    theorem: Falsified, not an input error, and nothing is stored."""
+    from congruence_lab import congruences
+
+    alg = fresh_copy(ring_zn(12))
+    t6 = theta(alg, 6)
+    for stand_in, message in (
+        # Con(C_6) holds the interval partitions only, so theta_2/theta_6 misses
+        (chain_lattice(6), "is not a congruence of the quotient"),
+        # every partition of a set without operations is a congruence
+        (FiniteAlgebra("6-set", 6, ()), "larger than the interval"),
+    ):
+        monkeypatch.setattr(congruences, "quotient", lambda alg, th: stand_in)
+        with pytest.raises(Falsified, match=message):
+            project_congruence(alg, t6, theta(alg, 2))
+    monkeypatch.undo()
+    assert project_congruence(alg, t6, theta(alg, 2)).blocks == (0, 1, 0, 1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +488,7 @@ def _center_blocks(center):
     )
 
 
-@pytest.mark.parametrize(
-    "alg",
-    [chain_lattice(5), boolean_lattice(3), pentagon(), ring_zn(12)],
-    ids=lambda alg: alg.name,
-)
+@pytest.mark.parametrize("alg", STORED_ALGEBRAS, ids=lambda alg: alg.name)
 def test_stored_results_match_direct_computation(alg):
     lattice = con_lattice(alg)
     n, size = alg.size, len(lattice)
@@ -518,29 +550,23 @@ def test_star_property_runs_once_per_verify(monkeypatch):
     assert len(calls) == 1
 
 
-def test_projection_validates_once_per_comparable_pair(monkeypatch):
-    """project_congruence reaches congruence_from_blocks, and so its
-    compatibility test, at most once per (Con(A), theta <= chi)."""
-    from congruence_lab import lifting
+def test_projection_built_once_per_theta(monkeypatch):
+    """verify_algebra builds each theta's projection, and so its quotient
+    algebra, at most once per Con(A)."""
+    from congruence_lab import congruences
     from congruence_lab.verify import verify_algebra
 
-    validated = []
-    real = lifting.congruence_from_blocks
+    built = []
+    real = congruences.quotient
 
-    def counting(alg, blocks):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "project_congruence":
-            frame = caller.f_locals
-            lattice = con_lattice(frame["alg"])
-            t, c = lattice.index(frame["theta"]), lattice.index(frame["chi"])
-            assert lattice.leq_index(t, c)
-            validated.append((frame["alg"], t, c))
-        return real(alg, blocks)
+    def counting(alg, th):
+        built.append((alg, th.blocks))
+        return real(alg, th)
 
-    monkeypatch.setattr(lifting, "congruence_from_blocks", counting)
+    monkeypatch.setattr(congruences, "quotient", counting)
     assert verify_algebra(fresh_copy(chain_lattice(5))).ok
-    assert validated
-    assert len(validated) == len(set(validated))
+    assert built
+    assert len(built) == len(set(built))
 
 
 def test_quotient_center_cross_check_raises_on_first_call(monkeypatch):
@@ -573,7 +599,9 @@ def test_stored_reports_name_the_callers_algebra(monkeypatch):
     from congruence_lab.reticulation import build_reticulation
     from congruence_lab.verify import verify_algebra
 
-    z6 = ring_zn(6)
+    # a fresh copy: an earlier quotient with Z_6's tables, such as Z_12/theta_6,
+    # would otherwise have stored these reports under its own name
+    z6 = fresh_copy(ring_zn(6))
     theta2 = theta(z6, 2)
     first = has_cblp(z6, theta2)
     assert first.algebra.name == "Z_6"
