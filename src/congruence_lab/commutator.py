@@ -28,7 +28,11 @@ operation closure on A(beta), stored on the lattice as one label list per
 the join-irreducibles below alpha, and is not stored.  The closure is the
 engine of congruence generation lifted to A(beta): the same quick-find
 partition, closed under the same translation table of A, read once on the
-firsts and once on the seconds of each pair.
+firsts and once on the seconds of each pair.  An associative operation of A
+is associative on A(beta), so there the closure translates only by a
+generating set of the semigroup (A(beta), f), found once per beta: every
+translation by a member is a composition of translations by generators.
+Non-associative and ternary operations keep every member as a filler.
 
 ``matrix_subalgebra`` materializes M and, with the reference fixpoint in
 ``verify``, is the independent oracle for all of this at small sizes.
@@ -46,6 +50,7 @@ from .congruences import (
     CongruenceLattice,
     _Partition,
     _pair_count,
+    _semigroup_generators,
     _translation_plan,
     con_lattice,
     congruence_from_pairs,
@@ -154,15 +159,33 @@ def matrix_subalgebra(
 
 @stored
 def _pair_algebra(lattice: CongruenceLattice, b: int):
-    """The universe of A(beta) for beta = congruences[b]: its members (x, y)
-    with x beta y, and a flat list mapping x*n + y to the member's index."""
-    n = lattice.algebra.size
+    """The universe of A(beta) for beta = congruences[b], as
+    ``(firsts, seconds, index_of, generators)``: member i is
+    (firsts[i], seconds[i]), with x beta y for every member (x, y);
+    ``index_of[x * n + y]`` is the index of (x, y); and ``generators[e]``, for
+    plan entry e, lists the members that generate A(beta) under its
+    associative operation, or is None for every other entry and wherever no
+    proper subset is found."""
+    alg = lattice.algebra
+    n = alg.size
     blocks = lattice.congruences[b].blocks
-    members = [(x, y) for x in range(n) for y in range(n) if blocks[x] == blocks[y]]
-    index_of = [-1] * (n * n)
-    for i, (x, y) in enumerate(members):
-        index_of[x * n + y] = i
-    return members, index_of
+    firsts, seconds, index_of = [], [], [-1] * (n * n)
+    for x in range(n):
+        for y in range(n):
+            if blocks[x] == blocks[y]:
+                index_of[x * n + y] = len(firsts)
+                firsts.append(x)
+                seconds.append(y)
+    firsts, seconds = tuple(firsts), tuple(seconds)
+    generators = []
+    for _, rows, _, of_a in _translation_plan(alg):
+        gens = None
+        if of_a is not None:  # an associative operation
+            gens = _semigroup_generators(rows, firsts, seconds, index_of)
+            if len(gens) == len(firsts):
+                gens = None
+        generators.append(gens)
+    return firsts, seconds, index_of, tuple(generators)
 
 
 def _close_delta(lattice: CongruenceLattice, a: int, b: int) -> list[int]:
@@ -173,12 +196,15 @@ def _close_delta(lattice: CongruenceLattice, a: int, b: int) -> list[int]:
     A translation of A(beta) freezes its other arguments to members of
     A(beta), so it acts on the firsts and on the seconds of a member as the
     A-translations whose frozen tuples are the firsts and the seconds of
-    those members; ``fillers[width]`` holds the ranks of the two tuples for
-    every choice of ``width`` members, in product order.
+    those members.  Each plan entry gets the ranks of those two tuples as
+    two coordinate lists: for every choice of ``width`` members, in product
+    order, or, for an associative operation, for its generators of A(beta)
+    alone, since every translation by a member is a composition of
+    translations by generators.
     """
     n = lattice.algebra.size
-    members, index_of = _pair_algebra(lattice, b)
-    part = _Partition(len(members))
+    firsts, seconds, index_of, generators = _pair_algebra(lattice, b)
+    part = _Partition(len(firsts))
     label, merge, pending = part.label, part.merge, part.pending
 
     alpha = lattice.congruences[a].blocks
@@ -187,16 +213,27 @@ def _close_delta(lattice: CongruenceLattice, a: int, b: int) -> list[int]:
             part.union(index_of[rep * n + rep], index_of[x * n + x])
 
     plan = _translation_plan(lattice.algebra)
-    fillers = [[(0, 0)], members]
-    for _ in range(2, max((width for width, _ in plan), default=1) + 1):
-        fillers.append([(r0 * n + s0, r1 * n + s1) for r0, r1 in fillers[-1] for s0, s1 in members])
+    fillers = [((0,), (0,)), (firsts, seconds)]
+    for _ in range(2, max((width for width, *_ in plan), default=1) + 1):
+        r0s, r1s = fillers[-1]
+        fillers.append(
+            (
+                [r0 * n + s0 for r0 in r0s for s0 in firsts],
+                [r1 * n + s1 for r1 in r1s for s1 in seconds],
+            )
+        )
+    steps = []
+    for (width, rows, _, _), gens in zip(plan, generators):
+        if gens is None:
+            steps.append((rows, *fillers[width]))
+        else:
+            steps.append((rows, [firsts[g] for g in gens], [seconds[g] for g in gens]))
     while pending:
         i, j = pending.pop()
-        p0, p1 = members[i]
-        q0, q1 = members[j]
-        for width, rows in plan:
+        p0, p1, q0, q1 = firsts[i], seconds[i], firsts[j], seconds[j]
+        for rows, s0s, s1s in steps:
             rp0, rp1, rq0, rq1 = rows[p0], rows[p1], rows[q0], rows[q1]
-            for s0, s1 in fillers[width]:
+            for s0, s1 in zip(s0s, s1s):
                 u = label[index_of[rp0[s0] * n + rp1[s1]]]
                 v = label[index_of[rq0[s0] * n + rq1[s1]]]
                 if u != v:
@@ -216,11 +253,11 @@ def _delta_classes(
     Delta_{alpha',beta}, so its classes come from a partition join of the
     stored labels (the bottom is the empty join).
     """
-    members, _ = _pair_algebra(lattice, b)
+    firsts, seconds, _, _ = _pair_algebra(lattice, b)
     if lattice.join_irreducible_flags[a]:
         labels = _join_irreducible_delta(lattice, a, b)
     else:
-        part = _Partition(len(members))
+        part = _Partition(len(firsts))
         labels = part.label
         for g in lattice.join_irreducible_indices():
             if lattice.leq_index(g, a):
@@ -228,8 +265,8 @@ def _delta_classes(
                     if labels[i] != labels[rep]:
                         part.merge(labels[i], labels[rep])
     classes: dict[int, list[tuple[int, int]]] = {}
-    for member, label in zip(members, labels):
-        classes.setdefault(label, []).append(member)
+    for x, y, label in zip(firsts, seconds, labels):
+        classes.setdefault(label, []).append((x, y))
     return list(classes.values())
 
 

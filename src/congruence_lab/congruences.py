@@ -14,6 +14,16 @@ runs the same partition over the same table.  Con(A) is then the closure of
 the principal congruences under binary join; join is the transitive closure
 of the union (automatically compatible), meet is blockwise intersection.
 
+When a binary operation f is associative and G generates the semigroup
+(A, f), the translation x -> f(x, g1 ... gk) is the composition of the
+translations by g1, ..., gk, and likewise on the left; a partition closed
+under the translations by G is then closed under all of them, so the
+closures translate by G alone and get the same congruence.  A
+non-associative or ternary operation has no such factorization, so its
+closures keep every translation.  ``is_congruence`` always tests every
+translation: it is the check that ``brute_force_congruences`` runs as the
+oracle of generation.
+
 ``projection(A, theta)`` stores the canonical projection A -> A/theta once
 per theta: the quotient algebra, its Con(A/theta), and the correspondence
 between the interval [theta, nabla] of Con(A) and Con(A/theta) as two index
@@ -104,21 +114,31 @@ def _check_parent(theta: Congruence, chi: Congruence) -> None:
 @lru_cache(maxsize=None)
 def _translation_plan(alg: FiniteAlgebra):
     """Every basic translation x -> f(..., x, ...) of the algebra, as one
-    ``(width, rows)`` entry per operation and argument position.
+    ``(width, rows, closing, generators)`` entry per operation and argument
+    position.
 
     ``width`` is the number of frozen arguments, and ``rows[x][r]`` is the
     value at x of the translation whose frozen arguments are the r-th tuple
     of ``product(range(n), repeat=width)``.  For a binary table the rows
     are its row slices (x in the first position) and its column slices (x in
     the second); a commutative binary table keeps only the first position.
+
+    ``closing`` holds the rows that a closure translates by.  For an
+    associative binary operation f, ``generators`` is a generating set of
+    the semigroup (A, f) and ``closing`` keeps only its columns; every other
+    entry has ``generators`` None and ``closing`` is ``rows``.
     """
     plan = []
     n = alg.size
+    diagonal = [-1] * (n * n)
+    for x in range(n):
+        diagonal[x * n + x] = x
     for op in alg.operations:
         table, width = op.table, op.arity - 1
         commutative = width == 1 and all(
             table[a * n + b] == table[b * n + a] for a in range(n) for b in range(a)
         )
+        generators = None
         for pos in range(1 if commutative else op.arity):
             # frozen tuple r = hi * stride + lo splits around position pos
             stride = n ** (width - pos)
@@ -126,8 +146,76 @@ def _translation_plan(alg: FiniteAlgebra):
                 tuple([table[(r // stride * n + x) * stride + r % stride] for r in range(n**width)])
                 for x in range(n)
             )
-            plan.append((width, rows))
+            if pos == 0 and width == 1 and _is_associative(rows):
+                # A is the pair algebra on the diagonal
+                generators = _semigroup_generators(rows, range(n), range(n), diagonal)
+            closing = rows
+            if generators is not None and len(generators) < n:
+                closing = tuple(tuple([row[g] for g in generators]) for row in rows)
+            plan.append((width, rows, closing, generators))
     return tuple(plan)
+
+
+def _is_associative(rows) -> bool:
+    """Whether (a b) c = a (b c) for the binary table with ``rows[a][b] = a b``."""
+    return all(
+        rows[ra[b]] == tuple([ra[c] for c in rows[b]]) for ra in rows for b in range(len(rows))
+    )
+
+
+def _semigroup_generators(rows, firsts, seconds, index_of):
+    """Member indices that generate a pair algebra as a semigroup under an
+    associative binary operation f with ``rows[a][b] = f(a, b)``.
+
+    Member i is (firsts[i], seconds[i]) and ``index_of[x * n + y]`` is the
+    index of the member (x, y).  Candidates are taken greedily: one that the
+    chosen generators do not yet generate becomes a generator.  Elements
+    with many multiples f(x, A) and f(A, x), then with long cyclic
+    subsemigroups, come first; on a semilattice this is a linear extension
+    of its order, so the greedy set is the minimal one.  The generated
+    subsemigroup is kept closed under multiplication on the right by the
+    generators, which makes it every product of generators.
+    """
+    n = len(rows)
+    size = len(firsts)
+    multiples = [len(set(rows[x]).union([row[x] for row in rows])) for x in range(n)]
+    cycle = []
+    for x in range(n):
+        seen, power = {x}, rows[x][x]
+        while power not in seen:
+            seen.add(power)
+            power = rows[power][x]
+        cycle.append(len(seen))
+    order = sorted(
+        range(size),
+        key=lambda i: (
+            -multiples[firsts[i]] - multiples[seconds[i]],
+            -cycle[firsts[i]] - cycle[seconds[i]],
+        ),
+    )
+    generated = bytearray(size)
+    span: list[int] = []  # the subsemigroup generated so far
+    generators: list[int] = []
+    coordinates: list[tuple[int, int]] = []  # of the generators
+    for c in order:
+        if generated[c]:
+            continue
+        generators.append(c)
+        c0, c1 = firsts[c], seconds[c]
+        coordinates.append((c0, c1))
+        queue = [index_of[rows[firsts[s]][c0] * n + rows[seconds[s]][c1]] for s in span]
+        queue.append(c)
+        while queue:
+            t = queue.pop()
+            if generated[t]:
+                continue
+            generated[t] = 1
+            span.append(t)
+            t0, t1 = rows[firsts[t]], rows[seconds[t]]
+            queue += [index_of[t0[g0] * n + t1[g1]] for g0, g1 in coordinates]
+        if len(span) == size:
+            break
+    return tuple(generators)
 
 
 class _Partition:
@@ -168,7 +256,8 @@ def _canonical(labels) -> tuple[int, ...]:
 
 
 def _close_pairs(alg: FiniteAlgebra, seeds) -> tuple[int, ...]:
-    """Least congruence containing the seed pairs, as a normalized block array."""
+    """Least congruence containing the seed pairs, as a normalized block
+    array, closed under the plan's ``closing`` translations."""
     part = _Partition(alg.size)
     label, merge, pending = part.label, part.merge, part.pending
     for a, b in seeds:
@@ -176,7 +265,7 @@ def _close_pairs(alg: FiniteAlgebra, seeds) -> tuple[int, ...]:
     plan = _translation_plan(alg)
     while pending:
         a, b = pending.pop()
-        for _, rows in plan:
+        for _, _, rows, _ in plan:
             for u, v in zip(rows[a], rows[b]):
                 u, v = label[u], label[v]
                 if u != v:
@@ -237,7 +326,7 @@ def is_congruence(alg: FiniteAlgebra, blocks) -> bool:
     for x, rep in enumerate(blocks):
         classes.setdefault(rep, []).append(x)
     related = [cls for cls in classes.values() if len(cls) > 1]
-    for _, rows in _translation_plan(alg):
+    for _, rows, _, _ in _translation_plan(alg):
         for cls in related:
             first = rows[cls[0]]
             for other in cls[1:]:

@@ -25,7 +25,7 @@ from congruence_lab import (
     residuation,
     surrogate_checks,
 )
-from congruence_lab.algebra import FiniteAlgebra, Operation
+from congruence_lab.algebra import FiniteAlgebra, Operation, product
 from congruence_lab.builders import (
     boolean_lattice,
     chain_lattice,
@@ -36,10 +36,12 @@ from congruence_lab.builders import (
     ring_zn,
 )
 from congruence_lab.commutator import commutator_index, require_theory
+from congruence_lab.congruences import all_partitions
 from congruence_lab.spectrum import spectrum
 
 from conftest import theta
 from test_algebra import algebra_docs
+from test_congruences import _compatible
 
 
 def test_commutator_ring_gcd_examples(z12, z4):
@@ -306,6 +308,9 @@ def _assert_matches_materialized_fixpoint(alg):
 # few random tables need the column translations to get Delta right; this
 # one does, so it is always run
 @example(FiniteAlgebra("nc_3", 3, (Operation("nc", 2, (2, 2, 1, 0, 0, 1, 2, 2, 1)),)))
+# a non-associative table whose Delta closures need translations by more
+# than a generating set of the pair algebras
+@example(FiniteAlgebra("na_3", 3, (Operation("na", 2, (0, 0, 0, 0, 0, 0, 1, 0, 0)),)))
 @given(noncommutative_algebras())
 @settings(max_examples=40, deadline=None)
 def test_commutator_matches_oracle_on_random_algebras(alg):
@@ -412,9 +417,9 @@ def test_matrix_subalgebra_cap_boundary():
 def _delta_partition(lattice, a, b):
     from congruence_lab.commutator import _close_delta, _pair_algebra
 
-    members, _ = _pair_algebra(lattice, b)
+    firsts, seconds, _, _ = _pair_algebra(lattice, b)
     classes = {}
-    for member, label in zip(members, _close_delta(lattice, a, b)):
+    for member, label in zip(zip(firsts, seconds), _close_delta(lattice, a, b)):
         classes.setdefault(label, set()).add(member)
     return frozenset(frozenset(cls) for cls in classes.values())
 
@@ -464,3 +469,196 @@ def test_full_table_closes_only_join_irreducible_deltas(monkeypatch):
             commutator_index(lattice, i, j)
     assert set(calls) == set(ji)
     assert len(calls) == len(ji) * len(lattice)
+
+
+# Associative binary operations: the closures translate by a generating set
+# of each semigroup instead of by every element.
+_SEMIGROUPS = {
+    "add": lambda n, a, b: (a + b) % n,
+    "mul": lambda n, a, b: a * b % n,
+    "max": lambda n, a, b: max(a, b),
+    "min": lambda n, a, b: min(a, b),
+    "left-zero": lambda n, a, b: a,
+    "right-zero": lambda n, a, b: b,
+    "null": lambda n, a, b: 0,
+}
+# left-zero and right-zero bands and null semigroups have every partition as
+# a congruence, so above size 4 only these keep the full tables quick
+_FEW_CONGRUENCES = ["add", "max", "min", "mul"]
+
+
+def _semigroup_algebra(n, kinds):
+    return FiniteAlgebra(
+        "S",
+        n,
+        tuple(
+            Operation(f"f{k}", 2, tuple(_SEMIGROUPS[kind](n, a, b) for a in range(n) for b in range(n)))
+            for k, kind in enumerate(kinds)
+        ),
+    )
+
+
+def _relabel(alg, pi):
+    """The copy of alg in which element x is called pi[x]."""
+    n = alg.size
+    operations = []
+    for op in alg.operations:
+        table = [0] * len(op.table)
+        for args in iproduct(range(n), repeat=op.arity):
+            index = 0
+            for arg in args:
+                index = index * n + pi[arg]
+            table[index] = pi[op.apply(n, args)]
+        operations.append(Operation(op.name, op.arity, tuple(table)))
+    return FiniteAlgebra(alg.name, n, tuple(operations))
+
+
+@st.composite
+def associative_algebras(draw):
+    """Rings Z_n, chains with max and min, left-zero and right-zero bands and
+    null semigroups, with one of these operations on one universe, or two
+    up to size 4 (the materialized M grows fastest with them); or the
+    direct product of two such algebras; or the quotient of one by a
+    congruence.  The result, of size at most 6, is relabelled and sometimes
+    gets a random unary operation."""
+
+    def kinds(n, count):
+        pool = sorted(_SEMIGROUPS) if n <= 4 else _FEW_CONGRUENCES
+        return draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+
+    shape = draw(st.sampled_from(["base", "product", "quotient"]))
+    if shape == "product":
+        m = draw(st.integers(2, 3))
+        k = draw(st.integers(2, 6 // m))
+        count = draw(st.integers(1, 2 if m * k <= 4 else 1))
+        alg = product(
+            _semigroup_algebra(m, kinds(m * k, count)), _semigroup_algebra(k, kinds(m * k, count))
+        )
+    else:
+        n = draw(st.integers(1, 6))
+        alg = _semigroup_algebra(n, kinds(n, draw(st.integers(1, 2 if n <= 4 else 1))))
+        if shape == "quotient":
+            alg = quotient(alg, draw(st.sampled_from(all_congruences(alg).congruences)))
+    alg = _relabel(alg, draw(st.permutations(range(alg.size))))
+    if draw(st.integers(0, 3)) == 0:
+        unary = draw(st.lists(st.integers(0, alg.size - 1), min_size=alg.size, max_size=alg.size))
+        alg = FiniteAlgebra(alg.name, alg.size, alg.operations + (Operation("u", 1, tuple(unary)),))
+    return alg
+
+
+def _row_classes(m, beta):
+    """Classes of the transitive closure of M(alpha, beta), read as a
+    relation between the rows of its matrices, on the beta-pairs."""
+    n = m.algebra.size
+    label = {(x, y): (x, y) for x in range(n) for y in range(n) if beta.related(x, y)}
+    for x, y, z, w in m.matrices:
+        old, new = label[(z, w)], label[(x, y)]
+        if old != new:
+            for pair, value in label.items():
+                if value == old:
+                    label[pair] = new
+    classes = {}
+    for pair, value in label.items():
+        classes.setdefault(value, set()).add(pair)
+    return {frozenset(cls) for cls in classes.values()}
+
+
+@given(associative_algebras())
+@settings(max_examples=40, deadline=None)
+def test_closures_match_oracles_on_associative_algebras(alg):
+    """Con(A) against a compatibility check read from the tables; every
+    Delta_{alpha,beta} against the transitive closure of the materialized
+    M(alpha, beta); and the full commutator table against the fixpoint on
+    M."""
+    from congruence_lab.commutator import _delta_classes
+    from congruence_lab.verify import _term_condition_fixpoint
+
+    partitions = all_partitions(alg.size)
+    compatible = {blocks for blocks in partitions if _compatible(alg, blocks)}
+    lattice = all_congruences(alg)
+    assert {c.blocks for c in lattice.congruences} == compatible
+    for a, alpha in enumerate(lattice.congruences):
+        for b, beta in enumerate(lattice.congruences):
+            m = matrix_subalgebra(alg, alpha, beta)
+            delta_classes = {frozenset(cls) for cls in _delta_classes(lattice, a, b)}
+            assert delta_classes == _row_classes(m, beta)
+            assert _term_condition_fixpoint(alg, m) == commutator(alg, alpha, beta)
+
+
+def _generated(mul, gens):
+    """The subsemigroup generated by gens: every product of two elements
+    found so far, in both orders, until nothing new appears."""
+    found = list(dict.fromkeys(gens))
+    seen = set(found)
+    for i, x in enumerate(found):
+        for y in found[: i + 1]:
+            for z in (mul(x, y), mul(y, x)):
+                if z not in seen:
+                    seen.add(z)
+                    found.append(z)
+    return seen
+
+
+def _ladder_and_corpus():
+    from pathlib import Path
+
+    from congruence_lab.algebra import load_algebra
+
+    corpus = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
+    return [load_algebra(path.read_text(encoding="utf-8")) for path in corpus] + [
+        chain_lattice(9),
+        boolean_lattice(4),
+        ring_zn(30),
+        product(ring_zn(2), ring_zn(9)),
+    ]
+
+
+@pytest.mark.parametrize("alg", _ladder_and_corpus(), ids=lambda alg: alg.name)
+def test_stored_generating_sets_generate(alg):
+    """Each associative plan entry, and only those, keeps a set that
+    generates A, and each A(beta) keeps one that generates A(beta) (or none,
+    meaning all of A(beta)); the universe of A(beta) is every beta-pair."""
+    from congruence_lab.commutator import _pair_algebra
+    from congruence_lab.congruences import _translation_plan
+
+    n = alg.size
+    plan = _translation_plan(alg)
+    lattice = con_lattice(alg)
+    for b, beta in enumerate(lattice.congruences):
+        firsts, seconds, _, generators = _pair_algebra(lattice, b)
+        members = list(zip(firsts, seconds))
+        assert set(members) == {(x, y) for x in range(n) for y in range(n) if beta.related(x, y)}
+        for (_, rows, _, _), gens in zip(plan, generators):
+            if gens is None:
+                continue
+
+            def mul(p, q, rows=rows):
+                return rows[p[0]][q[0]], rows[p[1]][q[1]]
+
+            assert _generated(mul, [members[g] for g in gens]) == set(members)
+    for width, rows, _, of_a in plan:
+        associative = width == 1 and all(
+            rows[rows[a][b]][c] == rows[a][rows[b][c]]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        )
+        assert (of_a is not None) == associative
+        if associative:
+            assert _generated(lambda x, y: rows[x][y], of_a) == set(range(n))
+
+
+def test_uncapped_tables_of_z64_and_b5_have_closed_forms():
+    """The hard cases for the Delta closures, on pair algebras of up to 4,096
+    and 1,024 members: [theta_d, theta_e] = theta_gcd(de, 64) on Z_64, and
+    [alpha, beta] = alpha ^ beta on B_5, whose Con is Boolean."""
+    z64 = ring_zn(64)
+    lattice = con_lattice(z64)
+    index = {d: lattice.index(theta(z64, d)) for d in (1, 2, 4, 8, 16, 32, 64)}
+    for d, i in index.items():
+        for e, j in index.items():
+            assert commutator_index(lattice, i, j, cap=10**9) == index[gcd(d * e, 64)]
+    lattice = con_lattice(boolean_lattice(5))
+    for i in range(len(lattice)):
+        for j in range(len(lattice)):
+            assert commutator_index(lattice, i, j, cap=10**9) == lattice.meet_index(i, j)

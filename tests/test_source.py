@@ -51,6 +51,7 @@ def test_commutator_oracle_names_no_fast_path_helper():
     partition or its closures."""
     fast_path = {
         "_translation_plan",
+        "_semigroup_generators",
         "_Partition",
         "_pair_algebra",
         "_close_delta",
@@ -74,3 +75,16 @@ def test_commutator_oracle_names_no_fast_path_helper():
                 names.add(sub.name)
         found[function] = sorted(names & fast_path)
     assert found == {"matrix_subalgebra": [], "_term_condition_fixpoint": []}
+
+
+def test_congruence_check_keeps_every_translation():
+    """is_congruence tests compatibility with every translation, not only
+    with those by a generating set, so brute_force_congruences stays an
+    oracle for the generator route of congruence generation."""
+    tree = ast.parse((SOURCE / "congruences.py").read_text(encoding="utf-8"))
+    (node,) = [
+        top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "is_congruence"
+    ]
+    names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+    assert "_translation_plan" in names
+    assert "_semigroup_generators" not in names
