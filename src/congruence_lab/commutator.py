@@ -375,26 +375,30 @@ def _iterate_chain(lattice: CongruenceLattice, i: int) -> tuple[list[int], int]:
 
 
 def residuation(alg: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> Congruence:
-    """alpha -> beta: the largest gamma with [alpha, gamma] <= beta.
-
-    Computed as the join of the qualifying join-irreducibles, which is sound
-    because the commutator distributes over joins.
-    """
+    """alpha -> beta: the largest gamma with [alpha, gamma] <= beta."""
     lattice = con_lattice(alg)
-    i = lattice.index(alpha)
-    j = lattice.index(beta)
-    qualifying = [
-        g
-        for g in lattice.join_irreducible_indices()
-        if lattice.leq_index(commutator_index(lattice, i, g), j)
-    ]
-    return lattice.congruences[lattice.join_many(qualifying)]
+    i, j = lattice.index(alpha), lattice.index(beta)
+    return lattice.congruences[residuation_index(lattice, i, j)]
+
+
+def residuation_index(lattice: CongruenceLattice, i: int, j: int) -> int:
+    """congruences[i] -> congruences[j], as the join of the qualifying
+    join-irreducibles, which is sound because the commutator distributes
+    over joins."""
+    leq = lattice.leq
+    return lattice.join_many(
+        g for g in lattice.join_irreducible_indices() if leq[commutator_index(lattice, i, g)][j]
+    )
 
 
 def annihilator(alg: FiniteAlgebra, alpha: Congruence) -> Congruence:
     """alpha^perp = alpha -> bottom."""
     lattice = con_lattice(alg)
-    return residuation(alg, alpha, lattice.congruences[lattice.bottom_index])
+    return lattice.congruences[annihilator_index(lattice, lattice.index(alpha))]
+
+
+def annihilator_index(lattice: CongruenceLattice, i: int) -> int:
+    return residuation_index(lattice, i, lattice.bottom_index)
 
 
 @dataclass(frozen=True)
@@ -430,19 +434,21 @@ class SurrogateReport:
         return out
 
 
-@stored
 def surrogate_checks(alg: FiniteAlgebra) -> SurrogateReport:
     """Run the hypothesis surrogates; pure report, never raises."""
     lattice = con_lattice(alg)
+    return SurrogateReport(alg, *surrogate_index(lattice), con_size=len(lattice))
+
+
+@stored
+def surrogate_index(lattice: CongruenceLattice) -> tuple[bool, bool, bool]:
+    """Whether Con(A) is modular, [nabla, nabla] = nabla, and [theta, nabla] =
+    theta for every theta."""
     top = lattice.top_index
-    return SurrogateReport(
-        algebra=alg,
-        modular=lattice.is_modular(),
-        top_idempotent=commutator_index(lattice, top, top) == top,
-        top_neutral=all(
-            commutator_index(lattice, i, top) == i for i in range(len(lattice))
-        ),
-        con_size=len(lattice),
+    return (
+        lattice.is_modular(),
+        commutator_index(lattice, top, top) == top,
+        all(commutator_index(lattice, i, top) == i for i in range(len(lattice))),
     )
 
 

@@ -24,17 +24,17 @@ closures keep every translation.  ``is_congruence`` always tests every
 translation: it is the check that ``brute_force_congruences`` runs as the
 oracle of generation.
 
-``projection(A, theta)`` stores the canonical projection A -> A/theta once
-per theta: the quotient algebra, its Con(A/theta), and the correspondence
-between the interval [theta, nabla] of Con(A) and Con(A/theta) as two index
-maps, ``down`` (chi -> chi/theta) and ``up`` (its inverse).
+``projection(Con(A), t)`` stores the canonical projection A -> A/theta once
+per theta = congruences[t]: the quotient algebra, its Con(A/theta), and the
+correspondence between the interval [theta, nabla] of Con(A) and
+Con(A/theta) as two index maps, ``down`` (chi -> chi/theta) and ``up`` (its
+inverse).
 """
 
 from __future__ import annotations
 
-import inspect
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import combinations
 
@@ -87,9 +87,6 @@ class Congruence:
 
     def num_blocks(self) -> int:
         return len(set(self.blocks))
-
-    def is_delta(self) -> bool:
-        return all(rep == x for x, rep in enumerate(self.blocks))
 
     def leq(self, other: "Congruence") -> bool:
         """Refinement order: every block of self lies inside a block of other."""
@@ -359,7 +356,6 @@ class CongruenceLattice(FiniteLattice):
 
     algebra: FiniteAlgebra
     congruences: tuple[Congruence, ...]  # canonically sorted by block array
-    principal_witnesses: tuple[tuple[int, int] | None, ...]
     # the matrix budget of each congruence: its number of related pairs, squared
     matrix_bounds: tuple[int, ...]
     _index: dict = field(compare=False, hash=False, repr=False)
@@ -384,12 +380,12 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
     if cap is None:
         cap = config.CON_CAP
     n = alg.size
-    principal: dict[tuple[int, ...], tuple[int, int]] = {}
+    principal: dict[tuple[int, ...], None] = {}
     bottom = tuple(range(n))
     elements: dict[tuple[int, ...], None] = {bottom: None}
     for a, b in combinations(range(n), 2):
         blocks = _close_pairs(alg, [(a, b)])
-        principal.setdefault(blocks, (a, b))
+        principal[blocks] = None
         if blocks not in elements and len(elements) >= cap:
             raise SizeBudgetExceeded(f"|Con({alg.name})| exceeds the cap of {cap}")
         elements.setdefault(blocks, None)
@@ -438,7 +434,6 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
         top_index=index[(0,) * n],
         algebra=alg,
         congruences=tuple(Congruence(alg, blocks) for blocks in ordered),
-        principal_witnesses=tuple(principal.get(blocks) for blocks in ordered),
         matrix_bounds=tuple(_pair_count(blocks) ** 2 for blocks in ordered),
         _index=index,
     )
@@ -494,47 +489,26 @@ _MISSING = object()
 
 
 def stored(fn):
-    """Compute ``fn(owner, *args)`` once per argument and keep the result on
-    Con(A).
+    """Compute ``fn(lattice, *args)`` once per argument tuple and keep the
+    result on ``lattice``, a Con(A).
 
-    ``owner`` is an algebra or its Con(A).  Each other argument is a
-    congruence, keyed by its index in Con(A), or an index or flag, keyed as
-    itself.  Arguments are bound to ``fn``'s signature first, so a default
-    left out and the same value passed by keyword share one entry.  A result
-    is stored only when ``fn`` returns: a cross-check that raises stores
-    nothing and runs again on the next call.
-
-    Algebras with the same tables share Con(A), and so the stored results.
-    A stored report (any result with an ``algebra`` field, congruences
-    aside) that names such an algebra under another name comes back as a
-    copy naming the caller's algebra; the stored report is left as it is.
+    Indices inside, ``Congruence`` at the public edge: a stored function is
+    an index core, and every other argument is a congruence index or a flag,
+    passed positionally, so ``args`` is the key.  A result holds indices,
+    flags and tables, never a congruence or a report naming an algebra, so
+    algebras with the same tables share it whatever their names; the public
+    functions build their reports from it for the caller's algebra.  A
+    result is stored only when ``fn`` returns: a cross-check that raises
+    stores nothing and runs again on the next call.
     """
-    signature = inspect.signature(fn)
-    arity = len(signature.parameters)
     name = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
-    def once(*args, **kwargs):
-        if kwargs or len(args) != arity:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
-        owner = args[0]
-        lattice = owner if isinstance(owner, CongruenceLattice) else con_lattice(owner)
-        key = tuple([lattice.index(a) if isinstance(a, Congruence) else a for a in args[1:]])
+    def once(lattice, *args):
         results = lattice._caches.setdefault(name, {})
-        hit = results.get(key, _MISSING)
+        hit = results.get(args, _MISSING)
         if hit is _MISSING:
-            hit = results[key] = fn(*args)
-        else:
-            named = getattr(hit, "algebra", owner)
-            if (
-                named is not owner
-                and not isinstance(hit, Congruence)
-                and named == owner
-                and named.name != owner.name
-            ):
-                hit = replace(hit, algebra=owner)
+            hit = results[args] = fn(lattice, *args)
         return hit
 
     return once
@@ -556,20 +530,20 @@ class Projection:
 
 
 @stored
-def projection(alg: FiniteAlgebra, theta: Congruence) -> Projection:
-    """The projection onto ``quotient(alg, theta)``, whose element k is the
-    theta-block of the k-th least representative.
+def projection(lattice: CongruenceLattice, t: int) -> Projection:
+    """The projection onto ``quotient(A, theta)`` for theta =
+    ``congruences[t]``, whose element k is the theta-block of the k-th least
+    representative.
 
     By the correspondence theorem, chi -> chi/theta is a bijection from
     [theta, nabla] onto Con(A/theta); a projected block array that is not a
     congruence of the quotient, or a quotient congruence that no chi
     projects to, raises :class:`Falsified`.
     """
-    lattice = con_lattice(alg)
+    alg, theta = lattice.algebra, lattice.congruences[t]
     quo = quotient(alg, theta)
     qlattice = con_lattice(quo)
     reps = sorted(set(theta.blocks))
-    t = lattice.index(theta)
     down: list[int | None] = []
     up: list[int | None] = [None] * len(qlattice)
     for j, chi in enumerate(lattice.congruences):

@@ -9,10 +9,15 @@ quotient is computed twice, once inside the interval [theta) via residuation
 and once directly on the quotient algebra; a disagreement is an internal
 falsification and raises :class:`Falsified`.
 
-Every per-congruence result is computed once per Con(A) through
-``@stored``, so its cross-checks run on the first call for each argument.
-The quotient A/theta, chi/theta and the section back into [theta) are read
-from the index maps of ``congruences.projection``.
+Indices inside, ``Congruence`` at the public edge.  Each result has an index
+core, named after it with an ``_index`` suffix, that takes Con(A) and
+congruence indices and returns indices and flags; the cores that run a
+cross-check are ``@stored``, so it runs on the first call for each argument.
+A public function runs the theory gate, indexes its congruence arguments,
+calls its core and builds its report for the caller's algebra.  The
+``verify`` suites and the transfer checks call the cores.  The quotient
+A/theta, chi/theta and the section back into [theta) are read from the index
+maps of ``congruences.projection``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import FiniteAlgebra
-from .commutator import commutator_index, require_theory, residuation
+from .commutator import commutator_index, require_theory, residuation_index
 from .congruences import (
     Congruence,
     CongruenceLattice,
@@ -39,7 +44,7 @@ from .errors import (
     SizeBudgetExceeded,
 )
 from .lattices import FiniteLattice, LatticeIdeal, lattice_center, quotient_by_ideal
-from .spectrum import spectrum
+from .spectrum import radical_index, spectrum_index
 
 __all__ = [
     "BooleanCenter",
@@ -76,6 +81,14 @@ __all__ = [
 FAMILY_CAP = 100_000  # orthogonal families enumerated on one quotient center
 
 
+def _indices(alg: FiniteAlgebra, *congruences: Congruence) -> tuple:
+    """Con(A) and the indices of the given congruences, after the theory
+    gate."""
+    require_theory(alg)
+    lattice = con_lattice(alg)
+    return (lattice, *map(lattice.index, congruences))
+
+
 # ---------------------------------------------------------------------------
 # Boolean centers
 
@@ -95,41 +108,51 @@ class BooleanCenter:
         return iter(self.elements)
 
 
-@stored
 def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
-    """B(Con(A)) from the lattice's complement search.
+    """B(Con(A)), from ``center_index``."""
+    require_theory(alg)
+    lattice = con_lattice(alg)
+    return _center(lattice, center_index(lattice))
+
+
+def _center(lattice: CongruenceLattice, center: tuple) -> BooleanCenter:
+    """A result of ``center_index(lattice)`` as congruences."""
+    members, complement, atoms = center
+    con = lattice.congruences
+    return BooleanCenter(
+        elements=tuple(con[i] for i in members),
+        complement={con[i].blocks: con[j] for i, j in complement.items()},
+        atoms=tuple(con[i] for i in atoms),
+    )
+
+
+@stored
+def center_index(
+    lattice: CongruenceLattice,
+) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...]]:
+    """B(Con(A)) from the lattice's complement search: the complemented
+    congruences, the complement of each, and the atoms.
 
     Membership means some complement exists; the recorded complement is the
     annihilator, which is cross-checked to be one.
     """
-    require_theory(alg)
-    lattice = con_lattice(alg)
     mates = lattice.complements
-    member_indices = [i for i in range(len(lattice)) if mates[i]]
-    bottom = lattice.congruences[lattice.bottom_index]
-    complement: dict[tuple, Congruence] = {}
-    for i in member_indices:
-        perp = residuation(alg, lattice.congruences[i], bottom)
-        p = lattice.index(perp)
-        if p not in mates[i]:
+    members = tuple(i for i in range(len(lattice)) if mates[i])
+    complement = {}
+    for i in members:
+        complement[i] = residuation_index(lattice, i, lattice.bottom_index)
+        if complement[i] not in mates[i]:
             raise Falsified(
-                f"{alg.name}: annihilator of a complemented congruence is not a complement"
+                f"{lattice.algebra.name}: annihilator of a complemented congruence"
+                " is not a complement"
             )
-        complement[lattice.congruences[i].blocks] = perp
-    atom_indices = [
+    bottom, leq = lattice.bottom_index, lattice.leq
+    atoms = tuple(
         i
-        for i in member_indices
-        if i != lattice.bottom_index
-        and not any(
-            j != i and j != lattice.bottom_index and lattice.leq_index(j, i)
-            for j in member_indices
-        )
-    ]
-    return BooleanCenter(
-        elements=tuple(lattice.congruences[i] for i in member_indices),
-        complement=complement,
-        atoms=tuple(lattice.congruences[i] for i in atom_indices),
+        for i in members
+        if i != bottom and not any(j != i and j != bottom and leq[j][i] for j in members)
     )
+    return members, complement, atoms
 
 
 # ---------------------------------------------------------------------------
@@ -140,35 +163,41 @@ def project_congruence(
     alg: FiniteAlgebra, theta: Congruence, chi: Congruence
 ) -> Congruence:
     """chi/theta for theta <= chi, as a congruence of the quotient algebra."""
-    p = projection(alg, theta)
-    k = p.down[con_lattice(alg).index(chi)]
+    lattice = con_lattice(alg)
+    p = projection(lattice, lattice.index(theta))
+    k = p.down[lattice.index(chi)]
     if k is None:
         raise HypothesisNotMet("chi must contain theta")
     return p.lattice.congruences[k]
 
 
-@stored
 def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -> Congruence:
-    """The image congruence (alpha v theta)/theta of the canonical projection.
+    """The image congruence (alpha v theta)/theta of the canonical projection."""
+    lattice = con_lattice(alg)
+    t = lattice.index(theta)
+    k = projection_image_index(lattice, t, lattice.index(alpha))
+    return projection(lattice, t).lattice.congruences[k]
+
+
+@stored
+def projection_image_index(lattice: CongruenceLattice, t: int, a: int) -> int:
+    """(alpha v theta)/theta as an index of Con(A/theta).
 
     Computed both as the projected join and as the congruence of the quotient
     generated by the projected pairs of alpha; the two must agree.
     """
-    lattice = con_lattice(alg)
-    p = projection(alg, theta)
-    via_interval = p.lattice.congruences[
-        p.down[lattice.join_index(lattice.index(alpha), lattice.index(theta))]
-    ]
-    reps = sorted(set(theta.blocks))
-    block_of = {r: k for k, r in enumerate(reps)}
+    p = projection(lattice, t)
+    via_interval = p.down[lattice.join_table[a][t]]
+    theta = lattice.congruences[t].blocks
+    block_of = {r: k for k, r in enumerate(sorted(set(theta)))}
     seeds = []
-    for cls in alpha.classes():
-        first = theta.blocks[cls[0]]
+    for cls in lattice.congruences[a].classes():
+        first = theta[cls[0]]
         for other in cls[1:]:
-            seeds.append((block_of[first], block_of[theta.blocks[other]]))
+            seeds.append((block_of[first], block_of[theta[other]]))
     via_generation = congruence_from_pairs(p.quotient, seeds)
-    if via_interval.blocks != via_generation.blocks:
-        raise Falsified(f"{alg.name}: projected join and generated image disagree")
+    if p.lattice.congruences[via_interval].blocks != via_generation.blocks:
+        raise Falsified(f"{lattice.algebra.name}: projected join and generated image disagree")
     return via_interval
 
 
@@ -177,33 +206,41 @@ def section_congruence(
 ) -> Congruence:
     """The inverse of chi -> chi/theta: the member of [theta) projecting to
     the given congruence of A/theta."""
-    p = projection(alg, theta)
-    return con_lattice(alg).congruences[p.up[p.lattice.index(quotient_congruence)]]
+    lattice = con_lattice(alg)
+    p = projection(lattice, lattice.index(theta))
+    return lattice.congruences[p.up[p.lattice.index(quotient_congruence)]]
 
 
-@stored
 def quotient_center_congruences(
     alg: FiniteAlgebra, theta: Congruence
 ) -> tuple[FiniteAlgebra, BooleanCenter]:
-    """B(Con(A/theta)), computed on the quotient algebra and cross-checked
-    against the interval route chi v (chi -> theta) = nabla."""
+    """A/theta and B(Con(A/theta)), from ``quotient_center_index``."""
     lattice = con_lattice(alg)
-    p = projection(alg, theta)
-    center = boolean_center_of_congruences(p.quotient)
-    top = lattice.top_index
-    interval_route = set()
-    for j, k in enumerate(p.down):
-        if k is None:
-            continue
-        arrow = residuation(alg, lattice.congruences[j], theta)
-        if lattice.join_index(j, lattice.index(arrow)) == top:
-            interval_route.add(k)
-    direct_route = {p.lattice.index(beta) for beta in center.elements}
+    t = lattice.index(theta)
+    center = quotient_center_index(lattice, t)
+    p = projection(lattice, t)
+    return p.quotient, _center(p.lattice, center)
+
+
+@stored
+def quotient_center_index(lattice: CongruenceLattice, t: int) -> tuple:
+    """B(Con(A/theta)) as ``center_index`` of Con(A/theta), computed on the
+    quotient algebra and cross-checked against the interval route
+    chi v (chi -> theta) = nabla."""
+    p = projection(lattice, t)
+    direct_route = {p.lattice.index(beta) for beta in boolean_center_of_congruences(p.quotient)}
+    join, top = lattice.join_table, lattice.top_index
+    interval_route = {
+        k
+        for j, k in enumerate(p.down)
+        if k is not None and join[j][residuation_index(lattice, j, t)] == top
+    }
     if interval_route != direct_route:
         raise Falsified(
-            f"{alg.name}: interval and direct quotient centers disagree for theta={theta}"
+            f"{lattice.algebra.name}: interval and direct quotient centers disagree"
+            f" for theta={lattice.congruences[t]}"
         )
-    return p.quotient, center
+    return center_index(p.lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -259,41 +296,48 @@ class LiftingReport:
         return json.dumps(self.to_json_dict())
 
 
-@stored
 def has_cblp(alg: FiniteAlgebra, theta: Congruence) -> LiftingReport:
     """Decide whether B(p_theta) is surjective and record witnesses."""
-    require_theory(alg)
-    _, qcenter = quotient_center_congruences(alg, theta)
-    center = boolean_center_of_congruences(alg)
-    images = {
-        alpha.blocks: projection_image(alg, theta, alpha).blocks
-        for alpha in center.elements
-    }
-    witnesses = []
-    counterexample = None
-    for beta in qcenter.elements:
-        lift = next(
-            (
-                alpha
-                for alpha in center.elements
-                if images[alpha.blocks] == beta.blocks
-            ),
-            None,
-        )
-        if lift is None:
-            counterexample = beta
-            break
-        witnesses.append((beta, lift))
-    dia = diamond(alg, theta)
+    return _lifting_report(alg, *_indices(alg, theta))
+
+
+def _lifting_report(
+    alg: FiniteAlgebra, lattice: CongruenceLattice, t: int, thm63=None, exploratory=False
+) -> LiftingReport:
+    cblp, witnesses, counterexample = cblp_index(lattice, t)
+    con, qcon = lattice.congruences, projection(lattice, t).lattice.congruences
+    dia = diamond_index(lattice, t)
     return LiftingReport(
         algebra=alg,
-        theta=theta,
-        cblp=counterexample is None,
-        witnesses=tuple(witnesses),
-        counterexample=counterexample,
-        regular=dia.blocks == theta.blocks,
-        diamond=dia,
+        theta=con[t],
+        cblp=cblp,
+        witnesses=tuple((qcon[k], con[a]) for k, a in witnesses),
+        counterexample=None if counterexample is None else qcon[counterexample],
+        regular=dia == t,
+        diamond=con[dia],
+        thm63=thm63,
+        exploratory=exploratory,
     )
+
+
+@stored
+def cblp_index(lattice: CongruenceLattice, t: int) -> tuple[bool, tuple, int | None]:
+    """Whether theta has CBLP; the witnesses (k, a), each complemented
+    congruence k of A/theta in order with a complemented lift a; and the
+    first k with no lift, or None."""
+    targets = quotient_center_index(lattice, t)[0]
+    members = center_index(lattice)[0]
+    images = [projection_image_index(lattice, t, a) for a in members]
+    witnesses = []
+    for k in targets:
+        if k not in images:
+            return False, tuple(witnesses), k
+        witnesses.append((k, members[images.index(k)]))
+    return True, tuple(witnesses), None
+
+
+def _all_cblp(lattice: CongruenceLattice) -> bool:
+    return all(cblp_index(lattice, t)[0] for t in range(len(lattice)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +381,15 @@ def has_id_blp(lattice: FiniteLattice, ideal: LatticeIdeal) -> IdBlpReport:
 def cblp_star_transfer(alg: FiniteAlgebra, theta: Congruence) -> bool:
     """theta has CBLP exactly when the ideal theta* of the reticulation has
     Id-BLP; evaluates the two sides independently."""
-    from .reticulation import build_reticulation, star
+    return cblp_star_transfer_index(*_indices(alg, theta))
 
-    retic = build_reticulation(alg)
-    left = has_cblp(alg, theta).cblp
-    right = has_id_blp(retic.lattice, star(retic, theta)).lifts
-    return left == right
+
+def cblp_star_transfer_index(lattice: CongruenceLattice, t: int) -> bool:
+    from .reticulation import reticulation_index
+
+    _, retic_lattice, lam = reticulation_index(lattice)
+    right = has_id_blp(retic_lattice, LatticeIdeal(retic_lattice, lam[t])).lifts
+    return cblp_index(lattice, t)[0] == right
 
 
 # ---------------------------------------------------------------------------
@@ -351,33 +398,33 @@ def cblp_star_transfer(alg: FiniteAlgebra, theta: Congruence) -> bool:
 
 def radical_invariance(alg: FiniteAlgebra, theta: Congruence) -> bool:
     """CBLP is invariant under taking the radical."""
-    from .spectrum import radical
-
-    return has_cblp(alg, theta).cblp == has_cblp(alg, radical(alg, theta)).cblp
+    return radical_invariance_index(*_indices(alg, theta))
 
 
-def _max_interval(alg: FiniteAlgebra, theta: Congruence) -> frozenset:
-    lattice = con_lattice(alg)
-    i = lattice.index(theta)
-    data = spectrum(alg)
-    return frozenset(
-        phi.blocks
-        for phi in data.maximals
-        if lattice.leq_index(i, lattice.index(phi))
-    )
+def radical_invariance_index(lattice: CongruenceLattice, t: int) -> bool:
+    return cblp_index(lattice, t)[0] == cblp_index(lattice, radical_index(lattice, t))[0]
+
+
+def _max_interval(lattice: CongruenceLattice, t: int) -> frozenset:
+    above = lattice.leq[t]
+    return frozenset(m for m in spectrum_index(lattice, False)[1] if above[m])
 
 
 def max_interval_transfer(alg: FiniteAlgebra, theta: Congruence, chi: Congruence) -> bool:
     """Under theta <= chi with the same maximal congruences above both:
     chi CBLP implies theta CBLP.  Raises HypothesisNotMet when the
     precondition fails."""
-    if not theta.leq(chi):
+    return max_interval_transfer_index(*_indices(alg, theta, chi))
+
+
+def max_interval_transfer_index(lattice: CongruenceLattice, t: int, c: int) -> bool:
+    if not lattice.leq[t][c]:
         raise HypothesisNotMet("theta must be contained in chi")
-    if _max_interval(alg, theta) != _max_interval(alg, chi):
+    if _max_interval(lattice, t) != _max_interval(lattice, c):
         raise HypothesisNotMet("theta and chi have different maximal intervals")
-    if not has_cblp(alg, chi).cblp:
+    if not cblp_index(lattice, c)[0]:
         return True  # implication holds vacuously
-    return has_cblp(alg, theta).cblp
+    return cblp_index(lattice, t)[0]
 
 
 def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
@@ -392,35 +439,23 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
 
     require_theory(alg)
     lattice = con_lattice(alg)
-    data = spectrum(alg)
-    rad = data.rad
-    max_indices = [lattice.index(phi) for phi in data.maximals]
+    _, maximals, rad, _ = spectrum_index(lattice, False)
     clopens = {tuple(sorted(u)) for u in brute_force_clopens(alg)}
 
     def g_image(i: int) -> tuple[int, ...]:
-        return tuple(
-            k for k, mi in enumerate(max_indices) if not lattice.leq_index(i, mi)
-        )
+        return tuple(k for k, m in enumerate(maximals) if not lattice.leq[i][m])
 
-    center = boolean_center_of_congruences(alg)
-    g_values = {
-        alpha.blocks: g_image(lattice.index(alpha)) for alpha in center.elements
-    }
+    members = center_index(lattice)[0]
+    g_values = [g_image(a) for a in members]
     # g is always an injective Boolean morphism here; surjectivity onto the
     # clopens is the criterion
-    if any(u not in clopens for u in g_values.values()):
+    if any(u not in clopens for u in g_values):
         return False
-    g_iso = len(set(g_values.values())) == len(g_values) and set(
-        g_values.values()
-    ) == clopens
+    g_iso = len(set(g_values)) == len(g_values) and set(g_values) == clopens
 
     # the quotient-center map: classes of [Rad) project to Clop(Max(A))
-    p = projection(alg, rad)
-    _, qcenter = quotient_center_congruences(alg, rad)
-    f_values = {}
-    for beta in qcenter.elements:
-        k = p.lattice.index(beta)
-        f_values[k] = g_image(p.up[k])
+    p = projection(lattice, rad)
+    f_values = {k: g_image(p.up[k]) for k in quotient_center_index(lattice, rad)[0]}
     f_iso = (
         len(set(f_values.values())) == len(f_values)
         and set(f_values.values()) == clopens
@@ -437,52 +472,53 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
                 return False
 
     # injectivity of the center map of the Rad projection
-    rad_images = {
-        alpha.blocks: projection_image(alg, rad, alpha).blocks
-        for alpha in center.elements
-    }
-    if len(set(rad_images.values())) != len(rad_images):
+    rad_images = [projection_image_index(lattice, rad, a) for a in members]
+    if len(set(rad_images)) != len(rad_images):
         return False
 
-    return g_iso == has_cblp(alg, rad).cblp
+    return g_iso == cblp_index(lattice, rad)[0]
 
 
 # ---------------------------------------------------------------------------
 # Regular congruences and the characterization theorem
 
 
-@stored
 def diamond(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
     """Join of the complemented congruences below theta."""
-    lattice = con_lattice(alg)
-    i = lattice.index(theta)
-    below = [
-        lattice.index(alpha)
-        for alpha in boolean_center_of_congruences(alg).elements
-        if lattice.leq_index(lattice.index(alpha), i)
-    ]
-    return lattice.congruences[lattice.join_many(below)]
+    lattice, t = _indices(alg, theta)
+    return lattice.congruences[diamond_index(lattice, t)]
+
+
+@stored
+def diamond_index(lattice: CongruenceLattice, t: int) -> int:
+    leq = lattice.leq
+    return lattice.join_many(a for a in center_index(lattice)[0] if leq[a][t])
 
 
 def is_regular(alg: FiniteAlgebra, theta: Congruence) -> bool:
-    return diamond(alg, theta).blocks == theta.blocks
+    lattice, t = _indices(alg, theta)
+    return diamond_index(lattice, t) == t
 
 
 def diamond_star_commute(alg: FiniteAlgebra, theta: Congruence) -> bool:
     """The ideal of the reticulation generated by the complemented part of
     theta* equals (theta-diamond)*; also: regular theta gives a regular
     ideal theta*."""
-    from .reticulation import build_reticulation, star
+    return diamond_star_commute_index(*_indices(alg, theta))
 
-    retic = build_reticulation(alg)
-    lat = retic.lattice
-    center = set(lattice_center(lat))
-    ideal = star(retic, theta)
+
+def diamond_star_commute_index(lattice: CongruenceLattice, t: int) -> bool:
+    from .reticulation import reticulation_index
+
+    _, retic_lattice, lam = reticulation_index(lattice)
+    center = set(lattice_center(retic_lattice))
+    ideal = LatticeIdeal(retic_lattice, lam[t])  # theta*
     # the generator of the ideal generated by the complemented part of theta*
-    ideal_diamond = lat.join_many(x for x in ideal.members() if x in center)
-    if ideal_diamond != star(retic, diamond(alg, theta)).generator:
+    ideal_diamond = retic_lattice.join_many(x for x in ideal.members() if x in center)
+    dia = diamond_index(lattice, t)
+    if ideal_diamond != lam[dia]:
         return False
-    return not is_regular(alg, theta) or ideal_diamond == ideal.generator
+    return dia != t or ideal_diamond == ideal.generator
 
 
 @stored
@@ -499,18 +535,15 @@ def _coprime_pairs(lattice: CongruenceLattice) -> list[tuple[int, int, int]]:
 
 
 @stored
-def _center_pair_bits(alg: FiniteAlgebra) -> tuple[list[int], list[int]]:
+def _center_pair_bits(lattice: CongruenceLattice) -> tuple[list[int], list[int]]:
     """Over the center pairs (alpha, alpha'), k-th in center order, where
     alpha' is alpha's complement: for each congruence x, the int bitsets
     {k : alpha_k <= x} and {k : alpha'_k <= x}."""
-    lattice = con_lattice(alg)
-    center = boolean_center_of_congruences(alg)
+    members, complement, _ = center_index(lattice)
     below_a = [0] * len(lattice)
     below_na = [0] * len(lattice)
-    for k, alpha in enumerate(center.elements):
-        a = lattice.index(alpha)
-        na = lattice.index(center.complement[alpha.blocks])
-        for x, (above_a, above_na) in enumerate(zip(lattice.leq[a], lattice.leq[na])):
+    for k, a in enumerate(members):
+        for x, (above_a, above_na) in enumerate(zip(lattice.leq[a], lattice.leq[complement[a]])):
             if above_a:
                 below_a[x] |= 1 << k
             if above_na:
@@ -530,13 +563,17 @@ def cblp_characterization(alg: FiniteAlgebra, theta: Congruence) -> LiftingRepor
     not, the verdicts are still computed and the report is marked
     exploratory.
     """
-    from .reticulation import preserves_boolean_center
+    from .reticulation import center_preservation_index
 
-    base = has_cblp(alg, theta)
-    exploratory = not preserves_boolean_center(alg).preserves
-    lattice = con_lattice(alg)
-    t = lattice.index(theta)
-    below_a, below_na = _center_pair_bits(alg)
+    lattice, t = _indices(alg, theta)
+    c1, c2, c3, c4 = cblp_characterization_index(lattice, t)
+    exploratory = not center_preservation_index(lattice)[0]
+    thm63 = {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
+    return _lifting_report(alg, lattice, t, thm63, exploratory)
+
+
+def cblp_characterization_index(lattice: CongruenceLattice, t: int) -> tuple[bool, ...]:
+    below_a, below_na = _center_pair_bits(lattice)
     leq, join_t = lattice.leq, lattice.join_table[t]
 
     # phi, psi are separated when some center pair (alpha, alpha') has
@@ -552,56 +589,46 @@ def cblp_characterization(alg: FiniteAlgebra, theta: Congruence) -> LiftingRepor
             break
 
     c4 = True
-    for phi in spectrum(alg).maximals:
-        dia = diamond(alg, phi)
-        joined = lattice.congruences[
-            lattice.join_index(t, lattice.index(dia))
-        ]
-        _, qcenter = quotient_center_congruences(alg, joined)
-        if len(qcenter) > 2:
+    for m in spectrum_index(lattice, False)[1]:
+        joined = join_t[diamond_index(lattice, m)]
+        if len(quotient_center_index(lattice, joined)[0]) > 2:
             c4 = False
             break
 
-    thm63 = {"c1": base.cblp, "c2": c2, "c3": c3, "c4": c4}
-    return LiftingReport(
-        algebra=alg,
-        theta=theta,
-        cblp=base.cblp,
-        witnesses=base.witnesses,
-        counterexample=base.counterexample,
-        regular=base.regular,
-        diamond=base.diamond,
-        thm63=thm63,
-        exploratory=exploratory,
-    )
+    return cblp_index(lattice, t)[0], c2, c3, c4
 
 
 def regular_join_transfer(alg: FiniteAlgebra, theta: Congruence, chi: Congruence) -> bool:
     """theta CBLP and chi regular imply theta v chi CBLP (vacuously true
     when the hypotheses fail)."""
-    if not (has_cblp(alg, theta).cblp and is_regular(alg, chi)):
+    return regular_join_transfer_index(*_indices(alg, theta, chi))
+
+
+def regular_join_transfer_index(lattice: CongruenceLattice, t: int, c: int) -> bool:
+    if not (cblp_index(lattice, t)[0] and diamond_index(lattice, c) == c):
         return True
-    lattice = con_lattice(alg)
-    joined = lattice.congruences[
-        lattice.join_index(lattice.index(theta), lattice.index(chi))
-    ]
-    return has_cblp(alg, joined).cblp
+    return cblp_index(lattice, lattice.join_table[t][c])[0]
 
 
 def noncoprime_meet_transfer(alg: FiniteAlgebra, theta: Congruence, chi: Congruence) -> bool:
     """Non-coprime theta, chi with theta CBLP and trivial center of A/chi
     give theta n chi CBLP (vacuously true when the hypotheses fail)."""
-    lattice = con_lattice(alg)
-    i, j = lattice.index(theta), lattice.index(chi)
-    if lattice.join_index(i, j) == lattice.top_index:
+    return noncoprime_meet_transfer_index(*_indices(alg, theta, chi))
+
+
+def noncoprime_meet_transfer_index(lattice: CongruenceLattice, t: int, c: int) -> bool:
+    if lattice.join_table[t][c] == lattice.top_index:
         return True
-    if not has_cblp(alg, theta).cblp:
+    if not cblp_index(lattice, t)[0]:
         return True
-    _, qcenter = quotient_center_congruences(alg, chi)
-    if len(qcenter) > 2:
+    if len(quotient_center_index(lattice, c)[0]) > 2:
         return True
-    met = lattice.congruences[lattice.meet_index(i, j)]
-    return has_cblp(alg, met).cblp
+    return cblp_index(lattice, lattice.meet_table[t][c])[0]
+
+
+def _require_below_rad(lattice: CongruenceLattice, t: int) -> None:
+    if not lattice.leq[t][spectrum_index(lattice, False)[2]]:
+        raise HypothesisNotMet("theta must be contained in Rad(A)")
 
 
 def quotient_cblp_descent(alg: FiniteAlgebra, theta: Congruence) -> bool:
@@ -614,20 +641,17 @@ def quotient_cblp_descent(alg: FiniteAlgebra, theta: Congruence) -> bool:
     lattice, CBLP everywhere, while Rad(N5) itself does not lift; see
     ``literal_quotient_descent``).
     """
-    lattice = con_lattice(alg)
-    rad = spectrum(alg).rad
-    if not lattice.leq_index(lattice.index(theta), lattice.index(rad)):
-        raise HypothesisNotMet("theta must be contained in Rad(A)")
-    if not has_cblp(alg, theta).cblp:
+    return quotient_cblp_descent_index(*_indices(alg, theta))
+
+
+def quotient_cblp_descent_index(lattice: CongruenceLattice, t: int) -> bool:
+    _require_below_rad(lattice, t)
+    if not cblp_index(lattice, t)[0]:
         return True
-    quo, _ = quotient_center_congruences(alg, theta)
-    quo_all_cblp = all(
-        has_cblp(quo, chi).cblp for chi in con_lattice(quo).congruences
-    )
-    alg_all_cblp = all(has_cblp(alg, chi).cblp for chi in lattice.congruences)
-    if quo_all_cblp and not alg_all_cblp:
+    quotient_lattice = projection(lattice, t).lattice
+    if _all_cblp(quotient_lattice) and not _all_cblp(lattice):
         return False
-    if is_b_normal(quo).b_normal and not is_b_normal(alg).b_normal:
+    if b_normal_index(quotient_lattice) is None and b_normal_index(lattice) is not None:
         return False
     return True
 
@@ -635,16 +659,10 @@ def quotient_cblp_descent(alg: FiniteAlgebra, theta: Congruence) -> bool:
 def literal_quotient_descent(alg: FiniteAlgebra, theta: Congruence) -> bool:
     """The descent without the lifting hypothesis on theta: false in general
     (the pentagon refutes it); kept so the counterexample can be exhibited."""
-    lattice = con_lattice(alg)
-    rad = spectrum(alg).rad
-    if not lattice.leq_index(lattice.index(theta), lattice.index(rad)):
-        raise HypothesisNotMet("theta must be contained in Rad(A)")
-    quo, _ = quotient_center_congruences(alg, theta)
-    quo_all_cblp = all(
-        has_cblp(quo, chi).cblp for chi in con_lattice(quo).congruences
-    )
-    alg_all_cblp = all(has_cblp(alg, chi).cblp for chi in lattice.congruences)
-    return alg_all_cblp or not quo_all_cblp
+    lattice, t = _indices(alg, theta)
+    _require_below_rad(lattice, t)
+    quotient_center_index(lattice, t)  # the theory gate on A/theta
+    return _all_cblp(lattice) or not _all_cblp(projection(lattice, t).lattice)
 
 
 @dataclass(frozen=True)
@@ -654,21 +672,28 @@ class BNormalReport:
     counterexample: tuple | None  # a coprime pair with no separating pair
 
 
-@stored
 def is_b_normal(alg: FiniteAlgebra) -> BNormalReport:
     """For every coprime pair (chi, eps) there are complemented alpha, beta
     with chi v alpha = eps v beta = nabla and [alpha, beta] = bottom."""
     require_theory(alg)
     lattice = con_lattice(alg)
+    pair = b_normal_index(lattice)
+    if pair is not None:
+        pair = tuple(lattice.congruences[i] for i in pair)
+    return BNormalReport(alg, pair is None, pair)
+
+
+@stored
+def b_normal_index(lattice: CongruenceLattice) -> tuple[int, int] | None:
+    """The first coprime pair with no separating pair, or None."""
     top = lattice.top_index
     bottom = lattice.bottom_index
-    center = boolean_center_of_congruences(alg)
-    center_indices = [lattice.index(alpha) for alpha in center.elements]
+    members = center_index(lattice)[0]
     # the candidate separating pairs (alpha, beta), k-th as an int bit
     orthogonal = [
         (a, b)
-        for a in center_indices
-        for b in center_indices
+        for a in members
+        for b in members
         if commutator_index(lattice, a, b) == bottom
     ]
     by_a: dict[int, int] = {}  # a -> {k : alpha_k = a}
@@ -686,14 +711,7 @@ def is_b_normal(alg: FiniteAlgebra) -> BNormalReport:
         for b, bits in by_b.items():
             if row[b] == top:
                 cov_b[x] |= bits
-    counterexample = None
-    for i, j, _ in _coprime_pairs(lattice):
-        if not cov_a[i] & cov_b[j]:
-            counterexample = (lattice.congruences[i], lattice.congruences[j])
-            break
-    return BNormalReport(
-        algebra=alg, b_normal=counterexample is None, counterexample=counterexample
-    )
+    return next(((i, j) for i, j, _ in _coprime_pairs(lattice) if not cov_a[i] & cov_b[j]), None)
 
 
 def hyperarchimedean_cblp(alg: FiniteAlgebra) -> bool:
@@ -701,28 +719,21 @@ def hyperarchimedean_cblp(alg: FiniteAlgebra) -> bool:
     true when the algebra is not hyperarchimedean)."""
     from .spectrum import is_hyperarchimedean
 
-    if not is_hyperarchimedean(alg):
-        return True
-    lattice = con_lattice(alg)
-    return all(has_cblp(alg, theta).cblp for theta in lattice.congruences)
+    return not is_hyperarchimedean(alg) or _all_cblp(con_lattice(alg))
 
 
 # ---------------------------------------------------------------------------
 # Orthogonal lifting
 
 
-def _check_orthogonal(center: BooleanCenter, lattice, items) -> None:
+def _check_orthogonal(lattice: CongruenceLattice, members, items) -> None:
+    con, bottom = lattice.congruences, lattice.bottom_index
     for x, y in combinations(items, 2):
-        i, j = lattice.index(x), lattice.index(y)
-        if (
-            lattice.meet_index(i, j) != lattice.bottom_index
-            or commutator_index(lattice, i, j) != lattice.bottom_index
-        ):
-            raise NotOrthogonal(f"{x} and {y} are not orthogonal")
-    members = {c.blocks for c in center.elements}
+        if lattice.meet_index(x, y) != bottom or commutator_index(lattice, x, y) != bottom:
+            raise NotOrthogonal(f"{con[x]} and {con[y]} are not orthogonal")
     for x in items:
-        if x.blocks not in members:
-            raise NotOrthogonal(f"{x} is not complemented")
+        if x not in members:
+            raise NotOrthogonal(f"{con[x]} is not complemented")
 
 
 def lift_orthogonal(
@@ -731,33 +742,34 @@ def lift_orthogonal(
     """Lift an orthogonal family from B(Con(A/theta)) to an orthogonal family
     of B(Con(A)) mapping onto it, by inductive disjointing: each raw lift is
     cut down by the complement of the join of the lifts built so far."""
-    report = has_cblp(alg, theta)
-    if not report.cblp:
-        raise NoCBLP(f"{theta} does not have CBLP")
-    quo, qcenter = quotient_center_congruences(alg, theta)
-    qlattice = con_lattice(quo)
-    omega_prime = list(omega_prime)
-    _check_orthogonal(qcenter, qlattice, omega_prime)
+    lattice, t = _indices(alg, theta)
+    qlattice = projection(lattice, t).lattice
+    family = tuple(qlattice.index(beta) for beta in omega_prime)
+    return [lattice.congruences[a] for a in lift_orthogonal_index(lattice, t, family)]
 
-    lattice = con_lattice(alg)
-    center = boolean_center_of_congruences(alg)
-    witness = {b.blocks: a for b, a in report.witnesses}
-    lifted: list[Congruence] = []
-    for beta in omega_prime:
-        raw = witness[beta.blocks]
-        sofar = lattice.congruences[
-            lattice.join_many(lattice.index(x) for x in lifted)
-        ]
-        if sofar.blocks not in center.complement:
-            raise Falsified(f"{alg.name}: join of complemented congruences left the center")
-        cut = center.complement[sofar.blocks]
-        alpha = lattice.congruences[
-            lattice.meet_index(lattice.index(raw), lattice.index(cut))
-        ]
-        if projection_image(alg, theta, alpha).blocks != beta.blocks:
-            raise Falsified(f"{alg.name}: disjointed lift of {beta} no longer projects onto it")
+
+def lift_orthogonal_index(lattice: CongruenceLattice, t: int, family) -> list[int]:
+    cblp, witnesses, _ = cblp_index(lattice, t)
+    if not cblp:
+        raise NoCBLP(f"{lattice.congruences[t]} does not have CBLP")
+    qlattice = projection(lattice, t).lattice
+    _check_orthogonal(qlattice, quotient_center_index(lattice, t)[0], family)
+
+    name = lattice.algebra.name
+    members, complement, _ = center_index(lattice)
+    witness = dict(witnesses)
+    lifted: list[int] = []
+    for k in family:
+        sofar = lattice.join_many(lifted)
+        if sofar not in complement:
+            raise Falsified(f"{name}: join of complemented congruences left the center")
+        alpha = lattice.meet_index(witness[k], complement[sofar])
+        if projection_image_index(lattice, t, alpha) != k:
+            raise Falsified(
+                f"{name}: disjointed lift of {qlattice.congruences[k]} no longer projects onto it"
+            )
         lifted.append(alpha)
-    _check_orthogonal(center, lattice, lifted)
+    _check_orthogonal(lattice, members, lifted)
     return lifted
 
 
@@ -772,9 +784,8 @@ class OrthogonalReport:
     difference_lemma: bool
 
 
-def _orthogonal_families(center: BooleanCenter, lattice) -> list[tuple]:
+def _orthogonal_families(lattice: CongruenceLattice, elements) -> list[tuple]:
     """All orthogonal subsets of a Boolean center (pairwise meet = bottom)."""
-    elements = [lattice.index(x) for x in center.elements]
     bottom = lattice.bottom_index
     families: list[tuple] = []
 
@@ -797,84 +808,57 @@ def orthogonal_uniqueness_and_atoms(alg: FiniteAlgebra, theta: Congruence) -> Or
     fibers on B(Con(A)), which is itself a consequence of the difference
     lemma checked here.
     """
-    lattice = con_lattice(alg)
-    rad = spectrum(alg).rad
-    if not lattice.leq_index(lattice.index(theta), lattice.index(rad)):
-        raise HypothesisNotMet("theta must be contained in Rad(A)")
+    return OrthogonalReport(alg, theta, *orthogonal_index(*_indices(alg, theta)))
 
-    center = boolean_center_of_congruences(alg)
-    quo, qcenter = quotient_center_congruences(alg, theta)
-    qlattice = con_lattice(quo)
-    rad_index = lattice.index(rad)
+
+def orthogonal_index(lattice: CongruenceLattice, t: int) -> tuple:
+    """The fields of ``OrthogonalReport`` after ``theta``, in order."""
+    _require_below_rad(lattice, t)
+    rad = spectrum_index(lattice, False)[2]
+    members, complement, atoms = center_index(lattice)
+    qmembers, _, qatoms = quotient_center_index(lattice, t)
+    leq, meet, bottom = lattice.leq, lattice.meet_table, lattice.bottom_index
 
     # difference lemma: complemented alpha below Rad(A) is the bottom, and
     # alpha - beta below Rad(A) forces alpha <= beta (applying this in both
     # orders is what gives the uniqueness of lifts)
     lemma = True
-    for alpha in center.elements:
-        if (
-            lattice.leq_index(lattice.index(alpha), rad_index)
-            and lattice.index(alpha) != lattice.bottom_index
-        ):
+    for a in members:
+        if leq[a][rad] and a != bottom:
             lemma = False
-    for alpha in center.elements:
-        for beta in center.elements:
-            diff = lattice.meet_index(
-                lattice.index(alpha),
-                lattice.index(center.complement[beta.blocks]),
-            )
-            if lattice.leq_index(diff, rad_index) and not lattice.leq_index(
-                lattice.index(alpha), lattice.index(beta)
-            ):
+    for a in members:
+        for b in members:
+            if leq[meet[a][complement[b]]][rad] and not leq[a][b]:
                 lemma = False
 
     # fibers of the projection on the center
-    fibers: dict[tuple, list[Congruence]] = {}
-    for alpha in center.elements:
-        fibers.setdefault(
-            projection_image(alg, theta, alpha).blocks, []
-        ).append(alpha)
+    fibers: dict[int, list[int]] = {}
+    for a in members:
+        fibers.setdefault(projection_image_index(lattice, t, a), []).append(a)
     unique = all(len(v) == 1 for v in fibers.values())
 
-    families = _orthogonal_families(qcenter, qlattice)
+    families = _orthogonal_families(projection(lattice, t).lattice, qmembers)
     if len(families) > FAMILY_CAP:
         raise SizeBudgetExceeded(
             f"{len(families)} orthogonal families exceed the cap {FAMILY_CAP}"
         )
     lifts_orthogonal = True
     for family in families:
-        targets = [qlattice.congruences[k].blocks for k in family]
-        if any(t not in fibers for t in targets):
+        if any(k not in fibers for k in family):
             continue  # not liftable; outside the theorem's hypothesis
-        lift = [fibers[t][0] for t in targets]
-        for x, y in combinations(lift, 2):
-            i, j = lattice.index(x), lattice.index(y)
-            if (
-                lattice.meet_index(i, j) != lattice.bottom_index
-                or commutator_index(lattice, i, j) != lattice.bottom_index
-            ):
+        for x, y in combinations([fibers[k][0] for k in family], 2):
+            if meet[x][y] != bottom or commutator_index(lattice, x, y) != bottom:
                 lifts_orthogonal = False
 
     atoms_ok: bool | None = None
-    if has_cblp(alg, theta).cblp:
+    if cblp_index(lattice, t)[0]:
         atoms_ok = True
-        atom_blocks = {a.blocks for a in center.atoms}
-        qatoms = list(qcenter.atoms)
         for r in range(len(qatoms) + 1):
             for chosen in combinations(qatoms, r):
-                lifted = lift_orthogonal(alg, theta, list(chosen))
-                if any(a.blocks not in atom_blocks for a in lifted):
+                if not set(lift_orthogonal_index(lattice, t, chosen)) <= set(atoms):
                     atoms_ok = False
 
-    return OrthogonalReport(
-        algebra=alg,
-        theta=theta,
-        families_checked=len(families),
-        unique_lifts=unique,
-        lifts_orthogonal=lifts_orthogonal,
-        atoms_lift_to_atoms=atoms_ok,
-        difference_lemma=lemma,
-    )
+    return len(families), unique, lifts_orthogonal, atoms_ok, lemma
 
 
 # ---------------------------------------------------------------------------

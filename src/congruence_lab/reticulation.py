@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .algebra import FiniteAlgebra
 from .commutator import require_theory, _iterate_chain
-from .congruences import Congruence, con_lattice, stored
+from .congruences import Congruence, CongruenceLattice, con_lattice, stored
 from .errors import TheoryHypothesisFailed
 from .lattices import (
     FiniteLattice,
@@ -26,7 +26,7 @@ from .lattices import (
     prime_ideals,
     serialize_lattice,
 )
-from .spectrum import radical, spectrum, v_set
+from .spectrum import radical_index, spectrum_index, v_set_index
 
 __all__ = [
     "Reticulation",
@@ -73,21 +73,28 @@ class Reticulation:
         return serialize_lattice(self.lattice)
 
 
-@stored
 def build_reticulation(alg: FiniteAlgebra) -> Reticulation:
     """Construct the reticulation; distributivity and meet-closure of the
     radical congruences are verified and their failure raises
     TheoryHypothesisFailed."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    radicals: list[int] = []
-    lambda_by_con = []
-    for theta in lattice.congruences:
-        rho = lattice.index(radical(alg, theta))
-        lambda_by_con.append(rho)
-        if rho not in radicals:
-            radicals.append(rho)
-    radicals.sort(key=lambda i: lattice.congruences[i].blocks)
+    radicals, retic_lattice, lambda_by_con = reticulation_index(lattice)
+    return Reticulation(
+        alg, tuple(lattice.congruences[i] for i in radicals), retic_lattice, lambda_by_con
+    )
+
+
+@stored
+def reticulation_index(
+    lattice: CongruenceLattice,
+) -> tuple[tuple[int, ...], FiniteLattice, tuple[int, ...]]:
+    """The radical congruences as indices, in canonical order; the
+    reticulation on them; and lambda as the position of each congruence's
+    radical."""
+    name = lattice.algebra.name
+    lambda_by_con = [radical_index(lattice, i) for i in range(len(lattice))]
+    radicals = sorted(set(lambda_by_con))  # index order is canonical order
     position = {i: k for k, i in enumerate(radicals)}
     size = len(radicals)
     leq = [
@@ -100,25 +107,20 @@ def build_reticulation(alg: FiniteAlgebra) -> Reticulation:
             met = lattice.meet_index(radicals[a], radicals[b])
             if met not in position:
                 raise TheoryHypothesisFailed(
-                    f"{alg.name}: intersection of radical congruences is not radical"
+                    f"{name}: intersection of radical congruences is not radical"
                 )
             if retic_lattice.meet_index(a, b) != position[met]:
                 raise TheoryHypothesisFailed(
-                    f"{alg.name}: reticulation meet disagrees with intersection"
+                    f"{name}: reticulation meet disagrees with intersection"
                 )
             joined = lambda_by_con[lattice.join_index(radicals[a], radicals[b])]
             if retic_lattice.join_index(a, b) != position[joined]:
                 raise TheoryHypothesisFailed(
-                    f"{alg.name}: reticulation join disagrees with rho of the join"
+                    f"{name}: reticulation join disagrees with rho of the join"
                 )
     if not retic_lattice.is_distributive():
-        raise TheoryHypothesisFailed(f"{alg.name}: reticulation is not distributive")
-    return Reticulation(
-        algebra=alg,
-        elements=tuple(lattice.congruences[i] for i in radicals),
-        lattice=retic_lattice,
-        _lambda_by_con=tuple(position[i] for i in lambda_by_con),
-    )
+        raise TheoryHypothesisFailed(f"{name}: reticulation is not distributive")
+    return tuple(radicals), retic_lattice, tuple(position[i] for i in lambda_by_con)
 
 
 def lambda_(retic: Reticulation, theta: Congruence) -> Congruence:
@@ -142,11 +144,12 @@ def costar(retic: Reticulation, ideal: LatticeIdeal) -> Congruence:
     """I_* = join of all congruences whose lambda-image lies in I = (g],
     that is the congruences j with lambda(j) <= g."""
     lattice = con_lattice(retic.algebra)
-    inside = [row[ideal.generator] for row in retic.lattice.leq]
-    qualifying = [
-        j for j, lam in enumerate(retic._lambda_by_con) if inside[lam]
-    ]
-    return lattice.congruences[lattice.join_many(qualifying)]
+    return lattice.congruences[costar_index(lattice, retic, ideal.generator)]
+
+
+def costar_index(lattice: CongruenceLattice, retic: Reticulation, g: int) -> int:
+    inside = [row[g] for row in retic.lattice.leq]
+    return lattice.join_many(j for j, lam in enumerate(retic._lambda_by_con) if inside[lam])
 
 
 def ideal_spectra(lattice: FiniteLattice) -> tuple[list[LatticeIdeal], list[LatticeIdeal]]:
@@ -176,16 +179,20 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
     """Verify that phi -> phi* and P -> P_* are mutually inverse order
     isomorphisms between the prime congruences and the prime ideals of the
     reticulation, carry the basic opens across, and restrict to a lattice
-    isomorphism between the radical congruences and the ideal lattice."""
+    isomorphism between the radical congruences and the ideal lattice.
+
+    phi* is the ideal generated by lambda(phi), so it is read as that index.
+    """
     require_theory(alg)
     retic = build_reticulation(alg)
     lattice = con_lattice(alg)
-    data = spectrum(alg)
+    con, leq, rl, lam = lattice.congruences, lattice.leq, retic.lattice, retic._lambda_by_con
+    primes = spectrum_index(lattice, False)[0]
     failures: list[str] = []
 
-    primes = list(data.primes)
-    ideal_primes, _ = ideal_spectra(retic.lattice)
-    ideal_keys = {ideal.generator for ideal in ideal_primes}
+    ideal_primes, _ = ideal_spectra(rl)
+    ideal_keys = [ideal.generator for ideal in ideal_primes]
+    down = [costar_index(lattice, retic, g) for g in range(rl.size)]  # (g]_*
 
     if len(primes) != len(ideal_primes):
         failures.append(
@@ -193,68 +200,53 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
         )
 
     images = {}
-    for phi in primes:
-        u_phi = star(retic, phi)
-        if u_phi.generator not in ideal_keys:
-            failures.append(f"star of prime {phi} is not a prime ideal")
+    for p in primes:
+        if lam[p] not in ideal_keys:
+            failures.append(f"star of prime {con[p]} is not a prime ideal")
             continue
-        images[phi.blocks] = u_phi
-        back = costar(retic, u_phi)
-        if back.blocks != phi.blocks:
-            failures.append(f"costar(star({phi})) != {phi}")
-    if len({ideal.generator for ideal in images.values()}) != len(images):
+        images[p] = lam[p]
+        if down[lam[p]] != p:
+            failures.append(f"costar(star({con[p]})) != {con[p]}")
+    if len(set(images.values())) != len(images):
         failures.append("star is not injective on primes")
 
-    for ideal in ideal_primes:
-        down = costar(retic, ideal)
-        if not any(down.blocks == phi.blocks for phi in primes):
+    for g in ideal_keys:
+        if down[g] not in primes:
             failures.append("costar of a prime ideal is not a prime congruence")
             continue
-        if star(retic, down).generator != ideal.generator:
+        if lam[down[g]] != g:
             failures.append("star(costar(I)) != I for a prime ideal")
 
     if len(images) == len(primes):
-        for phi in primes:
-            for psi in primes:
-                forward = retic.lattice.leq_index(
-                    images[phi.blocks].generator, images[psi.blocks].generator
-                )
-                if phi.leq(psi) != forward:
-                    failures.append(
-                        f"star does not preserve/reflect order at {phi}, {psi}"
-                    )
+        for p in primes:
+            for q in primes:
+                if leq[p][q] != rl.leq[images[p]][images[q]]:
+                    failures.append(f"star does not preserve/reflect order at {con[p]}, {con[q]}")
 
     # basic opens: the primes above alpha go to the prime ideals containing
     # lambda(alpha)
-    for alpha in lattice.congruences:
-        lam = retic.lambda_index(alpha)
-        left = {primes[k].blocks for k in v_set(alg, alpha)}
-        right = {
-            costar(retic, ideal).blocks for ideal in ideal_primes if lam in ideal
-        }
-        if left != right:
-            failures.append(f"V({alpha}) does not match V_Id(lambda) on primes")
+    for a, la in enumerate(lam):
+        left = {primes[k] for k in v_set_index(lattice, a)}
+        if left != {down[g] for g in ideal_keys if rl.leq[la][g]}:
+            failures.append(f"V({con[a]}) does not match V_Id(lambda) on primes")
 
     # radical congruences vs the ideal lattice: star is a bounded lattice
     # isomorphism
-    radicals = retic.elements
-    star_of = {r.blocks: star(retic, r) for r in radicals}
-    generators = {star_of[r.blocks].generator for r in radicals}
+    radicals = [lattice.index(r) for r in retic.elements]
+    generators = {lam[r] for r in radicals}
     if len(generators) != len(radicals):
         failures.append("star is not injective on radical congruences")
-    if generators != set(range(retic.lattice.size)):
+    if generators != set(range(rl.size)):
         failures.append("star does not reach every ideal of the reticulation")
     for x in radicals:
+        meet_x, join_x, gx = lattice.meet_table[x], lattice.join_table[x], lam[x]
         for y in radicals:
-            ix, iy = lattice.index(x), lattice.index(y)
-            met = lattice.congruences[lattice.meet_index(ix, iy)]
-            joined = radical(alg, lattice.congruences[lattice.join_index(ix, iy)])
-            gx, gy = star_of[x.blocks].generator, star_of[y.blocks].generator
+            gy = lam[y]
             # (gx] n (gy] = (gx ^ gy]
-            if star(retic, met).generator != retic.lattice.meet_index(gx, gy):
-                failures.append(f"star breaks meets at {x}, {y}")
-            if star(retic, joined).generator != retic.lattice.join_index(gx, gy):
-                failures.append(f"star breaks joins at {x}, {y}")
+            if lam[meet_x[y]] != rl.meet_table[gx][gy]:
+                failures.append(f"star breaks meets at {con[x]}, {con[y]}")
+            if lam[radical_index(lattice, join_x[y])] != rl.join_table[gx][gy]:
+                failures.append(f"star breaks joins at {con[x]}, {con[y]}")
 
     return SpecHomeomorphismReport(
         algebra=alg,
@@ -280,47 +272,43 @@ class CenterPreservationReport:
         return self.star_property or self.semiprime
 
 
-@stored
 def preserves_boolean_center(alg: FiniteAlgebra) -> CenterPreservationReport:
     """True when every congruence whose reticulation image is complemented
     has some complemented iterate [alpha, alpha]^n (n >= 0)."""
     require_theory(alg)
-    from .lifting import boolean_center_of_congruences
-    from .spectrum import is_semiprime
-
     lattice = con_lattice(alg)
-    retic = build_reticulation(alg)
-    center_blocks = {
-        theta.blocks for theta in boolean_center_of_congruences(alg).elements
-    }
-    lattice_center = set(complemented_elements(retic.lattice))
-    preserves = True
-    violating = None
-    for i, theta in enumerate(lattice.congruences):
-        if retic._lambda_by_con[i] not in lattice_center:
-            continue
-        chain, _ = _iterate_chain(lattice, i)
-        if not any(lattice.congruences[k].blocks in center_blocks for k in chain):
-            preserves = False
-            violating = theta
-            break
-    return CenterPreservationReport(
-        algebra=alg,
-        preserves=preserves,
-        violating=violating,
-        star_property=_star_property(alg),
-        semiprime=is_semiprime(alg),
+    preserves, violating, star_property, semiprime = center_preservation_index(lattice)
+    if violating is not None:
+        violating = lattice.congruences[violating]
+    return CenterPreservationReport(alg, preserves, violating, star_property, semiprime)
+
+
+@stored
+def center_preservation_index(lattice: CongruenceLattice) -> tuple[bool, int | None, bool, bool]:
+    from .lifting import center_index
+
+    center = set(center_index(lattice)[0])
+    _, retic_lattice, lam = reticulation_index(lattice)
+    lattice_center = set(complemented_elements(retic_lattice))
+    violating = next(
+        (
+            i
+            for i in range(len(lattice))
+            if lam[i] in lattice_center and center.isdisjoint(_iterate_chain(lattice, i)[0])
+        ),
+        None,
     )
+    semiprime = spectrum_index(lattice, False)[3] == lattice.bottom_index
+    return violating is None, violating, _star_property(lattice), semiprime
 
 
-def _star_property(alg: FiniteAlgebra) -> bool:
+def _star_property(lattice: CongruenceLattice) -> bool:
     """For all alpha, beta and n >= 1, some m has
     [[alpha,alpha]^m, [beta,beta]^m] <= [alpha,beta]^n; m and n are bounded
     by the stabilization indices of their chains, which is sound because the
     chains are eventually constant."""
     from .commutator import commutator_index
 
-    lattice = con_lattice(alg)
     size = len(lattice)
     for a in range(size):
         chain_a, _ = _iterate_chain(lattice, a)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra
 from .commutator import commutator_index, require_theory, _iterate_chain
-from .congruences import Congruence, con_lattice, stored
-from .errors import Falsified
+from .congruences import Congruence, CongruenceLattice, con_lattice, stored
+from .errors import Falsified, TheoryHypothesisFailed
 
 __all__ = [
     "SpectrumData",
@@ -94,42 +94,40 @@ def is_prime(alg: FiniteAlgebra, phi: Congruence, all_pairs: bool = False) -> bo
     return lattice.index(phi) in set(_prime_indices(lattice, all_pairs))
 
 
-@stored
 def spectrum(alg: FiniteAlgebra, all_pairs: bool = False) -> SpectrumData:
     require_theory(alg)
     lattice = con_lattice(alg)
-    primes = _prime_indices(lattice, all_pairs)
-    maximals = lattice.lower_covers(lattice.top_index)
-    prime_set = set(primes)
-    if not set(maximals) <= prime_set:
-        from .errors import TheoryHypothesisFailed
-
-        raise TheoryHypothesisFailed(
-            f"{alg.name}: a maximal congruence is not prime"
-        )
-    rad = lattice.meet_many(maximals)
-    nil = lattice.meet_many(primes)
+    primes, maximals, rad, nil = spectrum_index(lattice, all_pairs)
+    con = lattice.congruences
     return SpectrumData(
-        algebra=alg,
-        primes=tuple(lattice.congruences[i] for i in primes),
-        maximals=tuple(lattice.congruences[i] for i in maximals),
-        rad=lattice.congruences[rad],
-        nilradical=lattice.congruences[nil],
+        alg, tuple(con[i] for i in primes), tuple(con[i] for i in maximals), con[rad], con[nil]
     )
 
 
 @stored
+def spectrum_index(
+    lattice: CongruenceLattice, all_pairs: bool
+) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """The primes, the maximals, Rad(A) and the nilradical, as indices."""
+    primes = tuple(_prime_indices(lattice, all_pairs))
+    maximals = tuple(lattice.lower_covers(lattice.top_index))
+    if not set(maximals) <= set(primes):
+        raise TheoryHypothesisFailed(f"{lattice.algebra.name}: a maximal congruence is not prime")
+    return primes, maximals, lattice.meet_many(maximals), lattice.meet_many(primes)
+
+
 def radical(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
     """rho(theta): meet of the primes above theta; the empty meet is the top
     congruence, so rho(nabla) = nabla."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    i = lattice.index(theta)
-    data = spectrum(alg)
-    above = [
-        lattice.index(phi) for phi in data.primes if lattice.leq_index(i, lattice.index(phi))
-    ]
-    return lattice.congruences[lattice.meet_many(above)]
+    return lattice.congruences[radical_index(lattice, lattice.index(theta))]
+
+
+@stored
+def radical_index(lattice: CongruenceLattice, i: int) -> int:
+    above = lattice.leq[i]
+    return lattice.meet_many(p for p in spectrum_index(lattice, False)[0] if above[p])
 
 
 def radical_oracle(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
@@ -154,19 +152,19 @@ def is_semiprime(alg: FiniteAlgebra) -> bool:
     """True when rho(bottom) is the bottom congruence."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    return lattice.index(spectrum(alg).nilradical) == lattice.bottom_index
+    return spectrum_index(lattice, False)[3] == lattice.bottom_index
 
 
 def v_set(alg: FiniteAlgebra, theta: Congruence) -> tuple[int, ...]:
     """V(theta): indices of the primes containing theta (a closed set)."""
-    data = spectrum(alg)
+    require_theory(alg)
     lattice = con_lattice(alg)
-    i = lattice.index(theta)
-    return tuple(
-        k
-        for k, phi in enumerate(data.primes)
-        if lattice.leq_index(i, lattice.index(phi))
-    )
+    return v_set_index(lattice, lattice.index(theta))
+
+
+def v_set_index(lattice: CongruenceLattice, i: int) -> tuple[int, ...]:
+    above = lattice.leq[i]
+    return tuple(k for k, p in enumerate(spectrum_index(lattice, False)[0]) if above[p])
 
 
 def d_set(alg: FiniteAlgebra, theta: Congruence) -> OpenSet:
@@ -181,17 +179,10 @@ def d_set(alg: FiniteAlgebra, theta: Congruence) -> OpenSet:
 
 def _max_open_family(alg: FiniteAlgebra) -> tuple[list[frozenset], int]:
     """All opens of the subspace Max(A): traces of the D(theta)."""
-    data = spectrum(alg)
+    require_theory(alg)
     lattice = con_lattice(alg)
-    prime_idx = {phi.blocks: k for k, phi in enumerate(data.maximals)}
-    opens = set()
-    for i in range(len(lattice)):
-        trace = frozenset(
-            prime_idx[phi.blocks]
-            for phi in data.maximals
-            if not lattice.leq_index(i, lattice.index(phi))
-        )
-        opens.add(trace)
+    maximals = spectrum_index(lattice, False)[1]
+    opens = {frozenset(k for k, m in enumerate(maximals) if not row[m]) for row in lattice.leq}
     # close under unions (finite space: unions of basic opens are the opens)
     family = set(opens)
     frontier = list(opens)
@@ -202,7 +193,7 @@ def _max_open_family(alg: FiniteAlgebra) -> tuple[list[frozenset], int]:
             if merged not in family:
                 family.add(merged)
                 frontier.append(merged)
-    return sorted(family, key=lambda s: (len(s), sorted(s))), len(data.maximals)
+    return sorted(family, key=lambda s: (len(s), sorted(s))), len(maximals)
 
 
 def brute_force_clopens(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
@@ -227,41 +218,26 @@ def clopens_of_max(alg: FiniteAlgebra) -> list[ClopenWitness]:
     theory on a hypothesis-passing algebra.
     """
     require_theory(alg)
-    data = spectrum(alg)
     lattice = con_lattice(alg)
-    rad_index = lattice.index(data.rad)
-    max_indices = [lattice.index(phi) for phi in data.maximals]
-    targets = brute_force_clopens(alg)
+    _, maximals, rad, _ = spectrum_index(lattice, False)
+    leq, top = lattice.leq, lattice.top_index
     witnesses = []
-    for members in targets:
+    for members in brute_force_clopens(alg):
         member_set = set(members)
-        found = None
-        for a in range(len(lattice)):
-            trace = {
-                k
-                for k, mi in enumerate(max_indices)
-                if not lattice.leq_index(a, mi)
-            }
-            if trace != member_set:
-                continue
-            for b in range(len(lattice)):
-                if lattice.join_index(a, b) != lattice.top_index:
-                    continue
-                if lattice.leq_index(commutator_index(lattice, a, b), rad_index):
-                    found = (a, b)
-                    break
-            if found:
-                break
+        found = next(
+            (
+                (a, b)
+                for a, above in enumerate(leq)
+                if {k for k, m in enumerate(maximals) if not above[m]} == member_set
+                for b, joined in enumerate(lattice.join_table[a])
+                if joined == top and leq[commutator_index(lattice, a, b)][rad]
+            ),
+            None,
+        )
         if found is None:
             raise Falsified(f"no witness pair for clopen {members} of {alg.name}")
         a, b = found
-        witnesses.append(
-            ClopenWitness(
-                members=members,
-                alpha=lattice.congruences[a],
-                beta=lattice.congruences[b],
-            )
-        )
+        witnesses.append(ClopenWitness(members, lattice.congruences[a], lattice.congruences[b]))
     return witnesses
 
 
@@ -272,15 +248,14 @@ def is_hyperarchimedean(alg: FiniteAlgebra) -> bool:
     scanned only up to its stable value.
     """
     require_theory(alg)
-    from .lifting import boolean_center_of_congruences
+    from .lifting import center_index
 
     lattice = con_lattice(alg)
-    center = {theta.blocks for theta in boolean_center_of_congruences(alg).elements}
+    center = set(center_index(lattice)[0])
     for i in range(len(lattice)):
         chain, _ = _iterate_chain(lattice, i)
         # values taken at n >= 1: the tail of the chain (a length-1 chain is
         # already its own square, so its value is also the n >= 1 value)
-        values = chain[1:] if len(chain) > 1 else chain
-        if not any(lattice.congruences[k].blocks in center for k in values):
+        if center.isdisjoint(chain[1:] or chain):
             return False
     return True

@@ -28,10 +28,10 @@ from math import gcd
 from .algebra import FiniteAlgebra, find_isomorphism, parse_algebra, quotient, serialize_algebra
 from .builders import ring_congruence, ring_zn
 from .commutator import (
-    annihilator,
+    annihilator_index,
     commutator_index,
     matrix_subalgebra,
-    residuation,
+    residuation_index,
     surrogate_checks,
     _iterate_chain,
 )
@@ -46,25 +46,25 @@ from .congruences import (
 )
 from .lattices import all_ideals, lattice_center
 from .lifting import (
-    boolean_center_of_congruences,
-    cblp_characterization,
-    cblp_star_transfer,
-    diamond_star_commute,
-    has_cblp,
+    b_normal_index,
+    cblp_characterization_index,
+    cblp_index,
+    cblp_star_transfer_index,
+    center_index,
+    diamond_index,
+    diamond_star_commute_index,
     has_id_blp,
     hyperarchimedean_cblp,
-    is_b_normal,
-    is_regular,
-    lift_orthogonal,
-    max_interval_transfer,
-    noncoprime_meet_transfer,
-    orthogonal_uniqueness_and_atoms,
-    projection_image,
-    quotient_cblp_descent,
-    quotient_center_congruences,
+    lift_orthogonal_index,
+    max_interval_transfer_index,
+    noncoprime_meet_transfer_index,
+    orthogonal_index,
+    projection_image_index,
+    quotient_cblp_descent_index,
+    quotient_center_index,
     rad_cblp_criterion,
-    radical_invariance,
-    regular_join_transfer,
+    radical_invariance_index,
+    regular_join_transfer_index,
     ring_idempotent_lifting,
     ring_idempotents,
     _coprime_pairs,
@@ -72,7 +72,7 @@ from .lifting import (
 from .reticulation import (
     build_reticulation,
     check_spec_homeomorphism,
-    costar,
+    costar_index,
     ideal_spectra,
     preserves_boolean_center,
     star,
@@ -81,11 +81,10 @@ from .spectrum import (
     brute_force_clopens,
     clopens_of_max,
     d_set,
-    is_semiprime,
-    radical,
+    radical_index,
     radical_oracle,
-    spectrum,
-    v_set,
+    spectrum_index,
+    v_set_index,
 )
 
 __all__ = ["Check", "AlgebraReport", "verify_algebra", "verify_corpus"]
@@ -224,7 +223,7 @@ def _suite_commutator_axioms(alg):
         for t in range(size):
             if t == lattice.bottom_index:
                 continue
-            p = projection(alg, lattice.congruences[t])
+            p = projection(lattice, t)
             down, join_t = p.down, join[t]
             for i in range(size):
                 qi = down[join_t[i]]
@@ -265,7 +264,7 @@ def _suite_commutator_axioms(alg):
         for t in range(size):  # theta = Delta skipped as above
             if t == lattice.bottom_index:
                 continue
-            p = projection(alg, lattice.congruences[t])
+            p = projection(lattice, t)
             down, join_t = p.down, join[t]
             for i in range(size):
                 for j in range(size):
@@ -283,12 +282,7 @@ def _suite_commutator_axioms(alg):
                             quotient_iterates_ok = False
         yield Check("quotient-iterate-identity", quotient_iterates_ok, f"|Con|={size}")
 
-    residuum = {}
-    for i in range(size):
-        for j in range(size):
-            residuum[i, j] = lattice.index(
-                residuation(alg, lattice.congruences[i], lattice.congruences[j])
-            )
+    residuum = {(i, j): residuation_index(lattice, i, j) for i in range(size) for j in range(size)}
     # a <= b -> c iff [a, b] <= c, compared one column of a per (b, c) as
     # bitsets: down[x] is {a : a <= x}, fibers[v] is {a : [a, b] = v}
     down = [sum(1 << a for a, row in enumerate(leq) if row[x]) for x in range(size)]
@@ -307,22 +301,19 @@ def _suite_commutator_axioms(alg):
     yield Check("residuation-adjunction", adjunction_ok)
 
     annihilator_ok = all(
-        lattice.index(annihilator(alg, lattice.congruences[i]))
-        == residuum[i, lattice.bottom_index]
-        for i in range(size)
+        annihilator_index(lattice, i) == residuum[i, lattice.bottom_index] for i in range(size)
     )
     yield Check("annihilator-is-residuum-at-bottom", annihilator_ok)
 
     if _is_ring(alg):
         n = alg.size
-        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        by_divisor = {
+            d: lattice.index(ring_congruence(alg, d)) for d in range(1, n + 1) if n % d == 0
+        }
         ring_ok = all(
-            table[lattice.index(ring_congruence(alg, d))][
-                lattice.index(ring_congruence(alg, e))
-            ]
-            == lattice.index(ring_congruence(alg, gcd(d * e, n)))
-            for d in divisors
-            for e in divisors
+            table[by_divisor[d]][by_divisor[e]] == by_divisor[gcd(d * e, n)]
+            for d in by_divisor
+            for e in by_divisor
         )
         yield Check("ring-gcd-oracle", ring_ok)
 
@@ -377,11 +368,11 @@ def _suite_radicals(alg):
     lattice = con_lattice(alg)
     size = len(lattice)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
-    rho = [lattice.index(radical(alg, theta)) for theta in lattice.congruences]
+    rho = [radical_index(lattice, i) for i in range(size)]
 
     dual_ok = all(
-        rho[i] == lattice.index(radical_oracle(alg, lattice.congruences[i]))
-        for i in range(size)
+        rho[i] == lattice.index(radical_oracle(alg, theta))
+        for i, theta in enumerate(lattice.congruences)
     )
     yield Check("radical-dual-path", dual_ok)
 
@@ -411,9 +402,7 @@ def _suite_radicals(alg):
             lemma_ok = False
     yield Check("radical-lemma-suite", lemma_ok)
 
-    primes_radical_ok = all(
-        rho[lattice.index(phi)] == lattice.index(phi) for phi in spectrum(alg).primes
-    )
+    primes_radical_ok = all(rho[p] == p for p in spectrum_index(lattice, False)[0])
     yield Check("primes-are-radical", primes_radical_ok)
 
     # the radical congruences form a bounded distributive lattice under
@@ -446,15 +435,13 @@ def _suite_radicals(alg):
 
 def _suite_spectrum(alg):
     lattice = con_lattice(alg)
-    data = spectrum(alg)
-    prime_set = {p.blocks for p in data.primes}
+    leq = lattice.leq
+    primes, maximals, rad, _ = spectrum_index(lattice, False)
 
-    yield Check(
-        "maximals-are-prime", all(m.blocks in prime_set for m in data.maximals)
-    )
+    yield Check("maximals-are-prime", set(maximals) <= set(primes))
 
-    oracle_primes = {p.blocks for p in spectrum(alg, all_pairs=True).primes}
-    yield Check("primality-all-pairs-oracle", prime_set == oracle_primes)
+    oracle_primes = spectrum_index(lattice, True)[0]
+    yield Check("primality-all-pairs-oracle", set(primes) == set(oracle_primes))
 
     size = len(lattice)
     # D(theta) as an int bitset over the prime indices
@@ -467,39 +454,22 @@ def _suite_spectrum(alg):
             topology_ok = False
         if [d_bits[j] for j in lattice.join_table[i]] != [di | dj for dj in d_bits]:
             topology_ok = False
-    full = (1 << len(data.primes)) - 1
+    full = (1 << len(primes)) - 1
     bottom = lattice.bottom_index
     if d_bits[lattice.top_index] != full or d_bits[bottom] not in (0, full):
         topology_ok = False
-    if d_bits[bottom] != _bits(
-        k
-        for k, phi in enumerate(data.primes)
-        if not lattice.leq_index(bottom, lattice.index(phi))
-    ):
+    if d_bits[bottom] != _bits(k for k, p in enumerate(primes) if not leq[bottom][p]):
         topology_ok = False
     yield Check("spectral-topology-identities", topology_ok)
 
-    v_ok = all(
-        _bits(v_set(alg, theta)) == full & ~d_bits[i]
-        for i, theta in enumerate(lattice.congruences)
-    )
+    v_ok = all(_bits(v_set_index(lattice, i)) == full & ~d_bits[i] for i in range(size))
     yield Check("v-d-complement", v_ok)
 
     # T1: every singleton of Max(A) is closed in the subspace
     t1_ok = True
-    max_count = len(data.maximals)
+    max_count = len(maximals)
     clopens = set(brute_force_clopens(alg))
-    opens = set()
-    for i in range(size):
-        opens.add(
-            tuple(
-                sorted(
-                    k
-                    for k, phi in enumerate(data.maximals)
-                    if not lattice.leq_index(i, lattice.index(phi))
-                )
-            )
-        )
+    opens = {tuple(k for k, m in enumerate(maximals) if not above[m]) for above in leq}
     for k in range(max_count):
         complement = tuple(sorted(set(range(max_count)) - {k}))
         if complement not in opens:
@@ -513,21 +483,13 @@ def _suite_spectrum(alg):
         f"{len(witnesses)} clopens",
     )
     witness_ok = True
-    rad_index = lattice.index(data.rad)
     for w in witnesses:
         a, b = lattice.index(w.alpha), lattice.index(w.beta)
         if lattice.join_index(a, b) != lattice.top_index:
             witness_ok = False
-        if not lattice.leq_index(commutator_index(lattice, a, b), rad_index):
+        if not leq[commutator_index(lattice, a, b)][rad]:
             witness_ok = False
-        trace = tuple(
-            sorted(
-                k
-                for k, phi in enumerate(data.maximals)
-                if not lattice.leq_index(a, lattice.index(phi))
-            )
-        )
-        if trace != w.members:
+        if tuple(k for k, m in enumerate(maximals) if not leq[a][m]) != w.members:
             witness_ok = False
     yield Check("clopen-witness-conditions", witness_ok)
 
@@ -537,15 +499,15 @@ def _suite_reticulation(alg):
     retic = build_reticulation(alg)
     size = len(lattice)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
-    lam = [retic.lambda_index(theta) for theta in lattice.congruences]
-    rho = [lattice.index(radical(alg, theta)) for theta in lattice.congruences]
+    lam = retic._lambda_by_con
+    rho = [radical_index(lattice, i) for i in range(size)]
     rl = retic.lattice
     com = [[commutator_index(lattice, a, b) for b in range(size)] for a in range(size)]
 
     # the eight quotient-map clauses
     ok = True
-    nil = lattice.index(spectrum(alg).nilradical)
-    semiprime = is_semiprime(alg)
+    primes, _, _, nil = spectrum_index(lattice, False)
+    semiprime = nil == lattice.bottom_index
     for a in range(size):
         if (lam[a] == rl.top_index) != (a == lattice.top_index):
             ok = False
@@ -555,7 +517,7 @@ def _suite_reticulation(alg):
         reaches_bottom = chain[-1] == lattice.bottom_index
         if (lam[a] == rl.bottom_index) != reaches_bottom:
             ok = False
-        if (lam[a] == rl.bottom_index) != lattice.leq_index(a, nil):
+        if (lam[a] == rl.bottom_index) != leq[a][nil]:
             ok = False
         if semiprime and (lam[a] == rl.bottom_index) != (a == lattice.bottom_index):
             ok = False
@@ -593,20 +555,19 @@ def _suite_reticulation(alg):
             star_ok = False
     yield Check("star-identity-suite", star_ok)
 
+    # I_* for the ideal I = (g], as an index
+    down = [costar_index(lattice, retic, g) for g in range(rl.size)]
     costar_ok = True
-    for ideal in all_ideals(rl):
-        down = costar(retic, ideal)
-        d = lattice.index(down)
+    for g, d in enumerate(down):
         if rho[d] != d:
             costar_ok = False
-        if star(retic, down).generator != ideal.generator:
+        if gen[d] != g:
             costar_ok = False
         for a in range(size):
-            inside = leq[a][d]
-            if inside != (lam[a] in ideal):
+            if leq[a][d] != rl.leq[lam[a]][g]:
                 costar_ok = False
     for a in range(size):
-        if lattice.index(costar(retic, star_of[a])) != rho[a]:
+        if down[gen[a]] != rho[a]:
             costar_ok = False
     yield Check("costar-identity-suite", costar_ok)
 
@@ -620,7 +581,7 @@ def _suite_reticulation(alg):
     prime_ideal_count = len(ideal_spectra(rl)[0])
     yield Check(
         "prime-counts-match",
-        prime_ideal_count == len(spectrum(alg).primes),
+        prime_ideal_count == len(primes),
         f"{prime_ideal_count} prime ideals",
     )
 
@@ -628,23 +589,18 @@ def _suite_reticulation(alg):
 def _suite_boolean_center(alg):
     lattice = con_lattice(alg)
     retic = build_reticulation(alg)
-    rl = retic.lattice
-    center = boolean_center_of_congruences(alg)
+    rl, lam = retic.lattice, retic._lambda_by_con
+    members, complement, _ = center_index(lattice)
     size = len(lattice)
-    member = {c.blocks for c in center.elements}
+    member = set(members)
 
-    unique_ok = True
-    for alpha in center.elements:
-        mates = lattice.complements[lattice.index(alpha)]
-        if mates != (lattice.index(center.complement[alpha.blocks]),):
-            unique_ok = False
+    unique_ok = all(lattice.complements[a] == (complement[a],) for a in members)
     yield Check("center-complement-unique", unique_ok)
 
     join, meet = lattice.join_table, lattice.meet_table
     meet_ok = True
     distributive_ok = True
-    for alpha in center.elements:
-        a = lattice.index(alpha)
+    for a in members:
         join_a = [row[a] for row in join]  # t v a, for every t
         if [commutator_index(lattice, t, a) for t in range(size)] != [row[a] for row in meet]:
             meet_ok = False
@@ -663,10 +619,7 @@ def _suite_boolean_center(alg):
     lemma41_ok = True
     for i, j, cij in _coprime_pairs(lattice):
         if cij == lattice.bottom_index:
-            if (
-                lattice.congruences[i].blocks not in member
-                or lattice.congruences[j].blocks not in member
-            ):
+            if i not in member or j not in member:
                 lemma41_ok = False
         chain_i, _ = _iterate_chain(lattice, i)
         chain_j, _ = _iterate_chain(lattice, j)
@@ -675,42 +628,32 @@ def _suite_boolean_center(alg):
             a = chain_i[min(n, len(chain_i) - 1)]
             b = chain_j[min(n, len(chain_j) - 1)]
             if commutator_index(lattice, a, b) == lattice.bottom_index:
-                if (
-                    lattice.congruences[a].blocks not in member
-                    or lattice.congruences[b].blocks not in member
-                ):
+                if a not in member or b not in member:
                     lemma41_ok = False
     yield Check("coprime-pairs-enter-center", lemma41_ok)
 
     closure_ok = True
-    for alpha in center.elements:
-        for beta in center.elements:
-            a, b = lattice.index(alpha), lattice.index(beta)
-            if lattice.congruences[lattice.join_index(a, b)].blocks not in member:
-                closure_ok = False
-            if lattice.congruences[lattice.meet_index(a, b)].blocks not in member:
+    for a in members:
+        for b in members:
+            if join[a][b] not in member or meet[a][b] not in member:
                 closure_ok = False
     yield Check("center-closed-under-join-meet", closure_ok)
 
     lam_center = set(lattice_center(rl))
     lam_ok = True
     images = {}
-    for alpha in center.elements:
-        li = retic.lambda_index(alpha)
-        if li not in lam_center:
+    for a in members:
+        if lam[a] not in lam_center:
             lam_ok = False
-        images[alpha.blocks] = li
+        images[a] = lam[a]
     if len(set(images.values())) != len(images):
         lam_ok = False
     if closure_ok:
-        for alpha in center.elements:
-            for beta in center.elements:
-                a, b = lattice.index(alpha), lattice.index(beta)
-                joined = lattice.congruences[lattice.join_index(a, b)].blocks
-                met = lattice.congruences[lattice.meet_index(a, b)].blocks
-                if images[joined] != rl.join_index(images[alpha.blocks], images[beta.blocks]):
+        for a in members:
+            for b in members:
+                if images[join[a][b]] != rl.join_index(images[a], images[b]):
                     lam_ok = False
-                if images[met] != rl.meet_index(images[alpha.blocks], images[beta.blocks]):
+                if images[meet[a][b]] != rl.meet_index(images[a], images[b]):
                     lam_ok = False
     yield Check("lambda-boolean-embedding", lam_ok)
 
@@ -725,25 +668,22 @@ def _suite_boolean_center(alg):
     if report.sufficient_conditions_hold:
         yield Check("sufficient-conditions-imply-preservation", report.preserves)
 
-    # clopen correspondence on Spec(A)
-    data = spectrum(alg)
-    size_primes = len(data.primes)
-    opens = {}
-    for i in range(size):
-        opens[i] = tuple(sorted(d_set(alg, lattice.congruences[i]).members))
-    spec_opens = set(opens.values())
+    # clopen correspondence on Spec(A): D(theta) for every theta
+    primes = spectrum_index(lattice, False)[0]
+    opens = [tuple(k for k, p in enumerate(primes) if not above[p]) for above in lattice.leq]
+    spec_opens = set(opens)
     spec_clopens = {
         u
         for u in spec_opens
-        if tuple(sorted(set(range(size_primes)) - set(u))) in spec_opens
+        if tuple(sorted(set(range(len(primes))) - set(u))) in spec_opens
     }
-    d_images = {opens[lattice.index(alpha)] for alpha in center.elements}
-    d_injective = len(d_images) == len(center.elements)
+    d_images = {opens[a] for a in members}
+    d_injective = len(d_images) == len(members)
     d_iso = d_injective and d_images == spec_clopens
     yield Check(
         "center-clopen-isomorphism-iff-preservation",
         d_iso == report.preserves and all(u in spec_clopens for u in d_images),
-        f"|B|={len(center.elements)}, |Clop(Spec)|={len(spec_clopens)}",
+        f"|B|={len(members)}, |Clop(Spec)|={len(spec_clopens)}",
     )
 
 
@@ -751,70 +691,53 @@ def _suite_lifting(alg):
     lattice = con_lattice(alg)
     retic = build_reticulation(alg)
     size = len(lattice)
+    leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
 
-    verdicts = {}
-    for i, theta in enumerate(lattice.congruences):
-        verdicts[i] = has_cblp(alg, theta).cblp
-    yield Check("cblp-decided-everywhere", True, f"{sum(verdicts.values())}/{size} lift")
+    verdicts = [cblp_index(lattice, t)[0] for t in range(size)]
+    yield Check("cblp-decided-everywhere", True, f"{sum(verdicts)}/{size} lift")
 
     # the projection's center map really is a Boolean morphism: images of
     # complemented congruences are complemented, complements go to
     # complements, and (for small centers) joins and meets are preserved
-    center = boolean_center_of_congruences(alg)
+    members, complement, _ = center_index(lattice)
     morphism_ok = True
     for t in range(size):
-        theta = lattice.congruences[t]
-        quo, qcenter = quotient_center_congruences(alg, theta)
-        qlattice = con_lattice(quo)
-        qmember = {c.blocks for c in qcenter.elements}
-        images = {}
-        for alpha in center.elements:
-            image = projection_image(alg, theta, alpha)
-            images[alpha.blocks] = qlattice.index(image)
-            if image.blocks not in qmember:
-                morphism_ok = False
-        for alpha in center.elements:
-            mate = center.complement[alpha.blocks]
-            a, na = images[alpha.blocks], images[mate.blocks]
+        qmember = set(quotient_center_index(lattice, t)[0])
+        qlattice = projection(lattice, t).lattice
+        images = {a: projection_image_index(lattice, t, a) for a in members}
+        if not qmember.issuperset(images.values()):
+            morphism_ok = False
+        for a in members:
+            x, nx = images[a], images[complement[a]]
             if (
-                qlattice.join_index(a, na) != qlattice.top_index
-                or qlattice.meet_index(a, na) != qlattice.bottom_index
+                qlattice.join_index(x, nx) != qlattice.top_index
+                or qlattice.meet_index(x, nx) != qlattice.bottom_index
             ):
                 morphism_ok = False
-        if len(center.elements) <= 16:
-            for alpha in center.elements:
-                for beta in center.elements:
-                    a, b = lattice.index(alpha), lattice.index(beta)
-                    joined = lattice.congruences[lattice.join_index(a, b)]
-                    met = lattice.congruences[lattice.meet_index(a, b)]
-                    if images[joined.blocks] != qlattice.join_index(
-                        images[alpha.blocks], images[beta.blocks]
-                    ):
+        if len(members) <= 16:
+            for a in members:
+                for b in members:
+                    if images[join[a][b]] != qlattice.join_index(images[a], images[b]):
                         morphism_ok = False
-                    if images[met.blocks] != qlattice.meet_index(
-                        images[alpha.blocks], images[beta.blocks]
-                    ):
+                    if images[meet[a][b]] != qlattice.meet_index(images[a], images[b]):
                         morphism_ok = False
     yield Check("projection-center-morphism", morphism_ok)
 
     yield Check(
-        "radical-invariance",
-        all(radical_invariance(alg, t) for t in lattice.congruences),
+        "radical-invariance", all(radical_invariance_index(lattice, t) for t in range(size))
     )
     yield Check(
-        "star-transfer",
-        all(cblp_star_transfer(alg, t) for t in lattice.congruences),
+        "star-transfer", all(cblp_star_transfer_index(lattice, t) for t in range(size))
     )
 
     ideal_ok = True
     for ideal in all_ideals(retic.lattice):
         left = has_id_blp(retic.lattice, ideal).lifts
-        right = has_cblp(alg, costar(retic, ideal)).cblp
-        if left != right:
+        if left != verdicts[costar_index(lattice, retic, ideal.generator)]:
             ideal_ok = False
     yield Check("ideal-transfer", ideal_ok)
 
-    rho = {i: lattice.index(radical(alg, lattice.congruences[i])) for i in range(size)}
+    rho = [radical_index(lattice, i) for i in range(size)]
     same_radical_ok = all(
         verdicts[i] == verdicts[j]
         for i in range(size)
@@ -823,53 +746,35 @@ def _suite_lifting(alg):
     )
     yield Check("equal-radicals-equal-verdicts", same_radical_ok)
 
-    nil = lattice.index(spectrum(alg).nilradical)
-    below_nil_ok = all(
-        verdicts[i] for i in range(size) if lattice.leq_index(i, nil)
-    )
+    _, maximals, rad, nil = spectrum_index(lattice, False)
+    below_nil_ok = all(verdicts[i] for i in range(size) if leq[i][nil])
     yield Check("below-nilradical-lifts", below_nil_ok)
 
     res_ok = True
     rem_ok = True
     for t in range(size):
-        theta = lattice.congruences[t]
-        p = projection(alg, theta)
+        p = projection(lattice, t)
         for e, k in enumerate(p.down):
             if k is None:
                 continue
-            arrow = lattice.index(residuation(alg, lattice.congruences[e], theta))
-            if not lattice.leq_index(commutator_index(lattice, e, arrow), t):
+            arrow = residuation_index(lattice, e, t)
+            if not leq[commutator_index(lattice, e, arrow)][t]:
                 rem_ok = False
-            left = annihilator(p.quotient, p.lattice.congruences[k])
-            if p.lattice.index(left) != p.down[lattice.join_index(arrow, t)]:
+            if annihilator_index(p.lattice, k) != p.down[join[arrow][t]]:
                 res_ok = False
     yield Check("quotient-annihilator-identity", res_ok)
     yield Check("residuum-commutator-below-theta", rem_ok)
 
-    data = spectrum(alg)
-    signature = {}
-    for i in range(size):
-        signature[i] = frozenset(
-            phi.blocks
-            for phi in data.maximals
-            if lattice.leq_index(i, lattice.index(phi))
-        )
+    signature = [frozenset(m for m in maximals if above[m]) for above in leq]
     transfer_ok = True
     for i in range(size):
         for j in range(size):
-            if lattice.leq_index(i, j) and signature[i] == signature[j]:
-                if not max_interval_transfer(
-                    alg, lattice.congruences[i], lattice.congruences[j]
-                ):
+            if leq[i][j] and signature[i] == signature[j]:
+                if not max_interval_transfer_index(lattice, i, j):
                     transfer_ok = False
     yield Check("max-interval-transfer", transfer_ok)
 
-    rad_index = lattice.index(data.rad)
-    rad_transfer_ok = all(
-        verdicts[i]
-        for i in range(size)
-        if lattice.leq_index(i, rad_index) and verdicts[rad_index]
-    )
+    rad_transfer_ok = all(verdicts[i] for i in range(size) if leq[i][rad] and verdicts[rad])
     yield Check("below-rad-transfer", rad_transfer_ok)
 
     yield Check("rad-clopen-criterion", rad_cblp_criterion(alg))
@@ -877,82 +782,57 @@ def _suite_lifting(alg):
 
     yield Check(
         "diamond-star-commute",
-        all(diamond_star_commute(alg, t) for t in lattice.congruences),
+        all(diamond_star_commute_index(lattice, t) for t in range(size)),
     )
 
     thm63_ok = True
     exploratory = not preserves_boolean_center(alg).preserves
-    for theta in lattice.congruences:
-        report = cblp_characterization(alg, theta)
-        values = set(report.thm63.values())
+    for t in range(size):
+        values = set(cblp_characterization_index(lattice, t))
         if not exploratory and len(values) != 1:
             thm63_ok = False
     yield Check("characterization-four-way", thm63_ok)
 
     regular_ok = all(
-        regular_join_transfer(alg, lattice.congruences[i], lattice.congruences[j])
-        for i in range(size)
-        for j in range(size)
+        regular_join_transfer_index(lattice, i, j) for i in range(size) for j in range(size)
     )
     yield Check("regular-join-transfer", regular_ok)
 
-    regular_cblp_ok = all(
-        verdicts[i] for i in range(size) if is_regular(alg, lattice.congruences[i])
-    )
+    regular_cblp_ok = all(verdicts[i] for i in range(size) if diamond_index(lattice, i) == i)
     yield Check("regular-congruences-lift", regular_cblp_ok)
 
     noncoprime_ok = all(
-        noncoprime_meet_transfer(alg, lattice.congruences[i], lattice.congruences[j])
-        for i in range(size)
-        for j in range(size)
+        noncoprime_meet_transfer_index(lattice, i, j) for i in range(size) for j in range(size)
     )
     yield Check("noncoprime-meet-transfer", noncoprime_ok)
 
-    descent_ok = all(
-        quotient_cblp_descent(alg, lattice.congruences[i])
-        for i in range(size)
-        if lattice.leq_index(i, rad_index)
-    )
+    descent_ok = all(quotient_cblp_descent_index(lattice, i) for i in range(size) if leq[i][rad])
     yield Check("quotient-descent", descent_ok)
 
-    bn = is_b_normal(alg)
-    yield Check(
-        "b-normal-iff-cblp",
-        bn.b_normal == all(verdicts.values()),
-        f"b_normal={bn.b_normal}",
-    )
+    b_normal = b_normal_index(lattice) is None
+    yield Check("b-normal-iff-cblp", b_normal == all(verdicts), f"b_normal={b_normal}")
 
 
 def _suite_orthogonal(alg):
     lattice = con_lattice(alg)
-    data = spectrum(alg)
-    rad_index = lattice.index(data.rad)
+    rad = spectrum_index(lattice, False)[2]
     ortho_ok = True
     unique_ok = True
     atoms_ok = True
     lemma_ok = True
-    for i in range(len(lattice)):
-        if not lattice.leq_index(i, rad_index):
+    for t in range(len(lattice)):
+        if not lattice.leq[t][rad]:
             continue
-        theta = lattice.congruences[i]
-        report = orthogonal_uniqueness_and_atoms(alg, theta)
-        lemma_ok = lemma_ok and report.difference_lemma
-        unique_ok = unique_ok and report.unique_lifts
-        ortho_ok = ortho_ok and report.lifts_orthogonal
-        if report.atoms_lift_to_atoms is False:
+        _, unique, lifts_orthogonal, atoms, lemma = orthogonal_index(lattice, t)
+        lemma_ok = lemma_ok and lemma
+        unique_ok = unique_ok and unique
+        ortho_ok = ortho_ok and lifts_orthogonal
+        if atoms is False:
             atoms_ok = False
-        if has_cblp(alg, theta).cblp:
-            quo, qcenter = quotient_center_congruences(alg, theta)
-            qlat = con_lattice(quo)
-            maximal_family = [
-                qlat.congruences[k]
-                for k in sorted(
-                    qlat.index(a) for a in qcenter.atoms
-                )
-            ]
-            lifted = lift_orthogonal(alg, theta, maximal_family)
-            images = [projection_image(alg, theta, a).blocks for a in lifted]
-            if images != [b.blocks for b in maximal_family]:
+        if cblp_index(lattice, t)[0]:
+            maximal_family = quotient_center_index(lattice, t)[2]  # the atoms
+            lifted = lift_orthogonal_index(lattice, t, maximal_family)
+            if tuple(projection_image_index(lattice, t, a) for a in lifted) != maximal_family:
                 ortho_ok = False
     yield Check("orthogonal-difference-lemma", lemma_ok)
     yield Check("orthogonal-lift-unique", unique_ok)
@@ -964,16 +844,18 @@ def _suite_ring_oracles(alg):
     if not _is_ring(alg):
         return
     n = alg.size
+    lattice = con_lattice(alg)
     idempotents = ring_idempotents(n)
-    center = boolean_center_of_congruences(alg)
+    members = center_index(lattice)[0]
     yield Check(
         "center-counts-idempotents",
-        len(center.elements) == len(idempotents),
-        f"|B|={len(center.elements)}, idempotents={len(idempotents)}",
+        len(members) == len(idempotents),
+        f"|B|={len(members)}, idempotents={len(idempotents)}",
     )
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     agree = all(
-        has_cblp(alg, ring_congruence(alg, d)).cblp == ring_idempotent_lifting(n, d)
+        cblp_index(lattice, lattice.index(ring_congruence(alg, d)))[0]
+        == ring_idempotent_lifting(n, d)
         for d in divisors
     )
     yield Check("cblp-matches-idempotent-lifting", agree)

@@ -298,7 +298,7 @@ def test_falsified_cross_check_exits_one(tmp_path, monkeypatch, capsys):
     path.write_text(dump_algebra(product(ring_zn(3), ring_zn(2))))
     # break the residuation route of the Boolean-center cross-check: the
     # annihilator of each complemented congruence becomes the congruence itself
-    monkeypatch.setattr(lifting, "residuation", lambda alg, alpha, beta: alpha)
+    monkeypatch.setattr(lifting, "residuation_index", lambda lattice, i, j: i)
     assert main(["center", str(path)]) == EXIT_FALSIFIED
     assert "annihilator of a complemented congruence" in capsys.readouterr().err
 

@@ -276,16 +276,6 @@ def test_serialization_format(z6):
     assert str(theta(z6, 2)) == "0,2,4|1,3,5"
 
 
-def test_principal_witnesses_recorded(z12):
-    lattice = con_lattice(z12)
-    for i, witness in enumerate(lattice.principal_witnesses):
-        if witness is None:
-            assert i == lattice.bottom_index
-        else:
-            a, b = witness
-            assert principal_congruence(z12, a, b) == lattice.congruences[i]
-
-
 def test_bottom_top_markers(z12):
     lattice = con_lattice(z12)
     assert lattice.congruences[lattice.bottom_index] == delta(z12)

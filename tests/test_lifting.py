@@ -522,7 +522,7 @@ def test_stored_results_match_direct_computation(alg):
             assert diamond(alg, th).blocks == joined.blocks
 
     report = preserves_boolean_center(alg)
-    assert preserves_boolean_center(alg) is report
+    assert preserves_boolean_center(alg) == report
     other = preserves_boolean_center(fresh_copy(alg))
     assert (report.preserves, report.star_property, report.semiprime) == (
         other.preserves,
@@ -619,7 +619,8 @@ def test_stored_reports_name_the_callers_algebra(monkeypatch):
     ):
         assert report(z6).algebra.name == "Z_6"
         assert report(renamed).algebra.name == "Renamed"
-    assert has_cblp(z6, theta2) is first
+    assert has_cblp(z6, theta2) == first
+    assert has_cblp(z6, theta2).algebra.name == "Z_6"
 
     # a renamed copy reads the same stored results: its verify run makes
     # exactly the closures of a repeated run on the original
@@ -635,3 +636,49 @@ def test_stored_reports_name_the_callers_algebra(monkeypatch):
     report = verify_algebra(alg.rename("Renamed"))
     assert report.ok and report.algebra.name == "Renamed"
     assert len(closures) == 2 * again
+
+
+def test_theory_gate_names_the_callers_algebra():
+    """Con(A) is built for the first algebra with its tables and shared by
+    every renamed copy; a hypothesis failure raised through a public function
+    still names the copy that called it."""
+    from congruence_lab.builders import pointed_pair
+    from congruence_lab.errors import TheoryHypothesisFailed
+    from congruence_lab.reticulation import build_reticulation
+
+    original = fresh_copy(pointed_pair())
+    with pytest.raises(TheoryHypothesisFailed, match="^pointed-pair: "):
+        spectrum(original)
+    copy = original.rename("Copy")
+    assert con_lattice(copy).algebra is original
+    bottom = con_lattice(copy).congruences[0]
+    for call in (
+        lambda: has_cblp(copy, bottom),
+        lambda: spectrum(copy),
+        lambda: build_reticulation(copy),
+    ):
+        with pytest.raises(TheoryHypothesisFailed, match="^Copy: "):
+            call()
+
+
+@pytest.mark.parametrize("alg", [chain_lattice(5), ring_zn(12)], ids=lambda alg: alg.name)
+def test_stored_results_are_index_level(alg):
+    """After a verify run, every result stored on Con(A) and on the lattices
+    of its quotients is keyed by congruence indices and flags, and holds
+    neither a congruence nor a report naming an algebra."""
+    from congruence_lab import Congruence
+    from congruence_lab.verify import verify_algebra
+
+    alg = fresh_copy(alg)
+    assert verify_algebra(alg).ok
+    lattice = con_lattice(alg)
+    projections = lattice._caches["congruence_lab.congruences.projection"].values()
+    lattices = [lattice] + [p.lattice for p in projections]
+    assert len(lattices) == 1 + len(lattice)
+    for owner in lattices:
+        for name, results in owner._caches.items():
+            for key, value in results.items():
+                assert type(key) is tuple, name
+                assert all(type(arg) in (int, bool) for arg in key), (name, key)
+                assert not isinstance(value, Congruence), name
+                assert not hasattr(value, "algebra"), name

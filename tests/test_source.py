@@ -88,3 +88,44 @@ def test_congruence_check_keeps_every_translation():
     names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
     assert "_translation_plan" in names
     assert "_semigroup_generators" not in names
+
+
+def _per_iteration(node: ast.AST):
+    """The parts of node that run once per iteration: the bodies of its for
+    loops, and the element, conditions and inner iterables of its
+    comprehensions (the first iterable is evaluated once)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.For):
+            yield from sub.body
+        elif isinstance(sub, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            yield from [sub.key, sub.value] if isinstance(sub, ast.DictComp) else [sub.elt]
+            for k, generator in enumerate(sub.generators):
+                yield from generator.ifs
+                if k:
+                    yield generator.iter
+
+
+def test_loops_call_index_cores_not_con_lattice():
+    """The verify suites and the lifting functions look Con(A) up once and
+    loop over congruence indices, calling the index cores; no con_lattice
+    call runs per element or per pair.  The one exception is the
+    interval-vs-quotient count, which enumerates Con(A/theta) of each
+    quotient algebra as a route independent of the projection."""
+    allowed = {("verify", "_suite_con_enumeration", "quo")}
+    found = []
+    for module, chosen in (("verify", "_suite_"), ("lifting", "")):
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            if not (isinstance(top, ast.FunctionDef) and top.name.startswith(chosen)):
+                continue
+            calls = [
+                call
+                for part in _per_iteration(top)
+                for call in ast.walk(part)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "con_lattice"
+            ]
+            for call in calls:
+                argument = getattr(call.args[0], "id", None) if call.args else None
+                if (module, top.name, argument) not in allowed:
+                    found.append(f"{module}.{top.name}:{call.lineno}")
+    assert found == []

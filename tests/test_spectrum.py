@@ -20,6 +20,7 @@ from congruence_lab.spectrum import (
     clopens_of_max,
     d_set,
     is_hyperarchimedean,
+    spectrum_index,
 )
 
 from conftest import theta
@@ -160,15 +161,18 @@ def test_hyperarchimedean(z4, z12):
 
 
 def test_spectrum_is_cached(z12):
-    assert spectrum(z12) is spectrum(z12)
+    lattice = con_lattice(z12)
+    assert spectrum_index(lattice, False) is spectrum_index(lattice, False)
+    assert spectrum(z12) == spectrum(z12)
 
 
 def test_spectrum_default_and_keyword_share_one_entry(z12):
     """A default left out, passed by keyword or passed by position is one
     stored result; the all-pairs oracle is another."""
     data = spectrum(z12)
-    assert spectrum(z12, all_pairs=False) is data
-    assert spectrum(z12, False) is data
+    assert spectrum(z12, all_pairs=False) == data
+    assert spectrum(z12, False) == data
     oracle = spectrum(z12, all_pairs=True)
-    assert oracle is not data
     assert oracle == data
+    entries = con_lattice(z12)._caches["congruence_lab.spectrum.spectrum_index"]
+    assert set(entries) == {(False,), (True,)}

@@ -96,13 +96,11 @@ def test_commutator_cell_breaks_adjunction_and_coprime_transfer(monkeypatch, alg
 def test_radical_of_an_atom(monkeypatch, alg):
     lattice = con_lattice(alg)
     _, top, a1, _, _ = _elements(alg)
-    real = verify.radical
+    real = verify.radical_index
     monkeypatch.setattr(
         verify,
-        "radical",
-        lambda a, theta: lattice.congruences[top]
-        if a is alg and lattice.index(theta) == a1
-        else real(a, theta),
+        "radical_index",
+        lambda lat, i: top if lat is lattice and i == a1 else real(lat, i),
     )
     failed = _failed(verify._suite_radicals, alg)
     assert {"radical-lemma-suite", "radical-lattice-distributive"} <= failed
@@ -127,13 +125,11 @@ def test_spectral_topology_catches_one_commutator(monkeypatch, alg):
 def test_v_d_complement_catches_one_v_set(monkeypatch, alg):
     lattice = con_lattice(alg)
     _, _, a1, _, _ = _elements(alg)
-    real = verify.v_set
+    real = verify.v_set_index
     monkeypatch.setattr(
         verify,
-        "v_set",
-        lambda a, theta: real(a, theta)[1:]
-        if a is alg and lattice.index(theta) == a1
-        else real(a, theta),
+        "v_set_index",
+        lambda lat, i: real(lat, i)[1:] if lat is lattice and i == a1 else real(lat, i),
     )
     assert "v-d-complement" in _failed(verify._suite_spectrum, alg)
 
