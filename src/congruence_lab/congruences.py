@@ -10,9 +10,20 @@ the algebra (each operation with all but one argument frozen), read from one
 translation table per algebra: iterating the translations over every merged
 pair closes the relation under all unary polynomials, which is exactly
 congruence generation.  The Delta_{alpha,beta} closure of ``commutator``
-runs the same partition over the same table.  Con(A) is then the closure of
-the principal congruences under binary join; join is the transitive closure
-of the union (automatically compatible), meet is blockwise intersection.
+runs the same partition over the same table.  Join is the transitive
+closure of the union (automatically compatible), meet is blockwise
+intersection.
+
+Con(A) is built from its join-irreducibles (Freese, "Computing congruences
+efficiently", 2008).  Every congruence of a finite algebra is the join of
+the principal congruences below it, so every join-irreducible is
+principal, and a principal p is join-irreducible exactly when the
+principals strictly below p join to less than p.  Con(A) is the closure of
+the bottom and the join-irreducibles under join with a join-irreducible.
+Each congruence carries its relation as an int bitmask, with bit x * n + y
+set when x and y are related: theta <= phi iff theta's mask lies inside
+phi's, a closure step skips a join-irreducible already below, and the join
+and meet tables are read off the up-set and down-set bitsets of that order.
 
 When a binary operation f is associative and G generates the semigroup
 (A, f), the translation x -> f(x, g1 ... gk) is the composition of the
@@ -41,7 +52,7 @@ from itertools import combinations
 from . import config
 from .algebra import FiniteAlgebra, quotient
 from .errors import Falsified, ParentMismatch, SizeBudgetExceeded
-from .lattices import FiniteLattice
+from .lattices import FiniteLattice, _bitset, _tables_from_bitsets
 
 __all__ = [
     "Congruence",
@@ -372,7 +383,7 @@ class CongruenceLattice(FiniteLattice):
 
 
 def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLattice:
-    """Enumerate Con(A) by closing the principal congruences under binary join.
+    """Enumerate Con(A) by closing its join-irreducibles under binary join.
 
     Raises :class:`SizeBudgetExceeded` when more than ``cap`` congruences
     would be produced (default: the process-wide CON_CAP).
@@ -380,63 +391,68 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
     if cap is None:
         cap = config.CON_CAP
     n = alg.size
-    principal: dict[tuple[int, ...], None] = {}
-    bottom = tuple(range(n))
-    elements: dict[tuple[int, ...], None] = {bottom: None}
+    principal: dict[tuple[int, ...], int] = {}  # block array -> relation mask
     for a, b in combinations(range(n), 2):
         blocks = _close_pairs(alg, [(a, b)])
-        principal[blocks] = None
-        if blocks not in elements and len(elements) >= cap:
-            raise SizeBudgetExceeded(f"|Con({alg.name})| exceeds the cap of {cap}")
-        elements.setdefault(blocks, None)
+        if blocks not in principal:
+            principal[blocks] = _relation_mask(blocks)
+    # every congruence below p is a join of principals below p, so p is
+    # join-irreducible iff the principals strictly below it join to less
+    generators = []
+    for blocks, mask in principal.items():
+        part = _Partition(n)
+        for other, inside in principal.items():
+            if inside != mask and not inside & ~mask:
+                for x, rep in enumerate(other):
+                    part.union(x, rep)
+        if _canonical(part.label) != blocks:
+            generators.append((blocks, mask))
 
-    worklist = list(elements)
-    generators = list(principal)
+    bottom = tuple(range(n))
+    elements = {bottom: _relation_mask(bottom)}
+    worklist = list(elements.items())
     while worklist:
-        current = worklist.pop()
-        for gen in generators:
-            merged = _join_blocks(current, gen)
-            if merged not in elements:
-                if len(elements) >= cap:
-                    raise SizeBudgetExceeded(
-                        f"|Con({alg.name})| exceeds the cap of {cap}"
-                    )
-                elements[merged] = None
-                worklist.append(merged)
+        current, below = worklist.pop()
+        for gen, mask in generators:
+            if mask & ~below:
+                merged = _join_blocks(current, gen)
+                if merged not in elements:
+                    if len(elements) >= cap:
+                        raise SizeBudgetExceeded(f"|Con({alg.name})| exceeds the cap of {cap}")
+                    elements[merged] = _relation_mask(merged)
+                    worklist.append((merged, elements[merged]))
 
     ordered = sorted(elements)
+    masks = [elements[blocks] for blocks in ordered]
+    # theta_i <= theta_j iff the relation of theta_i lies inside that of theta_j
+    leq = tuple(tuple([not mi & ~mj for mj in masks]) for mi in masks)
+    up = [_bitset(row) for row in leq]
+    down = [_bitset(column) for column in zip(*leq)]
+    join_table, meet_table = _tables_from_bitsets(up, down)
     index = {blocks: i for i, blocks in enumerate(ordered)}
-    size = len(ordered)
-    leq = tuple(
-        tuple(all(other[rep] == other[x] for x, rep in enumerate(blocks)) for other in ordered)
-        for blocks in ordered
-    )
-    join_table = [[0] * size for _ in range(size)]
-    meet_table = [[0] * size for _ in range(size)]
-    for i, bi in enumerate(ordered):
-        for j in range(i, size):
-            bj = ordered[j]
-            if leq[i][j]:
-                jn, mt = j, i
-            elif leq[j][i]:
-                jn, mt = i, j
-            else:
-                jn = index[_join_blocks(bi, bj)]
-                mt = index[_meet_blocks(bi, bj)]
-            join_table[i][j] = join_table[j][i] = jn
-            meet_table[i][j] = meet_table[j][i] = mt
-
     return CongruenceLattice(
         leq=leq,
-        join_table=tuple(tuple(row) for row in join_table),
-        meet_table=tuple(tuple(row) for row in meet_table),
+        join_table=join_table,
+        meet_table=meet_table,
         bottom_index=index[bottom],
         top_index=index[(0,) * n],
         algebra=alg,
         congruences=tuple(Congruence(alg, blocks) for blocks in ordered),
-        matrix_bounds=tuple(_pair_count(blocks) ** 2 for blocks in ordered),
+        matrix_bounds=tuple(mask.bit_count() ** 2 for mask in masks),
         _index=index,
     )
+
+
+def _relation_mask(blocks) -> int:
+    """The related pairs (x, y) of a block array as an int with bit x * n + y."""
+    n = len(blocks)
+    classes: dict[int, int] = {}
+    for x, rep in enumerate(blocks):
+        classes[rep] = classes.get(rep, 0) | 1 << x
+    mask = 0
+    for x, rep in enumerate(blocks):
+        mask |= classes[rep] << x * n
+    return mask
 
 
 def _pair_count(blocks) -> int:

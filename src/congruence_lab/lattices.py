@@ -9,9 +9,10 @@ A lattice serializes as ``{"size": k, "leq": [[bool, ...], ...]}``.
 
 ``lattice_from_leq`` is the validating constructor, for orders that come
 from outside (documents, builders, the reticulation): it checks the order
-axioms and finds every join and meet by a lub/glb search.  Code that already
-holds correct tables (Con(A), the interval quotient) builds the type
-directly.
+axioms and finds every join and meet by a lub/glb search.  Both it and
+Con(A) read their tables off up-set and down-set bitsets with
+``_tables_from_bitsets``; the interval quotient, which already holds
+correct tables, builds the type directly.
 
 Every ideal of a finite lattice is principal (a nonempty down-set closed
 under binary join contains the join of all its members), so a
@@ -158,6 +159,24 @@ class FiniteLattice:
         return True
 
 
+def _bitset(flags) -> int:
+    """The positions of the true flags, as an int bitset."""
+    return sum(1 << c for c, flag in enumerate(flags) if flag)
+
+
+def _tables_from_bitsets(up, down):
+    """The join and meet tables of a partial order given by its up-sets and
+    down-sets as int bitsets: the lub of a and b is the element whose up-set
+    is up[a] & up[b], and the glb likewise on down-sets.  An entry is None
+    where no such element exists.  In an antisymmetric order the up-sets (and
+    the down-sets) are pairwise distinct, so the lookup is unique."""
+    by_up = {mask: c for c, mask in enumerate(up)}
+    by_down = {mask: c for c, mask in enumerate(down)}
+    join_table = tuple(tuple([by_up.get(ua & ub) for ub in up]) for ua in up)
+    meet_table = tuple(tuple([by_down.get(da & db) for db in down]) for da in down)
+    return join_table, meet_table
+
+
 def lattice_from_leq(leq) -> FiniteLattice:
     """Validate an order matrix and compute join/meet tables.
 
@@ -171,8 +190,8 @@ def lattice_from_leq(leq) -> FiniteLattice:
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise NotALattice("leq must be a nonempty square matrix")
-    up = [sum(1 << c for c, above in enumerate(row) if above) for row in matrix]
-    down = [sum(1 << c for c in range(n) if matrix[c][a]) for a in range(n)]
+    up = [_bitset(row) for row in matrix]
+    down = [_bitset(column) for column in zip(*matrix)]
     for a in range(n):
         if not matrix[a][a]:
             raise NotALattice(f"order not reflexive at {a}")
@@ -185,19 +204,11 @@ def lattice_from_leq(leq) -> FiniteLattice:
             if missing:
                 c = (missing & -missing).bit_length() - 1
                 raise NotALattice(f"order not transitive at {a}, {b}, {c}")
-    # antisymmetry makes the up-sets (and the down-sets) pairwise distinct
-    by_up = {mask: c for c, mask in enumerate(up)}
-    by_down = {mask: c for c, mask in enumerate(down)}
-    join_table = []
-    meet_table = []
-    for a in range(n):
-        join_row = [by_up.get(up[a] & mask) for mask in up]
-        meet_row = [by_down.get(down[a] & mask) for mask in down]
+    join_table, meet_table = _tables_from_bitsets(up, down)
+    for a, (join_row, meet_row) in enumerate(zip(join_table, meet_table)):
         if None in join_row or None in meet_row:
             b = next(b for b in range(n) if join_row[b] is None or meet_row[b] is None)
             raise NotALattice(f"elements {a}, {b} lack a unique lub/glb")
-        join_table.append(tuple(join_row))
-        meet_table.append(tuple(meet_row))
     full = (1 << n) - 1
     bottoms = [a for a in range(n) if up[a] == full]
     tops = [a for a in range(n) if down[a] == full]
@@ -205,8 +216,8 @@ def lattice_from_leq(leq) -> FiniteLattice:
         raise NotALattice("order has no unique bottom/top")
     return FiniteLattice(
         leq=matrix,
-        join_table=tuple(join_table),
-        meet_table=tuple(meet_table),
+        join_table=join_table,
+        meet_table=meet_table,
         bottom_index=bottoms[0],
         top_index=tops[0],
     )

@@ -786,17 +786,17 @@ class OrthogonalReport:
 
 def _orthogonal_families(lattice: CongruenceLattice, elements) -> list[tuple]:
     """All orthogonal subsets of a Boolean center (pairwise meet = bottom)."""
-    bottom = lattice.bottom_index
+    bottom, meet = lattice.bottom_index, lattice.meet_table
     families: list[tuple] = []
-
-    def extend(start: int, chosen: tuple):
+    # depth first, each family before its extensions by later elements
+    stack = [(0, ())]
+    while stack:
+        start, chosen = stack.pop()
         families.append(chosen)
-        for k in range(start, len(elements)):
+        for k in reversed(range(start, len(elements))):
             e = elements[k]
-            if all(lattice.meet_index(e, c) == bottom for c in chosen):
-                extend(k + 1, chosen + (e,))
-
-    extend(0, ())
+            if all(meet[e][c] == bottom for c in chosen):
+                stack.append((k + 1, chosen + (e,)))
     return families
 
 

@@ -309,13 +309,10 @@ def _star_property(lattice: CongruenceLattice) -> bool:
     chains are eventually constant."""
     from .commutator import commutator_index
 
-    size = len(lattice)
-    for a in range(size):
-        chain_a, _ = _iterate_chain(lattice, a)
-        for b in range(size):
-            chain_b, _ = _iterate_chain(lattice, b)
-            c = commutator_index(lattice, a, b)
-            chain_c, _ = _iterate_chain(lattice, c)
+    chains = [_iterate_chain(lattice, i)[0] for i in range(len(lattice))]
+    for a, chain_a in enumerate(chains):
+        for b, chain_b in enumerate(chains):
+            chain_c = chains[commutator_index(lattice, a, b)]
             bound = max(len(chain_a), len(chain_b))
             for n_value in chain_c:  # the values [alpha,beta]^n, n >= 1
                 found = False

@@ -132,20 +132,25 @@ def radical_index(lattice: CongruenceLattice, i: int) -> int:
 
 def radical_oracle(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
     """Independent route to rho(theta): the join of all congruences alpha
-    whose iterate chain [alpha, alpha]^n falls below theta.
-
-    The chain is decreasing, so it falls below theta at some n exactly when
-    its stable value does.
-    """
+    whose iterate chain [alpha, alpha]^n falls below theta."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    i = lattice.index(theta)
-    qualifying = []
-    for a in range(len(lattice)):
-        chain, _ = _iterate_chain(lattice, a)
-        if lattice.leq_index(chain[-1], i):
-            qualifying.append(a)
-    return lattice.congruences[lattice.join_many(qualifying)]
+    return lattice.congruences[radical_oracle_table(lattice)[lattice.index(theta)]]
+
+
+@stored
+def radical_oracle_table(lattice: CongruenceLattice) -> tuple[int, ...]:
+    """``radical_oracle`` of every congruence, as indices.
+
+    The chain is decreasing, so it falls below theta at some n exactly when
+    its stable value does; each stable value is read once.
+    """
+    leq = lattice.leq
+    stable = [_iterate_chain(lattice, a)[0][-1] for a in range(len(lattice))]
+    return tuple(
+        lattice.join_many(a for a, s in enumerate(stable) if leq[s][i])
+        for i in range(len(lattice))
+    )
 
 
 def is_semiprime(alg: FiniteAlgebra) -> bool:

@@ -682,3 +682,23 @@ def test_stored_results_are_index_level(alg):
                 assert all(type(arg) in (int, bool) for arg in key), (name, key)
                 assert not isinstance(value, Congruence), name
                 assert not hasattr(value, "algebra"), name
+
+
+def test_orthogonal_families_leave_no_cyclic_garbage():
+    """The family enumeration builds no reference cycle, so what it
+    allocates is freed when the call returns, not at the next collection."""
+    import gc
+
+    from congruence_lab.lifting import _orthogonal_families, center_index
+
+    lattice = con_lattice(boolean_lattice(3))
+    members = center_index(lattice)[0]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()  # an automatic collection would hide a cycle
+    try:
+        assert _orthogonal_families(lattice, members)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

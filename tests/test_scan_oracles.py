@@ -6,17 +6,32 @@
   search, against the up-set/down-set bitsets, down to the exact
   ``NotALattice`` message;
 * ``cblp_characterization``'s separation scan (c2, c3) and ``is_b_normal``'s
-  orthogonal-pair scan, against their bitset forms.
+  orthogonal-pair scan, against their bitset forms;
+* ``all_congruences``: the closure of every principal congruence under join,
+  with the order by a block scan and the tables by partition join and meet,
+  against the closure of the join-irreducibles and the bitset tables.
 """
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import NotALattice
-from congruence_lab.builders import standard_corpus
+from congruence_lab import NotALattice, SizeBudgetExceeded
+from congruence_lab.algebra import load_algebra, product
+from congruence_lab.builders import boolean_lattice, chain_lattice, ring_zn, standard_corpus
 from congruence_lab.commutator import commutator_index, surrogate_checks
-from congruence_lab.congruences import con_lattice
+from congruence_lab.congruences import (
+    Congruence,
+    CongruenceLattice,
+    _close_pairs,
+    _join_blocks,
+    _meet_blocks,
+    _pair_count,
+    all_congruences,
+    con_lattice,
+)
 from congruence_lab.lattices import FiniteLattice, lattice_from_leq
 from congruence_lab.lifting import (
     _coprime_pairs,
@@ -25,6 +40,8 @@ from congruence_lab.lifting import (
     is_b_normal,
 )
 from congruence_lab.reticulation import build_reticulation
+
+from test_congruences import random_algebras
 
 
 def cubic_is_distributive(lattice: FiniteLattice) -> bool:
@@ -223,3 +240,118 @@ def test_separation_and_b_normal_scans_on_the_corpus(alg):
         assert (thm["c2"], thm["c3"]) == scan_c2_c3(alg, theta)
     report = is_b_normal(alg)
     assert (report.b_normal, report.counterexample) == scan_b_normal(alg)
+
+
+def join_closure_con(alg, cap):
+    """Con(A) closed from every principal congruence under join, ordered by a
+    block scan per pair, with one partition join and one meet per
+    incomparable pair."""
+    n = alg.size
+    principal: dict = {}
+    bottom = tuple(range(n))
+    elements = {bottom: None}
+    for a in range(n):
+        for b in range(a + 1, n):
+            blocks = _close_pairs(alg, [(a, b)])
+            principal[blocks] = None
+            if blocks not in elements and len(elements) >= cap:
+                raise SizeBudgetExceeded(f"|Con({alg.name})| exceeds the cap of {cap}")
+            elements.setdefault(blocks, None)
+    worklist = list(elements)
+    while worklist:
+        current = worklist.pop()
+        for gen in principal:
+            merged = _join_blocks(current, gen)
+            if merged not in elements:
+                if len(elements) >= cap:
+                    raise SizeBudgetExceeded(f"|Con({alg.name})| exceeds the cap of {cap}")
+                elements[merged] = None
+                worklist.append(merged)
+    ordered = sorted(elements)
+    index = {blocks: i for i, blocks in enumerate(ordered)}
+    size = len(ordered)
+    leq = tuple(
+        tuple(all(other[rep] == other[x] for x, rep in enumerate(blocks)) for other in ordered)
+        for blocks in ordered
+    )
+    join_table = [[0] * size for _ in range(size)]
+    meet_table = [[0] * size for _ in range(size)]
+    for i, bi in enumerate(ordered):
+        for j in range(i, size):
+            bj = ordered[j]
+            if leq[i][j]:
+                jn, mt = j, i
+            elif leq[j][i]:
+                jn, mt = i, j
+            else:
+                jn = index[_join_blocks(bi, bj)]
+                mt = index[_meet_blocks(bi, bj)]
+            join_table[i][j] = join_table[j][i] = jn
+            meet_table[i][j] = meet_table[j][i] = mt
+    return CongruenceLattice(
+        leq=leq,
+        join_table=tuple(tuple(row) for row in join_table),
+        meet_table=tuple(tuple(row) for row in meet_table),
+        bottom_index=index[bottom],
+        top_index=index[(0,) * n],
+        algebra=alg,
+        congruences=tuple(Congruence(alg, blocks) for blocks in ordered),
+        matrix_bounds=tuple(_pair_count(blocks) ** 2 for blocks in ordered),
+        _index=index,
+    )
+
+
+def _fields(lattice):
+    return (
+        lattice.algebra,
+        lattice.congruences,
+        lattice.leq,
+        lattice.join_table,
+        lattice.meet_table,
+        lattice.bottom_index,
+        lattice.top_index,
+        lattice.matrix_bounds,
+        list(lattice._index.items()),
+    )
+
+
+def assert_same_con(alg):
+    lattice = all_congruences(alg, cap=10**6)
+    assert _fields(lattice) == _fields(join_closure_con(alg, cap=10**6))
+    blocks = [theta.blocks for theta in lattice.congruences]
+    index = lattice._index
+    for a, row_join, row_meet in zip(blocks, lattice.join_table, lattice.meet_table):
+        assert [index[_join_blocks(a, b)] for b in blocks] == list(row_join)
+        assert [index[_meet_blocks(a, b)] for b in blocks] == list(row_meet)
+    return len(lattice)
+
+
+CORPUS_FILES = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
+LADDER = [
+    chain_lattice(9),
+    boolean_lattice(4),
+    ring_zn(24),
+    ring_zn(30),
+    product(ring_zn(2), ring_zn(9)),
+]
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES] + LADDER,
+    ids=lambda alg: alg.name,
+)
+def test_con_matches_the_join_closure_of_every_principal(alg):
+    size = assert_same_con(alg)
+    if size > 1:  # the bottom is never counted against the cap
+        cap = size - 1
+        with pytest.raises(SizeBudgetExceeded) as raised:
+            all_congruences(alg, cap=cap)
+        assert str(raised.value) == f"|Con({alg.name})| exceeds the cap of {cap}"
+    assert len(all_congruences(alg, cap=size)) == size
+
+
+@given(random_algebras())
+@settings(max_examples=200, deadline=None)
+def test_con_of_random_algebras_matches_the_join_closure(alg):
+    assert_same_con(alg)

@@ -11,9 +11,11 @@ measurement is reused by the next:
 * one per ``verify.SUITES`` entry: it builds Con(A) and the hypothesis
   surrogates (``setup_s``), then times that suite alone (``alone_s``) and
   counts its checks;
-* one that runs ``verify_algebra``'s steps in order: the surrogates, then
-  each suite (``in_sequence_s``), each reusing what the earlier ones stored.
-  Their sum is ``verify_s``, the time of one ``verify_algebra`` call.
+* one that runs ``verify_algebra``'s steps in order: Con(A) (``con_s``),
+  the surrogates (``surrogates_s``), then each suite (``in_sequence_s``),
+  each reusing what the earlier ones stored.  Its ``setup_s`` is
+  ``con_s + surrogates_s``, and the sum of all steps is ``verify_s``, the
+  time of one ``verify_algebra`` call.
 
 Suites that ``verify_algebra`` skips on an exploratory algebra are not run.
 The table goes to standard output; ``--json PATH`` also writes the numbers.
@@ -66,7 +68,13 @@ def child(name: str, label: str) -> dict:
     alg = build(name)
     lattice, con_s = _timed(lambda: con_lattice(alg))
     surrogate, surrogate_s = _timed(lambda: surrogate_checks(alg))
-    out = {"con_size": len(lattice), "setup_s": con_s + surrogate_s, "suites": {}}
+    out = {
+        "con_size": len(lattice),
+        "con_s": con_s,
+        "surrogates_s": surrogate_s,
+        "setup_s": con_s + surrogate_s,
+        "suites": {},
+    }
     for suite_label, suite in SUITES:
         if label not in ("-", suite_label):
             continue
@@ -104,6 +112,8 @@ def measure(name: str) -> dict:
     total = sequence["setup_s"] + sum(s["seconds"] for s in sequence["suites"].values())
     return {
         "con_size": sequence["con_size"],
+        "con_s": round(sequence["con_s"], 3),
+        "surrogates_s": round(sequence["surrogates_s"], 3),
         "setup_s": round(sequence["setup_s"], 3),
         "verify_s": round(total, 3),
         "suites": suites,
@@ -125,7 +135,8 @@ def main(argv=None) -> int:
     for name in args.names:
         record = results[name] = measure(name)
         print(
-            f"{name}: |Con| = {record['con_size']}, setup {record['setup_s']:.2f} s, "
+            f"{name}: |Con| = {record['con_size']}, setup {record['setup_s']:.2f} s "
+            f"(Con(A) {record['con_s']:.2f} s, surrogates {record['surrogates_s']:.2f} s), "
             f"verify {record['verify_s']:.2f} s"
         )
         print(f"  {'suite':<14}{'checks':>7}{'alone s':>10}{'in sequence s':>15}")
