@@ -9,10 +9,10 @@ A lattice serializes as ``{"size": k, "leq": [[bool, ...], ...]}``.
 
 ``lattice_from_leq`` is the validating constructor, for orders that come
 from outside (documents, builders, the reticulation): it checks the order
-axioms and finds every join and meet by a lub/glb search.  Both it and
-Con(A) read their tables off up-set and down-set bitsets with
-``_tables_from_bitsets``; the interval quotient, which already holds
-correct tables, builds the type directly.
+axioms and that every pair has a join and a meet.  It and Con(A) read their
+tables off up-set and down-set bitsets with ``_tables_from_bitsets``; the
+interval quotient, which already holds correct tables, builds the type
+directly.
 
 Every ideal of a finite lattice is principal (a nonempty down-set closed
 under binary join contains the join of all its members), so a
