@@ -22,17 +22,24 @@ iterates over the classes of Delta instead of materializing M.
 Delta_{alpha v alpha', beta} = Delta_{alpha,beta} v Delta_{alpha',beta} in
 every algebra: the diagonal pairs of alpha v alpha' chain through the
 diagonal pairs of alpha and alpha', and a join of congruences is the
-transitive closure of their union.  So only join-irreducible alpha get an
-operation closure on A(beta), stored on the lattice as one label list per
-(alpha, beta); every other Delta is a partition join of those labels over
-the join-irreducibles below alpha, and is not stored.  The closure is the
-engine of congruence generation lifted to A(beta): the same quick-find
-partition, closed under the same translation table of A, read once on the
-firsts and once on the seconds of each pair.  An associative operation of A
-is associative on A(beta), so there the closure translates only by a
-generating set of the semigroup (A(beta), f), found once per beta: every
-translation by a member is a composition of translations by generators.
-Non-associative and ternary operations keep every member as a filler.
+transitive closure of their union.  The fixpoint only asks whether delta,
+restricted to A(beta), is a union of Delta-classes, and a set is a union of
+classes of a join of equivalences exactly when it is a union of classes of
+each of them.  So no Delta is ever joined: only join-irreducible gamma get
+an operation closure on A(beta), stored on the lattice once per (gamma,
+beta) as the classes of Delta_{gamma,beta} with more than one member, each
+an int with bit x * n + y set for the member (x, y), as in the relation
+masks of ``congruences``.  The fixpoint holds delta as its relation mask and
+saturates it for the classes of every join-irreducible below alpha, and, for
+M(beta, alpha), of every join-irreducible below beta on A(alpha).  The
+closure is the engine of congruence generation lifted to A(beta): the same
+quick-find partition, closed under the same translation table of A, read
+once on the firsts and once on the seconds of each pair.  An associative
+operation of A is associative on A(beta), so there the closure translates
+only by a generating set of the semigroup (A(beta), f), found once per beta:
+every translation by a member is a composition of translations by
+generators.  Non-associative and ternary operations keep every member as a
+filler.
 
 ``matrix_subalgebra`` materializes M and, with the reference fixpoint in
 ``verify``, is the independent oracle for all of this at small sizes.
@@ -48,12 +55,13 @@ from .algebra import FiniteAlgebra
 from .congruences import (
     Congruence,
     CongruenceLattice,
-    _Partition,
+    _close_pairs,
     _pair_count,
+    _Partition,
+    _relation_mask,
     _semigroup_generators,
     _translation_plan,
     con_lattice,
-    congruence_from_pairs,
     stored,
 )
 from .errors import SizeBudgetExceeded, TheoryHypothesisFailed
@@ -188,10 +196,12 @@ def _pair_algebra(lattice: CongruenceLattice, b: int):
     return firsts, seconds, index_of, tuple(generators)
 
 
-def _close_delta(lattice: CongruenceLattice, a: int, b: int) -> list[int]:
-    """Delta_{alpha,beta}: the congruence of the pair algebra A(beta)
-    generated by the diagonal alpha-pairs ((x, x), (x', x')), as a class
-    label for each member of A(beta); every label is a member of its class.
+@stored
+def _close_delta(lattice: CongruenceLattice, g: int, b: int) -> tuple[int, ...]:
+    """Delta_{gamma,beta} for gamma = congruences[g]: the congruence of the
+    pair algebra A(beta) generated by the diagonal gamma-pairs ((x, x),
+    (x', x')), as its classes with more than one member, each an int with
+    bit x * n + y set for every member (x, y).
 
     A translation of A(beta) freezes its other arguments to members of
     A(beta), so it acts on the firsts and on the seconds of a member as the
@@ -207,8 +217,8 @@ def _close_delta(lattice: CongruenceLattice, a: int, b: int) -> list[int]:
     part = _Partition(len(firsts))
     label, merge, pending = part.label, part.merge, part.pending
 
-    alpha = lattice.congruences[a].blocks
-    for x, rep in enumerate(alpha):
+    gamma = lattice.congruences[g].blocks
+    for x, rep in enumerate(gamma):
         if rep != x:
             part.union(index_of[rep * n + rep], index_of[x * n + x])
 
@@ -227,7 +237,7 @@ def _close_delta(lattice: CongruenceLattice, a: int, b: int) -> list[int]:
         if gens is None:
             steps.append((rows, *fillers[width]))
         else:
-            steps.append((rows, [firsts[g] for g in gens], [seconds[g] for g in gens]))
+            steps.append((rows, [firsts[k] for k in gens], [seconds[k] for k in gens]))
     while pending:
         i, j = pending.pop()
         p0, p1, q0, q1 = firsts[i], seconds[i], firsts[j], seconds[j]
@@ -238,41 +248,10 @@ def _close_delta(lattice: CongruenceLattice, a: int, b: int) -> list[int]:
                 v = label[index_of[rq0[s0] * n + rq1[s1]]]
                 if u != v:
                     merge(u, v)
-    return label
-
-
-def _delta_classes(
-    lattice: CongruenceLattice, a: int, b: int
-) -> list[list[tuple[int, int]]]:
-    """Classes of Delta_{alpha,beta}, the row classes of the transitive
-    closure of M(alpha, beta).
-
-    Only join-irreducible alpha get an operation closure, stored per
-    (alpha, beta); any other alpha is the join of the join-irreducibles
-    below it, and Delta_{alpha v alpha', beta} = Delta_{alpha,beta} v
-    Delta_{alpha',beta}, so its classes come from a partition join of the
-    stored labels (the bottom is the empty join).
-    """
-    firsts, seconds, _, _ = _pair_algebra(lattice, b)
-    if lattice.join_irreducible_flags[a]:
-        labels = _join_irreducible_delta(lattice, a, b)
-    else:
-        part = _Partition(len(firsts))
-        labels = part.label
-        for g in lattice.join_irreducible_indices():
-            if lattice.leq_index(g, a):
-                for i, rep in enumerate(_join_irreducible_delta(lattice, g, b)):
-                    if labels[i] != labels[rep]:
-                        part.merge(labels[i], labels[rep])
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for x, y, label in zip(firsts, seconds, labels):
-        classes.setdefault(label, []).append((x, y))
-    return list(classes.values())
-
-
-@stored
-def _join_irreducible_delta(lattice: CongruenceLattice, g: int, b: int) -> list[int]:
-    return _close_delta(lattice, g, b)
+    bits = [1 << x * n + y for x, y in zip(firsts, seconds)]
+    return tuple(
+        sum([bits[i] for i in members]) for members in part.groups if members and len(members) > 1
+    )
 
 
 def commutator(
@@ -314,23 +293,29 @@ def commutator_index(
     if hit is not None:
         return hit
     alg = lattice.algebra
-    class_families = [_delta_classes(lattice, key[0], key[1])]
-    if key[0] != key[1]:
-        class_families.append(_delta_classes(lattice, key[1], key[0]))
-    delta = lattice.congruences[lattice.bottom_index]
+    n = alg.size
+    leq, ji = lattice.leq, lattice.join_irreducible_indices()
+    a, b = key
+    # delta is closed for Delta_{alpha,beta} iff it is for each Delta_{g,beta}
+    classes = [c for g in ji if leq[g][a] for c in _close_delta(lattice, g, b)]
+    if a != b:
+        classes += [c for g in ji if leq[g][b] for c in _close_delta(lattice, g, a)]
+    blocks = lattice.congruences[lattice.bottom_index].blocks
+    related = _relation_mask(blocks)
     while True:
-        new_pairs = []
-        for classes in class_families:
-            for cls in classes:
-                if any(delta.related(x, y) for x, y in cls):
-                    new_pairs.extend(
-                        (z, w) for z, w in cls if not delta.related(z, w)
-                    )
-        if not new_pairs:
+        missing = 0
+        for cls in classes:
+            inside = cls & related
+            if inside and inside != cls:
+                missing |= cls
+        missing &= ~related
+        if not missing:
             break
-        seeds = list(enumerate(delta.blocks))
-        delta = congruence_from_pairs(alg, seeds + new_pairs)
-    result = lattice.index(delta)
+        seeds = list(enumerate(blocks))
+        seeds += [divmod(k, n) for k, bit in enumerate(bin(missing)[:1:-1]) if bit == "1"]
+        blocks = _close_pairs(alg, seeds)
+        related = _relation_mask(blocks)
+    result = lattice._index[blocks]
     cache[key] = result
     return result
 

@@ -592,21 +592,27 @@ def interval_above(lattice: CongruenceLattice, theta: Congruence) -> list[Congru
 
 
 def all_partitions(n: int):
-    """All set partitions of 0..n-1 as block arrays (restricted growth strings)."""
+    """All set partitions of 0..n-1 as block arrays (restricted growth
+    strings), in lexicographic order.
 
-    def rec(k: int, blocks: list[int], reps: list[int]):
-        if k == n:
-            yield tuple(blocks)
+    Entry k of a block array is the least member of its block: an earlier
+    entry that is its own label, or k itself.  The successor raises the
+    rightmost entry that has a larger choice to the next one and resets
+    every entry after it to 0.
+    """
+    blocks = [0] * n
+    while True:
+        yield tuple(blocks)
+        k = n - 1
+        while k > 0 and blocks[k] == k:
+            k -= 1
+        if k <= 0:
             return
-        for rep in reps:
-            blocks.append(rep)
-            yield from rec(k + 1, blocks, reps)
-            blocks.pop()
-        blocks.append(k)
-        yield from rec(k + 1, blocks, reps + [k])
-        blocks.pop()
-
-    yield from rec(0, [], [])
+        v = blocks[k] + 1
+        while v < k and blocks[v] != v:
+            v += 1
+        blocks[k] = v
+        blocks[k + 1 :] = [0] * (n - k - 1)
 
 
 def brute_force_congruences(alg: FiniteAlgebra) -> list[tuple[int, ...]]:

@@ -118,17 +118,14 @@ class FiniteLattice:
         )
 
     @cached_property
-    def join_irreducible_flags(self) -> tuple[bool, ...]:
+    def _join_irreducibles(self) -> tuple[int, ...]:
         """x is join-irreducible iff the join of everything strictly below x
         is not x (for the bottom that join is empty, hence the bottom)."""
         return tuple(
-            self.join_many(y for y, row in enumerate(self.leq) if row[x] and y != x) != x
+            x
             for x in range(self.size)
+            if self.join_many(y for y, row in enumerate(self.leq) if row[x] and y != x) != x
         )
-
-    @cached_property
-    def _join_irreducibles(self) -> tuple[int, ...]:
-        return tuple(i for i, flag in enumerate(self.join_irreducible_flags) if flag)
 
     def join_irreducible_indices(self) -> tuple[int, ...]:
         return self._join_irreducibles

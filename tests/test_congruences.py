@@ -111,6 +111,34 @@ def test_all_partitions_bell_numbers():
     assert sum(1 for _ in all_partitions(6)) == 203
 
 
+def test_all_partitions_are_the_canonical_block_arrays_in_order():
+    """Every tuple over range(n) that names each block by its least member,
+    once each, in lexicographic order."""
+    from itertools import product as iproduct
+
+    for n in range(6):
+        canonical = [
+            t for t in iproduct(range(n), repeat=n) if all(t[t[x]] == t[x] <= x for x in range(n))
+        ]
+        assert list(all_partitions(n)) == canonical
+
+
+def test_all_partitions_leave_no_cyclic_garbage():
+    """The enumeration builds no reference cycle, so what it allocates is
+    freed when it is exhausted, not at the next collection."""
+    import gc
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()  # an automatic collection would hide a cycle
+    try:
+        assert len(list(all_partitions(5))) == 52
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @given(index=st.integers(min_value=0, max_value=202))
 @settings(max_examples=40, deadline=None)
 def test_partition_membership_is_compatibility(z6, index):

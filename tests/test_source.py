@@ -55,8 +55,7 @@ def test_commutator_oracle_names_no_fast_path_helper():
         "_Partition",
         "_pair_algebra",
         "_close_delta",
-        "_delta_classes",
-        "_join_irreducible_delta",
+        "_relation_mask",
     }
     oracle = {("commutator", "matrix_subalgebra"), ("verify", "_term_condition_fixpoint")}
     found = {}
