@@ -582,8 +582,8 @@ def _row_classes(m, beta):
 def test_closures_match_oracles_on_associative_algebras(alg):
     """Con(A) against a compatibility check read from the tables; the
     classes of every Delta_{alpha,beta}, closed directly, against those of
-    the transitive closure of the materialized M(alpha, beta); and the full commutator table against the fixpoint on
-    M."""
+    the transitive closure of the materialized M(alpha, beta); and the full
+    commutator table against the fixpoint on M."""
     from congruence_lab.verify import _term_condition_fixpoint
 
     partitions = all_partitions(alg.size)
