@@ -27,11 +27,14 @@ restricted to A(beta), is a union of Delta-classes, and a set is a union of
 classes of a join of equivalences exactly when it is a union of classes of
 each of them.  So no Delta is ever joined: only join-irreducible gamma get
 an operation closure on A(beta), stored on the lattice once per (gamma,
-beta) as the classes of Delta_{gamma,beta} with more than one member, each
+beta) as the classes C of Delta_{gamma,beta} with more than one member, each
 an int with bit x * n + y set for the member (x, y), as in the relation
-masks of ``congruences``.  The fixpoint holds delta as its relation mask and
-saturates it for the classes of every join-irreducible below alpha, and, for
-M(beta, alpha), of every join-irreducible below beta on A(alpha).  The
+masks of Con(A), paired with the index of Cg(C), the join of the principal
+congruences of its members.  Over the classes of every join-irreducible
+below alpha, and, for M(beta, alpha), of every one below beta on A(alpha),
+the fixpoint climbs Con(A) by index: from the bottom, delta becomes
+delta v Cg(C) for each class C that meets delta, until delta stops moving;
+adding the members of C to delta and closing is the same step.  The
 closure is the engine of congruence generation lifted to A(beta): the same
 quick-find partition, closed under the same translation table of A, read
 once on the firsts and once on the seconds of each pair.  An associative
@@ -55,10 +58,7 @@ from .algebra import FiniteAlgebra
 from .congruences import (
     Congruence,
     CongruenceLattice,
-    _close_pairs,
-    _pair_count,
     _Partition,
-    _relation_mask,
     _semigroup_generators,
     _translation_plan,
     con_lattice,
@@ -176,15 +176,12 @@ def _pair_algebra(lattice: CongruenceLattice, b: int):
     proper subset is found."""
     alg = lattice.algebra
     n = alg.size
-    blocks = lattice.congruences[b].blocks
-    firsts, seconds, index_of = [], [], [-1] * (n * n)
-    for x in range(n):
-        for y in range(n):
-            if blocks[x] == blocks[y]:
-                index_of[x * n + y] = len(firsts)
-                firsts.append(x)
-                seconds.append(y)
-    firsts, seconds = tuple(firsts), tuple(seconds)
+    mask = lattice.masks[b]
+    cells = [c for c in range(n * n) if mask >> c & 1]  # (x, y) is cell x * n + y
+    index_of = [-1] * (n * n)
+    for i, c in enumerate(cells):
+        index_of[c] = i
+    firsts, seconds = tuple(c // n for c in cells), tuple(c % n for c in cells)
     generators = []
     for _, rows, _, of_a in _translation_plan(alg):
         gens = None
@@ -200,8 +197,11 @@ def _pair_algebra(lattice: CongruenceLattice, b: int):
 def _close_delta(lattice: CongruenceLattice, g: int, b: int) -> tuple[int, ...]:
     """Delta_{gamma,beta} for gamma = congruences[g]: the congruence of the
     pair algebra A(beta) generated by the diagonal gamma-pairs ((x, x),
-    (x', x')), as its classes with more than one member, each an int with
-    bit x * n + y set for every member (x, y).
+    (x', x')), as its classes C with more than one member, each as two
+    entries of one flat tuple: an int with bit x * n + y set for every
+    member (x, y), then the index of Cg(C), the join of the principal
+    congruences of its members.  Flat, because a pair per class would hold
+    one more object per class for the life of the lattice.
 
     A translation of A(beta) freezes its other arguments to members of
     A(beta), so it acts on the firsts and on the seconds of a member as the
@@ -248,10 +248,13 @@ def _close_delta(lattice: CongruenceLattice, g: int, b: int) -> tuple[int, ...]:
                 v = label[index_of[rq0[s0] * n + rq1[s1]]]
                 if u != v:
                     merge(u, v)
-    bits = [1 << x * n + y for x, y in zip(firsts, seconds)]
-    return tuple(
-        sum([bits[i] for i in members]) for members in part.groups if members and len(members) > 1
-    )
+    principals, join_many = lattice.principals, lattice.join_many
+    classes = []
+    for group in part.groups:
+        if group and len(group) > 1:
+            cells = [firsts[i] * n + seconds[i] for i in group]
+            classes += (sum([1 << c for c in cells]), join_many({principals[c] for c in cells}))
+    return tuple(classes)
 
 
 def commutator(
@@ -268,7 +271,7 @@ def commutator(
     """
     if cap is None:
         cap = config.MATRIX_CAP
-    bound = max(_pair_count(alpha.blocks), _pair_count(beta.blocks)) ** 2
+    bound = max(sum(len(c) ** 2 for c in theta.classes()) for theta in (alpha, beta)) ** 2
     if bound > cap:
         raise _budget_error(bound, cap)
     lattice = con_lattice(alg)
@@ -292,30 +295,20 @@ def commutator_index(
     hit = cache.get(key)
     if hit is not None:
         return hit
-    alg = lattice.algebra
-    n = alg.size
     leq, ji = lattice.leq, lattice.join_irreducible_indices()
     a, b = key
     # delta is closed for Delta_{alpha,beta} iff it is for each Delta_{g,beta}
     classes = [c for g in ji if leq[g][a] for c in _close_delta(lattice, g, b)]
     if a != b:
         classes += [c for g in ji if leq[g][b] for c in _close_delta(lattice, g, a)]
-    blocks = lattice.congruences[lattice.bottom_index].blocks
-    related = _relation_mask(blocks)
-    while True:
-        missing = 0
-        for cls in classes:
-            inside = cls & related
-            if inside and inside != cls:
-                missing |= cls
-        missing &= ~related
-        if not missing:
-            break
-        seeds = list(enumerate(blocks))
-        seeds += [divmod(k, n) for k, bit in enumerate(bin(missing)[:1:-1]) if bit == "1"]
-        blocks = _close_pairs(alg, seeds)
-        related = _relation_mask(blocks)
-    result = lattice._index[blocks]
+    masks, join = lattice.masks, lattice.join_table
+    result, previous = lattice.bottom_index, None
+    while result != previous:
+        previous = result
+        flat = iter(classes)  # the mask of a class C, then the index of Cg(C)
+        for cls, generated in zip(flat, flat):
+            if cls & masks[result]:
+                result = join[result][generated]
     cache[key] = result
     return result
 

@@ -24,6 +24,9 @@ Each congruence carries its relation as an int bitmask, with bit x * n + y
 set when x and y are related: theta <= phi iff theta's mask lies inside
 phi's, a closure step skips a join-irreducible already below, and the join
 and meet tables are read off the up-set and down-set bitsets of that order.
+Con(A) keeps these masks as ``masks``, and the principal congruence of
+every pair, found on the way, as ``principals``: the congruence generated
+by a set S of pairs is the join of Cg(s) over s in S.
 
 When a binary operation f is associative and G generates the semigroup
 (A, f), the translation x -> f(x, g1 ... gk) is the composition of the
@@ -44,7 +47,6 @@ inverse).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import combinations
@@ -369,6 +371,10 @@ class CongruenceLattice(FiniteLattice):
     congruences: tuple[Congruence, ...]  # canonically sorted by block array
     # the matrix budget of each congruence: its number of related pairs, squared
     matrix_bounds: tuple[int, ...]
+    # the relation of each congruence: bit x * n + y is set when x and y are related
+    masks: tuple[int, ...] = field(compare=False, repr=False)
+    # principals[x * n + y] is the index of Cg(x, y), the bottom when x == y
+    principals: tuple[int, ...] = field(compare=False, repr=False)
     _index: dict = field(compare=False, hash=False, repr=False)
     # the results of @stored functions, one dict per function
     _caches: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
@@ -391,11 +397,10 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
     if cap is None:
         cap = config.CON_CAP
     n = alg.size
-    principal: dict[tuple[int, ...], int] = {}  # block array -> relation mask
+    pairs: dict[tuple[int, ...], list] = {}  # Cg(a, b) -> every such (a, b)
     for a, b in combinations(range(n), 2):
-        blocks = _close_pairs(alg, [(a, b)])
-        if blocks not in principal:
-            principal[blocks] = _relation_mask(blocks)
+        pairs.setdefault(_close_pairs(alg, [(a, b)]), []).append((a, b))
+    principal = {blocks: _relation_mask(blocks) for blocks in pairs}
     # every congruence below p is a join of principals below p, so p is
     # join-irreducible iff the principals strictly below it join to less
     generators = []
@@ -423,13 +428,17 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
                     worklist.append((merged, elements[merged]))
 
     ordered = sorted(elements)
-    masks = [elements[blocks] for blocks in ordered]
+    masks = tuple(elements[blocks] for blocks in ordered)
     # theta_i <= theta_j iff the relation of theta_i lies inside that of theta_j
     leq = tuple(tuple([not mi & ~mj for mj in masks]) for mi in masks)
     up = [_bitset(row) for row in leq]
     down = [_bitset(column) for column in zip(*leq)]
     join_table, meet_table = _tables_from_bitsets(up, down)
     index = {blocks: i for i, blocks in enumerate(ordered)}
+    principals = [index[bottom]] * (n * n)
+    for blocks, generating in pairs.items():
+        for a, b in generating:
+            principals[a * n + b] = principals[b * n + a] = index[blocks]
     return CongruenceLattice(
         leq=leq,
         join_table=join_table,
@@ -439,6 +448,8 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
         algebra=alg,
         congruences=tuple(Congruence(alg, blocks) for blocks in ordered),
         matrix_bounds=tuple(mask.bit_count() ** 2 for mask in masks),
+        masks=masks,
+        principals=tuple(principals),
         _index=index,
     )
 
@@ -453,11 +464,6 @@ def _relation_mask(blocks) -> int:
     for x, rep in enumerate(blocks):
         mask |= classes[rep] << x * n
     return mask
-
-
-def _pair_count(blocks) -> int:
-    """The number of related pairs (x, y) of a block array."""
-    return sum(k * k for k in Counter(blocks).values())
 
 
 def _join_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -32,7 +32,6 @@ from .congruences import (
     Congruence,
     CongruenceLattice,
     con_lattice,
-    congruence_from_pairs,
     projection,
     stored,
 )
@@ -184,19 +183,18 @@ def projection_image_index(lattice: CongruenceLattice, t: int, a: int) -> int:
     """(alpha v theta)/theta as an index of Con(A/theta).
 
     Computed both as the projected join and as the congruence of the quotient
-    generated by the projected pairs of alpha; the two must agree.
+    generated by the projected pairs of alpha, the join of their principal
+    congruences in Con(A/theta); the two must agree.
     """
     p = projection(lattice, t)
     via_interval = p.down[lattice.join_table[a][t]]
-    theta = lattice.congruences[t].blocks
+    theta, alpha = lattice.congruences[t].blocks, lattice.congruences[a].blocks
     block_of = {r: k for k, r in enumerate(sorted(set(theta)))}
-    seeds = []
-    for cls in lattice.congruences[a].classes():
-        first = theta[cls[0]]
-        for other in cls[1:]:
-            seeds.append((block_of[first], block_of[theta[other]]))
-    via_generation = congruence_from_pairs(p.quotient, seeds)
-    if p.lattice.congruences[via_interval].blocks != via_generation.blocks:
+    image = [block_of[r] for r in theta]  # x -> its element of A/theta
+    m, principals = len(block_of), p.lattice.principals
+    cgs = {principals[image[x] * m + image[rep]] for x, rep in enumerate(alpha)}
+    via_generation = p.lattice.join_many(cgs)
+    if via_interval != via_generation:
         raise Falsified(f"{lattice.algebra.name}: projected join and generated image disagree")
     return via_interval
 
@@ -785,13 +783,18 @@ class OrthogonalReport:
 
 
 def _orthogonal_families(lattice: CongruenceLattice, elements) -> list[tuple]:
-    """All orthogonal subsets of a Boolean center (pairwise meet = bottom)."""
+    """All orthogonal subsets of a Boolean center (pairwise meet = bottom),
+    on Con(A/theta); the one past FAMILY_CAP raises SizeBudgetExceeded."""
     bottom, meet = lattice.bottom_index, lattice.meet_table
     families: list[tuple] = []
     # depth first, each family before its extensions by later elements
     stack = [(0, ())]
     while stack:
         start, chosen = stack.pop()
+        if len(families) == FAMILY_CAP:
+            raise SizeBudgetExceeded(
+                f"orthogonal families on the center of A/theta exceed the cap of {FAMILY_CAP}"
+            )
         families.append(chosen)
         for k in reversed(range(start, len(elements))):
             e = elements[k]
@@ -838,10 +841,6 @@ def orthogonal_index(lattice: CongruenceLattice, t: int) -> tuple:
     unique = all(len(v) == 1 for v in fibers.values())
 
     families = _orthogonal_families(projection(lattice, t).lattice, qmembers)
-    if len(families) > FAMILY_CAP:
-        raise SizeBudgetExceeded(
-            f"{len(families)} orthogonal families exceed the cap {FAMILY_CAP}"
-        )
     lifts_orthogonal = True
     for family in families:
         if any(k not in fibers for k in family):

@@ -35,7 +35,7 @@ from congruence_lab.builders import (
     ring_zn,
 )
 from congruence_lab.commutator import commutator_index, require_theory
-from congruence_lab.congruences import all_partitions
+from congruence_lab.congruences import all_partitions, congruence_from_pairs
 from congruence_lab.spectrum import spectrum
 
 from conftest import theta
@@ -429,11 +429,18 @@ def _pairs(mask, n):
 def _delta_partition(lattice, a, b):
     """The classes of Delta_{alpha,beta} with more than one member, closed
     from the diagonal alpha-pairs directly, whether alpha is
-    join-irreducible or not."""
+    join-irreducible or not.  The congruence of A stored with each class
+    must be the one its members generate."""
     from congruence_lab.commutator import _close_delta
 
-    n = lattice.algebra.size
-    return frozenset(_pairs(mask, n) for mask in _close_delta(lattice, a, b))
+    alg = lattice.algebra
+    classes = []
+    flat = _close_delta(lattice, a, b)
+    for mask, generated in zip(flat[::2], flat[1::2]):
+        members = _pairs(mask, alg.size)
+        assert lattice.congruences[generated] == congruence_from_pairs(alg, members)
+        classes.append(members)
+    return frozenset(classes)
 
 
 def _join_partitions(p, q):

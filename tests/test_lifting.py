@@ -165,6 +165,59 @@ def test_projection_outside_the_quotient_lattice_is_falsified(monkeypatch):
     assert project_congruence(alg, t6, theta(alg, 2)).blocks == (0, 1, 0, 1, 0, 1)
 
 
+def test_projection_image_routes_check_each_other():
+    """The generated image reads neither ``down`` nor ``up``, and the
+    projected join reads no principal congruence of A/theta, so one wrong
+    cell of either is Falsified.  On the chain C_5, theta = Cg(3, 4) and
+    alpha = Cg(0, 1) = 01|2|3|4, whose one projected pair is (1, 0)."""
+    from dataclasses import replace
+
+    from congruence_lab.congruences import all_congruences, principal_congruence, projection
+    from congruence_lab.lifting import projection_image_index
+
+    alg = chain_lattice(5)
+    message = "projected join and generated image disagree"
+    for planted in ("down", "principals"):
+        lattice = all_congruences(alg)  # uncached: nothing else reads the plant
+        t = lattice.index(principal_congruence(alg, 3, 4))
+        a = lattice.index(principal_congruence(alg, 0, 1))
+        real = projection(lattice, t)
+        qlattice = real.lattice
+        if planted == "down":
+            down = list(real.down)
+            j = lattice.join_index(a, t)
+            down[j] = (down[j] + 1) % len(qlattice)
+            wrong = replace(real, down=tuple(down))
+        else:
+            principals = list(qlattice.principals)
+            principals[1 * real.quotient.size + 0] = qlattice.top_index
+            wrong = replace(
+                real, lattice=replace(qlattice, principals=tuple(principals), _caches={})
+            )
+        lattice._caches["congruence_lab.congruences.projection"][(t,)] = wrong
+        with pytest.raises(Falsified, match=message):
+            projection_image_index(lattice, t, a)
+
+
+def test_orthogonal_family_cap_stops_the_enumeration(monkeypatch):
+    """The enumeration raises on the first family past FAMILY_CAP, naming
+    the quantity and the cap: C_5 has 104 orthogonal families on the center
+    of C_5/Delta, its own Boolean Con."""
+    from congruence_lab import SizeBudgetExceeded, lifting
+
+    alg = chain_lattice(5)
+    lattice = con_lattice(alg)
+    members = lifting.center_index(lattice)[0]
+    monkeypatch.setattr(lifting, "FAMILY_CAP", 104)
+    assert len(lifting._orthogonal_families(lattice, members)) == 104
+    monkeypatch.setattr(lifting, "FAMILY_CAP", 103)
+    message = "orthogonal families on the center of A/theta exceed the cap of 103"
+    with pytest.raises(SizeBudgetExceeded, match=message):
+        lifting._orthogonal_families(lattice, members)
+    with pytest.raises(SizeBudgetExceeded, match=message):
+        orthogonal_uniqueness_and_atoms(alg, delta(alg))
+
+
 # ---------------------------------------------------------------------------
 # CBLP
 

@@ -8,8 +8,15 @@
 * ``cblp_characterization``'s separation scan (c2, c3) and ``is_b_normal``'s
   orthogonal-pair scan, against their bitset forms;
 * ``all_congruences``: the closure of every principal congruence under join,
-  with the order by a block scan and the tables by partition join and meet,
-  against the closure of the join-irreducibles and the bitset tables.
+  with the order and the relation masks by a block scan, the tables by
+  partition join and meet and the principal congruences by one closure per
+  pair, against the closure of the join-irreducibles, the bitset tables and
+  the principals kept from that closure;
+* ``commutator_index``: the saturation fixpoint that holds delta as its
+  relation mask, adds the members of every Delta-class that meets delta
+  without lying inside it and re-closes delta from all its pairs, against
+  the climb through Con(A) by joins with the congruences those classes
+  generate.
 """
 
 from pathlib import Path
@@ -21,14 +28,13 @@ from hypothesis import strategies as st
 from congruence_lab import NotALattice, SizeBudgetExceeded
 from congruence_lab.algebra import load_algebra, product
 from congruence_lab.builders import boolean_lattice, chain_lattice, ring_zn, standard_corpus
-from congruence_lab.commutator import commutator_index, surrogate_checks
+from congruence_lab.commutator import _close_delta, commutator_index, surrogate_checks
 from congruence_lab.congruences import (
     Congruence,
     CongruenceLattice,
     _close_pairs,
     _join_blocks,
     _meet_blocks,
-    _pair_count,
     all_congruences,
     con_lattice,
 )
@@ -242,10 +248,20 @@ def test_separation_and_b_normal_scans_on_the_corpus(alg):
     assert (report.b_normal, report.counterexample) == scan_b_normal(alg)
 
 
+def _block_mask(blocks) -> int:
+    """The relation of a block array, bit x * n + y per related pair (x, y)."""
+    n = len(blocks)
+    rows: dict = {}  # block label -> its members as a bitset
+    for y, label in enumerate(blocks):
+        rows[label] = rows.get(label, 0) | 1 << y
+    return sum(rows[label] << x * n for x, label in enumerate(blocks))
+
+
 def join_closure_con(alg, cap):
     """Con(A) closed from every principal congruence under join, ordered by a
     block scan per pair, with one partition join and one meet per
-    incomparable pair."""
+    incomparable pair, the relation masks by a block scan and the principal
+    congruence of every pair by its own closure."""
     n = alg.size
     principal: dict = {}
     bottom = tuple(range(n))
@@ -296,7 +312,9 @@ def join_closure_con(alg, cap):
         top_index=index[(0,) * n],
         algebra=alg,
         congruences=tuple(Congruence(alg, blocks) for blocks in ordered),
-        matrix_bounds=tuple(_pair_count(blocks) ** 2 for blocks in ordered),
+        matrix_bounds=tuple(_block_mask(blocks).bit_count() ** 2 for blocks in ordered),
+        masks=tuple(_block_mask(blocks) for blocks in ordered),
+        principals=tuple(index[_close_pairs(alg, [(a, b)])] for a in range(n) for b in range(n)),
         _index=index,
     )
 
@@ -311,6 +329,8 @@ def _fields(lattice):
         lattice.bottom_index,
         lattice.top_index,
         lattice.matrix_bounds,
+        lattice.masks,
+        lattice.principals,
         list(lattice._index.items()),
     )
 
@@ -355,3 +375,53 @@ def test_con_matches_the_join_closure_of_every_principal(alg):
 @settings(max_examples=200, deadline=None)
 def test_con_of_random_algebras_matches_the_join_closure(alg):
     assert_same_con(alg)
+
+
+def saturation_commutator(lattice, i, j) -> int:
+    """[congruences[i], congruences[j]] by saturation: delta, held as a block
+    array and its relation mask, gains the members of every class of each
+    join-irreducible Delta_{g,beta} (g below alpha, and symmetrically) that
+    meets it without lying inside it, and is closed again from all its
+    pairs, until no class is left half inside."""
+    alg = lattice.algebra
+    n = alg.size
+    leq, ji = lattice.leq, lattice.join_irreducible_indices()
+    classes = [mask for g in ji if leq[g][i] for mask in _close_delta(lattice, g, j)[::2]]
+    classes += [mask for g in ji if leq[g][j] for mask in _close_delta(lattice, g, i)[::2]]
+    blocks = tuple(range(n))
+    while True:
+        related = _block_mask(blocks)
+        missing = 0
+        for cls in classes:
+            if cls & related and cls & ~related:
+                missing |= cls & ~related
+        if not missing:
+            return lattice.index(Congruence(alg, blocks))
+        seeds = list(enumerate(blocks))
+        seeds += [divmod(k, n) for k in range(missing.bit_length()) if missing >> k & 1]
+        blocks = _close_pairs(alg, seeds)
+
+
+def assert_same_commutators(alg):
+    lattice = con_lattice(alg)
+    size = len(lattice)
+    for i in range(size):
+        for j in range(size):
+            assert commutator_index(lattice, i, j, cap=10**9) == saturation_commutator(
+                lattice, i, j
+            )
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES] + LADDER,
+    ids=lambda alg: alg.name,
+)
+def test_commutator_matches_the_saturation_fixpoint(alg):
+    assert_same_commutators(alg)
+
+
+@given(random_algebras())
+@settings(max_examples=100, deadline=None)
+def test_commutator_of_random_algebras_matches_the_saturation_fixpoint(alg):
+    assert_same_commutators(alg)

@@ -48,7 +48,8 @@ def test_stored_results_have_one_home():
 def test_commutator_oracle_names_no_fast_path_helper():
     """The materialized M(alpha, beta) and the term-condition fixpoint on it
     are the oracle for the Delta route, so neither names its table, its
-    partition or its closures."""
+    partition, its closures, or the relation masks and principal
+    congruences that it reads off Con(A)."""
     fast_path = {
         "_translation_plan",
         "_semigroup_generators",
@@ -56,6 +57,8 @@ def test_commutator_oracle_names_no_fast_path_helper():
         "_pair_algebra",
         "_close_delta",
         "_relation_mask",
+        "masks",
+        "principals",
     }
     oracle = {("commutator", "matrix_subalgebra"), ("verify", "_term_condition_fixpoint")}
     found = {}

@@ -3,11 +3,11 @@ when one cell it reads is wrong.
 
 Every check passes on every corpus input, so the pinned JSON alone cannot
 tell a working check from one that has become always-true.  Each test plants
-one wrong cell (a commutator value, a radical, a lambda value, or a join or
-meet cell of Con(A)) in what one suite reads, runs that suite on a fresh
-copy of C_5 and asserts that the named check fails.  Con(C_5) is the
-16-element Boolean lattice: every congruence is central and radical, and the
-commutator is the meet.
+one wrong cell (a commutator value, a radical, a lambda value, a join or
+meet cell of Con(A), or a stored principal congruence) in what one suite
+reads, runs that suite on a fresh copy of C_5 and asserts that the named
+check fails.  Con(C_5) is the 16-element Boolean lattice: every congruence
+is central and radical, and the commutator is the meet.
 """
 
 import dataclasses
@@ -48,7 +48,12 @@ def _plant_cell(monkeypatch, alg, table: str, x: int, y: int, value: int) -> Non
     rows = [list(row) for row in getattr(lattice, table)]
     assert rows[x][y] != value
     rows[x][y] = value
-    planted = dataclasses.replace(lattice, **{table: tuple(map(tuple, rows))})
+    _plant_lattice(monkeypatch, alg, **{table: tuple(map(tuple, rows))})
+
+
+def _plant_lattice(monkeypatch, alg, **fields) -> None:
+    """verify reads Con(alg) with the given fields replaced."""
+    planted = dataclasses.replace(con_lattice(alg), **fields)
     real = verify.con_lattice
     monkeypatch.setattr(
         verify, "con_lattice", lambda a, cap=None: planted if a is alg else real(a, cap)
@@ -74,6 +79,18 @@ def test_lattice_axioms_catch_one_cell(monkeypatch, alg, table):
     bottom, top, a1, a2, _ = _elements(alg)
     _plant_cell(monkeypatch, alg, table, a1, a2, top if table == "join_table" else a1)
     assert "join-meet-lattice-axioms" in _failed(verify._suite_con_enumeration, alg)
+
+
+@pytest.mark.parametrize("cell", [(0, 1), (1, 0), (2, 2)], ids=["upper", "lower", "diagonal"])
+def test_principal_minimality_reads_every_stored_principal(monkeypatch, alg, cell):
+    """One wrong entry of the stored Cg table fails the check, in either
+    order of the pair and on the diagonal."""
+    lattice = con_lattice(alg)
+    a, b = cell
+    principals = list(lattice.principals)
+    principals[a * alg.size + b] = lattice.top_index
+    _plant_lattice(monkeypatch, alg, principals=tuple(principals))
+    assert "principal-minimality" in _failed(verify._suite_con_enumeration, alg)
 
 
 def test_commutator_above_its_meet(monkeypatch, alg):
