@@ -106,7 +106,7 @@ def report_congruences(alg: FiniteAlgebra) -> dict:
     covers = [
         [i, j]
         for j in range(len(lattice))
-        for i in lattice.lower_covers(j)
+        for i in lattice.lower_covers[j]
     ]
     return {
         "algebra": alg.name,

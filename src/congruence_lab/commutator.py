@@ -42,7 +42,30 @@ operation of A is associative on A(beta), so there the closure translates
 only by a generating set of the semigroup (A(beta), f), found once per beta:
 every translation by a member is a composition of translations by
 generators.  Non-associative and ternary operations keep every member as a
-filler.
+filler.  A class of diagonal pairs alone generates the bottom and can never
+move delta, so it is not stored.
+
+Two more facts, true in every algebra, skip closures whose results are
+already known:
+
+* lower bound: if alpha' <= alpha, then M(alpha', beta) lies inside
+  M(alpha, beta), so [alpha', beta] <= [alpha, beta], and the fixpoint
+  climbed from any delta_0 <= [alpha, beta] ends at [alpha, beta];
+* upper bound: [alpha, beta] <= alpha ^ beta, because alpha ^ beta
+  satisfies the term condition for M(alpha, beta) and for M(beta, alpha).
+
+So on a cache miss ``commutator_index`` starts delta at the join of the
+stored values [alpha', beta] and [alpha, beta'] over the lower covers
+alpha' of alpha and beta' of beta (the bottom where none is stored), and
+returns it at once when it is alpha ^ beta.  Otherwise it reads the
+closures one (gamma, beta) source at a time, those already stored first,
+runs the fixpoint to a stable delta after each, and stops as soon as delta
+is alpha ^ beta.  In a congruence-modular algebra the commutator
+distributes over joins, so once the values below are stored, a pair whose
+alpha or beta is not join-irreducible costs no closure;
+``surrogate_index`` asks for the lower covers first.  The third fact, on
+orbits of bijective translations, is the one ``congruences`` uses to find
+the principal congruences.
 
 ``matrix_subalgebra`` materializes M and, with the reference fixpoint in
 ``verify``, is the independent oracle for all of this at small sizes.
@@ -197,7 +220,7 @@ def _pair_algebra(lattice: CongruenceLattice, b: int):
 def _close_delta(lattice: CongruenceLattice, g: int, b: int) -> tuple[int, ...]:
     """Delta_{gamma,beta} for gamma = congruences[g]: the congruence of the
     pair algebra A(beta) generated by the diagonal gamma-pairs ((x, x),
-    (x', x')), as its classes C with more than one member, each as two
+    (x', x')), as its classes C with a member off the diagonal, each as two
     entries of one flat tuple: an int with bit x * n + y set for every
     member (x, y), then the index of Cg(C), the join of the principal
     congruences of its members.  Flat, because a pair per class would hold
@@ -249,11 +272,13 @@ def _close_delta(lattice: CongruenceLattice, g: int, b: int) -> tuple[int, ...]:
                 if u != v:
                     merge(u, v)
     principals, join_many = lattice.principals, lattice.join_many
-    classes = []
+    bottom, classes = lattice.bottom_index, []
     for group in part.groups:
         if group and len(group) > 1:
             cells = [firsts[i] * n + seconds[i] for i in group]
-            classes += (sum([1 << c for c in cells]), join_many({principals[c] for c in cells}))
+            generated = join_many({principals[c] for c in cells})
+            if generated != bottom:  # else every member is a diagonal pair
+                classes += (sum([1 << c for c in cells]), generated)
     return tuple(classes)
 
 
@@ -283,7 +308,9 @@ def commutator_index(
     lattice: CongruenceLattice, i: int, j: int, cap: int | None = None
 ) -> int:
     """[congruences[i], congruences[j]] as an index; the matrix budget is
-    checked on every call, cached or not."""
+    checked on every call, cached or not.  A miss is seeded from the stored
+    values one lower cover down and stops at the meet (see the module
+    docstring)."""
     # inline rather than a helper call: a C_7 verify makes about 1.4M calls
     if cap is None:
         cap = config.MATRIX_CAP
@@ -295,20 +322,41 @@ def commutator_index(
     hit = cache.get(key)
     if hit is not None:
         return hit
-    leq, ji = lattice.leq, lattice.join_irreducible_indices()
     a, b = key
-    # delta is closed for Delta_{alpha,beta} iff it is for each Delta_{g,beta}
-    classes = [c for g in ji if leq[g][a] for c in _close_delta(lattice, g, b)]
-    if a != b:
-        classes += [c for g in ji if leq[g][b] for c in _close_delta(lattice, g, a)]
-    masks, join = lattice.masks, lattice.join_table
-    result, previous = lattice.bottom_index, None
-    while result != previous:
-        previous = result
-        flat = iter(classes)  # the mask of a class C, then the index of Cg(C)
-        for cls, generated in zip(flat, flat):
-            if cls & masks[result]:
-                result = join[result][generated]
+    bound = lattice.meet_table[a][b]  # [alpha, beta] <= alpha ^ beta
+    join, covers = lattice.join_table, lattice.lower_covers
+    # [alpha', beta] <= [alpha, beta] for alpha' <= alpha: start above the
+    # stored values one step down on either side
+    result = lattice.bottom_index
+    for c, d in [(c, b) for c in covers[a]] + [(a, d) for d in covers[b]]:
+        below = cache.get((c, d) if c <= d else (d, c))
+        if below is not None:
+            result = join[result][below]
+    if result != bound:
+        # delta is closed for Delta_{alpha,beta} iff it is for each
+        # Delta_{g,beta}; the closures already stored are read first
+        leq, ji = lattice.leq, lattice.join_irreducible_indices()
+        sources = [(g, b) for g in ji if leq[g][a]]
+        if a != b:
+            sources += [(g, a) for g in ji if leq[g][b]]
+        closed = lattice._caches.get(f"{__name__}._close_delta", {})
+        sources.sort(key=lambda source: source not in closed)
+        masks, classes = lattice.masks, []
+        for g, c in sources:
+            # delta is stable for the classes read so far: the first round
+            # reads the new ones, and the rounds after a move read them all
+            scan = _close_delta(lattice, g, c)
+            classes += scan
+            previous = None
+            while result != previous:
+                previous = result
+                flat = iter(scan)  # the mask of a class C, then the index of Cg(C)
+                for cls, generated in zip(flat, flat):
+                    if cls & masks[result]:
+                        result = join[result][generated]
+                scan = classes
+            if result == bound:
+                break
     cache[key] = result
     return result
 
@@ -426,7 +474,8 @@ def surrogate_index(lattice: CongruenceLattice) -> tuple[bool, bool, bool]:
     return (
         lattice.is_modular(),
         commutator_index(lattice, top, top) == top,
-        all(commutator_index(lattice, i, top) == i for i in range(len(lattice))),
+        # lower covers first, so each query starts from the stored values below
+        all(commutator_index(lattice, i, top) == i for i in reversed(range(len(lattice)))),
     )
 
 

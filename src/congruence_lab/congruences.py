@@ -18,12 +18,18 @@ Con(A) is built from its join-irreducibles (Freese, "Computing congruences
 efficiently", 2008).  Every congruence of a finite algebra is the join of
 the principal congruences below it, so every join-irreducible is
 principal, and a principal p is join-irreducible exactly when the
-principals strictly below p join to less than p.  Con(A) is the closure of
-the bottom and the join-irreducibles under join with a join-irreducible.
-Each congruence carries its relation as an int bitmask, with bit x * n + y
-set when x and y are related: theta <= phi iff theta's mask lies inside
-phi's, a closure step skips a join-irreducible already below, and the join
-and meet tables are read off the up-set and down-set bitsets of that order.
+principals strictly below p join to less than p.  The principal
+congruences come from one closure per orbit of pairs: if a basic
+translation p is a bijection, its inverse is a power of p and so a
+polynomial, and Cg(p(a), p(b)) = Cg(a, b) in every algebra.  The pairs
+x < y are grouped into the orbits of the group that the bijective
+translations generate, and only the least pair of each orbit is closed.
+Con(A) is the closure of the bottom and the join-irreducibles under join
+with a join-irreducible.  Each congruence carries its relation as an int
+bitmask, with bit x * n + y set when x and y are related: theta <= phi iff
+theta's mask lies inside phi's, a closure step skips a join-irreducible
+already below, and the join and meet tables are read off the up-set and
+down-set bitsets of that order.
 Con(A) keeps these masks as ``masks``, and the principal congruence of
 every pair, found on the way, as ``principals``: the congruence generated
 by a set S of pairs is the join of Cg(s) over s in S.
@@ -398,8 +404,8 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
         cap = config.CON_CAP
     n = alg.size
     pairs: dict[tuple[int, ...], list] = {}  # Cg(a, b) -> every such (a, b)
-    for a, b in combinations(range(n), 2):
-        pairs.setdefault(_close_pairs(alg, [(a, b)]), []).append((a, b))
+    for orbit in _pair_orbits(alg):
+        pairs.setdefault(_close_pairs(alg, orbit[:1]), []).extend(orbit)
     principal = {blocks: _relation_mask(blocks) for blocks in pairs}
     # every congruence below p is a join of principals below p, so p is
     # join-irreducible iff the principals strictly below it join to less
@@ -452,6 +458,43 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
         principals=tuple(principals),
         _index=index,
     )
+
+
+def _pair_orbits(alg: FiniteAlgebra) -> list[list[tuple[int, int]]]:
+    """The pairs (a, b) with a < b, grouped into the orbits of the group
+    that the bijective closing translations of the plan generate.
+
+    A bijective translation p has finite order, so its inverse is a power of
+    p and a polynomial too, and Cg(p(a), p(b)) = Cg(a, b): one closure per
+    orbit gives the principal congruence of every pair in it.  For an
+    associative operation the closing translations are those by a
+    generating set, and that loses no orbit: when the translation by a
+    product of generators is bijective, so is the translation by each of
+    its factors.
+    """
+    n = alg.size
+    identity = tuple(range(n))
+    maps = {
+        column
+        for _, _, closing, _ in _translation_plan(alg)
+        for column in zip(*closing)
+        if len(set(column)) == n and column != identity
+    }
+    seen = bytearray(n * n)
+    orbits = []
+    for a, b in combinations(range(n), 2):
+        if seen[a * n + b]:
+            continue
+        seen[a * n + b] = 1
+        orbit = [(a, b)]
+        for x, y in orbit:  # grows while it is read
+            for p in maps:
+                u, v = (p[x], p[y]) if p[x] < p[y] else (p[y], p[x])
+                if not seen[u * n + v]:
+                    seen[u * n + v] = 1
+                    orbit.append((u, v))
+        orbits.append(orbit)
+    return orbits
 
 
 def _relation_mask(blocks) -> int:

@@ -84,13 +84,20 @@ class FiniteLattice:
             out = self.meet_table[out][i]
         return out
 
-    def lower_covers(self, i: int) -> list[int]:
-        below = [j for j in range(self.size) if j != i and self.leq[j][i]]
-        return [
-            j
-            for j in below
-            if not any(k != j and self.leq[j][k] for k in below)
-        ]
+    @cached_property
+    def lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        """``lower_covers[i]``: the elements that i covers, in increasing
+        order, read off the down-set bitsets: an element strictly below i is
+        a lower cover unless it lies strictly below another one."""
+        down = [_bitset(column) for column in zip(*self.leq)]
+        table = []
+        for i, mask in enumerate(down):
+            below = mask & ~(1 << i)
+            covered = 0
+            for j in _members(below):
+                covered |= down[j] & ~(1 << j)
+            table.append(tuple(_members(below & ~covered)))
+        return tuple(table)
 
     def upper_covers(self, i: int) -> list[int]:
         above = [j for j in range(self.size) if j != i and self.leq[i][j]]
@@ -159,6 +166,14 @@ class FiniteLattice:
 def _bitset(flags) -> int:
     """The positions of the true flags, as an int bitset."""
     return sum(1 << c for c, flag in enumerate(flags) if flag)
+
+
+def _members(mask: int):
+    """The positions of the set bits of an int bitset, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _tables_from_bitsets(up, down):
@@ -290,7 +305,7 @@ def prime_ideals(lattice: FiniteLattice) -> list[LatticeIdeal]:
 def maximal_ideals(lattice: FiniteLattice) -> list[LatticeIdeal]:
     """The down-sets of the coatoms."""
     return [
-        LatticeIdeal(lattice, g) for g in lattice.lower_covers(lattice.top_index)
+        LatticeIdeal(lattice, g) for g in lattice.lower_covers[lattice.top_index]
     ]
 
 

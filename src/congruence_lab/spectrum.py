@@ -110,7 +110,7 @@ def spectrum_index(
 ) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """The primes, the maximals, Rad(A) and the nilradical, as indices."""
     primes = tuple(_prime_indices(lattice, all_pairs))
-    maximals = tuple(lattice.lower_covers(lattice.top_index))
+    maximals = lattice.lower_covers[lattice.top_index]
     if not set(maximals) <= set(primes):
         raise TheoryHypothesisFailed(f"{lattice.algebra.name}: a maximal congruence is not prime")
     return primes, maximals, lattice.meet_many(maximals), lattice.meet_many(primes)

@@ -34,7 +34,7 @@ from congruence_lab.builders import (
     pointed_pair,
     ring_zn,
 )
-from congruence_lab.commutator import commutator_index, require_theory
+from congruence_lab.commutator import commutator_index, require_theory, surrogate_index
 from congruence_lab.congruences import all_partitions, congruence_from_pairs
 from congruence_lab.spectrum import spectrum
 
@@ -454,19 +454,30 @@ def _join_partitions(p, q):
     return frozenset(frozenset(cls) for cls in merged)
 
 
-@pytest.mark.parametrize("alg", [boolean_lattice(4), ring_zn(24)], ids=["B_4", "Z_24"])
+def _with_diagonal(partition, n):
+    """The partition with every diagonal pair (x, x) in one class.  Classes
+    of diagonal pairs alone are not stored, and delta always holds the
+    diagonal, so the fixpoint sees the partitions only up to this."""
+    return _join_partitions(partition, [frozenset((x, x) for x in range(n))])
+
+
+@pytest.mark.parametrize(
+    "alg", [boolean_lattice(4), ring_zn(24), chain_lattice(5)], ids=["B_4", "Z_24", "C_5"]
+)
 def test_delta_of_a_join_is_the_join_of_deltas(alg):
     """Delta_{alpha v alpha', beta} = Delta_{alpha,beta} v Delta_{alpha',beta},
     with every Delta closed directly; in particular the classes of the
     join-irreducible closures below alpha, joined, are those of
-    Delta_{alpha,beta}, which the commutator saturates for one by one."""
+    Delta_{alpha,beta}, which the commutator saturates for one by one.  On
+    C_5 the diagonal matters: a class of diagonal pairs alone, which is not
+    stored, can link two stored classes of a join."""
     lattice = all_congruences(alg)
     size = len(lattice)
     ji = lattice.join_irreducible_indices()
     for b in range(size):
-        closed = [_delta_partition(lattice, a, b) for a in range(size)]
+        closed = [_with_diagonal(_delta_partition(lattice, a, b), alg.size) for a in range(size)]
         for a in range(size):
-            joined = frozenset()
+            joined = _with_diagonal(frozenset(), alg.size)
             for g in ji:
                 if lattice.leq_index(g, a):
                     joined = _join_partitions(joined, closed[g])
@@ -477,19 +488,27 @@ def test_delta_of_a_join_is_the_join_of_deltas(alg):
 
 
 def test_full_table_closes_only_join_irreducible_deltas():
-    """A cold [nabla, nabla] closes Delta_{g,nabla} for each join-irreducible
-    g, and the full table closes Delta_{g,beta} for each join-irreducible g
-    and each beta, once each: nothing else is stored."""
+    """A bottom-up table on B_4 closes Delta_{g,g} for each join-irreducible
+    g and nothing else: [alpha, beta] = alpha ^ beta, so every other pair
+    starts at its bound, the join of the stored values one lower cover down.
+    A cold surrogate gate on Z_18 closes Delta_{g,nabla} for each
+    join-irreducible g: every theta that is not join-irreducible starts at
+    [theta, nabla] = theta, and a join-irreducible one reaches theta from the
+    closures on A(nabla) alone."""
     lattice = all_congruences(boolean_lattice(4))  # uncached: a cold lattice
-    top = lattice.top_index
     ji = lattice.join_irreducible_indices()
-    commutator_index(lattice, top, top)
+    bottom_up = range(len(lattice) - 1, -1, -1)  # a finer congruence sorts later
+    for i in bottom_up:
+        for j in bottom_up:
+            assert commutator_index(lattice, i, j) == lattice.meet_index(i, j)
     store = lattice._caches["congruence_lab.commutator._close_delta"]
-    assert set(store) == {(g, top) for g in ji}
-    for i in range(len(lattice)):
-        for j in range(len(lattice)):
-            commutator_index(lattice, i, j)
-    assert set(store) == {(g, b) for g in ji for b in range(len(lattice))}
+    assert set(store) == {(g, g) for g in ji}
+
+    lattice = all_congruences(ring_zn(18))
+    top = lattice.top_index
+    assert surrogate_index(lattice) == (True, True, True)
+    store = lattice._caches["congruence_lab.commutator._close_delta"]
+    assert set(store) == {(g, top) for g in lattice.join_irreducible_indices()}
 
 
 # Associative binary operations: the closures translate by a generating set
@@ -600,7 +619,12 @@ def test_closures_match_oracles_on_associative_algebras(alg):
     for a, alpha in enumerate(lattice.congruences):
         for b, beta in enumerate(lattice.congruences):
             m = matrix_subalgebra(alg, alpha, beta)
-            rows = {cls for cls in _row_classes(m, beta) if len(cls) > 1}
+            # a class of diagonal pairs alone generates the bottom: not stored
+            rows = {
+                cls
+                for cls in _row_classes(m, beta)
+                if len(cls) > 1 and any(x != y for x, y in cls)
+            }
             assert set(_delta_partition(lattice, a, b)) == rows
             assert _term_condition_fixpoint(alg, m) == commutator(alg, alpha, beta)
 

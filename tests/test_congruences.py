@@ -151,7 +151,9 @@ def test_partition_membership_is_compatibility(z6, index):
 @st.composite
 def random_algebras(draw):
     """A random algebra on at most 5 elements with one to three operations of
-    arity 0 to 2; on at most 3 elements an operation may also be ternary."""
+    arity 0 to 2; on at most 3 elements an operation may also be ternary.
+    Some draws add a permutation or a Latin square, an isotope of the cyclic
+    group, so that some translations are bijections."""
     n = draw(st.integers(1, 5))
     arities = draw(st.lists(st.integers(0, 3 if n <= 3 else 2), min_size=1, max_size=3))
     cells = st.integers(0, n - 1)
@@ -159,6 +161,13 @@ def random_algebras(draw):
         Operation(f"f{i}", k, tuple(draw(st.lists(cells, min_size=n**k, max_size=n**k))))
         for i, k in enumerate(arities)
     )
+    extra = draw(st.sampled_from(["none", "permutation", "latin"]))
+    if extra == "permutation":
+        operations += (Operation("p", 1, tuple(draw(st.permutations(range(n))))),)
+    elif extra == "latin":
+        rows, columns, values = (draw(st.permutations(range(n))) for _ in range(3))
+        table = tuple(values[(rows[a] + columns[b]) % n] for a in range(n) for b in range(n))
+        operations += (Operation("q", 2, table),)
     return FiniteAlgebra(f"random_{n}", n, operations)
 
 

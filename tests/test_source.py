@@ -48,8 +48,10 @@ def test_stored_results_have_one_home():
 def test_commutator_oracle_names_no_fast_path_helper():
     """The materialized M(alpha, beta) and the term-condition fixpoint on it
     are the oracle for the Delta route, so neither names its table, its
-    partition, its closures, or the relation masks and principal
-    congruences that it reads off Con(A)."""
+    partition, its closures, the relation masks and principal congruences
+    that it reads off Con(A), the seeded query itself, the lower covers it
+    seeds from, the meet that bounds it, or the orbits of pairs that
+    Con(A) is enumerated by."""
     fast_path = {
         "_translation_plan",
         "_semigroup_generators",
@@ -59,6 +61,10 @@ def test_commutator_oracle_names_no_fast_path_helper():
         "_relation_mask",
         "masks",
         "principals",
+        "commutator_index",
+        "lower_covers",
+        "meet_table",
+        "_pair_orbits",
     }
     oracle = {("commutator", "matrix_subalgebra"), ("verify", "_term_condition_fixpoint")}
     found = {}

@@ -15,7 +15,9 @@ measurement is reused by the next:
   the surrogates (``surrogates_s``), then each suite (``in_sequence_s``),
   each reusing what the earlier ones stored.  Its ``setup_s`` is
   ``con_s + surrogates_s``, and the sum of all steps is ``verify_s``, the
-  time of one ``verify_algebra`` call.
+  time of one ``verify_algebra`` call.  ``delta_closures`` is the number
+  of Delta_{gamma,beta} closures that Con(A) has stored by then, the work
+  count of the commutator layer.
 
 Suites that ``verify_algebra`` skips on an exploratory algebra are not run.
 The table goes to standard output; ``--json PATH`` also writes the numbers.
@@ -82,6 +84,7 @@ def child(name: str, label: str) -> dict:
             continue
         checks, seconds = _timed(lambda: list(suite(alg)))
         out["suites"][suite_label] = {"seconds": seconds, "checks": len(checks)}
+    out["delta_closures"] = len(lattice._caches.get("congruence_lab.commutator._close_delta", {}))
     return out
 
 
@@ -116,6 +119,7 @@ def measure(name: str) -> dict:
         "surrogates_s": round(sequence["surrogates_s"], 3),
         "setup_s": round(sequence["setup_s"], 3),
         "verify_s": round(total, 3),
+        "delta_closures": sequence["delta_closures"],
         "suites": suites,
     }
 
@@ -137,7 +141,7 @@ def main(argv=None) -> int:
         print(
             f"{name}: |Con| = {record['con_size']}, setup {record['setup_s']:.2f} s "
             f"(Con(A) {record['con_s']:.2f} s, surrogates {record['surrogates_s']:.2f} s), "
-            f"verify {record['verify_s']:.2f} s"
+            f"verify {record['verify_s']:.2f} s, {record['delta_closures']} Delta closures"
         )
         print(f"  {'suite':<14}{'checks':>7}{'alone s':>10}{'in sequence s':>15}")
         for label, row in record["suites"].items():
