@@ -61,9 +61,11 @@ class RunConfig:
             raise InputError("caps and job counts must be positive")
 
 
-def _apply_caps(caps: tuple[int, int]) -> None:
-    """Set the process-wide ``(CON_CAP, MATRIX_CAP)``."""
+def _apply_caps(caps: tuple[int, int]) -> tuple[int, int]:
+    """Set the process-wide ``(CON_CAP, MATRIX_CAP)``; return the previous pair."""
+    previous = config.CON_CAP, config.MATRIX_CAP
     config.CON_CAP, config.MATRIX_CAP = caps
+    return previous
 
 
 def _load(path: str) -> FiniteAlgebra:
@@ -429,55 +431,56 @@ def _config_from_args(args) -> RunConfig:
 
 
 def run(config: RunConfig) -> int:
+    """Run one command under its caps, and restore the caps on return, so
+    that an in-process call leaves the next one at the budgets it had."""
     caps = (config.cap_con, config.cap_matrix)
-    _apply_caps(caps)
-    if config.command == "verify":
-        rep = report_verify(config.paths, config.jobs, caps)
-        if config.json_output:
+    previous = _apply_caps(caps)
+    try:
+        if config.command == "verify":
+            rep = report_verify(config.paths, config.jobs, caps)
+            if config.json_output:
+                print(json.dumps(rep, indent=2))
+            else:
+                _print_verify(rep)
+            if rep["input_errors"]:
+                return EXIT_INPUT
+            return EXIT_OK if rep["ok"] else EXIT_FALSIFIED
+
+        alg = _load(config.paths[0])
+        if config.command == "congruences":
+            rep = report_congruences(alg)
+            printer = _print_congruences
+        elif config.command == "commutator":
+            alpha = _parse_blocks(alg, config.extra["alpha"])
+            beta = _parse_blocks(alg, config.extra["beta"])
+            rep = report_commutator(alg, alpha, beta)
+            printer = None
+        elif config.command == "spectrum":
+            rep = report_spectrum(alg, config.oracle_all_pairs)
+            printer = _print_spectrum
+        elif config.command == "reticulation":
+            rep = report_reticulation(alg)
+            printer = None
+        elif config.command == "center":
+            rep = report_center(alg)
+            printer = None
+        elif config.command == "cblp":
+            theta = _parse_blocks(alg, config.extra["theta"]) if config.extra["theta"] else None
+            rep = report_cblp(alg, theta)
+            printer = _print_cblp
+        elif config.command == "report":
+            rep = report_full(alg, config.oracle_all_pairs)
+            printer = None
+        else:  # pragma: no cover - argparse restricts the choices
+            raise InputError(f"unknown command {config.command!r}")
+
+        if config.json_output or printer is None:
             print(json.dumps(rep, indent=2))
         else:
-            _print_verify(rep)
-        if rep["input_errors"]:
-            return EXIT_INPUT
-        return EXIT_OK if rep["ok"] else EXIT_FALSIFIED
-
-    alg = _load(config.paths[0])
-    if config.command == "congruences":
-        rep = report_congruences(alg)
-        printer = _print_congruences
-    elif config.command == "commutator":
-        alpha = _parse_blocks(alg, config.extra["alpha"])
-        beta = _parse_blocks(alg, config.extra["beta"])
-        rep = report_commutator(alg, alpha, beta)
-        printer = None
-    elif config.command == "spectrum":
-        rep = report_spectrum(alg, config.oracle_all_pairs)
-        printer = _print_spectrum
-    elif config.command == "reticulation":
-        rep = report_reticulation(alg)
-        printer = None
-    elif config.command == "center":
-        rep = report_center(alg)
-        printer = None
-    elif config.command == "cblp":
-        theta = (
-            _parse_blocks(alg, config.extra["theta"])
-            if config.extra["theta"]
-            else None
-        )
-        rep = report_cblp(alg, theta)
-        printer = _print_cblp
-    elif config.command == "report":
-        rep = report_full(alg, config.oracle_all_pairs)
-        printer = None
-    else:  # pragma: no cover - argparse restricts the choices
-        raise InputError(f"unknown command {config.command!r}")
-
-    if config.json_output or printer is None:
-        print(json.dumps(rep, indent=2))
-    else:
-        printer(rep)
-    return EXIT_OK
+            printer(rep)
+        return EXIT_OK
+    finally:
+        _apply_caps(previous)
 
 
 def main(argv=None) -> int:

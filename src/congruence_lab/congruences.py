@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from itertools import combinations
+from itertools import combinations, compress
 
 from . import config
 from .algebra import FiniteAlgebra, quotient
@@ -437,8 +437,8 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
     masks = tuple(elements[blocks] for blocks in ordered)
     # theta_i <= theta_j iff the relation of theta_i lies inside that of theta_j
     leq = tuple(tuple([not mi & ~mj for mj in masks]) for mi in masks)
-    up = [_bitset(row) for row in leq]
-    down = [_bitset(column) for column in zip(*leq)]
+    up = [_bitset(compress(range(len(leq)), row)) for row in leq]
+    down = [_bitset(compress(range(len(leq)), column)) for column in zip(*leq)]
     join_table, meet_table = _tables_from_bitsets(up, down)
     index = {blocks: i for i, blocks in enumerate(ordered)}
     principals = [index[bottom]] * (n * n)

@@ -14,6 +14,11 @@ tables off up-set and down-set bitsets with ``_tables_from_bitsets``; the
 interval quotient, which already holds correct tables, builds the type
 directly.
 
+A lattice derives one form of its order, the down-set bitsets
+``down_sets``.  The cover tables are read off them, and the
+join-irreducibles (one lower cover), the distributivity and modularity
+tests and ideal primeness read those two forms only.
+
 Every ideal of a finite lattice is principal (a nonempty down-set closed
 under binary join contains the join of all its members), so a
 :class:`LatticeIdeal` is stored as its generator g and stands for the
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations, compress
 
 from .errors import MalformedDoc, NotALattice
 
@@ -85,11 +91,16 @@ class FiniteLattice:
         return out
 
     @cached_property
+    def down_sets(self) -> tuple[int, ...]:
+        """``down_sets[i]``: {x : x <= i} as an int bitset."""
+        return tuple(_bitset(compress(range(self.size), column)) for column in zip(*self.leq))
+
+    @cached_property
     def lower_covers(self) -> tuple[tuple[int, ...], ...]:
         """``lower_covers[i]``: the elements that i covers, in increasing
-        order, read off the down-set bitsets: an element strictly below i is
-        a lower cover unless it lies strictly below another one."""
-        down = [_bitset(column) for column in zip(*self.leq)]
+        order: an element strictly below i is a lower cover unless it lies
+        strictly below another one."""
+        down = self.down_sets
         table = []
         for i, mask in enumerate(down):
             below = mask & ~(1 << i)
@@ -99,16 +110,17 @@ class FiniteLattice:
             table.append(tuple(_members(below & ~covered)))
         return tuple(table)
 
-    def upper_covers(self, i: int) -> list[int]:
-        above = [j for j in range(self.size) if j != i and self.leq[i][j]]
-        return [
-            j
-            for j in above
-            if not any(k != j and self.leq[k][j] for k in above)
-        ]
+    @cached_property
+    def upper_covers(self) -> tuple[tuple[int, ...], ...]:
+        """``upper_covers[i]``: the elements covering i, in increasing order."""
+        table: list[list[int]] = [[] for _ in range(self.size)]
+        for i, covers in enumerate(self.lower_covers):
+            for j in covers:
+                table[j].append(i)
+        return tuple(map(tuple, table))
 
     def atoms(self) -> list[int]:
-        return self.upper_covers(self.bottom_index)
+        return list(self.upper_covers[self.bottom_index])
 
     @cached_property
     def complements(self) -> tuple[tuple[int, ...], ...]:
@@ -116,23 +128,14 @@ class FiniteLattice:
         join, meet = self.join_table, self.meet_table
         top, bottom = self.top_index, self.bottom_index
         return tuple(
-            tuple(
-                y
-                for y in range(self.size)
-                if join[x][y] == top and meet[x][y] == bottom
-            )
+            tuple(y for y in range(self.size) if join[x][y] == top and meet[x][y] == bottom)
             for x in range(self.size)
         )
 
     @cached_property
     def _join_irreducibles(self) -> tuple[int, ...]:
-        """x is join-irreducible iff the join of everything strictly below x
-        is not x (for the bottom that join is empty, hence the bottom)."""
-        return tuple(
-            x
-            for x in range(self.size)
-            if self.join_many(y for y, row in enumerate(self.leq) if row[x] and y != x) != x
-        )
+        """The elements with exactly one lower cover."""
+        return tuple(x for x, covers in enumerate(self.lower_covers) if len(covers) == 1)
 
     def join_irreducible_indices(self) -> tuple[int, ...]:
         return self._join_irreducibles
@@ -140,32 +143,33 @@ class FiniteLattice:
     def is_distributive(self) -> bool:
         """Birkhoff's test: x -> {join-irreducibles <= x}, as a bitmask,
         sends every join to the union of the two sets."""
-        masks = [0] * self.size
-        for bit, g in enumerate(self._join_irreducibles):
-            for x, below in enumerate(self.leq[g]):
-                if below:
-                    masks[x] |= 1 << bit
+        irreducible = _bitset(self._join_irreducibles)
+        masks = [down & irreducible for down in self.down_sets]
         return all(
             [masks[v] for v in row] == [mx | my for my in masks]
             for mx, row in zip(masks, self.join_table)
         )
 
     def is_modular(self) -> bool:
-        n = self.size
-        join, meet = self.join_table, self.meet_table
-        for x in range(n):
-            for z in range(n):
-                if not self.leq[x][z]:
-                    continue
-                for y in range(n):
-                    if join[x][meet[y][z]] != meet[join[x][y]][z]:
-                        return False
-        return True
+        """A lattice of finite length is modular iff it is upper and lower
+        semimodular (Birkhoff, *Lattice Theory*, ch. II; Grätzer, *General
+        Lattice Theory*, ch. IV): two upper covers of one element are
+        covered by their join, and two lower covers of one cover their meet."""
+        lower, upper = self.lower_covers, self.upper_covers
+        return all(
+            {a, b} <= set(inverse[table[a][b]])
+            for covers, table, inverse in (
+                (upper, self.join_table, lower),
+                (lower, self.meet_table, upper),
+            )
+            for row in covers
+            for a, b in combinations(row, 2)
+        )
 
 
-def _bitset(flags) -> int:
-    """The positions of the true flags, as an int bitset."""
-    return sum(1 << c for c, flag in enumerate(flags) if flag)
+def _bitset(indices) -> int:
+    """A set of nonnegative indices as an int bitset."""
+    return sum({1 << k for k in indices})
 
 
 def _members(mask: int):
@@ -202,8 +206,8 @@ def lattice_from_leq(leq) -> FiniteLattice:
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise NotALattice("leq must be a nonempty square matrix")
-    up = [_bitset(row) for row in matrix]
-    down = [_bitset(column) for column in zip(*matrix)]
+    up = [_bitset(compress(range(n), row)) for row in matrix]
+    down = [_bitset(compress(range(n), column)) for column in zip(*matrix)]
     for a in range(n):
         if not matrix[a][a]:
             raise NotALattice(f"order not reflexive at {a}")
@@ -265,8 +269,7 @@ class LatticeIdeal:
             )
 
     def members(self) -> list[int]:
-        g = self.generator
-        return [x for x, row in enumerate(self.lattice.leq) if row[g]]
+        return list(_members(self.lattice.down_sets[self.generator]))
 
     def __contains__(self, x: int) -> bool:
         return self.lattice.leq[x][self.generator]
@@ -284,18 +287,13 @@ def all_ideals(lattice: FiniteLattice) -> list[LatticeIdeal]:
 
 
 def is_prime_ideal(ideal: LatticeIdeal) -> bool:
-    """Proper, and x ^ y inside forces x or y inside: the generator is
-    meet-prime."""
+    """Proper, and its complement is a filter: the complement of a down-set
+    is an up-set, so it is a filter iff it is closed under meets, that is
+    iff the meet of everything outside (g] lies outside (g]."""
     lat = ideal.lattice
-    if not ideal.is_proper():
-        return False
-    inside = [row[ideal.generator] for row in lat.leq]
-    meet = lat.meet_table
-    return all(
-        inside[x] or inside[y] or not inside[meet[x][y]]
-        for x in range(lat.size)
-        for y in range(lat.size)
-    )
+    inside = lat.down_sets[ideal.generator]
+    outside = _members(((1 << lat.size) - 1) & ~inside)
+    return ideal.is_proper() and not inside >> lat.meet_many(outside) & 1
 
 
 def prime_ideals(lattice: FiniteLattice) -> list[LatticeIdeal]:

@@ -43,7 +43,7 @@ from .congruences import (
     projection,
     _canonical,
 )
-from .lattices import all_ideals, lattice_center
+from .lattices import FiniteLattice, _bitset, all_ideals, lattice_center
 from .lifting import (
     b_normal_index,
     cblp_characterization_index,
@@ -124,14 +124,6 @@ def _is_lattice_signature(alg: FiniteAlgebra) -> bool:
     return alg.signature() == (("join", 2), ("meet", 2), ("bot", 0), ("top", 0))
 
 
-def _bits(indices) -> int:
-    """A set of nonnegative indices as an int bitset."""
-    out = 0
-    for k in indices:
-        out |= 1 << k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # suite pieces
 
@@ -185,8 +177,13 @@ def _suite_commutator_axioms(alg):
     lattice = con_lattice(alg)
     size = len(lattice)
     # [i, j] on this lattice, read by every check below; reads on quotient
-    # lattices and inside residuation/annihilator go through their own calls
-    table = [[commutator_index(lattice, i, j) for j in range(size)] for i in range(size)]
+    # lattices and inside residuation/annihilator go through their own calls.
+    # Filled in reversed index order, bottom-up in Con(A), so that each entry
+    # is a fixpoint seeded from the entries one lower cover down
+    table = [[0] * size for _ in range(size)]
+    for i in reversed(range(size)):
+        for j in reversed(range(size)):
+            table[i][j] = commutator_index(lattice, i, j)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
     top = lattice.top_index
 
@@ -283,7 +280,7 @@ def _suite_commutator_axioms(alg):
     residuum = {(i, j): residuation_index(lattice, i, j) for i in range(size) for j in range(size)}
     # a <= b -> c iff [a, b] <= c, compared one column of a per (b, c) as
     # bitsets: down[x] is {a : a <= x}, fibers[v] is {a : [a, b] = v}
-    down = [sum(1 << a for a, row in enumerate(leq) if row[x]) for x in range(size)]
+    down = lattice.down_sets
     adjunction_ok = True
     for b in range(size):
         fibers: dict[int, int] = {}
@@ -399,32 +396,33 @@ def _suite_radicals(alg):
     primes_radical_ok = all(rho[p] == p for p in spectrum_index(lattice, False)[0])
     yield Check("primes-are-radical", primes_radical_ok)
 
-    # the radical congruences form a bounded distributive lattice under
-    # intersection and radical-of-join
-    radicals = sorted(set(rho))
-    is_radical = [False] * size
-    for x in radicals:
-        is_radical[x] = True
-    rho_join = [[rho[v] for v in row] for row in join]  # rho(x v y)
-    frame_ok = all(
-        is_radical[meet[x][y]] and is_radical[rho_join[x][y]]
-        for x in radicals
-        for y in radicals
+    yield Check(
+        "radical-lattice-distributive",
+        _radical_frame_ok(lattice, rho),
+        f"{len(set(rho))} radicals",
     )
-    # x ^ rho(y v z) = rho((x ^ y) v (x ^ z)) over radical x, y, z, one row
-    # of z per (x, y); the right row depends on y only through x ^ y
-    rho_join_radicals = [[row[z] for z in radicals] for row in rho_join]
-    for x in radicals:
-        meet_x = meet[x]
-        meet_x_radicals = [meet_x[z] for z in radicals]
-        right: dict[int, list[int]] = {}
-        for y in radicals:
-            u = meet_x[y]
-            if u not in right:
-                right[u] = list(map(rho_join[u].__getitem__, meet_x_radicals))
-            if list(map(meet_x.__getitem__, rho_join_radicals[y])) != right[u]:
-                frame_ok = False
-    yield Check("radical-lattice-distributive", frame_ok, f"{len(radicals)} radicals")
+
+
+def _radical_frame_ok(lattice: FiniteLattice, rho: list[int]) -> bool:
+    """Whether the radicals, the values of rho, are closed under ^ and rho(v)
+    and pass Birkhoff's test under inclusion, ^ and rho(v).  A join table
+    that passes it is the lub of the order, so this is the distributive law
+    x ^ rho(y v z) = rho((x ^ y) v (x ^ z)) over radical x, y, z."""
+    join, meet = lattice.join_table, lattice.meet_table
+    radicals = sorted(set(rho))
+    position = {x: k for k, x in enumerate(radicals)}  # None off the radicals
+    join_table = tuple(tuple(position.get(rho[join[x][y]]) for y in radicals) for x in radicals)
+    meet_table = tuple(tuple(position.get(meet[x][y]) for y in radicals) for x in radicals)
+    if any(None in row for row in join_table + meet_table):
+        return False
+    frame = FiniteLattice(
+        leq=tuple(tuple(lattice.leq[x][y] for y in radicals) for x in radicals),
+        join_table=join_table,
+        meet_table=meet_table,
+        bottom_index=position[rho[lattice.bottom_index]],
+        top_index=position[rho[lattice.top_index]],
+    )
+    return frame.is_distributive()
 
 
 def _suite_spectrum(alg):
@@ -439,7 +437,7 @@ def _suite_spectrum(alg):
 
     size = len(lattice)
     # D(theta) as an int bitset over the prime indices
-    d_bits = [_bits(d_set(alg, theta).members) for theta in lattice.congruences]
+    d_bits = [_bitset(d_set(alg, theta).members) for theta in lattice.congruences]
     topology_ok = True
     for i in range(size):
         di = d_bits[i]
@@ -452,11 +450,11 @@ def _suite_spectrum(alg):
     bottom = lattice.bottom_index
     if d_bits[lattice.top_index] != full or d_bits[bottom] not in (0, full):
         topology_ok = False
-    if d_bits[bottom] != _bits(k for k, p in enumerate(primes) if not leq[bottom][p]):
+    if d_bits[bottom] != _bitset(k for k, p in enumerate(primes) if not leq[bottom][p]):
         topology_ok = False
     yield Check("spectral-topology-identities", topology_ok)
 
-    v_ok = all(_bits(v_set_index(lattice, i)) == full & ~d_bits[i] for i in range(size))
+    v_ok = all(_bitset(v_set_index(lattice, i)) == full & ~d_bits[i] for i in range(size))
     yield Check("v-d-complement", v_ok)
 
     # T1: every singleton of Max(A) is closed in the subspace

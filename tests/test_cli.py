@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from congruence_lab import dump_algebra
+from congruence_lab import config, dump_algebra
 from congruence_lab.builders import chain_lattice, pentagon, pointed_pair, ring_zn
 from congruence_lab.cli import EXIT_FALSIFIED, EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, main
+from congruence_lab.congruences import all_congruences
 
 
 @pytest.fixture()
@@ -248,6 +249,20 @@ def test_report_subcommand(z6_path, capsys):
 def test_cap_flag_triggers_budget_error(z12_path, capsys):
     assert main(["--cap-con", "3", "congruences", z12_path]) == EXIT_INPUT
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_caps_do_not_outlive_the_call(tmp_path, z12_path, capsys):
+    """A capped in-process call, passing or refused, leaves the next library
+    call at the budgets it had before."""
+    z2_path = tmp_path / "z2.json"
+    z2_path.write_text(dump_algebra(ring_zn(2)))
+    before = (config.CON_CAP, config.MATRIX_CAP)
+    assert main(["--cap-con", "3", "--cap-matrix", "5", "congruences", str(z2_path)]) == EXIT_OK
+    assert (config.CON_CAP, config.MATRIX_CAP) == before
+    assert len(all_congruences(ring_zn(12))) == 6
+    assert main(["--cap-con", "3", "congruences", z12_path]) == EXIT_INPUT
+    assert (config.CON_CAP, config.MATRIX_CAP) == before
+    assert len(all_congruences(ring_zn(12))) == 6
 
 
 def test_env_cap_override(z12_path, capsys, monkeypatch):

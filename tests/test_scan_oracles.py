@@ -19,7 +19,18 @@
   generate, seeded from the stored values one lower cover down and stopped
   at alpha ^ beta, with the table asked for bottom-up and in drawn orders;
 * ``FiniteLattice.lower_covers``: the quadratic scan of the elements below
-  each element, against the table read off down-set bitsets.
+  each element, against the table read off down-set bitsets;
+* ``FiniteLattice.upper_covers``: the same scan of the elements above each
+  element, against the inverse of the lower cover table;
+* ``FiniteLattice.join_irreducible_indices``: the join of everything
+  strictly below each element, against "exactly one lower cover";
+* ``FiniteLattice.is_modular``: the cubic test of the modular law, against
+  upper and lower semimodularity on pairs of covers;
+* ``lattices.is_prime_ideal``: the quadratic test of x ^ y inside forcing x
+  or y inside, against the meet of everything outside the ideal;
+* ``radical-lattice-distributive``: the cubic law
+  x ^ rho(y v z) = rho((x ^ y) v (x ^ z)) over the radicals, against
+  Birkhoff's test on the radical lattice.
 """
 
 from pathlib import Path
@@ -41,7 +52,7 @@ from congruence_lab.congruences import (
     all_congruences,
     con_lattice,
 )
-from congruence_lab.lattices import FiniteLattice, lattice_from_leq
+from congruence_lab.lattices import FiniteLattice, all_ideals, is_prime_ideal, lattice_from_leq
 from congruence_lab.lifting import (
     _coprime_pairs,
     boolean_center_of_congruences,
@@ -49,19 +60,86 @@ from congruence_lab.lifting import (
     is_b_normal,
 )
 from congruence_lab.reticulation import build_reticulation
+from congruence_lab.spectrum import radical_index
+from congruence_lab.verify import _radical_frame_ok
 
 from test_commutator import associative_algebras
 from test_congruences import random_algebras
 
 
 def cubic_is_distributive(lattice: FiniteLattice) -> bool:
+    """x ^ (y v z) = (x ^ y) v (x ^ z) for all x, y, z, one row of z at a time."""
     n = lattice.size
     join, meet = lattice.join_table, lattice.meet_table
     return all(
-        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        [meet[x][v] for v in join[y]] == [join[meet[x][y]][w] for w in meet[x]]
         for x in range(n)
         for y in range(n)
-        for z in range(n)
+    )
+
+
+def cubic_is_modular(lattice: FiniteLattice) -> bool:
+    """x v (y ^ z) = (x v y) ^ z for all y and all x <= z."""
+    n = lattice.size
+    join, meet = lattice.join_table, lattice.meet_table
+    for x in range(n):
+        for z in range(n):
+            if not lattice.leq[x][z]:
+                continue
+            for y in range(n):
+                if join[x][meet[y][z]] != meet[join[x][y]][z]:
+                    return False
+    return True
+
+
+def scan_is_prime_ideal(ideal) -> bool:
+    """Proper, and x ^ y inside forces x or y inside."""
+    lat = ideal.lattice
+    if not ideal.is_proper():
+        return False
+    inside = [row[ideal.generator] for row in lat.leq]
+    meet = lat.meet_table
+    return all(
+        inside[x] or inside[y] or not inside[meet[x][y]]
+        for x in range(lat.size)
+        for y in range(lat.size)
+    )
+
+
+def scan_join_irreducibles(lattice: FiniteLattice) -> tuple[int, ...]:
+    """x is join-irreducible iff the join of everything strictly below x is
+    not x (for the bottom that join is empty, hence the bottom)."""
+    return tuple(
+        x
+        for x in range(lattice.size)
+        if lattice.join_many(y for y, row in enumerate(lattice.leq) if row[x] and y != x) != x
+    )
+
+
+def scan_upper_covers(lattice: FiniteLattice) -> tuple[tuple[int, ...], ...]:
+    leq = lattice.leq
+    table = []
+    for i in range(lattice.size):
+        above = [j for j in range(lattice.size) if j != i and leq[i][j]]
+        table.append(tuple(j for j in above if not any(k != j and leq[k][j] for k in above)))
+    return tuple(table)
+
+
+def cubic_radical_frame(lattice: FiniteLattice, rho) -> bool:
+    """The radicals are closed under ^ and rho(v), and
+    x ^ rho(y v z) = rho((x ^ y) v (x ^ z)) over radical x, y, z."""
+    join, meet = lattice.join_table, lattice.meet_table
+    radicals = set(rho)
+    closed = all(
+        meet[x][y] in radicals and rho[join[x][y]] in radicals
+        for x in radicals
+        for y in radicals
+    )
+    return closed and all(
+        meet[x][rho[join[y][z]]] == rho[join[meet[x][y]][meet[x][z]]]
+        for x in radicals
+        for y in radicals
+        for z in radicals
     )
 
 
@@ -122,13 +200,25 @@ def _outcome(build, leq):
     return lat.join_table, lat.meet_table, lat.bottom_index, lat.top_index
 
 
+def assert_same_scans(lattice: FiniteLattice):
+    """Every cover, bitset and primeness scan of a lattice agrees with the
+    scan it replaced."""
+    assert lattice.is_distributive() == cubic_is_distributive(lattice)
+    assert lattice.is_modular() == cubic_is_modular(lattice)
+    assert lattice.lower_covers == scan_lower_covers(lattice)
+    assert lattice.upper_covers == scan_upper_covers(lattice)
+    assert lattice.join_irreducible_indices() == scan_join_irreducibles(lattice)
+    ideals = all_ideals(lattice)
+    assert [is_prime_ideal(ideal) for ideal in ideals] == [
+        scan_is_prime_ideal(ideal) for ideal in ideals
+    ]
+
+
 def assert_same_lattice_verdicts(leq):
     expected = _outcome(scan_lattice_from_leq, leq)
     assert _outcome(lattice_from_leq, leq) == expected
     if not isinstance(expected, str):
-        lattice = lattice_from_leq(leq)
-        assert lattice.is_distributive() == cubic_is_distributive(lattice)
-        assert lattice.lower_covers == scan_lower_covers(lattice)
+        assert_same_scans(lattice_from_leq(leq))
 
 
 def _order(n, pairs):
@@ -161,6 +251,11 @@ def test_named_lattices_distributivity():
     assert verdicts == {"M3": False, "N5": False, "C_5": True, "B_3": True}
 
 
+def test_named_lattices_modularity():
+    verdicts = {name: lattice_from_leq(leq).is_modular() for name, leq in NAMED_ORDERS.items()}
+    assert verdicts == {"M3": True, "N5": False, "C_5": True, "B_3": True}
+
+
 def _in_theory_corpus():
     return [alg for alg in standard_corpus() if surrogate_checks(alg).ok]
 
@@ -170,9 +265,6 @@ def test_corpus_reticulations_match_the_scans():
         lattice = build_reticulation(alg).lattice
         assert lattice.is_distributive() and cubic_is_distributive(lattice)
         assert_same_lattice_verdicts(lattice.leq)
-        # Con(A) itself: the modular non-distributive ones included
-        con = con_lattice(alg)
-        assert con.is_distributive() == cubic_is_distributive(con)
 
 
 @st.composite
@@ -202,6 +294,32 @@ def orders(draw):
 @settings(max_examples=300, deadline=None)
 def test_random_orders_match_the_scans(leq):
     assert_same_lattice_verdicts(leq)
+
+
+def _closed_under(meet, family: set) -> set:
+    """The least superset of family closed under the binary operation meet."""
+    while True:
+        meets = {meet(x, y) for x in family for y in family}
+        if meets <= family:
+            return family
+        family |= meets
+
+
+@st.composite
+def set_lattices(draw):
+    """A random family of subsets of {0, 1, 2, 3}, closed under intersection
+    and with the whole set added, ordered by inclusion and listed in a drawn
+    order: always a lattice, of at most 16 elements, often neither modular
+    nor distributive."""
+    family = _closed_under(int.__and__, {15} | set(draw(st.lists(st.integers(0, 15), max_size=6))))
+    members = draw(st.permutations(sorted(family)))
+    return lattice_from_leq([[not a & ~b for b in members] for a in members])
+
+
+@given(set_lattices())
+@settings(max_examples=300, deadline=None)
+def test_random_lattices_match_the_scans(lattice):
+    assert_same_lattice_verdicts(lattice.leq)
 
 
 def scan_c2_c3(alg, theta):
@@ -390,6 +508,44 @@ def test_con_matches_the_join_closure_of_every_principal(alg):
 @settings(max_examples=200, deadline=None)
 def test_con_of_random_algebras_matches_the_join_closure(alg):
     assert_same_con(alg)
+    # random Con(A) include non-distributive and non-modular lattices
+    assert_same_scans(all_congruences(alg))
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES] + LADDER,
+    ids=lambda alg: alg.name,
+)
+def test_con_lattices_match_the_scans(alg):
+    assert_same_scans(con_lattice(alg))
+
+
+@pytest.mark.parametrize("alg", _in_theory_corpus(), ids=lambda alg: alg.name)
+def test_radical_frames_of_the_corpus_match_the_cubic_law(alg):
+    lattice = con_lattice(alg)
+    rho = [radical_index(lattice, i) for i in range(len(lattice))]
+    assert _radical_frame_ok(lattice, rho) == cubic_radical_frame(lattice, rho)
+
+
+@st.composite
+def closure_operators(draw):
+    """A lattice from ``set_lattices()`` and the closure operator of a random
+    family of its elements closed under meets (the top always in it): x goes
+    to the least member above x.  Its members under ^ and the closure of v
+    form a lattice, distributive or not."""
+    lattice = draw(set_lattices())
+    drawn = {lattice.top_index} | {x for x in range(lattice.size) if draw(st.booleans())}
+    family = _closed_under(lattice.meet_index, drawn)
+    rho = [lattice.meet_many(y for y in family if lattice.leq[x][y]) for x in range(lattice.size)]
+    return lattice, rho
+
+
+@given(closure_operators())
+@settings(max_examples=300, deadline=None)
+def test_random_radical_frames_match_the_cubic_law(frame):
+    lattice, rho = frame
+    assert _radical_frame_ok(lattice, rho) == cubic_radical_frame(lattice, rho)
 
 
 def saturation_commutator(lattice, i, j) -> int:

@@ -133,6 +133,22 @@ def test_radical_frame_distributivity_catches_one_join(monkeypatch, alg):
     assert "radical-lemma-suite" not in failed
 
 
+def test_radical_frame_distributivity_catches_a_diamond(monkeypatch, alg):
+    # radicals read as the bottom, three atoms and the top: closed under
+    # intersection and radical-of-join, but the diamond M3, not distributive
+    lattice = con_lattice(alg)
+    bottom, top, a1, a2, a3 = _elements(alg)
+    real = verify.radical_index
+    monkeypatch.setattr(
+        verify,
+        "radical_index",
+        lambda lat, i: (i if i in (bottom, a1, a2, a3) else top)
+        if lat is lattice
+        else real(lat, i),
+    )
+    assert "radical-lattice-distributive" in _failed(verify._suite_radicals, alg)
+
+
 def test_spectral_topology_catches_one_commutator(monkeypatch, alg):
     _, _, a1, a2, _ = _elements(alg)
     _plant_commutator(monkeypatch, alg, a1, a2, a1)

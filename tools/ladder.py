@@ -20,7 +20,10 @@ measurement is reused by the next:
   count of the commutator layer.
 
 Suites that ``verify_algebra`` skips on an exploratory algebra are not run.
-The table goes to standard output; ``--json PATH`` also writes the numbers.
+The table goes to standard output; ``--json PATH`` also writes the numbers,
+with the checkout's ``git rev-parse --short HEAD`` as ``commit`` and whether
+its tracked files have uncommitted changes as ``dirty`` (both null where git
+cannot tell).
 """
 
 from __future__ import annotations
@@ -88,6 +91,23 @@ def child(name: str, label: str) -> dict:
     return out
 
 
+def tree() -> dict:
+    """The commit of the checkout and whether its tracked files differ from
+    it; null for both when git is missing or the checkout is no repository."""
+
+    def git(*args) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "--short", "HEAD")
+        dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "dirty": None}
+    return {"commit": commit, "dirty": dirty}
+
+
 def measure(name: str) -> dict:
     from congruence_lab.verify import SUITES
 
@@ -135,6 +155,7 @@ def main(argv=None) -> int:
         return 0
     for name in args.names:
         build(name)  # reject unknown names before any measurement
+    checkout = tree()  # the tree as it was when the measurements started
     results = {}
     for name in args.names:
         record = results[name] = measure(name)
@@ -152,7 +173,8 @@ def main(argv=None) -> int:
     if args.json:
         args.json.write_text(
             json.dumps(
-                {"python": platform.python_version(), "algebras": results}, indent=2
+                {"python": platform.python_version(), **checkout, "algebras": results},
+                indent=2,
             )
             + "\n",
             encoding="utf-8",
