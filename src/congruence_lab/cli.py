@@ -52,7 +52,6 @@ class RunConfig:
     json_output: bool = False
     cap_con: int = config.DEFAULT_CON_CAP
     cap_matrix: int = config.DEFAULT_MATRIX_CAP
-    oracle_all_pairs: bool = False
     jobs: int = 1
     extra: dict = field(default_factory=dict)
 
@@ -137,8 +136,8 @@ def report_commutator(alg, alpha, beta) -> dict:
     }
 
 
-def report_spectrum(alg, all_pairs=False) -> dict:
-    data = spectrum(alg, all_pairs=all_pairs)
+def report_spectrum(alg) -> dict:
+    data = spectrum(alg)
     return {
         "algebra": alg.name,
         "primes": [list(p.blocks) for p in data.primes],
@@ -192,7 +191,7 @@ def report_cblp(alg, theta=None) -> dict:
     }
 
 
-def report_full(alg, all_pairs=False) -> dict:
+def report_full(alg) -> dict:
     return {
         "algebra": alg.name,
         "surrogates": {
@@ -201,7 +200,7 @@ def report_full(alg, all_pairs=False) -> dict:
         },
         "congruences": report_congruences(alg),
         "center": report_center(alg),
-        "spectrum": report_spectrum(alg, all_pairs),
+        "spectrum": report_spectrum(alg),
         "reticulation": report_reticulation(alg),
         "cblp": report_cblp(alg),
     }
@@ -369,9 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cap on |Con(A)|")
     parser.add_argument("--cap-matrix", type=int, default=None, metavar="N",
                         help="cap on the matrix subalgebra budget")
-    parser.add_argument("--oracle-all-pairs", action="store_true",
-                        help="use the all-pairs primality test instead of "
-                        "join-irreducibles")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="parallel workers for multi-file verify")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -420,7 +416,6 @@ def _config_from_args(args) -> RunConfig:
         json_output=args.json,
         cap_con=cap_con,
         cap_matrix=cap_matrix,
-        oracle_all_pairs=args.oracle_all_pairs,
         jobs=args.jobs,
         extra={
             "alpha": getattr(args, "alpha", None),
@@ -456,7 +451,7 @@ def run(config: RunConfig) -> int:
             rep = report_commutator(alg, alpha, beta)
             printer = None
         elif config.command == "spectrum":
-            rep = report_spectrum(alg, config.oracle_all_pairs)
+            rep = report_spectrum(alg)
             printer = _print_spectrum
         elif config.command == "reticulation":
             rep = report_reticulation(alg)
@@ -469,7 +464,7 @@ def run(config: RunConfig) -> int:
             rep = report_cblp(alg, theta)
             printer = _print_cblp
         elif config.command == "report":
-            rep = report_full(alg, config.oracle_all_pairs)
+            rep = report_full(alg)
             printer = None
         else:  # pragma: no cover - argparse restricts the choices
             raise InputError(f"unknown command {config.command!r}")

@@ -67,6 +67,17 @@ alpha or beta is not join-irreducible costs no closure;
 orbits of bijective translations, is the one ``congruences`` uses to find
 the principal congruences.
 
+``commutator_table`` is the one whole-lattice form of the commutator: the
+rows of [alpha, beta] over Con(A), stored on the lattice and filled through
+``commutator_index`` in reversed index order, which is bottom-up in Con(A),
+so that every entry is a fixpoint seeded one lower cover down.  Every scan
+over all of Con(A) reads it: the ``verify`` suites, the coprime pairs,
+B-normality, the orthogonal lifts and the star property.  Single queries
+and the join-irreducible paths (``commutator``, ``residuation_index``,
+``surrogate_index``, the iterate chains, primality) keep asking
+``commutator_index`` for the pairs they need, so a cold query fills no
+table.
+
 ``matrix_subalgebra`` materializes M and, with the reference fixpoint in
 ``verify``, is the independent oracle for all of this at small sizes.
 """
@@ -95,6 +106,7 @@ __all__ = [
     "matrix_subalgebra",
     "commutator",
     "commutator_index",
+    "commutator_table",
     "iterated_commutator",
     "commutator_stabilization",
     "residuation",
@@ -359,6 +371,29 @@ def commutator_index(
                 break
     cache[key] = result
     return result
+
+
+def commutator_table(lattice: CongruenceLattice) -> tuple[tuple[int, ...], ...]:
+    """The rows of [congruences[i], congruences[j]] over Con(A), stored on
+    the lattice; the matrix budget is checked on every call, stored or not,
+    against the bound of the top congruence, the largest."""
+    cap, bound = config.MATRIX_CAP, lattice.matrix_bounds[lattice.top_index]
+    if bound > cap:
+        raise _budget_error(bound, cap)
+    return _commutator_rows(lattice)
+
+
+@stored
+def _commutator_rows(lattice: CongruenceLattice) -> tuple[tuple[int, ...], ...]:
+    # in reversed index order, bottom-up in Con(A), so each entry is a
+    # fixpoint seeded from the entries one lower cover down; never a join,
+    # which would make join-distributivity true by construction
+    size = len(lattice)
+    rows = [[0] * size for _ in range(size)]
+    for i in reversed(range(size)):
+        for j in reversed(range(size)):
+            rows[i][j] = commutator_index(lattice, i, j)
+    return tuple(map(tuple, rows))
 
 
 def _budget_error(bound: int, cap: int) -> SizeBudgetExceeded:

@@ -249,9 +249,12 @@ def serialize_lattice(lattice: FiniteLattice) -> dict:
 def parse_lattice(doc: dict) -> FiniteLattice:
     if not isinstance(doc, dict) or set(doc) != {"size", "leq"}:
         raise MalformedDoc(f"bad lattice document: {doc!r}")
-    if not isinstance(doc["leq"], list) or len(doc["leq"]) != doc["size"]:
-        raise MalformedDoc("lattice leq must be a size x size matrix")
-    return lattice_from_leq(doc["leq"])
+    size, leq = doc["size"], doc["leq"]
+    if type(size) is not int or not isinstance(leq, list) or len(leq) != size:
+        raise MalformedDoc("lattice size must be an int and leq a list of that many rows")
+    if not all(isinstance(row, list) and all(type(v) is bool for v in row) for row in leq):
+        raise MalformedDoc("lattice leq rows must be lists of booleans")
+    return lattice_from_leq(leq)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import FiniteAlgebra
-from .commutator import commutator_index, require_theory, residuation_index
+from .commutator import commutator_index, commutator_table, require_theory, residuation_index
 from .congruences import (
     Congruence,
     CongruenceLattice,
@@ -522,13 +522,12 @@ def diamond_star_commute_index(lattice: CongruenceLattice, t: int) -> bool:
 @stored
 def _coprime_pairs(lattice: CongruenceLattice) -> list[tuple[int, int, int]]:
     """(i, j, [i,j]) for all ordered pairs with join the top congruence."""
-    size = len(lattice)
-    top = lattice.top_index
+    table, top = commutator_table(lattice), lattice.top_index
     return [
-        (i, j, commutator_index(lattice, i, j))
-        for i in range(size)
-        for j in range(size)
-        if lattice.join_index(i, j) == top
+        (i, j, table[i][j])
+        for i, row in enumerate(lattice.join_table)
+        for j, joined in enumerate(row)
+        if joined == top
     ]
 
 
@@ -686,14 +685,9 @@ def b_normal_index(lattice: CongruenceLattice) -> tuple[int, int] | None:
     """The first coprime pair with no separating pair, or None."""
     top = lattice.top_index
     bottom = lattice.bottom_index
-    members = center_index(lattice)[0]
+    members, table = center_index(lattice)[0], commutator_table(lattice)
     # the candidate separating pairs (alpha, beta), k-th as an int bit
-    orthogonal = [
-        (a, b)
-        for a in members
-        for b in members
-        if commutator_index(lattice, a, b) == bottom
-    ]
+    orthogonal = [(a, b) for a in members for b in members if table[a][b] == bottom]
     by_a: dict[int, int] = {}  # a -> {k : alpha_k = a}
     by_b: dict[int, int] = {}
     for k, (a, b) in enumerate(orthogonal):
@@ -841,12 +835,13 @@ def orthogonal_index(lattice: CongruenceLattice, t: int) -> tuple:
     unique = all(len(v) == 1 for v in fibers.values())
 
     families = _orthogonal_families(projection(lattice, t).lattice, qmembers)
+    table = commutator_table(lattice)
     lifts_orthogonal = True
     for family in families:
         if any(k not in fibers for k in family):
             continue  # not liftable; outside the theorem's hypothesis
         for x, y in combinations([fibers[k][0] for k in family], 2):
-            if meet[x][y] != bottom or commutator_index(lattice, x, y) != bottom:
+            if meet[x][y] != bottom or table[x][y] != bottom:
                 lifts_orthogonal = False
 
     atoms_ok: bool | None = None
@@ -871,7 +866,7 @@ def ring_idempotents(n: int) -> list[int]:
 def ring_idempotent_lifting(n: int, d: int) -> bool:
     """Direct oracle: every idempotent of Z_n/dZ_n = Z_d is congruent mod d
     to an idempotent of Z_n."""
-    if n % d != 0:
-        raise HypothesisNotMet(f"{d} does not divide {n}")
+    if n <= 0 or d <= 0 or n % d != 0:
+        raise HypothesisNotMet(f"need n > 0 and d > 0 dividing n, got n={n}, d={d}")
     lifts_of = {e % d for e in ring_idempotents(n)}
-    return all(e in lifts_of for e in ring_idempotents(d if d > 0 else 1))
+    return all(e in lifts_of for e in ring_idempotents(d))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import FiniteAlgebra
-from .commutator import require_theory, _iterate_chain
+from .commutator import commutator_table, require_theory, _iterate_chain
 from .congruences import Congruence, CongruenceLattice, con_lattice, stored
 from .errors import TheoryHypothesisFailed
 from .lattices import (
@@ -307,19 +307,18 @@ def _star_property(lattice: CongruenceLattice) -> bool:
     [[alpha,alpha]^m, [beta,beta]^m] <= [alpha,beta]^n; m and n are bounded
     by the stabilization indices of their chains, which is sound because the
     chains are eventually constant."""
-    from .commutator import commutator_index
-
+    table = commutator_table(lattice)
     chains = [_iterate_chain(lattice, i)[0] for i in range(len(lattice))]
     for a, chain_a in enumerate(chains):
         for b, chain_b in enumerate(chains):
-            chain_c = chains[commutator_index(lattice, a, b)]
+            chain_c = chains[table[a][b]]
             bound = max(len(chain_a), len(chain_b))
             for n_value in chain_c:  # the values [alpha,beta]^n, n >= 1
                 found = False
                 for m in range(bound):
                     am = chain_a[min(m, len(chain_a) - 1)]
                     bm = chain_b[min(m, len(chain_b) - 1)]
-                    if lattice.leq_index(commutator_index(lattice, am, bm), n_value):
+                    if lattice.leq_index(table[am][bm], n_value):
                         found = True
                         break
                 if not found:

@@ -9,13 +9,14 @@ Every quantifier runs over all of Con(A) except the capped ones below.  The
 identities quantified over pairs and triples (the lattice axioms, commutator
 monotonicity and residuation, the radical lemmas and the radical frame, the
 spectral topology, the lambda and star clauses, center distributivity) read
-the join, meet and order tables into locals, take the commutator one row at
-a time, and compare whole rows, or int bitsets of down-sets, instead of
-calling a lattice method per element.  The commutator identities over triples that go through
-quotient algebras stay capped at TRIPLE_CAP congruences, and the matrix and
-brute-force oracles at their universe sizes, as before.  The caps match the
-sizes the suites are specified at and are recorded in each check's detail
-string when they bite.
+the join, meet and order tables into locals, read the commutator off
+``commutator_table``, the one stored table of Con(A) (of Con(A/theta) for
+the quotient checks), and compare whole rows, or int bitsets of down-sets,
+instead of calling a lattice method per element.  The commutator identities
+over triples that go through quotient algebras stay capped at TRIPLE_CAP
+congruences, and the matrix and brute-force oracles at their universe
+sizes, as before.  The caps match the sizes the suites are specified at and
+are recorded in each check's detail string when they bite.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .algebra import FiniteAlgebra, find_isomorphism, parse_algebra, quotient, s
 from .builders import ring_congruence, ring_zn
 from .commutator import (
     annihilator_index,
-    commutator_index,
+    commutator_table,
     matrix_subalgebra,
     residuation_index,
     surrogate_checks,
@@ -176,14 +177,7 @@ def _suite_con_enumeration(alg):
 def _suite_commutator_axioms(alg):
     lattice = con_lattice(alg)
     size = len(lattice)
-    # [i, j] on this lattice, read by every check below; reads on quotient
-    # lattices and inside residuation/annihilator go through their own calls.
-    # Filled in reversed index order, bottom-up in Con(A), so that each entry
-    # is a fixpoint seeded from the entries one lower cover down
-    table = [[0] * size for _ in range(size)]
-    for i in reversed(range(size)):
-        for j in reversed(range(size)):
-            table[i][j] = commutator_index(lattice, i, j)
+    table = commutator_table(lattice)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
     top = lattice.top_index
 
@@ -192,8 +186,7 @@ def _suite_commutator_axioms(alg):
     )
     yield Check("commutator-below-meet", below_ok)
 
-    commutative_ok = all(table[i][j] == table[j][i] for i in range(size) for j in range(size))
-    yield Check("commutator-commutative", commutative_ok)
+    yield Check("commutator-commutative", tuple(zip(*table)) == table)
 
     monotone_ok = True
     for i, row in enumerate(table):
@@ -219,12 +212,11 @@ def _suite_commutator_axioms(alg):
             if t == lattice.bottom_index:
                 continue
             p = projection(lattice, t)
-            down, join_t = p.down, join[t]
+            down, join_t, qtable = p.down, join[t], commutator_table(p.lattice)
             for i in range(size):
-                qi = down[join_t[i]]
+                q_row = qtable[down[join_t[i]]]
                 for j in range(size):
-                    right = commutator_index(p.lattice, qi, down[join_t[j]])
-                    if down[join_t[table[i][j]]] != right:
+                    if down[join_t[table[i][j]]] != q_row[down[join_t[j]]]:
                         projection_ok = False
         yield Check("commutator-projection-identity", projection_ok, f"|Con|={size}")
 
@@ -260,13 +252,12 @@ def _suite_commutator_axioms(alg):
             if t == lattice.bottom_index:
                 continue
             p = projection(lattice, t)
-            down, join_t = p.down, join[t]
+            down, join_t, qtable = p.down, join[t], commutator_table(p.lattice)
             for i in range(size):
                 for j in range(size):
                     if down[i] is None or down[j] is None:
                         continue
-                    qc = commutator_index(p.lattice, down[i], down[j])
-                    chain_q, _ = _iterate_chain(p.lattice, qc)
+                    chain_q, _ = _iterate_chain(p.lattice, qtable[down[i]][down[j]])
                     base = table[i][j]
                     chain_a, _ = _iterate_chain(lattice, base)
                     bound = max(len(chain_q), len(chain_a))
@@ -277,7 +268,6 @@ def _suite_commutator_axioms(alg):
                             quotient_iterates_ok = False
         yield Check("quotient-iterate-identity", quotient_iterates_ok, f"|Con|={size}")
 
-    residuum = {(i, j): residuation_index(lattice, i, j) for i in range(size) for j in range(size)}
     # a <= b -> c iff [a, b] <= c, compared one column of a per (b, c) as
     # bitsets: down[x] is {a : a <= x}, fibers[v] is {a : [a, b] = v}
     down = lattice.down_sets
@@ -291,12 +281,15 @@ def _suite_commutator_axioms(alg):
             for v, members in fibers.items():
                 if leq[v][c]:
                     below_c |= members
-            if down[residuum[b, c]] != below_c:
+            if down[residuation_index(lattice, b, c)] != below_c:
                 adjunction_ok = False
     yield Check("residuation-adjunction", adjunction_ok)
 
+    # i -> bottom against the join of every gamma with [i, gamma] = bottom
+    bottom, join_many = lattice.bottom_index, lattice.join_many
     annihilator_ok = all(
-        annihilator_index(lattice, i) == residuum[i, lattice.bottom_index] for i in range(size)
+        annihilator_index(lattice, i) == join_many(g for g, c in enumerate(row) if c == bottom)
+        for i, row in enumerate(table)
     )
     yield Check("annihilator-is-residuum-at-bottom", annihilator_ok)
 
@@ -313,12 +306,7 @@ def _suite_commutator_axioms(alg):
         yield Check("ring-gcd-oracle", ring_ok)
 
     if _is_lattice_signature(alg):
-        cd_ok = all(
-            table[i][j] == lattice.meet_index(i, j)
-            for i in range(size)
-            for j in range(size)
-        )
-        yield Check("distributive-meet-oracle", cd_ok)
+        yield Check("distributive-meet-oracle", table == meet)
 
     if alg.size <= MATRIX_CHECK_CAP:
         matrix_ok = True
@@ -363,6 +351,7 @@ def _suite_radicals(alg):
     lattice = con_lattice(alg)
     size = len(lattice)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
+    table = commutator_table(lattice)
     rho = [radical_index(lattice, i) for i in range(size)]
 
     yield Check("radical-dual-path", tuple(rho) == radical_oracle_table(lattice))
@@ -382,10 +371,9 @@ def _suite_radicals(alg):
             if rho[value] != ra:
                 lemma_ok = False
         # the identities in b, one row of b at a time
-        com_row = [commutator_index(lattice, a, b) for b in range(size)]
         meet_rho = [meet[ra][rb] for rb in rho]  # rho(a) ^ rho(b)
         join_rho = [join[ra][rb] for rb in rho]  # rho(a) v rho(b)
-        if not ([rho[m] for m in meet[a]] == [rho[c] for c in com_row] == meet_rho):
+        if not ([rho[m] for m in meet[a]] == [rho[c] for c in table[a]] == meet_rho):
             lemma_ok = False
         if [rho[j] for j in join[a]] != [rho[j] for j in join_rho]:
             lemma_ok = False
@@ -427,7 +415,7 @@ def _radical_frame_ok(lattice: FiniteLattice, rho: list[int]) -> bool:
 
 def _suite_spectrum(alg):
     lattice = con_lattice(alg)
-    leq = lattice.leq
+    leq, table = lattice.leq, commutator_table(lattice)
     primes, maximals, rad, _ = spectrum_index(lattice, False)
 
     yield Check("maximals-are-prime", set(maximals) <= set(primes))
@@ -441,8 +429,7 @@ def _suite_spectrum(alg):
     topology_ok = True
     for i in range(size):
         di = d_bits[i]
-        com_row = [commutator_index(lattice, i, j) for j in range(size)]
-        if [d_bits[c] for c in com_row] != [di & dj for dj in d_bits]:
+        if [d_bits[c] for c in table[i]] != [di & dj for dj in d_bits]:
             topology_ok = False
         if [d_bits[j] for j in lattice.join_table[i]] != [di | dj for dj in d_bits]:
             topology_ok = False
@@ -479,7 +466,7 @@ def _suite_spectrum(alg):
         a, b = lattice.index(w.alpha), lattice.index(w.beta)
         if lattice.join_index(a, b) != lattice.top_index:
             witness_ok = False
-        if not leq[commutator_index(lattice, a, b)][rad]:
+        if not leq[table[a][b]][rad]:
             witness_ok = False
         if tuple(k for k, m in enumerate(maximals) if not leq[a][m]) != w.members:
             witness_ok = False
@@ -494,7 +481,7 @@ def _suite_reticulation(alg):
     lam = retic._lambda_by_con
     rho = [radical_index(lattice, i) for i in range(size)]
     rl = retic.lattice
-    com = [[commutator_index(lattice, a, b) for b in range(size)] for a in range(size)]
+    table = commutator_table(lattice)
 
     # the eight quotient-map clauses
     ok = True
@@ -521,7 +508,7 @@ def _suite_reticulation(alg):
         if [lam[j] for j in join[a]] != [rl.join_table[la][lb] for lb in lam]:
             ok = False
         rl_meet = [rl.meet_table[la][lb] for lb in lam]
-        if not ([lam[m] for m in meet[a]] == [lam[c] for c in com[a]] == rl_meet):
+        if not ([lam[m] for m in meet[a]] == [lam[c] for c in table[a]] == rl_meet):
             ok = False
         le = [rl.leq[la][lb] for lb in lam]
         if le != [leq[rho[a]][rb] for rb in rho] or le != list(leq[chain[-1]]):
@@ -543,7 +530,7 @@ def _suite_reticulation(alg):
         if [gen[j] for j in join[a]] != [rl.join_table[ga][gb] for gb in gen]:
             star_ok = False
         rl_meet = [rl.meet_table[ga][gb] for gb in gen]
-        if not ([gen[c] for c in com[a]] == [gen[m] for m in meet[a]] == rl_meet):
+        if not ([gen[c] for c in table[a]] == [gen[m] for m in meet[a]] == rl_meet):
             star_ok = False
     yield Check("star-identity-suite", star_ok)
 
@@ -589,12 +576,12 @@ def _suite_boolean_center(alg):
     unique_ok = all(lattice.complements[a] == (complement[a],) for a in members)
     yield Check("center-complement-unique", unique_ok)
 
-    join, meet = lattice.join_table, lattice.meet_table
+    join, meet, table = lattice.join_table, lattice.meet_table, commutator_table(lattice)
     meet_ok = True
     distributive_ok = True
     for a in members:
         join_a = [row[a] for row in join]  # t v a, for every t
-        if [commutator_index(lattice, t, a) for t in range(size)] != [row[a] for row in meet]:
+        if [row[a] for row in table] != [row[a] for row in meet]:
             meet_ok = False
         # (t ^ u) v a = (t v a) ^ (u v a), one row of u per t; the right row
         # depends on t only through t v a
@@ -619,7 +606,7 @@ def _suite_boolean_center(alg):
         for n in range(1, bound + 1):
             a = chain_i[min(n, len(chain_i) - 1)]
             b = chain_j[min(n, len(chain_j) - 1)]
-            if commutator_index(lattice, a, b) == lattice.bottom_index:
+            if table[a][b] == lattice.bottom_index:
                 if a not in member or b not in member:
                     lemma41_ok = False
     yield Check("coprime-pairs-enter-center", lemma41_ok)
@@ -684,6 +671,7 @@ def _suite_lifting(alg):
     retic = build_reticulation(alg)
     size = len(lattice)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
+    table = commutator_table(lattice)
 
     verdicts = [cblp_index(lattice, t)[0] for t in range(size)]
     yield Check("cblp-decided-everywhere", True, f"{sum(verdicts)}/{size} lift")
@@ -750,7 +738,7 @@ def _suite_lifting(alg):
             if k is None:
                 continue
             arrow = residuation_index(lattice, e, t)
-            if not leq[commutator_index(lattice, e, arrow)][t]:
+            if not leq[table[e][arrow]][t]:
                 rem_ok = False
             if annihilator_index(p.lattice, k) != p.down[join[arrow][t]]:
                 res_ok = False

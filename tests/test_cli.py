@@ -291,12 +291,6 @@ def test_env_cap_must_be_integer(z12_path, capsys, monkeypatch):
     assert main(["congruences", z12_path]) == EXIT_INPUT
 
 
-def test_oracle_all_pairs_flag(z12_path, capsys):
-    assert main(["--oracle-all-pairs", "spectrum", z12_path]) == EXIT_OK
-    doc = capsys.readouterr().out
-    assert "primes=2" in doc
-
-
 def test_bad_congruence_argument(z12_path, capsys):
     assert main(["commutator", z12_path, "nonsense", "[0]"]) == EXIT_INPUT
     capsys.readouterr()
@@ -337,21 +331,26 @@ def test_verify_json_contract_on_corpus(capsys, monkeypatch):
 def test_verify_json_contract_on_ladder(capsys, monkeypatch, tmp_path):
     """``--json --jobs 1 verify`` on B_4, Z_24 and Z_2xZ_9 documents written
     from the builders, with every ``elapsed`` removed, is pinned byte for
-    byte in tests/data/verify_ladder.json; the paths are bare file names."""
+    byte in tests/data/verify_ladder.json, and on C_9, verified on its own,
+    in tests/data/verify_ladder_c9.json; the paths are bare file names."""
     from congruence_lab.algebra import product
     from congruence_lab.builders import boolean_lattice
 
-    ladder = {
-        "B_4.json": boolean_lattice(4),
-        "Z_24.json": ring_zn(24),
-        "Z_2xZ_9.json": product(ring_zn(2), ring_zn(9)),
+    runs = {
+        "verify_ladder.json": {
+            "B_4.json": boolean_lattice(4),
+            "Z_24.json": ring_zn(24),
+            "Z_2xZ_9.json": product(ring_zn(2), ring_zn(9)),
+        },
+        "verify_ladder_c9.json": {"C_9.json": chain_lattice(9)},
     }
-    for name, alg in ladder.items():
-        (tmp_path / name).write_text(dump_algebra(alg))
     monkeypatch.chdir(tmp_path)
-    assert main(["--json", "--jobs", "1", "verify", *ladder]) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    for result in report["results"]:
-        del result["elapsed"]
-    expected = (REPO / "tests" / "data" / "verify_ladder.json").read_text()
-    assert json.dumps(report, indent=2) + "\n" == expected
+    for pinned, ladder in runs.items():
+        for name, alg in ladder.items():
+            (tmp_path / name).write_text(dump_algebra(alg))
+        assert main(["--json", "--jobs", "1", "verify", *ladder]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        for result in report["results"]:
+            del result["elapsed"]
+        expected = (REPO / "tests" / "data" / pinned).read_text()
+        assert json.dumps(report, indent=2) + "\n" == expected

@@ -78,8 +78,17 @@ def test_serialize_roundtrip():
     for lat in [chain(3), boolean(2), kite_lattice()]:
         doc = serialize_lattice(lat)
         assert parse_lattice(doc) == lat
-    with pytest.raises(MalformedDoc):
-        parse_lattice({"size": 2})
+    # only lists of JSON booleans and an int size are a lattice document
+    for doc in [
+        {"size": 2},
+        {"size": 2, "leq": [1, 2]},
+        {"size": 2, "leq": [[True, "x"], [False, True]]},
+        {"size": 2, "leq": [[True, 1], [False, True]]},
+        {"size": True, "leq": [[True]]},
+        {"size": "1", "leq": [[True]]},
+    ]:
+        with pytest.raises(MalformedDoc):
+            parse_lattice(doc)
 
 
 def test_ideals_are_principal_downsets():

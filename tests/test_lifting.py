@@ -519,6 +519,9 @@ def test_ring_idempotent_lifting_oracle():
             if n % d:
                 continue
             assert ring_idempotent_lifting(n, d) == has_cblp(alg, theta(alg, d)).cblp
+    for n, d in [(6, 4), (4, 0), (4, -2), (0, 1), (-4, 2)]:
+        with pytest.raises(HypothesisNotMet):
+            ring_idempotent_lifting(n, d)
 
 
 def test_boolean_lattice_algebra_centers():

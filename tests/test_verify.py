@@ -1,11 +1,19 @@
 """The property-suite runner and the cross-algebra checks."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from congruence_lab import SizeBudgetExceeded, config, load_algebra
 from congruence_lab.algebra import FiniteAlgebra, Operation
 from congruence_lab.builders import pointed_pair, ring_zn, chain_lattice
+from congruence_lab.commutator import commutator, commutator_index, commutator_table
+from congruence_lab.congruences import all_congruences, con_lattice
+from congruence_lab.lifting import has_cblp
 from congruence_lab.verify import verify_algebra, verify_corpus
+
+from conftest import fresh_copy, theta
+from test_scan_oracles import CORPUS_FILES, LADDER
 
 # Con(R338) is the 3-chain with [nabla, theta] = Delta for its middle theta
 R338 = FiniteAlgebra("R338", 3, (Operation("f", 2, (2, 1, 1, 0, 1, 1, 0, 1, 1)),))
@@ -47,38 +55,48 @@ def test_lattice_signature_oracle_runs():
     assert report.ok
 
 
-def _commutator_calls(monkeypatch, alg):
-    """Run the commutator suite on alg; count verify's commutator_index
-    calls on Con(alg) itself and on the other lattices (quotients)."""
-    from congruence_lab import verify
-    from congruence_lab.congruences import con_lattice
-
-    lattice = con_lattice(alg)
-    counts = {"own": 0, "other": 0}
-    real = verify.commutator_index
-
-    def counting(lat, i, j, cap=None):
-        counts["own" if lat is lattice else "other"] += 1
-        return real(lat, i, j, cap)
-
-    monkeypatch.setattr(verify, "commutator_index", counting)
-    checks = list(verify._suite_commutator_axioms(alg))
-    assert checks and all(c.passed for c in checks)
-    return len(lattice), counts
+@pytest.mark.parametrize(
+    "alg",
+    [load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES] + LADDER,
+    ids=lambda alg: alg.name,
+)
+def test_commutator_table_equals_the_pairwise_queries(alg):
+    """The stored table, filled bottom-up, against one query per pair asked
+    top-down on a Con(A) of its own."""
+    lattice, pairwise = all_congruences(alg), all_congruences(alg)
+    size = len(lattice)
+    assert commutator_table(lattice) == tuple(
+        tuple(commutator_index(pairwise, i, j) for j in range(size)) for i in range(size)
+    )
 
 
-def test_commutator_suite_reads_one_table(monkeypatch):
-    """One commutator_index call per ordered pair of Con(A); every other read
-    of [i, j] on Con(A) comes from that table."""
-    size, counts = _commutator_calls(monkeypatch, chain_lattice(5))
-    assert size == 16
-    assert counts == {"own": 256, "other": 0}
+def test_single_queries_store_no_table():
+    """A cold has_cblp and a cold commutator ask only for the pairs they
+    need; the table is stored by the first whole-lattice scan."""
+    stored_table = "congruence_lab.commutator._commutator_rows"
+    alg = fresh_copy(ring_zn(12))
+    has_cblp(alg, theta(alg, 2))
+    assert stored_table not in con_lattice(alg)._caches
+    alg = fresh_copy(ring_zn(12))
+    commutator(alg, theta(alg, 2), theta(alg, 3))
+    assert stored_table not in con_lattice(alg)._caches
+    commutator_table(con_lattice(alg))
+    assert stored_table in con_lattice(alg)._caches
 
-    # the projection and quotient-iterate checks skip theta = Delta, whose
-    # quotient lattice would be Con(A) itself
-    size, counts = _commutator_calls(monkeypatch, ring_zn(12))
-    assert size == 6
-    assert counts == {"own": 36, "other": 214}
+
+def test_stored_table_is_refused_under_a_cap_below_its_bound(monkeypatch):
+    """The budget is checked on every call against the top congruence, whose
+    bound is the largest: a stored table is refused under a cap one below
+    it, while a query on smaller congruences still passes that cap."""
+    lattice = con_lattice(ring_zn(4))
+    bound = lattice.matrix_bounds[lattice.top_index]
+    assert max(lattice.matrix_bounds) == bound
+    table = commutator_table(lattice)
+    monkeypatch.setattr(config, "MATRIX_CAP", bound - 1)
+    with pytest.raises(SizeBudgetExceeded):
+        commutator_table(lattice)
+    bottom = lattice.bottom_index
+    assert commutator_index(lattice, bottom, bottom) == table[bottom][bottom]
 
 
 def test_top_commutator_gate_makes_r338_exploratory():

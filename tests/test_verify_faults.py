@@ -3,14 +3,15 @@ when one cell it reads is wrong.
 
 Every check passes on every corpus input, so the pinned JSON alone cannot
 tell a working check from one that has become always-true.  Each test plants
-one wrong cell (a commutator value, a radical, a lambda value, a join or
-meet cell of Con(A), or a stored principal congruence) in what one suite
-reads, runs that suite on a fresh copy of C_5 and asserts that the named
-check fails.  Con(C_5) is the 16-element Boolean lattice: every congruence
-is central and radical, and the commutator is the meet.
+one wrong cell (a commutator value, a residuum, a radical, a lambda value,
+a join or meet cell of Con(A), or a stored principal congruence) in what
+one suite reads, runs that suite on a fresh copy of C_5 and asserts that
+the named check fails.  Con(C_5) is the 16-element Boolean lattice: every
+congruence is central and radical, and the commutator is the meet.
 """
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -61,17 +62,17 @@ def _plant_lattice(monkeypatch, alg, **fields) -> None:
 
 
 def _plant_commutator(monkeypatch, alg, i: int, j: int, value: int) -> None:
-    """verify reads [i, j] = [j, i] = value on Con(alg)."""
+    """verify reads [i, j] = [j, i] = value in the commutator table of
+    Con(alg)."""
     lattice = con_lattice(alg)
-    assert verify.commutator_index(lattice, i, j) != value
-    real = verify.commutator_index
-
-    def planted(lat, a, b, cap=None):
-        if lat is lattice and {a, b} == {i, j}:
-            return value
-        return real(lat, a, b, cap)
-
-    monkeypatch.setattr(verify, "commutator_index", planted)
+    rows = [list(row) for row in verify.commutator_table(lattice)]
+    assert rows[i][j] != value
+    rows[i][j] = rows[j][i] = value
+    planted = tuple(map(tuple, rows))
+    real = verify.commutator_table
+    monkeypatch.setattr(
+        verify, "commutator_table", lambda lat: planted if lat is lattice else real(lat)
+    )
 
 
 @pytest.mark.parametrize("table", ["join_table", "meet_table"])
@@ -108,6 +109,22 @@ def test_commutator_cell_breaks_adjunction_and_coprime_transfer(monkeypatch, alg
     failed = _failed(verify._suite_commutator_axioms, alg)
     assert {"residuation-adjunction", "coprime-join-transfer"} <= failed
     assert not {"commutator-below-meet", "commutator-monotone"} & failed
+
+
+def test_annihilator_catches_one_residuum_at_bottom(monkeypatch, alg):
+    # a1 -> bottom read as the top, by annihilator_index and by verify alike:
+    # only the join of the gamma with [a1, gamma] = bottom tells them apart
+    lattice = con_lattice(alg)
+    bottom, top, a1, _, _ = _elements(alg)
+    commutator = importlib.import_module("congruence_lab.commutator")  # not the function
+    real = commutator.residuation_index
+
+    def planted(lat, i, j):
+        return top if lat is lattice and (i, j) == (a1, bottom) else real(lat, i, j)
+
+    monkeypatch.setattr(commutator, "residuation_index", planted)
+    monkeypatch.setattr(verify, "residuation_index", planted)
+    assert "annihilator-is-residuum-at-bottom" in _failed(verify._suite_commutator_axioms, alg)
 
 
 def test_radical_of_an_atom(monkeypatch, alg):
