@@ -11,6 +11,7 @@ Bundled corpus algebras are capped at 16 elements.
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra, Operation
+from .congruences import congruence_from_blocks
 from .errors import MalformedDoc, NotALattice
 from .lattices import lattice_from_leq
 
@@ -31,8 +32,6 @@ __all__ = [
 
 def ring_congruence(ring: FiniteAlgebra, d: int):
     """The mod-d congruence theta_d of ring_zn(n), for d dividing n."""
-    from .congruences import congruence_from_blocks
-
     if ring.size % d != 0:
         raise MalformedDoc(f"{d} does not divide {ring.size}")
     return congruence_from_blocks(ring, [x % d for x in range(ring.size)])

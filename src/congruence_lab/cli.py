@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
-from . import config
+from . import config, verify
 from .algebra import FiniteAlgebra, load_algebra
 from .builders import ring_zn
 from .commutator import commutator, surrogate_checks
@@ -214,8 +214,6 @@ def _verify_one_path(caps: tuple[int, int], path: str) -> dict:
     The caps ``(cap_con, cap_matrix)`` are passed in and applied here, since
     a worker started by ``spawn`` or ``forkserver`` re-imports ``config``
     with the default budgets."""
-    from .verify import verify_algebra
-
     _apply_caps(caps)
     result = {
         "path": path,
@@ -233,7 +231,7 @@ def _verify_one_path(caps: tuple[int, int], path: str) -> dict:
         return result
     result["algebra"] = alg.name
     try:
-        report = verify_algebra(alg)
+        report = verify.verify_algebra(alg)
     except SizeBudgetExceeded as exc:
         result["input_error"] = str(exc)
         return result

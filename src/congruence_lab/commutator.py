@@ -413,26 +413,25 @@ def iterated_commutator(alg: FiniteAlgebra, alpha: Congruence, n: int) -> Congru
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
     lattice = con_lattice(alg)
-    chain, _ = _iterate_chain(lattice, lattice.index(alpha))
+    chain = _iterate_chain(lattice, lattice.index(alpha))
     return lattice.congruences[chain[min(n, len(chain) - 1)]]
 
 
 def commutator_stabilization(alg: FiniteAlgebra, alpha: Congruence) -> tuple[Congruence, int]:
     """The stable value of n -> [alpha, alpha]^n and the least such n."""
     lattice = con_lattice(alg)
-    chain, stable_at = _iterate_chain(lattice, lattice.index(alpha))
-    return lattice.congruences[chain[-1]], stable_at
+    chain = _iterate_chain(lattice, lattice.index(alpha))
+    return lattice.congruences[chain[-1]], len(chain) - 1
 
 
 @stored
-def _iterate_chain(lattice: CongruenceLattice, i: int) -> tuple[list[int], int]:
+def _iterate_chain(lattice: CongruenceLattice, i: int) -> tuple[int, ...]:
     chain = [i]
     while True:
         nxt = commutator_index(lattice, chain[-1], chain[-1])
         if nxt == chain[-1]:
-            break
+            return tuple(chain)
         chain.append(nxt)
-    return chain, len(chain) - 1
 
 
 def residuation(alg: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> Congruence:

@@ -59,7 +59,7 @@ from itertools import combinations, compress
 
 from . import config
 from .algebra import FiniteAlgebra, quotient
-from .errors import Falsified, ParentMismatch, SizeBudgetExceeded
+from .errors import Falsified, NotACongruence, ParentMismatch, SizeBudgetExceeded
 from .lattices import FiniteLattice, _bitset, _tables_from_bitsets
 
 __all__ = [
@@ -299,8 +299,6 @@ def nabla(alg: FiniteAlgebra) -> Congruence:
 
 def congruence_from_blocks(alg: FiniteAlgebra, blocks) -> Congruence:
     """Build a congruence from a block array, re-normalizing and validating."""
-    from .errors import NotACongruence
-
     blocks = list(blocks)
     if len(blocks) != alg.size:
         raise NotACongruence(

@@ -9,15 +9,18 @@ quotient is computed twice, once inside the interval [theta) via residuation
 and once directly on the quotient algebra; a disagreement is an internal
 falsification and raises :class:`Falsified`.
 
-Indices inside, ``Congruence`` at the public edge.  Each result has an index
-core, named after it with an ``_index`` suffix, that takes Con(A) and
-congruence indices and returns indices and flags; the cores that run a
-cross-check are ``@stored``, so it runs on the first call for each argument.
-A public function runs the theory gate, indexes its congruence arguments,
-calls its core and builds its report for the caller's algebra.  The
-``verify`` suites and the transfer checks call the cores.  The quotient
-A/theta, chi/theta and the section back into [theta) are read from the index
-maps of ``congruences.projection``.
+Indices inside, ``Congruence`` at the public edge.  Each result that the
+``verify`` suites read has an index core, named after it with an ``_index``
+suffix, that takes Con(A) and congruence indices and returns indices and
+flags; the cores that run a cross-check are ``@stored``, so it runs on the
+first call for each argument.  A public function runs the theory gate,
+indexes its congruence arguments, calls its core and builds its report for
+the caller's algebra.  The transfer results (radical invariance, the star
+and maximal-interval transfers, the regular-join and non-coprime-meet
+transfers) have no core: each public function reads the stored verdicts of
+``cblp_index`` itself, and ``verify`` checks them over whole lists of those
+verdicts.  The quotient A/theta, chi/theta and the section back into
+[theta) are read from the index maps of ``congruences.projection``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (
     SizeBudgetExceeded,
 )
 from .lattices import FiniteLattice, LatticeIdeal, lattice_center, quotient_by_ideal
-from .spectrum import radical_index, spectrum_index
+from .spectrum import brute_force_clopens, is_hyperarchimedean, radical_index, spectrum_index
 
 __all__ = [
     "BooleanCenter",
@@ -226,19 +229,20 @@ def quotient_center_index(lattice: CongruenceLattice, t: int) -> tuple:
     quotient algebra and cross-checked against the interval route
     chi v (chi -> theta) = nabla."""
     p = projection(lattice, t)
-    direct_route = {p.lattice.index(beta) for beta in boolean_center_of_congruences(p.quotient)}
+    require_theory(p.quotient)
+    direct = center_index(p.lattice)
     join, top = lattice.join_table, lattice.top_index
     interval_route = {
         k
         for j, k in enumerate(p.down)
         if k is not None and join[j][residuation_index(lattice, j, t)] == top
     }
-    if interval_route != direct_route:
+    if interval_route != set(direct[0]):
         raise Falsified(
             f"{lattice.algebra.name}: interval and direct quotient centers disagree"
             f" for theta={lattice.congruences[t]}"
         )
-    return center_index(p.lattice)
+    return direct
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +383,9 @@ def has_id_blp(lattice: FiniteLattice, ideal: LatticeIdeal) -> IdBlpReport:
 def cblp_star_transfer(alg: FiniteAlgebra, theta: Congruence) -> bool:
     """theta has CBLP exactly when the ideal theta* of the reticulation has
     Id-BLP; evaluates the two sides independently."""
-    return cblp_star_transfer_index(*_indices(alg, theta))
-
-
-def cblp_star_transfer_index(lattice: CongruenceLattice, t: int) -> bool:
     from .reticulation import reticulation_index
 
+    lattice, t = _indices(alg, theta)
     _, retic_lattice, lam = reticulation_index(lattice)
     right = has_id_blp(retic_lattice, LatticeIdeal(retic_lattice, lam[t])).lifts
     return cblp_index(lattice, t)[0] == right
@@ -396,10 +397,7 @@ def cblp_star_transfer_index(lattice: CongruenceLattice, t: int) -> bool:
 
 def radical_invariance(alg: FiniteAlgebra, theta: Congruence) -> bool:
     """CBLP is invariant under taking the radical."""
-    return radical_invariance_index(*_indices(alg, theta))
-
-
-def radical_invariance_index(lattice: CongruenceLattice, t: int) -> bool:
+    lattice, t = _indices(alg, theta)
     return cblp_index(lattice, t)[0] == cblp_index(lattice, radical_index(lattice, t))[0]
 
 
@@ -412,10 +410,7 @@ def max_interval_transfer(alg: FiniteAlgebra, theta: Congruence, chi: Congruence
     """Under theta <= chi with the same maximal congruences above both:
     chi CBLP implies theta CBLP.  Raises HypothesisNotMet when the
     precondition fails."""
-    return max_interval_transfer_index(*_indices(alg, theta, chi))
-
-
-def max_interval_transfer_index(lattice: CongruenceLattice, t: int, c: int) -> bool:
+    lattice, t, c = _indices(alg, theta, chi)
     if not lattice.leq[t][c]:
         raise HypothesisNotMet("theta must be contained in chi")
     if _max_interval(lattice, t) != _max_interval(lattice, c):
@@ -433,8 +428,6 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
     Boolean isomorphism, and the center map of the Rad projection is
     injective.  Any failed sub-check makes the criterion return False.
     """
-    from .spectrum import brute_force_clopens
-
     require_theory(alg)
     lattice = con_lattice(alg)
     _, maximals, rad, _ = spectrum_index(lattice, False)
@@ -598,10 +591,7 @@ def cblp_characterization_index(lattice: CongruenceLattice, t: int) -> tuple[boo
 def regular_join_transfer(alg: FiniteAlgebra, theta: Congruence, chi: Congruence) -> bool:
     """theta CBLP and chi regular imply theta v chi CBLP (vacuously true
     when the hypotheses fail)."""
-    return regular_join_transfer_index(*_indices(alg, theta, chi))
-
-
-def regular_join_transfer_index(lattice: CongruenceLattice, t: int, c: int) -> bool:
+    lattice, t, c = _indices(alg, theta, chi)
     if not (cblp_index(lattice, t)[0] and diamond_index(lattice, c) == c):
         return True
     return cblp_index(lattice, lattice.join_table[t][c])[0]
@@ -610,10 +600,7 @@ def regular_join_transfer_index(lattice: CongruenceLattice, t: int, c: int) -> b
 def noncoprime_meet_transfer(alg: FiniteAlgebra, theta: Congruence, chi: Congruence) -> bool:
     """Non-coprime theta, chi with theta CBLP and trivial center of A/chi
     give theta n chi CBLP (vacuously true when the hypotheses fail)."""
-    return noncoprime_meet_transfer_index(*_indices(alg, theta, chi))
-
-
-def noncoprime_meet_transfer_index(lattice: CongruenceLattice, t: int, c: int) -> bool:
+    lattice, t, c = _indices(alg, theta, chi)
     if lattice.join_table[t][c] == lattice.top_index:
         return True
     if not cblp_index(lattice, t)[0]:
@@ -709,8 +696,6 @@ def b_normal_index(lattice: CongruenceLattice) -> tuple[int, int] | None:
 def hyperarchimedean_cblp(alg: FiniteAlgebra) -> bool:
     """A hyperarchimedean algebra has CBLP at every congruence (vacuously
     true when the algebra is not hyperarchimedean)."""
-    from .spectrum import is_hyperarchimedean
-
     return not is_hyperarchimedean(alg) or _all_cblp(con_lattice(alg))
 
 

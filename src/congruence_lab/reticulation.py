@@ -294,7 +294,7 @@ def center_preservation_index(lattice: CongruenceLattice) -> tuple[bool, int | N
         (
             i
             for i in range(len(lattice))
-            if lam[i] in lattice_center and center.isdisjoint(_iterate_chain(lattice, i)[0])
+            if lam[i] in lattice_center and center.isdisjoint(_iterate_chain(lattice, i))
         ),
         None,
     )
@@ -308,7 +308,7 @@ def _star_property(lattice: CongruenceLattice) -> bool:
     by the stabilization indices of their chains, which is sound because the
     chains are eventually constant."""
     table = commutator_table(lattice)
-    chains = [_iterate_chain(lattice, i)[0] for i in range(len(lattice))]
+    chains = [_iterate_chain(lattice, i) for i in range(len(lattice))]
     for a, chain_a in enumerate(chains):
         for b, chain_b in enumerate(chains):
             chain_c = chains[table[a][b]]

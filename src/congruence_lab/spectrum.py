@@ -4,7 +4,8 @@ Spec(A) is the set of prime congruences: phi != nabla such that
 [alpha, beta] <= phi forces alpha <= phi or beta <= phi.  Primality is
 decided on join-irreducibles only (every congruence is the join of the
 join-irreducibles below it and the commutator is monotone, so the two tests
-agree); the all-pairs test is kept as an oracle toggle.
+agree); the all-pairs test, which reads the whole ``commutator_table``, is
+kept as an oracle toggle.
 
 The topology on Spec(A) has the sets D(theta) = {phi : theta not<= phi} as
 its opens; the family is closed under unions and finite intersections, so on
@@ -17,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FiniteAlgebra
-from .commutator import commutator_index, require_theory, _iterate_chain
+from .commutator import commutator_index, commutator_table, require_theory, _iterate_chain
 from .congruences import Congruence, CongruenceLattice, con_lattice, stored
-from .errors import Falsified, TheoryHypothesisFailed
+from .errors import Falsified, SizeBudgetExceeded, TheoryHypothesisFailed
 
 __all__ = [
     "SpectrumData",
@@ -72,9 +73,13 @@ class ClopenWitness:
 
 def _prime_indices(lattice, all_pairs: bool) -> list[int]:
     """The p other than the top with no candidates a, b outside p whose
-    commutator lies below p; each candidate's commutator row is read once."""
-    candidates = range(len(lattice)) if all_pairs else lattice.join_irreducible_indices()
-    rows = [[commutator_index(lattice, a, b) for b in candidates] for a in candidates]
+    commutator lies below p; each candidate's commutator row is read once,
+    from the whole table when every congruence is a candidate."""
+    if all_pairs:
+        candidates, rows = range(len(lattice)), commutator_table(lattice)
+    else:
+        candidates = lattice.join_irreducible_indices()
+        rows = [[commutator_index(lattice, a, b) for b in candidates] for a in candidates]
     primes = []
     for p in range(len(lattice)):
         below = [row[p] for row in lattice.leq]
@@ -146,7 +151,7 @@ def radical_oracle_table(lattice: CongruenceLattice) -> tuple[int, ...]:
     its stable value does; each stable value is read once.
     """
     leq = lattice.leq
-    stable = [_iterate_chain(lattice, a)[0][-1] for a in range(len(lattice))]
+    stable = [_iterate_chain(lattice, a)[-1] for a in range(len(lattice))]
     return tuple(
         lattice.join_many(a for a, s in enumerate(stable) if leq[s][i])
         for i in range(len(lattice))
@@ -203,8 +208,6 @@ def _max_open_family(alg: FiniteAlgebra) -> tuple[list[frozenset], int]:
 
 def brute_force_clopens(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
     """Clopen subsets of Max(A) by direct finite-topology enumeration."""
-    from .errors import SizeBudgetExceeded
-
     family, count = _max_open_family(alg)
     if count > CLOPEN_CAP:
         raise SizeBudgetExceeded(f"|Max(A)| = {count} exceeds the clopen cap {CLOPEN_CAP}")
@@ -258,7 +261,7 @@ def is_hyperarchimedean(alg: FiniteAlgebra) -> bool:
     lattice = con_lattice(alg)
     center = set(center_index(lattice)[0])
     for i in range(len(lattice)):
-        chain, _ = _iterate_chain(lattice, i)
+        chain = _iterate_chain(lattice, i)
         # values taken at n >= 1: the tail of the chain (a length-1 chain is
         # already its own square, so its value is also the n >= 1 value)
         if center.isdisjoint(chain[1:] or chain):

@@ -35,8 +35,9 @@ from congruence_lab import (
     rad_cblp_criterion,
     regular_join_transfer,
     spectrum,
+    surrogate_checks,
 )
-from congruence_lab.algebra import FiniteAlgebra
+from congruence_lab.algebra import FiniteAlgebra, load_algebra
 from congruence_lab.builders import (
     boolean_lattice,
     chain_lattice,
@@ -47,7 +48,6 @@ from congruence_lab.builders import (
 )
 from congruence_lab.lattices import lattice_from_leq, principal_ideal
 from congruence_lab.lifting import (
-    BooleanCenter,
     literal_quotient_descent,
     project_congruence,
     quotient_center_congruences,
@@ -57,6 +57,7 @@ from congruence_lab.lifting import (
 )
 
 from conftest import fresh_copy, theta
+from test_scan_oracles import CORPUS_FILES
 
 
 def kite_as_lattice():
@@ -308,6 +309,29 @@ def test_max_interval_transfer_z4(z4):
     assert max_interval_transfer(z4, rad, rad)  # tautology
     with pytest.raises(HypothesisNotMet):
         max_interval_transfer(z4, nabla(z4), delta(z4))
+
+
+CORPUS = [load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES]
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for alg in CORPUS if surrogate_checks(alg).ok], ids=lambda alg: alg.name
+)
+def test_transfer_results_hold_on_every_pair(alg):
+    """verify checks the transfer results over lists of verdicts; the public
+    functions evaluate them pair by pair, and hold on every pair (for
+    max_interval_transfer, every pair meeting its precondition)."""
+    con = con_lattice(alg).congruences
+    maximals = spectrum(alg).maximals
+    above = [{m.blocks for m in maximals if th.leq(m)} for th in con]
+    for t, th in enumerate(con):
+        assert radical_invariance(alg, th)
+        assert cblp_star_transfer(alg, th)
+        for c, chi in enumerate(con):
+            assert regular_join_transfer(alg, th, chi)
+            assert noncoprime_meet_transfer(alg, th, chi)
+            if th.leq(chi) and above[t] == above[c]:
+                assert max_interval_transfer(alg, th, chi)
 
 
 def test_rad_criterion(z12, z4):
@@ -632,15 +656,15 @@ def test_quotient_center_cross_check_raises_on_first_call(monkeypatch):
 
     alg = fresh_copy(ring_zn(12))
     theta6 = theta(alg, 6)
-    real = lifting.boolean_center_of_congruences
+    real = lifting.center_index
 
-    def drop_one(target):
-        center = real(target)
-        if target == alg:
-            return center
-        return BooleanCenter(center.elements[:-1], center.complement, center.atoms)
+    def drop_one(lattice):
+        members, complement, atoms = real(lattice)
+        if lattice is con_lattice(alg):
+            return members, complement, atoms
+        return members[:-1], complement, atoms
 
-    monkeypatch.setattr(lifting, "boolean_center_of_congruences", drop_one)
+    monkeypatch.setattr(lifting, "center_index", drop_one)
     with pytest.raises(Falsified, match="interval and direct quotient centers disagree"):
         quotient_center_congruences(alg, theta6)
     monkeypatch.undo()

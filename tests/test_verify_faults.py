@@ -16,7 +16,7 @@ import importlib
 import pytest
 
 from congruence_lab import verify
-from congruence_lab.builders import chain_lattice
+from congruence_lab.builders import chain_lattice, ring_zn
 from congruence_lab.congruences import con_lattice
 from congruence_lab.reticulation import build_reticulation
 
@@ -211,3 +211,87 @@ def test_center_distributivity_catches_one_meet(monkeypatch, alg):
     p, q = lattice.join_index(a1, a2), lattice.join_index(a1, a3)
     _plant_cell(monkeypatch, alg, "meet_table", p, q, bottom)
     assert "center-join-distributes" in _failed(verify._suite_boolean_center, alg)
+
+
+def _plant_verdict(monkeypatch, alg, t: int) -> None:
+    """verify reads the CBLP verdict of congruence t of Con(alg) flipped."""
+    lattice = con_lattice(alg)
+    real = verify.cblp_index
+
+    def planted(lat, i):
+        cblp, *rest = real(lat, i)
+        return (not cblp, *rest) if lat is lattice and i == t else (cblp, *rest)
+
+    monkeypatch.setattr(verify, "cblp_index", planted)
+
+
+def _z8():
+    """A fresh Z_8, verified: Con(Z_8) is the chain 0 < (4) < (2) < Z_8, so
+    the bottom lies strictly below its radical (2) with the same maximal
+    congruence above both, and every quotient has a trivial center."""
+    alg = fresh_copy(ring_zn(8))
+    assert verify.verify_algebra(alg).ok
+    return alg
+
+
+@pytest.mark.parametrize(
+    "check, planted_at",
+    [
+        # Z_8: bottom is not radical, so its verdict differs from rho's
+        ("radical-invariance", "z8-bottom"),
+        # C_5: reticulation ideal lambda(a1) still lifts
+        ("star-transfer", "a1"),
+        ("ideal-transfer", "a1"),
+        # Z_8: bottom <= (2), same maximal above, (2) still lifts
+        ("max-interval-transfer", "z8-bottom"),
+        # C_5: bottom lifts, a1 is regular, bottom v a1 = a1
+        ("regular-join-transfer", "a1"),
+        ("regular-congruences-lift", "a1"),
+        # Z_8: (4) lifts, bottom is not coprime to it and A/bottom has a
+        # trivial center, (4) ^ bottom = bottom
+        ("noncoprime-meet-transfer", "z8-bottom"),
+    ],
+)
+def test_transfer_checks_catch_one_flipped_verdict(monkeypatch, alg, check, planted_at):
+    if planted_at == "z8-bottom":
+        alg = _z8()
+        t = con_lattice(alg).bottom_index
+    else:
+        t = _elements(alg)[2]
+    _plant_verdict(monkeypatch, alg, t)
+    assert check in _failed(verify._suite_lifting, alg)
+
+
+def test_star_and_ideal_transfer_catch_one_flipped_id_blp(monkeypatch, alg):
+    # the ideal (lambda(a1)] of the reticulation read as not lifting: both
+    # transfers read the one Id-BLP verdict of that ideal
+    retic = build_reticulation(alg)
+    g = retic._lambda_by_con[_elements(alg)[2]]
+    real = verify.has_id_blp
+
+    def planted(lattice, ideal):
+        report = real(lattice, ideal)
+        if lattice is retic.lattice and ideal.generator == g:
+            return dataclasses.replace(report, lifts=not report.lifts)
+        return report
+
+    monkeypatch.setattr(verify, "has_id_blp", planted)
+    failed = _failed(verify._suite_lifting, alg)
+    assert {"star-transfer", "ideal-transfer"} <= failed
+    assert "radical-invariance" not in failed
+
+
+def test_clopen_completeness_catches_a_missing_clopen(monkeypatch, alg):
+    # the direct enumeration of Clop(Max(A)) loses {m_0}: the witnessed
+    # clopens are then exactly the enumerated ones, but the trace of some
+    # witness pair is not among them
+    spectrum_module = importlib.import_module("congruence_lab.spectrum")  # not the function
+    real = spectrum_module.brute_force_clopens
+
+    def planted(a):
+        clopens = real(a)
+        return [u for u in clopens if u != (0,)] if a is alg else clopens
+
+    monkeypatch.setattr(spectrum_module, "brute_force_clopens", planted)
+    monkeypatch.setattr(verify, "brute_force_clopens", planted)
+    assert _failed(verify._suite_spectrum, alg) == {"clopen-witness-completeness"}
