@@ -16,9 +16,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 from . import config, verify
 from .algebra import FiniteAlgebra, load_algebra
@@ -253,6 +252,10 @@ def _verify_one_path(caps: tuple[int, int], path: str) -> dict:
 def report_verify(paths: list[str], jobs: int, caps: tuple[int, int]) -> dict:
     worker = partial(_verify_one_path, caps)
     if jobs > 1 and len(paths) > 1:
+        # imported here: the pool's modules cost a single-process run time
+        # and memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, paths))
     else:
@@ -355,7 +358,10 @@ def _print_verify(rep):
 # argument parsing and dispatch
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, so repeated ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="congruence-lab",
         description="Congruence lattices, commutators, spectra, reticulations "

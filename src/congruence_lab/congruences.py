@@ -548,8 +548,6 @@ def con_lattice(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLattice
 con_lattice.cache_info = _cached_lattice.cache_info
 con_lattice.cache_clear = _cached_lattice.cache_clear
 
-_MISSING = object()
-
 
 def stored(fn):
     """Compute ``fn(lattice, *args)`` once per argument tuple and keep the
@@ -568,10 +566,11 @@ def stored(fn):
 
     @wraps(fn)
     def once(lattice, *args):
-        results = lattice._caches.setdefault(name, {})
-        hit = results.get(args, _MISSING)
-        if hit is _MISSING:
-            hit = results[args] = fn(lattice, *args)
+        try:  # a hit costs two lookups
+            return lattice._caches[name][args]
+        except KeyError:
+            pass
+        hit = lattice._caches.setdefault(name, {})[args] = fn(lattice, *args)
         return hit
 
     return once

@@ -175,11 +175,14 @@ def test_verify_isolates_budget_error(tmp_path, capsys, monkeypatch):
 def test_verify_caps_reach_spawned_workers(tmp_path, capsys, monkeypatch):
     """The caps are passed to each verify worker, so a worker started by
     spawn (which re-imports the config module) still applies them."""
-    from congruence_lab import cli, config
+    import concurrent.futures
+
+    from congruence_lab import config
 
     monkeypatch.setattr(config, "CON_CAP", config.CON_CAP)  # restored after
+    # cli imports the pool only on the --jobs > 1 path, from this module
     monkeypatch.setattr(
-        cli,
+        concurrent.futures,
         "ProcessPoolExecutor",
         partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")),
     )
@@ -237,6 +240,20 @@ def test_verify_parallel_jobs(z6_path, z12_path, capsys):
     assert main(["--jobs", "2", "verify", z6_path, z12_path]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("PASS") >= 2
+
+
+def test_consecutive_calls_parse_independently(z6_path, z12_path, capsys):
+    """One parser serves every main call in a process; the flags and the
+    command of one call do not reach the next."""
+    from congruence_lab.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    assert main(["--json", "--cap-con", "4", "verify", z6_path, z12_path]) == EXIT_INPUT
+    first = json.loads(capsys.readouterr().out)
+    assert first["input_errors"] == [z12_path]
+    assert main(["congruences", z12_path]) == EXIT_OK
+    second = capsys.readouterr().out
+    assert second.startswith("Z_12: |Con| = 6")  # text, under the default cap
 
 
 def test_report_subcommand(z6_path, capsys):

@@ -2,6 +2,7 @@
 
 from itertools import product as iproduct
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from congruence_lab import (
     residuation,
     surrogate_checks,
 )
-from congruence_lab.algebra import FiniteAlgebra, Operation, product
+from congruence_lab.algebra import FiniteAlgebra, Operation, load_algebra, product
 from congruence_lab.builders import (
     boolean_lattice,
     chain_lattice,
@@ -35,7 +36,7 @@ from congruence_lab.builders import (
     ring_zn,
 )
 from congruence_lab.commutator import commutator_index, require_theory, surrogate_index
-from congruence_lab.congruences import all_partitions, congruence_from_pairs
+from congruence_lab.congruences import Congruence, all_partitions, congruence_from_pairs
 from congruence_lab.spectrum import spectrum
 
 from conftest import theta
@@ -212,6 +213,26 @@ def test_commutator_cap_applies_to_cached_values():
     assert commutator_index(lattice, top, top) == top
     with pytest.raises(SizeBudgetExceeded):
         commutator_index(lattice, top, top, cap=10)
+
+
+def test_residuation_cap_applies_to_stored_rows(monkeypatch):
+    """A residuum is refused under a cap that one of the commutators it
+    reads exceeds, with the message of the cold refusal, whether or not an
+    uncapped call has stored its row."""
+    from congruence_lab import config
+    from congruence_lab.commutator import residuation_index
+
+    alg = ring_zn(4)
+    warm, cold = all_congruences(alg), all_congruences(alg)
+    top, bottom = warm.top_index, warm.bottom_index
+    assert residuation_index(warm, top, bottom) == bottom
+    monkeypatch.setattr(config, "MATRIX_CAP", 10)
+    messages = []
+    for lattice in (cold, warm):
+        with pytest.raises(SizeBudgetExceeded) as raised:
+            residuation_index(lattice, top, bottom)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
 
 
 def test_commutator_agrees_with_materialized_fixpoint():
@@ -408,6 +429,59 @@ def test_matrix_subalgebra_matches_pool_closure(alg):
     """Ternary and unary operations, besides binary.  In t_2, M(nabla, nabla)
     needs argument tuples that repeat the newest matrix."""
     _assert_matches_pool_closure(alg)
+
+
+CORPUS = [
+    load_algebra(path.read_text(encoding="utf-8"))
+    for path in sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json"))
+]
+
+
+def _u_size(alg, alpha, beta):
+    """|U(alpha, beta)|: the matrices (x, y, z, w) with x alpha z, y alpha w,
+    x beta y and z beta w, counted one by one."""
+    return sum(
+        alpha.related(x, z) and alpha.related(y, w) and beta.related(x, y) and beta.related(z, w)
+        for x, y, z, w in iproduct(range(alg.size), repeat=4)
+    )
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for alg in CORPUS if alg.size <= 4], ids=lambda alg: alg.name
+)
+def test_matrix_subalgebra_matches_pool_closure_on_the_corpus(alg):
+    """Every ordered pair of every corpus algebra that verify materializes M
+    for: the closures that stop at |U| and those with M smaller than U."""
+    _assert_matches_pool_closure(alg)
+
+
+def test_corpus_matrix_subalgebras_equal_u_on_68_of_70_pairs():
+    """M = U on all but two of the 70 ordered pairs of the corpus algebras
+    with n <= 4, so the stop at |U| is taken; on the other two the closure
+    runs to the end and M is smaller than U."""
+    sizes = [
+        (len(matrix_subalgebra(alg, alpha, beta)), _u_size(alg, alpha, beta))
+        for alg in CORPUS
+        if alg.size <= 4
+        for alpha in con_lattice(alg).congruences
+        for beta in con_lattice(alg).congruences
+    ]
+    assert len(sizes) == 70
+    assert sum(m == u for m, u in sizes) == 68
+    assert all(m <= u for m, u in sizes)
+
+
+def test_matrix_subalgebra_runs_past_u_for_an_incompatible_alpha():
+    """alpha = 02|1 is an equivalence but not compatible with f (f(0, 1) = 2
+    and f(2, 1) = 1), and beta is the bottom: U(alpha, beta) is the five
+    generators, which are not closed, so stopping at |U| would be wrong
+    before any product has left U.  The closure runs to the end."""
+    alg = FiniteAlgebra("f_3", 3, (Operation("f", 2, (2, 2, 0, 1, 2, 1, 2, 1, 1)),))
+    alpha, beta = Congruence(alg, (0, 1, 0)), delta(alg)
+    assert _u_size(alg, alpha, beta) == 5
+    matrices = matrix_subalgebra(alg, alpha, beta).matrices
+    assert matrices == _pool_matrix_subalgebra(alg, alpha, beta)
+    assert len(matrices) == 9
 
 
 def test_matrix_subalgebra_cap_boundary():

@@ -30,7 +30,10 @@
   or y inside, against the meet of everything outside the ideal;
 * ``radical-lattice-distributive``: the cubic law
   x ^ rho(y v z) = rho((x ^ y) v (x ^ z)) over the radicals, against
-  Birkhoff's test on the radical lattice.
+  Birkhoff's test on the radical lattice;
+* ``residuation_index``: the join of every gamma with [alpha, gamma] <= beta,
+  read off the full commutator table, against the join of the qualifying
+  join-irreducibles from the stored row of alpha.
 """
 
 from pathlib import Path
@@ -42,7 +45,13 @@ from hypothesis import strategies as st
 from congruence_lab import NotALattice, SizeBudgetExceeded
 from congruence_lab.algebra import load_algebra, product
 from congruence_lab.builders import boolean_lattice, chain_lattice, ring_zn, standard_corpus
-from congruence_lab.commutator import _close_delta, commutator_index, surrogate_checks
+from congruence_lab.commutator import (
+    _close_delta,
+    commutator_index,
+    commutator_table,
+    residuation_index,
+    surrogate_checks,
+)
 from congruence_lab.congruences import (
     Congruence,
     CongruenceLattice,
@@ -605,3 +614,29 @@ def test_commutator_of_random_algebras_matches_the_saturation_fixpoint(alg, rng)
     rng.shuffle(order)
     assert_same_commutators(alg, order)
     assert_same_commutators(alg)
+
+
+def scan_residuation(lattice, i, j) -> int:
+    """congruences[i] -> congruences[j] as the join of every gamma with
+    [congruences[i], gamma] <= congruences[j], over the whole table."""
+    leq = lattice.leq
+    return lattice.join_many(g for g, c in enumerate(commutator_table(lattice)[i]) if leq[c][j])
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        alg
+        for alg in (load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES)
+        if surrogate_checks(alg).ok
+    ],
+    ids=lambda alg: alg.name,
+)
+def test_residuation_matches_the_full_scan(alg):
+    """On a cold Con(A), so the rows are filled by the residuation queries
+    themselves; the scan reads a Con(A) of its own."""
+    lattice, oracle = all_congruences(alg), all_congruences(alg)
+    size = len(lattice)
+    for i in range(size):
+        for j in range(size):
+            assert residuation_index(lattice, i, j) == scan_residuation(oracle, i, j)
