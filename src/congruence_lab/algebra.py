@@ -14,9 +14,8 @@ independently built copies of the same table set (for example a quotient of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from itertools import product as iproduct
-from typing import Iterable, Sequence
 
 from .errors import (
     EntryRange,
@@ -40,11 +39,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Operation:
-    name: str
-    arity: int
-    table: tuple[int, ...]
+    __slots__ = ("name", "arity", "table")
+
+    def __init__(self, name, arity, table):
+        self.name = name
+        self.arity = arity
+        self.table = table
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.arity, self.table) == (other.name, other.arity, other.table)
+
+    def __hash__(self):
+        return hash((self.name, self.arity, self.table))
 
     def apply(self, size: int, args: Sequence[int]) -> int:
         index = 0
@@ -53,19 +62,24 @@ class Operation:
         return self.table[index]
 
 
-@dataclass(frozen=True)
 class FiniteAlgebra:
     """A finite universe 0..size-1 with named finitary operations."""
 
-    name: str = field(compare=False)
-    size: int
-    operations: tuple[Operation, ...]
+    __slots__ = ("name", "size", "operations", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, name, size, operations):
+        self.name = name
+        self.size = size
+        self.operations = operations
         _validate(self)
         # the tables are immutable, so the structural hash is computed once;
         # lru_caches keyed on the algebra would otherwise rehash every table
-        object.__setattr__(self, "_hash", hash((self.size, self.operations)))
+        self._hash = hash((size, operations))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.operations) == (other.size, other.operations)
 
     def __hash__(self):
         return self._hash

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import cache, partial
 
 from . import config, verify
@@ -42,21 +41,24 @@ EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 
 
-@dataclass
 class RunConfig:
     """One resolved invocation: exactly one command over some input paths."""
 
-    command: str
-    paths: list[str]
-    json_output: bool = False
-    cap_con: int = config.DEFAULT_CON_CAP
-    cap_matrix: int = config.DEFAULT_MATRIX_CAP
-    jobs: int = 1
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("command", "paths", "json_output", "cap_con", "cap_matrix", "jobs", "extra")
 
-    def __post_init__(self):
-        if self.cap_con <= 0 or self.cap_matrix <= 0 or self.jobs <= 0:
+    def __init__(
+        self, command, paths, json_output=False, cap_con=config.DEFAULT_CON_CAP,
+        cap_matrix=config.DEFAULT_MATRIX_CAP, jobs=1, extra=None,
+    ):
+        if cap_con <= 0 or cap_matrix <= 0 or jobs <= 0:
             raise InputError("caps and job counts must be positive")
+        self.command = command
+        self.paths = paths
+        self.json_output = json_output
+        self.cap_con = cap_con
+        self.cap_matrix = cap_matrix
+        self.jobs = jobs
+        self.extra = {} if extra is None else extra
 
 
 def _apply_caps(caps: tuple[int, int]) -> tuple[int, int]:

@@ -101,7 +101,6 @@ runs to the end.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import add
 
@@ -137,14 +136,16 @@ __all__ = [
 DEFAULT_MATRIX_CAP = config.DEFAULT_MATRIX_CAP
 
 
-@dataclass(frozen=True)
 class MatrixSubalgebra:
     """The set M(alpha, beta) of 2x2 matrices, closed under the operations."""
 
-    algebra: FiniteAlgebra
-    alpha: Congruence
-    beta: Congruence
-    matrices: frozenset  # of (x, y, z, w) with rows (x, y) and (z, w)
+    __slots__ = ("algebra", "alpha", "beta", "matrices")
+
+    def __init__(self, algebra, alpha, beta, matrices):
+        self.algebra = algebra
+        self.alpha = alpha
+        self.beta = beta
+        self.matrices = matrices  # of (x, y, z, w) with rows (x, y) and (z, w)
 
     def __len__(self):
         return len(self.matrices)
@@ -538,7 +539,6 @@ def annihilator_index(lattice: CongruenceLattice, i: int) -> int:
     return residuation_index(lattice, i, lattice.bottom_index)
 
 
-@dataclass(frozen=True)
 class SurrogateReport:
     """Per-algebra stand-ins for the ambient-variety hypotheses.
 
@@ -550,11 +550,14 @@ class SurrogateReport:
     [nabla, nabla] = nabla as its case theta = nabla.
     """
 
-    algebra: FiniteAlgebra
-    modular: bool
-    top_idempotent: bool  # [nabla, nabla] = nabla
-    top_neutral: bool  # [theta, nabla] = theta for every theta
-    con_size: int
+    __slots__ = ("algebra", "modular", "top_idempotent", "top_neutral", "con_size")
+
+    def __init__(self, algebra, modular, top_idempotent, top_neutral, con_size):
+        self.algebra = algebra
+        self.modular = modular
+        self.top_idempotent = top_idempotent  # [nabla, nabla] = nabla
+        self.top_neutral = top_neutral  # [theta, nabla] = theta for every theta
+        self.con_size = con_size
 
     @property
     def ok(self) -> bool:

@@ -53,7 +53,6 @@ inverse).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import combinations, compress
 
@@ -88,12 +87,22 @@ __all__ = [
 DEFAULT_CON_CAP = config.DEFAULT_CON_CAP
 
 
-@dataclass(frozen=True)
 class Congruence:
     """A compatible partition, canonically encoded by least representatives."""
 
-    algebra: FiniteAlgebra
-    blocks: tuple[int, ...]
+    __slots__ = ("algebra", "blocks")
+
+    def __init__(self, algebra, blocks):
+        self.algebra = algebra
+        self.blocks = blocks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.blocks) == (other.algebra, other.blocks)
+
+    def __hash__(self):
+        return hash((self.algebra, self.blocks))
 
     def related(self, a: int, b: int) -> bool:
         return self.blocks[a] == self.blocks[b]
@@ -362,7 +371,6 @@ def meet(theta: Congruence, chi: Congruence) -> Congruence:
     return Congruence(theta.algebra, _meet_blocks(theta.blocks, chi.blocks))
 
 
-@dataclass(frozen=True)
 class CongruenceLattice(FiniteLattice):
     """Con(A) as a finite lattice: element i is ``congruences[i]``.
 
@@ -371,17 +379,33 @@ class CongruenceLattice(FiniteLattice):
     assumption rather than re-derived.
     """
 
-    algebra: FiniteAlgebra
-    congruences: tuple[Congruence, ...]  # canonically sorted by block array
-    # the matrix budget of each congruence: its number of related pairs, squared
-    matrix_bounds: tuple[int, ...]
-    # the relation of each congruence: bit x * n + y is set when x and y are related
-    masks: tuple[int, ...] = field(compare=False, repr=False)
-    # principals[x * n + y] is the index of Cg(x, y), the bottom when x == y
-    principals: tuple[int, ...] = field(compare=False, repr=False)
-    _index: dict = field(compare=False, hash=False, repr=False)
-    # the results of @stored functions, one dict per function
-    _caches: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    def __init__(
+        self, leq, join_table, meet_table, bottom_index, top_index, algebra, congruences,
+        matrix_bounds, masks, principals, _index, _caches=None,
+    ):
+        super().__init__(leq, join_table, meet_table, bottom_index, top_index)
+        self.algebra = algebra
+        self.congruences = congruences  # canonically sorted by block array
+        # the matrix budget of each congruence: its number of related pairs, squared
+        self.matrix_bounds = matrix_bounds
+        # the relation of each congruence: bit x * n + y is set when x and y are related
+        self.masks = masks
+        # principals[x * n + y] is the index of Cg(x, y), the bottom when x == y
+        self.principals = principals
+        self._index = _index
+        # the results of @stored functions, one dict per function
+        self._caches = {} if _caches is None else _caches
+
+    def _key(self) -> tuple:
+        return self.leq, self.algebra, self.congruences, self.matrix_bounds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def index(self, theta: Congruence) -> int:
         try:
@@ -508,12 +532,24 @@ def _relation_mask(blocks) -> int:
 
 
 def _join_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Join of two block arrays: the classes of the union, normalized."""
-    part = _Partition(len(a))
-    for x, (p, q) in enumerate(zip(a, b)):
-        part.union(x, p)
-        part.union(x, q)
-    return _canonical(part.label)
+    """Join of two canonical block arrays: ``a`` is a union-find forest rooted
+    at class minima; merging the trees of each x and b[x] hangs the larger root
+    under the smaller, so parents stay below children and one pass finds roots."""
+    parent = list(a)
+    for x, y in enumerate(b):
+        if y != x:
+            rx, ry = parent[x], parent[y]
+            while parent[rx] != rx:
+                rx = parent[rx]
+            while parent[ry] != ry:
+                ry = parent[ry]
+            if rx < ry:
+                parent[ry] = rx
+            elif ry < rx:
+                parent[rx] = ry
+    for x, p in enumerate(parent):
+        parent[x] = parent[p]
+    return tuple(parent)
 
 
 def _meet_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -576,7 +612,6 @@ def stored(fn):
     return once
 
 
-@dataclass(frozen=True)
 class Projection:
     """The canonical projection A -> A/theta as the correspondence between
     the interval [theta, nabla] of Con(A) and Con(A/theta).
@@ -585,10 +620,13 @@ class Projection:
     and None otherwise; ``up[k]`` is the j with ``down[j] == k``.
     """
 
-    quotient: FiniteAlgebra
-    lattice: CongruenceLattice  # Con(quotient)
-    down: tuple[int | None, ...]
-    up: tuple[int, ...]
+    __slots__ = ("quotient", "lattice", "down", "up")
+
+    def __init__(self, quotient, lattice, down, up):
+        self.quotient = quotient
+        self.lattice = lattice  # Con(quotient)
+        self.down = down
+        self.up = up
 
 
 @stored

@@ -29,7 +29,6 @@ those of the coatoms, and the quotient by (g] is the interval [g, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, compress
 
@@ -52,15 +51,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FiniteLattice:
     """A bounded lattice on 0..size-1: order matrix, join and meet tables."""
 
-    leq: tuple[tuple[bool, ...], ...]
-    join_table: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    meet_table: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    bottom_index: int = field(compare=False)
-    top_index: int = field(compare=False)
+    def __init__(self, leq, join_table, meet_table, bottom_index, top_index):
+        self.leq = leq
+        self.join_table = join_table
+        self.meet_table = meet_table
+        self.bottom_index = bottom_index
+        self.top_index = top_index
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.leq == other.leq
+
+    def __hash__(self):
+        return hash(self.leq)
 
     @property
     def size(self) -> int:
@@ -257,19 +264,25 @@ def parse_lattice(doc: dict) -> FiniteLattice:
     return lattice_from_leq(leq)
 
 
-@dataclass(frozen=True)
 class LatticeIdeal:
     """The ideal (generator] = {x : x <= generator} of a finite lattice;
     every ideal of a finite lattice has this form."""
 
-    lattice: FiniteLattice
-    generator: int
+    __slots__ = ("lattice", "generator")
 
-    def __post_init__(self):
-        if not 0 <= self.generator < self.lattice.size:
-            raise NotALattice(
-                f"ideal generator {self.generator} outside 0..{self.lattice.size - 1}"
-            )
+    def __init__(self, lattice, generator):
+        if not 0 <= generator < lattice.size:
+            raise NotALattice(f"ideal generator {generator} outside 0..{lattice.size - 1}")
+        self.lattice = lattice
+        self.generator = generator
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lattice, self.generator) == (other.lattice, other.generator)
+
+    def __hash__(self):
+        return hash((self.lattice, self.generator))
 
     def members(self) -> list[int]:
         return list(_members(self.lattice.down_sets[self.generator]))

@@ -26,7 +26,6 @@ verdicts.  The quotient A/theta, chi/theta and the section back into
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import FiniteAlgebra
@@ -95,13 +94,15 @@ def _indices(alg: FiniteAlgebra, *congruences: Congruence) -> tuple:
 # Boolean centers
 
 
-@dataclass(frozen=True)
 class BooleanCenter:
     """The complemented congruences of an algebra, with complements."""
 
-    elements: tuple  # congruences
-    complement: dict
-    atoms: tuple
+    __slots__ = ("elements", "complement", "atoms")
+
+    def __init__(self, elements, complement, atoms):
+        self.elements = elements  # congruences
+        self.complement = complement
+        self.atoms = atoms
 
     def __len__(self):
         return len(self.elements)
@@ -249,7 +250,6 @@ def quotient_center_index(lattice: CongruenceLattice, t: int) -> tuple:
 # CBLP
 
 
-@dataclass(frozen=True)
 class LiftingReport:
     """Per-congruence lifting verdicts.
 
@@ -260,15 +260,29 @@ class LiftingReport:
     reticulation fails to preserve the Boolean center.
     """
 
-    algebra: FiniteAlgebra
-    theta: Congruence
-    cblp: bool
-    witnesses: tuple  # pairs (target in A/theta, lift in A)
-    counterexample: Congruence | None
-    regular: bool
-    diamond: Congruence
-    thm63: dict | None = None
-    exploratory: bool = False
+    __slots__ = (
+        "algebra", "theta", "cblp", "witnesses", "counterexample", "regular", "diamond", "thm63",
+        "exploratory",
+    )
+
+    def __init__(
+        self, algebra, theta, cblp, witnesses, counterexample, regular, diamond, thm63=None,
+        exploratory=False,
+    ):
+        self.algebra = algebra
+        self.theta = theta
+        self.cblp = cblp
+        self.witnesses = witnesses  # pairs (target in A/theta, lift in A)
+        self.counterexample = counterexample
+        self.regular = regular
+        self.diamond = diamond
+        self.thm63 = thm63
+        self.exploratory = exploratory
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def to_json_dict(self) -> dict:
         thm = self.thm63 or {}
@@ -346,13 +360,15 @@ def _all_cblp(lattice: CongruenceLattice) -> bool:
 # Ideal lifting in distributive lattices
 
 
-@dataclass(frozen=True)
 class IdBlpReport:
-    lattice: FiniteLattice
-    ideal: LatticeIdeal
-    lifts: bool
-    witnesses: tuple  # pairs (quotient class index, lifting element)
-    counterexample: int | None  # quotient class index with no lift
+    __slots__ = ("lattice", "ideal", "lifts", "witnesses", "counterexample")
+
+    def __init__(self, lattice, ideal, lifts, witnesses, counterexample):
+        self.lattice = lattice
+        self.ideal = ideal
+        self.lifts = lifts
+        self.witnesses = witnesses  # pairs (quotient class index, lifting element)
+        self.counterexample = counterexample  # quotient class index with no lift
 
 
 def has_id_blp(lattice: FiniteLattice, ideal: LatticeIdeal) -> IdBlpReport:
@@ -649,11 +665,13 @@ def literal_quotient_descent(alg: FiniteAlgebra, theta: Congruence) -> bool:
     return _all_cblp(lattice) or not _all_cblp(projection(lattice, t).lattice)
 
 
-@dataclass(frozen=True)
 class BNormalReport:
-    algebra: FiniteAlgebra
-    b_normal: bool
-    counterexample: tuple | None  # a coprime pair with no separating pair
+    __slots__ = ("algebra", "b_normal", "counterexample")
+
+    def __init__(self, algebra, b_normal, counterexample):
+        self.algebra = algebra
+        self.b_normal = b_normal
+        self.counterexample = counterexample  # a coprime pair with no separating pair
 
 
 def is_b_normal(alg: FiniteAlgebra) -> BNormalReport:
@@ -750,15 +768,23 @@ def lift_orthogonal_index(lattice: CongruenceLattice, t: int, family) -> list[in
     return lifted
 
 
-@dataclass(frozen=True)
 class OrthogonalReport:
-    algebra: FiniteAlgebra
-    theta: Congruence
-    families_checked: int
-    unique_lifts: bool
-    lifts_orthogonal: bool
-    atoms_lift_to_atoms: bool | None  # None when theta lacks CBLP
-    difference_lemma: bool
+    __slots__ = (
+        "algebra", "theta", "families_checked", "unique_lifts", "lifts_orthogonal",
+        "atoms_lift_to_atoms", "difference_lemma",
+    )
+
+    def __init__(
+        self, algebra, theta, families_checked, unique_lifts, lifts_orthogonal, atoms_lift_to_atoms,
+        difference_lemma,
+    ):
+        self.algebra = algebra
+        self.theta = theta
+        self.families_checked = families_checked
+        self.unique_lifts = unique_lifts
+        self.lifts_orthogonal = lifts_orthogonal
+        self.atoms_lift_to_atoms = atoms_lift_to_atoms  # None when theta lacks CBLP
+        self.difference_lemma = difference_lemma
 
 
 def _orthogonal_families(lattice: CongruenceLattice, elements) -> list[tuple]:

@@ -11,8 +11,6 @@ every congruence is compact, so lambda is defined on all of Con(A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import FiniteAlgebra
 from .commutator import commutator_table, require_theory, _iterate_chain
 from .congruences import Congruence, CongruenceLattice, con_lattice, stored
@@ -42,14 +40,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Reticulation:
     """The reticulation, realized on the radical congruences of the algebra."""
 
-    algebra: FiniteAlgebra
-    elements: tuple[Congruence, ...]  # radical congruences, canonical order
-    lattice: FiniteLattice  # order = inclusion; join/meet per the docstring
-    _lambda_by_con: tuple[int, ...] = field(compare=False, repr=False)
+    __slots__ = ("algebra", "elements", "lattice", "_lambda_by_con")
+
+    def __init__(self, algebra, elements, lattice, _lambda_by_con):
+        self.algebra = algebra
+        self.elements = elements  # radical congruences, canonical order
+        self.lattice = lattice  # order = inclusion; join/meet per the docstring
+        self._lambda_by_con = _lambda_by_con
 
     @property
     def bottom(self) -> Congruence:
@@ -157,7 +157,6 @@ def ideal_spectra(lattice: FiniteLattice) -> tuple[list[LatticeIdeal], list[Latt
     return prime_ideals(lattice), maximal_ideals(lattice)
 
 
-@dataclass(frozen=True)
 class SpecHomeomorphismReport:
     """Outcome of checking that star/costar match the two prime spectra.
 
@@ -165,10 +164,13 @@ class SpecHomeomorphismReport:
     inputs outside the intended theory can still be inspected.
     """
 
-    algebra: FiniteAlgebra
-    prime_count: int
-    ideal_prime_count: int
-    failures: tuple[str, ...]
+    __slots__ = ("algebra", "prime_count", "ideal_prime_count", "failures")
+
+    def __init__(self, algebra, prime_count, ideal_prime_count, failures):
+        self.algebra = algebra
+        self.prime_count = prime_count
+        self.ideal_prime_count = ideal_prime_count
+        self.failures = failures
 
     @property
     def ok(self) -> bool:
@@ -256,16 +258,23 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
     )
 
 
-@dataclass(frozen=True)
 class CenterPreservationReport:
     """Whether lambda carries the Boolean center of Con(A) onto the center of
     the reticulation, together with the sufficient conditions."""
 
-    algebra: FiniteAlgebra
-    preserves: bool
-    violating: Congruence | None  # lambda(alpha) complemented, no iterate is
-    star_property: bool  # bounded-iterate interchange of squares
-    semiprime: bool
+    __slots__ = ("algebra", "preserves", "violating", "star_property", "semiprime")
+
+    def __init__(self, algebra, preserves, violating, star_property, semiprime):
+        self.algebra = algebra
+        self.preserves = preserves
+        self.violating = violating  # lambda(alpha) complemented, no iterate is
+        self.star_property = star_property  # bounded-iterate interchange of squares
+        self.semiprime = semiprime
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def sufficient_conditions_hold(self) -> bool:

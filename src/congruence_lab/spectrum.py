@@ -15,8 +15,6 @@ topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import FiniteAlgebra
 from .commutator import commutator_index, commutator_table, require_theory, _iterate_chain
 from .congruences import Congruence, CongruenceLattice, con_lattice, stored
@@ -41,34 +39,45 @@ __all__ = [
 CLOPEN_CAP = 20  # |Max(A)| bound for the direct clopen enumeration
 
 
-@dataclass(frozen=True)
 class SpectrumData:
     """Primes, maximals and the two radicals of an algebra."""
 
-    algebra: FiniteAlgebra
-    primes: tuple[Congruence, ...]  # canonical order
-    maximals: tuple[Congruence, ...]
-    rad: Congruence  # meet of the maximal congruences
-    nilradical: Congruence  # meet of all primes = rho(bottom)
+    __slots__ = ("algebra", "primes", "maximals", "rad", "nilradical")
+
+    def __init__(self, algebra, primes, maximals, rad, nilradical):
+        self.algebra = algebra
+        self.primes = primes  # canonical order
+        self.maximals = maximals
+        self.rad = rad  # meet of the maximal congruences
+        self.nilradical = nilradical  # meet of all primes = rho(bottom)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True)
 class OpenSet:
     """A basic open D(theta) of Spec(A), as indices into SpectrumData.primes."""
 
-    theta: Congruence
-    members: tuple[int, ...]
+    __slots__ = ("theta", "members")
+
+    def __init__(self, theta, members):
+        self.theta = theta
+        self.members = members
 
 
-@dataclass(frozen=True)
 class ClopenWitness:
     """A clopen subset of Max(A) with a pair witnessing it: alpha v beta is
     the top congruence, [alpha, beta] <= Rad(A), and the set is
     Max(A) n D(alpha)."""
 
-    members: tuple[int, ...]  # indices into SpectrumData.maximals
-    alpha: Congruence
-    beta: Congruence
+    __slots__ = ("members", "alpha", "beta")
+
+    def __init__(self, members, alpha, beta):
+        self.members = members  # indices into SpectrumData.maximals
+        self.alpha = alpha
+        self.beta = beta
 
 
 def _prime_indices(lattice, all_pairs: bool) -> list[int]:

@@ -26,7 +26,6 @@ are recorded in each check's detail string when they bite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import gcd
 
 from .algebra import (
@@ -102,19 +101,23 @@ MATRIX_CHECK_CAP = 4  # universe bound for materializing M(alpha, beta)
 PAIR_SIZE_CAP = 16  # |A| * |B| bound for the corpus product checks
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name, passed, detail=""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class AlgebraReport:
-    algebra: FiniteAlgebra
-    exploratory: bool
-    checks: list[Check] = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("algebra", "exploratory", "checks", "elapsed")
+
+    def __init__(self, algebra, exploratory, checks=None, elapsed=0.0):
+        self.algebra = algebra
+        self.exploratory = exploratory
+        self.checks = [] if checks is None else checks
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:
@@ -316,9 +319,11 @@ def _suite_commutator_axioms(alg):
         yield Check("distributive-meet-oracle", table == meet)
 
     if alg.size <= MATRIX_CHECK_CAP:
+        # M(beta, alpha) is the transpose (x, z, y, w) of M(alpha, beta), generators
+        # included, and the fixpoint reads both: one closure per unordered pair
         matrix_ok = True
         for i in range(size):
-            for j in range(size):
+            for j in range(i, size):
                 alpha, beta = lattice.congruences[i], lattice.congruences[j]
                 m = matrix_subalgebra(alg, alpha, beta)
                 for a in range(alg.size):
@@ -327,10 +332,10 @@ def _suite_commutator_axioms(alg):
                             matrix_ok = False
                         if beta.related(a, a2) and (a, a2, a, a2) not in m.matrices:
                             matrix_ok = False
-                value = lattice.congruences[table[i][j]]
-                fix = _term_condition_fixpoint(alg, m)
-                if fix.blocks != value.blocks:
-                    matrix_ok = False
+                fix = _term_condition_fixpoint(alg, m).blocks
+                for value in (table[i][j], table[j][i]):
+                    if fix != lattice.congruences[value].blocks:
+                        matrix_ok = False
         yield Check("matrix-subalgebra-cross-check", matrix_ok, f"n={alg.size}")
 
 

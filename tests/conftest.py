@@ -1,3 +1,4 @@
+import inspect
 from itertools import count
 
 import pytest
@@ -43,3 +44,12 @@ def fresh_copy(alg):
         alg.size,
         tuple(Operation(f"{op.name}~{tag}", op.arity, op.table) for op in alg.operations),
     )
+
+
+def replace(obj, **changes):
+    """A new instance of obj's class, built by its constructor from obj's
+    fields with ``changes`` applied.  Like ``dataclasses.replace``, the
+    new instance recomputes its cached properties, and a Con(A) keeps
+    obj's store of results unless ``_caches`` is among the changes."""
+    fields = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    return type(obj)(**{**fields, **changes})

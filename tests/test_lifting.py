@@ -56,7 +56,7 @@ from congruence_lab.lifting import (
     section_congruence,
 )
 
-from conftest import fresh_copy, theta
+from conftest import fresh_copy, replace, theta
 from test_scan_oracles import CORPUS_FILES
 
 
@@ -171,8 +171,6 @@ def test_projection_image_routes_check_each_other():
     projected join reads no principal congruence of A/theta, so one wrong
     cell of either is Falsified.  On the chain C_5, theta = Cg(3, 4) and
     alpha = Cg(0, 1) = 01|2|3|4, whose one projected pair is (1, 0)."""
-    from dataclasses import replace
-
     from congruence_lab.congruences import all_congruences, principal_congruence, projection
     from congruence_lab.lifting import projection_image_index
 

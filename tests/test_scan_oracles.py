@@ -33,7 +33,10 @@
   Birkhoff's test on the radical lattice;
 * ``residuation_index``: the join of every gamma with [alpha, gamma] <= beta,
   read off the full commutator table, against the join of the qualifying
-  join-irreducibles from the stored row of alpha.
+  join-irreducibles from the stored row of alpha;
+* ``congruences._join_blocks``: both block arrays merged in a partition and
+  relabelled by least elements, against one union-find whose roots are the
+  least elements of their classes.
 """
 
 from pathlib import Path
@@ -55,6 +58,8 @@ from congruence_lab.commutator import (
 from congruence_lab.congruences import (
     Congruence,
     CongruenceLattice,
+    _Partition,
+    _canonical,
     _close_pairs,
     _join_blocks,
     _meet_blocks,
@@ -398,6 +403,28 @@ def _block_mask(blocks) -> int:
     return sum(rows[label] << x * n for x, label in enumerate(blocks))
 
 
+def partition_join_blocks(a, b) -> tuple[int, ...]:
+    """Join of two block arrays: the classes of the union, normalized."""
+    part = _Partition(len(a))
+    for x, (p, q) in enumerate(zip(a, b)):
+        part.union(x, p)
+        part.union(x, q)
+    return _canonical(part.label)
+
+
+@st.composite
+def block_array_pairs(draw):
+    n = draw(st.integers(1, 12))
+    labels = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return _canonical(draw(labels)), _canonical(draw(labels))
+
+
+@given(block_array_pairs())
+@settings(max_examples=500, deadline=None)
+def test_join_blocks_matches_the_partition_join(pair):
+    assert _join_blocks(*pair) == partition_join_blocks(*pair)
+
+
 def join_closure_con(alg, cap):
     """Con(A) closed from every principal congruence under join, ordered by a
     block scan per pair, with one partition join and one meet per
@@ -418,7 +445,7 @@ def join_closure_con(alg, cap):
     while worklist:
         current = worklist.pop()
         for gen in principal:
-            merged = _join_blocks(current, gen)
+            merged = partition_join_blocks(current, gen)
             if merged not in elements:
                 if len(elements) >= cap:
                     raise SizeBudgetExceeded(f"|Con({alg.name})| exceeds the cap of {cap}")
@@ -441,7 +468,7 @@ def join_closure_con(alg, cap):
             elif leq[j][i]:
                 jn, mt = i, j
             else:
-                jn = index[_join_blocks(bi, bj)]
+                jn = index[partition_join_blocks(bi, bj)]
                 mt = index[_meet_blocks(bi, bj)]
             join_table[i][j] = join_table[j][i] = jn
             meet_table[i][j] = meet_table[j][i] = mt

@@ -1,11 +1,18 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import congruence_lab
 
 SOURCE = Path(congruence_lab.__file__).resolve().parent
+
+# modules whose import costs every process time before its first check:
+# dataclasses generates and execs methods per class and imports inspect
+STARTUP_MODULES = ("dataclasses", "inspect", "typing")
 
 
 def test_library_has_no_assert_statements():
@@ -14,6 +21,42 @@ def test_library_has_no_assert_statements():
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_import_loads_no_code_generating_modules():
+    """Importing the package and its command line loads none of
+    STARTUP_MODULES; -S keeps site, and any .pth file it runs, from loading
+    them first."""
+    code = (
+        "import congruence_lab, congruence_lab.cli, sys; "
+        f"print(sorted(set({STARTUP_MODULES!r}) & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
+
+
+def test_library_modules_import_no_code_generating_modules():
+    """No import statement in the library names one of STARTUP_MODULES,
+    including imports inside functions, which the subprocess check misses."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] in STARTUP_MODULES
+            ]
     assert found == []
 
 

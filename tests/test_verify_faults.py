@@ -10,7 +10,6 @@ the named check fails.  Con(C_5) is the 16-element Boolean lattice: every
 congruence is central and radical, and the commutator is the meet.
 """
 
-import dataclasses
 import importlib
 
 import pytest
@@ -20,7 +19,7 @@ from congruence_lab.builders import chain_lattice, ring_zn
 from congruence_lab.congruences import con_lattice
 from congruence_lab.reticulation import build_reticulation
 
-from conftest import fresh_copy
+from conftest import fresh_copy, replace
 
 
 @pytest.fixture()
@@ -54,20 +53,22 @@ def _plant_cell(monkeypatch, alg, table: str, x: int, y: int, value: int) -> Non
 
 def _plant_lattice(monkeypatch, alg, **fields) -> None:
     """verify reads Con(alg) with the given fields replaced."""
-    planted = dataclasses.replace(con_lattice(alg), **fields)
+    planted = replace(con_lattice(alg), **fields)
     real = verify.con_lattice
     monkeypatch.setattr(
         verify, "con_lattice", lambda a, cap=None: planted if a is alg else real(a, cap)
     )
 
 
-def _plant_commutator(monkeypatch, alg, i: int, j: int, value: int) -> None:
-    """verify reads [i, j] = [j, i] = value in the commutator table of
-    Con(alg)."""
+def _plant_commutator(monkeypatch, alg, i: int, j: int, value: int, both: bool = True) -> None:
+    """verify reads [i, j] = value in the commutator table of Con(alg), and
+    [j, i] = value too unless ``both`` is false."""
     lattice = con_lattice(alg)
     rows = [list(row) for row in verify.commutator_table(lattice)]
     assert rows[i][j] != value
-    rows[i][j] = rows[j][i] = value
+    rows[i][j] = value
+    if both:
+        rows[j][i] = value
     planted = tuple(map(tuple, rows))
     real = verify.commutator_table
     monkeypatch.setattr(
@@ -99,6 +100,18 @@ def test_commutator_above_its_meet(monkeypatch, alg):
     _plant_commutator(monkeypatch, alg, bottom, a1, top)
     failed = _failed(verify._suite_commutator_axioms, alg)
     assert {"commutator-below-meet", "commutator-monotone"} <= failed
+
+
+def test_matrix_cross_check_reads_both_orientations(monkeypatch):
+    """M(alpha, beta) is closed once per unordered pair and its fixpoint
+    compared with [alpha, beta] and with [beta, alpha]: on Z_4 a wrong
+    [j, i] alone, for i < j, fails the check."""
+    alg = fresh_copy(ring_zn(4))
+    assert verify.verify_algebra(alg).ok
+    lattice = con_lattice(alg)
+    i, j = sorted((lattice.top_index, *lattice.atoms()))
+    _plant_commutator(monkeypatch, alg, j, i, lattice.bottom_index, both=False)
+    assert "matrix-subalgebra-cross-check" in _failed(verify._suite_commutator_axioms, alg)
 
 
 def test_commutator_cell_breaks_adjunction_and_coprime_transfer(monkeypatch, alg):
@@ -189,7 +202,7 @@ def test_lambda_and_star_catch_one_lambda_value(monkeypatch, alg):
     retic = build_reticulation(alg)
     lam = list(retic._lambda_by_con)
     lam[a1] = retic.lattice.top_index
-    planted = dataclasses.replace(retic, _lambda_by_con=tuple(lam))
+    planted = replace(retic, _lambda_by_con=tuple(lam))
     real = verify.build_reticulation
     monkeypatch.setattr(
         verify, "build_reticulation", lambda a: planted if a is alg else real(a)
@@ -272,7 +285,7 @@ def test_star_and_ideal_transfer_catch_one_flipped_id_blp(monkeypatch, alg):
     def planted(lattice, ideal):
         report = real(lattice, ideal)
         if lattice is retic.lattice and ideal.generator == g:
-            return dataclasses.replace(report, lifts=not report.lifts)
+            return replace(report, lifts=not report.lifts)
         return report
 
     monkeypatch.setattr(verify, "has_id_blp", planted)

@@ -17,7 +17,9 @@ measurement is reused by the next:
   ``con_s + surrogates_s``, and the sum of all steps is ``verify_s``, the
   time of one ``verify_algebra`` call.  ``delta_closures`` is the number
   of Delta_{gamma,beta} closures that Con(A) has stored by then, the work
-  count of the commutator layer.
+  count of the commutator layer.  Before any step it imports the package
+  (``import_s``): the start-up cost that every fresh process pays, counted
+  in none of the other times.
 
 Suites that ``verify_algebra`` skips on an exploratory algebra are not run.
 The table goes to standard output; ``--json PATH`` also writes the numbers,
@@ -66,6 +68,8 @@ def _timed(fn):
 def child(name: str, label: str) -> dict:
     """Run in a fresh interpreter: one suite alone, or (label "-") every
     step of ``verify_algebra`` in order."""
+    # the package imports every module, so this is the whole library import
+    _, import_s = _timed(lambda: __import__("congruence_lab"))
     from congruence_lab.commutator import surrogate_checks
     from congruence_lab.congruences import con_lattice
     from congruence_lab.verify import BASIC_SUITES, SUITES
@@ -74,6 +78,7 @@ def child(name: str, label: str) -> dict:
     lattice, con_s = _timed(lambda: con_lattice(alg))
     surrogate, surrogate_s = _timed(lambda: surrogate_checks(alg))
     out = {
+        "import_s": import_s,
         "con_size": len(lattice),
         "con_s": con_s,
         "surrogates_s": surrogate_s,
@@ -134,6 +139,7 @@ def measure(name: str) -> dict:
         }
     total = sequence["setup_s"] + sum(s["seconds"] for s in sequence["suites"].values())
     return {
+        "import_s": round(sequence["import_s"], 3),
         "con_size": sequence["con_size"],
         "con_s": round(sequence["con_s"], 3),
         "surrogates_s": round(sequence["surrogates_s"], 3),
@@ -160,7 +166,8 @@ def main(argv=None) -> int:
     for name in args.names:
         record = results[name] = measure(name)
         print(
-            f"{name}: |Con| = {record['con_size']}, setup {record['setup_s']:.2f} s "
+            f"{name}: |Con| = {record['con_size']}, import {record['import_s']:.3f} s, "
+            f"setup {record['setup_s']:.2f} s "
             f"(Con(A) {record['con_s']:.2f} s, surrogates {record['surrogates_s']:.2f} s), "
             f"verify {record['verify_s']:.2f} s, {record['delta_closures']} Delta closures"
         )
