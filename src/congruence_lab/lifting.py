@@ -37,13 +37,7 @@ from .congruences import (
     projection,
     stored,
 )
-from .errors import (
-    Falsified,
-    HypothesisNotMet,
-    NoCBLP,
-    NotOrthogonal,
-    SizeBudgetExceeded,
-)
+from .errors import Falsified, HypothesisNotMet, NoCBLP, NotOrthogonal
 from .lattices import FiniteLattice, LatticeIdeal, lattice_center, quotient_by_ideal
 from .spectrum import brute_force_clopens, is_hyperarchimedean, radical_index, spectrum_index
 
@@ -78,8 +72,6 @@ __all__ = [
     "ring_idempotents",
     "ring_idempotent_lifting",
 ]
-
-FAMILY_CAP = 100_000  # orthogonal families enumerated on one quotient center
 
 
 def _indices(alg: FiniteAlgebra, *congruences: Congruence) -> tuple:
@@ -770,42 +762,19 @@ def lift_orthogonal_index(lattice: CongruenceLattice, t: int, family) -> list[in
 
 class OrthogonalReport:
     __slots__ = (
-        "algebra", "theta", "families_checked", "unique_lifts", "lifts_orthogonal",
-        "atoms_lift_to_atoms", "difference_lemma",
+        "algebra", "theta", "unique_lifts", "lifts_orthogonal", "atoms_lift_to_atoms",
+        "difference_lemma",
     )
 
     def __init__(
-        self, algebra, theta, families_checked, unique_lifts, lifts_orthogonal, atoms_lift_to_atoms,
-        difference_lemma,
+        self, algebra, theta, unique_lifts, lifts_orthogonal, atoms_lift_to_atoms, difference_lemma
     ):
         self.algebra = algebra
         self.theta = theta
-        self.families_checked = families_checked
         self.unique_lifts = unique_lifts
         self.lifts_orthogonal = lifts_orthogonal
         self.atoms_lift_to_atoms = atoms_lift_to_atoms  # None when theta lacks CBLP
         self.difference_lemma = difference_lemma
-
-
-def _orthogonal_families(lattice: CongruenceLattice, elements) -> list[tuple]:
-    """All orthogonal subsets of a Boolean center (pairwise meet = bottom),
-    on Con(A/theta); the one past FAMILY_CAP raises SizeBudgetExceeded."""
-    bottom, meet = lattice.bottom_index, lattice.meet_table
-    families: list[tuple] = []
-    # depth first, each family before its extensions by later elements
-    stack = [(0, ())]
-    while stack:
-        start, chosen = stack.pop()
-        if len(families) == FAMILY_CAP:
-            raise SizeBudgetExceeded(
-                f"orthogonal families on the center of A/theta exceed the cap of {FAMILY_CAP}"
-            )
-        families.append(chosen)
-        for k in reversed(range(start, len(elements))):
-            e = elements[k]
-            if all(meet[e][c] == bottom for c in chosen):
-                stack.append((k + 1, chosen + (e,)))
-    return families
 
 
 def orthogonal_uniqueness_and_atoms(alg: FiniteAlgebra, theta: Congruence) -> OrthogonalReport:
@@ -814,7 +783,9 @@ def orthogonal_uniqueness_and_atoms(alg: FiniteAlgebra, theta: Congruence) -> Or
 
     Uniqueness reduces to the center map of the projection having singleton
     fibers on B(Con(A)), which is itself a consequence of the difference
-    lemma checked here.
+    lemma checked here.  Orthogonality is a condition on pairs, and every
+    orthogonal pair is a family, so the liftable orthogonal pairs decide it
+    for every liftable family.
     """
     return OrthogonalReport(alg, theta, *orthogonal_index(*_indices(alg, theta)))
 
@@ -845,15 +816,15 @@ def orthogonal_index(lattice: CongruenceLattice, t: int) -> tuple:
         fibers.setdefault(projection_image_index(lattice, t, a), []).append(a)
     unique = all(len(v) == 1 for v in fibers.values())
 
-    families = _orthogonal_families(projection(lattice, t).lattice, qmembers)
-    table = commutator_table(lattice)
-    lifts_orthogonal = True
-    for family in families:
-        if any(k not in fibers for k in family):
-            continue  # not liftable; outside the theorem's hypothesis
-        for x, y in combinations([fibers[k][0] for k in family], 2):
-            if meet[x][y] != bottom or table[x][y] != bottom:
-                lifts_orthogonal = False
+    # each liftable orthogonal pair of the quotient center, by the first
+    # member of each fiber; unliftable members are outside the hypothesis
+    qlattice, table = projection(lattice, t).lattice, commutator_table(lattice)
+    lift = {k: v[0] for k, v in fibers.items()}
+    lifts_orthogonal = all(
+        meet[lift[k1]][lift[k2]] == bottom and table[lift[k1]][lift[k2]] == bottom
+        for k1, k2 in combinations([k for k in qmembers if k in lift], 2)
+        if qlattice.meet_table[k1][k2] == qlattice.bottom_index
+    )
 
     atoms_ok: bool | None = None
     if cblp_index(lattice, t)[0]:
@@ -863,7 +834,7 @@ def orthogonal_index(lattice: CongruenceLattice, t: int) -> tuple:
                 if not set(lift_orthogonal_index(lattice, t, chosen)) <= set(atoms):
                     atoms_ok = False
 
-    return len(families), unique, lifts_orthogonal, atoms_ok, lemma
+    return unique, lifts_orthogonal, atoms_ok, lemma
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ the join, meet and order tables into locals, read the commutator off
 ``commutator_table``, the one stored table of Con(A) (of Con(A/theta) for
 the quotient checks), and compare whole rows, or int bitsets of down-sets,
 instead of calling a lattice method per element.  The lifting suite reads
-per-theta lists in the same way: the CBLP verdicts, the radicals, the
-regular congruences, the trivial quotient centers and the Id-BLP verdict of
-each ideal (g] of the reticulation are computed once, and the transfer
-checks compare entries of them.  The commutator identities
+per-theta lists in the same way: the CBLP results with their witnesses,
+the radicals, the regular congruences, the trivial quotient centers and the
+Id-BLP verdict of each ideal (g] of the reticulation are computed once, and
+the checks compare entries of them.  The commutator identities
 over triples that go through quotient algebras stay capped at TRIPLE_CAP
 congruences, and the matrix and brute-force oracles at their universe
 sizes, as before.  The caps match the sizes the suites are specified at and
@@ -65,7 +65,6 @@ from .lifting import (
     diamond_star_commute_index,
     has_id_blp,
     hyperarchimedean_cblp,
-    lift_orthogonal_index,
     orthogonal_index,
     projection_image_index,
     quotient_cblp_descent_index,
@@ -689,24 +688,39 @@ def _suite_lifting(alg):
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
     table = commutator_table(lattice)
 
-    # the per-theta lists that the transfer checks read, each computed once
-    verdicts = [cblp_index(lattice, t)[0] for t in range(size)]
+    # the per-theta lists that the checks read, each computed once
+    results = [cblp_index(lattice, t) for t in range(size)]
+    verdicts = [cblp for cblp, _, _ in results]
     rho = [radical_index(lattice, i) for i in range(size)]
     regular = [diamond_index(lattice, c) == c for c in range(size)]
     trivial_center = [len(quotient_center_index(lattice, c)[0]) <= 2 for c in range(size)]
     id_lifts = [has_id_blp(rl, ideal).lifts for ideal in all_ideals(rl)]  # of (g], by g
-    yield Check("cblp-decided-everywhere", True, f"{sum(verdicts)}/{size} lift")
 
-    # the projection's center map really is a Boolean morphism: images of
-    # complemented congruences are complemented, complements go to
-    # complements, and (for small centers) joins and meets are preserved
+    # one pass over theta for the first two checks.  Every verdict carries
+    # its certificate: the witnesses lift the members of the quotient center
+    # in order, each by a complemented congruence projecting onto it, and a
+    # false verdict's unliftable member comes next and is the image of no
+    # complemented congruence.  The projection's center map really is a
+    # Boolean morphism: images of complemented congruences are complemented,
+    # complements go to complements, and (for small centers) joins and
+    # meets are preserved.
     members, complement, _ = center_index(lattice)
+    certified_ok = True
     morphism_ok = True
     for t in range(size):
-        qmember = set(quotient_center_index(lattice, t)[0])
+        qmembers = quotient_center_index(lattice, t)[0]
         qlattice = projection(lattice, t).lattice
         images = {a: projection_image_index(lattice, t, a) for a in members}
-        if not qmember.issuperset(images.values()):
+        cblp, witnesses, unliftable = results[t]
+        listed = tuple(k for k, _ in witnesses) + (() if cblp else (unliftable,))
+        if (
+            any(images.get(a) != k for k, a in witnesses)
+            or qmembers[: len(listed)] != listed
+            or (cblp and (len(listed) < len(qmembers) or unliftable is not None))
+            or unliftable in images.values()
+        ):
+            certified_ok = False
+        if not set(qmembers).issuperset(images.values()):
             morphism_ok = False
         for a in members:
             x, nx = images[a], images[complement[a]]
@@ -722,6 +736,7 @@ def _suite_lifting(alg):
                         morphism_ok = False
                     if images[meet[a][b]] != qlattice.meet_index(images[a], images[b]):
                         morphism_ok = False
+    yield Check("cblp-decided-everywhere", certified_ok, f"{sum(verdicts)}/{size} lift")
     yield Check("projection-center-morphism", morphism_ok)
 
     yield Check("radical-invariance", all(verdicts[t] == verdicts[rho[t]] for t in range(size)))
@@ -818,17 +833,12 @@ def _suite_orthogonal(alg):
     for t in range(len(lattice)):
         if not lattice.leq[t][rad]:
             continue
-        _, unique, lifts_orthogonal, atoms, lemma = orthogonal_index(lattice, t)
+        unique, lifts_orthogonal, atoms, lemma = orthogonal_index(lattice, t)
         lemma_ok = lemma_ok and lemma
         unique_ok = unique_ok and unique
         ortho_ok = ortho_ok and lifts_orthogonal
         if atoms is False:
             atoms_ok = False
-        if cblp_index(lattice, t)[0]:
-            maximal_family = quotient_center_index(lattice, t)[2]  # the atoms
-            lifted = lift_orthogonal_index(lattice, t, maximal_family)
-            if tuple(projection_image_index(lattice, t, a) for a in lifted) != maximal_family:
-                ortho_ok = False
     yield Check("orthogonal-difference-lemma", lemma_ok)
     yield Check("orthogonal-lift-unique", unique_ok)
     yield Check("orthogonal-lift-orthogonal", ortho_ok)

@@ -198,25 +198,6 @@ def test_projection_image_routes_check_each_other():
             projection_image_index(lattice, t, a)
 
 
-def test_orthogonal_family_cap_stops_the_enumeration(monkeypatch):
-    """The enumeration raises on the first family past FAMILY_CAP, naming
-    the quantity and the cap: C_5 has 104 orthogonal families on the center
-    of C_5/Delta, its own Boolean Con."""
-    from congruence_lab import SizeBudgetExceeded, lifting
-
-    alg = chain_lattice(5)
-    lattice = con_lattice(alg)
-    members = lifting.center_index(lattice)[0]
-    monkeypatch.setattr(lifting, "FAMILY_CAP", 104)
-    assert len(lifting._orthogonal_families(lattice, members)) == 104
-    monkeypatch.setattr(lifting, "FAMILY_CAP", 103)
-    message = "orthogonal families on the center of A/theta exceed the cap of 103"
-    with pytest.raises(SizeBudgetExceeded, match=message):
-        lifting._orthogonal_families(lattice, members)
-    with pytest.raises(SizeBudgetExceeded, match=message):
-        orthogonal_uniqueness_and_atoms(alg, delta(alg))
-
-
 # ---------------------------------------------------------------------------
 # CBLP
 
@@ -492,7 +473,6 @@ def test_orthogonal_uniqueness_and_atoms_z12(z12):
     assert report.lifts_orthogonal
     assert report.atoms_lift_to_atoms is True
     assert report.difference_lemma
-    assert report.families_checked >= 4
 
 
 def test_orthogonal_uniqueness_identity_case(z12):
@@ -512,6 +492,15 @@ def test_orthogonal_report_on_pentagon():
     report = orthogonal_uniqueness_and_atoms(n5, spectrum(n5).rad)
     assert report.atoms_lift_to_atoms is None
     assert report.unique_lifts and report.difference_lemma
+
+
+def test_orthogonal_report_on_c10_under_the_default_caps():
+    """Con(C_10) is the Boolean lattice of 512 congruences; its 231,950
+    orthogonal families are decided by their pairs, under no cap."""
+    alg = chain_lattice(10)
+    report = orthogonal_uniqueness_and_atoms(alg, delta(alg))
+    assert report.unique_lifts and report.lifts_orthogonal and report.difference_lemma
+    assert report.atoms_lift_to_atoms is True
 
 
 def test_no_complemented_congruence_below_rad_z12(z12):
@@ -760,23 +749,3 @@ def test_stored_results_are_index_level(alg):
                 assert all(type(arg) in (int, bool) for arg in key), (name, key)
                 assert not isinstance(value, Congruence), name
                 assert not hasattr(value, "algebra"), name
-
-
-def test_orthogonal_families_leave_no_cyclic_garbage():
-    """The family enumeration builds no reference cycle, so what it
-    allocates is freed when the call returns, not at the next collection."""
-    import gc
-
-    from congruence_lab.lifting import _orthogonal_families, center_index
-
-    lattice = con_lattice(boolean_lattice(3))
-    members = center_index(lattice)[0]
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()  # an automatic collection would hide a cycle
-    try:
-        assert _orthogonal_families(lattice, members)
-        assert gc.collect() == 0
-    finally:
-        if enabled:
-            gc.enable()

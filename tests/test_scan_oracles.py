@@ -36,16 +36,20 @@
   join-irreducibles from the stored row of alpha;
 * ``congruences._join_blocks``: both block arrays merged in a partition and
   relabelled by least elements, against one union-find whose roots are the
-  least elements of their classes.
+  least elements of their classes;
+* ``orthogonal_index``'s ``lifts_orthogonal``: every orthogonal family of the
+  quotient center, enumerated depth first, with the lifts of each liftable
+  family tested pairwise, against the liftable orthogonal pairs alone.
 """
 
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import NotALattice, SizeBudgetExceeded
+from congruence_lab import NotALattice, SizeBudgetExceeded, lifting
 from congruence_lab.algebra import load_algebra, product
 from congruence_lab.builders import boolean_lattice, chain_lattice, ring_zn, standard_corpus
 from congruence_lab.commutator import (
@@ -65,20 +69,27 @@ from congruence_lab.congruences import (
     _meet_blocks,
     all_congruences,
     con_lattice,
+    projection,
 )
 from congruence_lab.lattices import FiniteLattice, all_ideals, is_prime_ideal, lattice_from_leq
 from congruence_lab.lifting import (
     _coprime_pairs,
     boolean_center_of_congruences,
     cblp_characterization,
+    center_index,
     is_b_normal,
+    orthogonal_index,
+    projection_image_index,
+    quotient_center_index,
 )
 from congruence_lab.reticulation import build_reticulation
-from congruence_lab.spectrum import radical_index
+from congruence_lab.spectrum import radical_index, spectrum_index
 from congruence_lab.verify import _radical_frame_ok
 
+from conftest import fresh_copy
 from test_commutator import associative_algebras
 from test_congruences import random_algebras
+from test_verify_faults import _plant_commutator
 
 
 def cubic_is_distributive(lattice: FiniteLattice) -> bool:
@@ -650,15 +661,14 @@ def scan_residuation(lattice, i, j) -> int:
     return lattice.join_many(g for g, c in enumerate(commutator_table(lattice)[i]) if leq[c][j])
 
 
-@pytest.mark.parametrize(
-    "alg",
-    [
-        alg
-        for alg in (load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES)
-        if surrogate_checks(alg).ok
-    ],
-    ids=lambda alg: alg.name,
-)
+THEORY_CORPUS = [
+    alg
+    for alg in (load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES)
+    if surrogate_checks(alg).ok
+]
+
+
+@pytest.mark.parametrize("alg", THEORY_CORPUS, ids=lambda alg: alg.name)
 def test_residuation_matches_the_full_scan(alg):
     """On a cold Con(A), so the rows are filled by the residuation queries
     themselves; the scan reads a Con(A) of its own."""
@@ -667,3 +677,62 @@ def test_residuation_matches_the_full_scan(alg):
     for i in range(size):
         for j in range(size):
             assert residuation_index(lattice, i, j) == scan_residuation(oracle, i, j)
+
+
+def orthogonal_families(lattice, elements) -> list[tuple]:
+    """Every orthogonal subset (pairwise meet the bottom) of the given
+    members of Con(A/theta), depth first, each family before its extensions
+    by later elements."""
+    bottom, meet = lattice.bottom_index, lattice.meet_table
+    families = []
+    stack = [(0, ())]
+    while stack:
+        start, chosen = stack.pop()
+        families.append(chosen)
+        for k in reversed(range(start, len(elements))):
+            e = elements[k]
+            if all(meet[e][c] == bottom for c in chosen):
+                stack.append((k + 1, chosen + (e,)))
+    return families
+
+
+def family_lifts_orthogonal(lattice, t) -> bool:
+    """Whether the lifts of every liftable orthogonal family of the quotient
+    center are pairwise orthogonal, family by family; the commutator is read
+    through ``lifting.commutator_table``, as ``orthogonal_index`` reads it."""
+    fibers = {}
+    for a in center_index(lattice)[0]:
+        fibers.setdefault(projection_image_index(lattice, t, a), []).append(a)
+    qmembers = quotient_center_index(lattice, t)[0]
+    table = lifting.commutator_table(lattice)
+    meet, bottom = lattice.meet_table, lattice.bottom_index
+    ok = True
+    for family in orthogonal_families(projection(lattice, t).lattice, qmembers):
+        if any(k not in fibers for k in family):
+            continue
+        for x, y in combinations([fibers[k][0] for k in family], 2):
+            if meet[x][y] != bottom or table[x][y] != bottom:
+                ok = False
+    return ok
+
+
+@pytest.mark.parametrize("alg", THEORY_CORPUS + [boolean_lattice(4)], ids=lambda alg: alg.name)
+def test_orthogonal_pairs_match_the_family_loop(alg):
+    lattice = con_lattice(alg)
+    rad = spectrum_index(lattice, False)[2]
+    for t in range(len(lattice)):
+        if lattice.leq[t][rad]:
+            assert orthogonal_index(lattice, t)[1] == family_lifts_orthogonal(lattice, t)
+
+
+def test_orthogonal_pairs_and_families_catch_one_commutator(monkeypatch):
+    """[a1, a2] read as a1 on Con(C_5), the Boolean lattice of 16: the lifts
+    of the atoms a1 and a2 at Delta are no longer orthogonal."""
+    alg = fresh_copy(chain_lattice(5))
+    lattice = con_lattice(alg)
+    bottom = lattice.bottom_index
+    assert orthogonal_index(lattice, bottom)[1] and family_lifts_orthogonal(lattice, bottom)
+    a1, a2 = lattice.atoms()[:2]
+    _plant_commutator(monkeypatch, alg, a1, a2, a1, module=lifting)
+    assert orthogonal_index(lattice, bottom)[1] is False
+    assert family_lifts_orthogonal(lattice, bottom) is False

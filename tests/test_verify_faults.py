@@ -14,7 +14,7 @@ import importlib
 
 import pytest
 
-from congruence_lab import verify
+from congruence_lab import lifting, verify
 from congruence_lab.builders import chain_lattice, ring_zn
 from congruence_lab.congruences import con_lattice
 from congruence_lab.reticulation import build_reticulation
@@ -60,19 +60,22 @@ def _plant_lattice(monkeypatch, alg, **fields) -> None:
     )
 
 
-def _plant_commutator(monkeypatch, alg, i: int, j: int, value: int, both: bool = True) -> None:
-    """verify reads [i, j] = value in the commutator table of Con(alg), and
-    [j, i] = value too unless ``both`` is false."""
+def _plant_commutator(
+    monkeypatch, alg, i: int, j: int, value: int, both: bool = True, module=verify
+) -> None:
+    """``module`` (verify unless given) reads [i, j] = value in the
+    commutator table of Con(alg), and [j, i] = value too unless ``both`` is
+    false."""
     lattice = con_lattice(alg)
-    rows = [list(row) for row in verify.commutator_table(lattice)]
+    rows = [list(row) for row in module.commutator_table(lattice)]
     assert rows[i][j] != value
     rows[i][j] = value
     if both:
         rows[j][i] = value
     planted = tuple(map(tuple, rows))
-    real = verify.commutator_table
+    real = module.commutator_table
     monkeypatch.setattr(
-        verify, "commutator_table", lambda lat: planted if lat is lattice else real(lat)
+        module, "commutator_table", lambda lat: planted if lat is lattice else real(lat)
     )
 
 
@@ -250,6 +253,9 @@ def _z8():
 @pytest.mark.parametrize(
     "check, planted_at",
     [
+        # the flipped verdict no longer matches its witnesses
+        ("cblp-decided-everywhere", "a1"),
+        ("cblp-decided-everywhere", "z8-bottom"),
         # Z_8: bottom is not radical, so its verdict differs from rho's
         ("radical-invariance", "z8-bottom"),
         # C_5: reticulation ideal lambda(a1) still lifts
@@ -292,6 +298,14 @@ def test_star_and_ideal_transfer_catch_one_flipped_id_blp(monkeypatch, alg):
     failed = _failed(verify._suite_lifting, alg)
     assert {"star-transfer", "ideal-transfer"} <= failed
     assert "radical-invariance" not in failed
+
+
+def test_orthogonal_lifts_catch_one_commutator(monkeypatch, alg):
+    # [a1, a2] read as a1 by the lifting module: the atoms a1 and a2 of the
+    # quotient center at Delta lift to themselves, now not orthogonal
+    _, _, a1, a2, _ = _elements(alg)
+    _plant_commutator(monkeypatch, alg, a1, a2, a1, module=lifting)
+    assert _failed(verify._suite_orthogonal, alg) == {"orthogonal-lift-orthogonal"}
 
 
 def test_clopen_completeness_catches_a_missing_clopen(monkeypatch, alg):

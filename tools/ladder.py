@@ -4,9 +4,9 @@ Usage, from the root of a source checkout::
 
     python tools/ladder.py [NAME ...] [--json PATH]
 
-NAME is one of C_9, B_4, Z_30 and Z_2xZ_9; the default is all four.  For
-each algebra the script starts fresh interpreters, so nothing stored by one
-measurement is reused by the next:
+NAME is one of C_9, C_10, B_4, Z_30 and Z_2xZ_9; the default is all five.
+For each algebra the script starts fresh interpreters, so nothing stored by
+one measurement is reused by the next:
 
 * one per ``verify.SUITES`` entry: it builds Con(A) and the hypothesis
   surrogates (``setup_s``), then times that suite alone (``alone_s``) and
@@ -19,7 +19,9 @@ measurement is reused by the next:
   of Delta_{gamma,beta} closures that Con(A) has stored by then, the work
   count of the commutator layer.  Before any step it imports the package
   (``import_s``): the start-up cost that every fresh process pays, counted
-  in none of the other times.
+  in none of the other times.  The sources are byte-compiled before the
+  first measurement and the children run without
+  ``PYTHONDONTWRITEBYTECODE``, so ``import_s`` counts no compilation.
 
 Suites that ``verify_algebra`` skips on an exploratory algebra are not run.
 The table goes to standard output; ``--json PATH`` also writes the numbers,
@@ -31,7 +33,9 @@ cannot tell).
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -41,7 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-LADDER = ("C_9", "B_4", "Z_30", "Z_2xZ_9")
+LADDER = ("C_9", "C_10", "B_4", "Z_30", "Z_2xZ_9")
 
 
 def build(name: str):
@@ -50,6 +54,7 @@ def build(name: str):
 
     builders = {
         "C_9": lambda: chain_lattice(9),
+        "C_10": lambda: chain_lattice(10),
         "B_4": lambda: boolean_lattice(4),
         "Z_30": lambda: ring_zn(30),
         "Z_2xZ_9": lambda: product(ring_zn(2), ring_zn(9)),
@@ -116,12 +121,15 @@ def tree() -> dict:
 def measure(name: str) -> dict:
     from congruence_lab.verify import SUITES
 
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
     def run(label: str) -> dict:
         proc = subprocess.run(
             [sys.executable, __file__, "--child", name, label],
             check=True,
             capture_output=True,
             text=True,
+            env=env,
         )
         return json.loads(proc.stdout)
 
@@ -161,6 +169,7 @@ def main(argv=None) -> int:
         return 0
     for name in args.names:
         build(name)  # reject unknown names before any measurement
+    compileall.compile_dir(ROOT / "src", quiet=1)
     checkout = tree()  # the tree as it was when the measurements started
     results = {}
     for name in args.names:
