@@ -21,6 +21,13 @@ transfers) have no core: each public function reads the stored verdicts of
 ``cblp_index`` itself, and ``verify`` checks them over whole lists of those
 verdicts.  The quotient A/theta, chi/theta and the section back into
 [theta) are read from the index maps of ``congruences.projection``.
+
+B(p_theta) is one stored row per theta, ``center_map_index``: the image in
+Con(A/theta) of each complemented congruence, in center order, from the
+unstored single-alpha core ``projection_image_index``, which cross-checks
+the projected join against the generated image.  CBLP and its witnesses,
+the fibers of orthogonal lifting, the Rad-injectivity test and ``verify``'s
+certificate and morphism checks all read that row.
 """
 
 from __future__ import annotations
@@ -175,6 +182,12 @@ def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -
 
 
 @stored
+def center_map_index(lattice: CongruenceLattice, t: int) -> tuple[int, ...]:
+    """B(p_theta) as one row: ``projection_image_index`` of each member of
+    ``center_index``, in center order."""
+    return tuple(projection_image_index(lattice, t, a) for a in center_index(lattice)[0])
+
+
 def projection_image_index(lattice: CongruenceLattice, t: int, a: int) -> int:
     """(alpha v theta)/theta as an index of Con(A/theta).
 
@@ -335,7 +348,7 @@ def cblp_index(lattice: CongruenceLattice, t: int) -> tuple[bool, tuple, int | N
     first k with no lift, or None."""
     targets = quotient_center_index(lattice, t)[0]
     members = center_index(lattice)[0]
-    images = [projection_image_index(lattice, t, a) for a in members]
+    images = center_map_index(lattice, t)
     witnesses = []
     for k in targets:
         if k not in images:
@@ -439,10 +452,11 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
     require_theory(alg)
     lattice = con_lattice(alg)
     _, maximals, rad, _ = spectrum_index(lattice, False)
-    clopens = {tuple(sorted(u)) for u in brute_force_clopens(alg)}
+    # each image as an int bitset of the maximal congruences, by position
+    clopens = {sum(1 << k for k in u) for u in brute_force_clopens(alg)}
 
-    def g_image(i: int) -> tuple[int, ...]:
-        return tuple(k for k, m in enumerate(maximals) if not lattice.leq[i][m])
+    def g_image(i: int) -> int:
+        return sum(1 << k for k, m in enumerate(maximals) if not lattice.leq[i][m])
 
     members = center_index(lattice)[0]
     g_values = [g_image(a) for a in members]
@@ -463,15 +477,13 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
         return False
     # join/meet preservation for f on the quotient center
     qjoin, qmeet = p.lattice.join_table, p.lattice.meet_table
-    for k1 in f_values:
-        for k2 in f_values:
-            if set(f_values[qjoin[k1][k2]]) != set(f_values[k1]) | set(f_values[k2]):
-                return False
-            if set(f_values[qmeet[k1][k2]]) != set(f_values[k1]) & set(f_values[k2]):
+    for k1, u1 in f_values.items():
+        for k2, u2 in f_values.items():
+            if f_values[qjoin[k1][k2]] != u1 | u2 or f_values[qmeet[k1][k2]] != u1 & u2:
                 return False
 
     # injectivity of the center map of the Rad projection
-    rad_images = [projection_image_index(lattice, rad, a) for a in members]
+    rad_images = center_map_index(lattice, rad)
     if len(set(rad_images)) != len(rad_images):
         return False
 
@@ -798,41 +810,37 @@ def orthogonal_index(lattice: CongruenceLattice, t: int) -> tuple:
     qmembers, _, qatoms = quotient_center_index(lattice, t)
     leq, meet, bottom = lattice.leq, lattice.meet_table, lattice.bottom_index
 
-    # difference lemma: complemented alpha below Rad(A) is the bottom, and
-    # alpha - beta below Rad(A) forces alpha <= beta (applying this in both
-    # orders is what gives the uniqueness of lifts)
-    lemma = True
-    for a in members:
-        if leq[a][rad] and a != bottom:
-            lemma = False
-    for a in members:
-        for b in members:
-            if leq[meet[a][complement[b]]][rad] and not leq[a][b]:
-                lemma = False
+    # difference lemma: alpha - beta below Rad(A) forces alpha <= beta, which
+    # in both orders gives the uniqueness of lifts; at beta = bottom, whose
+    # complement is nabla, it says a complemented alpha below Rad(A) is bottom
+    lemma = all(
+        leq[a][b] or not leq[meet[a][complement[b]]][rad] for a in members for b in members
+    )
 
-    # fibers of the projection on the center
-    fibers: dict[int, list[int]] = {}
-    for a in members:
-        fibers.setdefault(projection_image_index(lattice, t, a), []).append(a)
-    unique = all(len(v) == 1 for v in fibers.values())
+    # the first member of each fiber of the center map; unliftable members
+    # of the quotient center are outside the hypothesis
+    lift: dict[int, int] = {}
+    for a, k in zip(members, center_map_index(lattice, t)):
+        lift.setdefault(k, a)
+    unique = len(lift) == len(members)
 
-    # each liftable orthogonal pair of the quotient center, by the first
-    # member of each fiber; unliftable members are outside the hypothesis
+    # each liftable orthogonal pair of the quotient center
     qlattice, table = projection(lattice, t).lattice, commutator_table(lattice)
-    lift = {k: v[0] for k, v in fibers.items()}
     lifts_orthogonal = all(
         meet[lift[k1]][lift[k2]] == bottom and table[lift[k1]][lift[k2]] == bottom
         for k1, k2 in combinations([k for k in qmembers if k in lift], 2)
         if qlattice.meet_table[k1][k2] == qlattice.bottom_index
     )
 
+    # a singleton {k} lifts to its witness; when every witness is an atom,
+    # each disjointed lift of a subfamily lies below its witness and is not
+    # the bottom, so it is that atom, and the whole family decides them all
     atoms_ok: bool | None = None
-    if cblp_index(lattice, t)[0]:
-        atoms_ok = True
-        for r in range(len(qatoms) + 1):
-            for chosen in combinations(qatoms, r):
-                if not set(lift_orthogonal_index(lattice, t, chosen)) <= set(atoms):
-                    atoms_ok = False
+    cblp, witnesses, _ = cblp_index(lattice, t)
+    if cblp:
+        lifted = lift_orthogonal_index(lattice, t, qatoms)
+        witness = dict(witnesses)
+        atoms_ok = all(x in atoms for x in lifted) and all(witness[k] in atoms for k in qatoms)
 
     return unique, lifts_orthogonal, atoms_ok, lemma
 

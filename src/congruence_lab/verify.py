@@ -61,12 +61,12 @@ from .lifting import (
     cblp_characterization_index,
     cblp_index,
     center_index,
+    center_map_index,
     diamond_index,
     diamond_star_commute_index,
     has_id_blp,
     hyperarchimedean_cblp,
     orthogonal_index,
-    projection_image_index,
     quotient_cblp_descent_index,
     quotient_center_index,
     rad_cblp_criterion,
@@ -705,36 +705,37 @@ def _suite_lifting(alg):
     # complements go to complements, and (for small centers) joins and
     # meets are preserved.
     members, complement, _ = center_index(lattice)
+    position = {a: i for i, a in enumerate(members)}  # a's cell in each row
     certified_ok = True
     morphism_ok = True
     for t in range(size):
         qmembers = quotient_center_index(lattice, t)[0]
         qlattice = projection(lattice, t).lattice
-        images = {a: projection_image_index(lattice, t, a) for a in members}
+        row = center_map_index(lattice, t)
         cblp, witnesses, unliftable = results[t]
         listed = tuple(k for k, _ in witnesses) + (() if cblp else (unliftable,))
         if (
-            any(images.get(a) != k for k, a in witnesses)
+            not all(a in position and row[position[a]] == k for k, a in witnesses)
             or qmembers[: len(listed)] != listed
             or (cblp and (len(listed) < len(qmembers) or unliftable is not None))
-            or unliftable in images.values()
+            or unliftable in row
         ):
             certified_ok = False
-        if not set(qmembers).issuperset(images.values()):
+        if not set(qmembers).issuperset(row):
             morphism_ok = False
-        for a in members:
-            x, nx = images[a], images[complement[a]]
+        for a, x in zip(members, row):
+            nx = row[position[complement[a]]]
             if (
                 qlattice.join_index(x, nx) != qlattice.top_index
                 or qlattice.meet_index(x, nx) != qlattice.bottom_index
             ):
                 morphism_ok = False
         if len(members) <= 16:
-            for a in members:
-                for b in members:
-                    if images[join[a][b]] != qlattice.join_index(images[a], images[b]):
+            for a, x in zip(members, row):
+                for b, y in zip(members, row):
+                    if row[position[join[a][b]]] != qlattice.join_index(x, y):
                         morphism_ok = False
-                    if images[meet[a][b]] != qlattice.meet_index(images[a], images[b]):
+                    if row[position[meet[a][b]]] != qlattice.meet_index(x, y):
                         morphism_ok = False
     yield Check("cblp-decided-everywhere", certified_ok, f"{sum(verdicts)}/{size} lift")
     yield Check("projection-center-morphism", morphism_ok)
@@ -826,23 +827,13 @@ def _suite_lifting(alg):
 def _suite_orthogonal(alg):
     lattice = con_lattice(alg)
     rad = spectrum_index(lattice, False)[2]
-    ortho_ok = True
-    unique_ok = True
-    atoms_ok = True
-    lemma_ok = True
-    for t in range(len(lattice)):
-        if not lattice.leq[t][rad]:
-            continue
-        unique, lifts_orthogonal, atoms, lemma = orthogonal_index(lattice, t)
-        lemma_ok = lemma_ok and lemma
-        unique_ok = unique_ok and unique
-        ortho_ok = ortho_ok and lifts_orthogonal
-        if atoms is False:
-            atoms_ok = False
-    yield Check("orthogonal-difference-lemma", lemma_ok)
-    yield Check("orthogonal-lift-unique", unique_ok)
-    yield Check("orthogonal-lift-orthogonal", ortho_ok)
-    yield Check("atom-families-lift-to-atoms", atoms_ok)
+    # (unique, lifts orthogonal, atoms to atoms, lemma) for each theta below
+    # Rad(A); the atom verdict is None where theta lacks CBLP
+    found = [orthogonal_index(lattice, t) for t in range(len(lattice)) if lattice.leq[t][rad]]
+    yield Check("orthogonal-difference-lemma", all(lemma for *_, lemma in found))
+    yield Check("orthogonal-lift-unique", all(unique for unique, *_ in found))
+    yield Check("orthogonal-lift-orthogonal", all(ortho for _, ortho, *_ in found))
+    yield Check("atom-families-lift-to-atoms", all(atoms is not False for *_, atoms, _ in found))
 
 
 def _suite_ring_oracles(alg):

@@ -728,6 +728,22 @@ def test_theory_gate_names_the_callers_algebra():
             call()
 
 
+def test_center_map_is_one_stored_row_per_theta():
+    """After a verify run, Con(A) holds B(p_theta) as one center-map row per
+    theta, with one cell per complemented congruence, and no image stored
+    per (theta, alpha)."""
+    from congruence_lab.lifting import center_index
+    from congruence_lab.verify import verify_algebra
+
+    alg = fresh_copy(chain_lattice(5))
+    assert verify_algebra(alg).ok
+    lattice = con_lattice(alg)
+    rows = lattice._caches["congruence_lab.lifting.center_map_index"]
+    assert sorted(rows) == [(t,) for t in range(len(lattice))]
+    assert {len(row) for row in rows.values()} == {len(center_index(lattice)[0])}
+    assert "congruence_lab.lifting.projection_image_index" not in lattice._caches
+
+
 @pytest.mark.parametrize("alg", [chain_lattice(5), ring_zn(12)], ids=lambda alg: alg.name)
 def test_stored_results_are_index_level(alg):
     """After a verify run, every result stored on Con(A) and on the lattices

@@ -39,7 +39,10 @@
   least elements of their classes;
 * ``orthogonal_index``'s ``lifts_orthogonal``: every orthogonal family of the
   quotient center, enumerated depth first, with the lifts of each liftable
-  family tested pairwise, against the liftable orthogonal pairs alone.
+  family tested pairwise, against the liftable orthogonal pairs alone;
+* ``orthogonal_index``'s ``atoms_lift_to_atoms``: every subfamily of the
+  quotient center's atoms lifted by ``lift_orthogonal_index``, against the
+  witnesses of the atoms and the one lift of the whole atom family.
 """
 
 from itertools import combinations
@@ -78,6 +81,7 @@ from congruence_lab.lifting import (
     cblp_characterization,
     center_index,
     is_b_normal,
+    lift_orthogonal_index,
     orthogonal_index,
     projection_image_index,
     quotient_center_index,
@@ -736,3 +740,49 @@ def test_orthogonal_pairs_and_families_catch_one_commutator(monkeypatch):
     _plant_commutator(monkeypatch, alg, a1, a2, a1, module=lifting)
     assert orthogonal_index(lattice, bottom)[1] is False
     assert family_lifts_orthogonal(lattice, bottom) is False
+
+
+def atom_subfamilies_lift_to_atoms(lattice, t) -> bool | None:
+    """Whether every subfamily of the quotient center's atoms lifts to atoms
+    of B(Con(A)), one ``lift_orthogonal_index`` call per subfamily; None
+    when theta lacks CBLP.  The atoms are read through
+    ``lifting.center_index``, as ``orthogonal_index`` reads them."""
+    if not lifting.cblp_index(lattice, t)[0]:
+        return None
+    atoms = set(lifting.center_index(lattice)[2])
+    qatoms = quotient_center_index(lattice, t)[2]
+    return all(
+        set(lift_orthogonal_index(lattice, t, chosen)) <= atoms
+        for r in range(len(qatoms) + 1)
+        for chosen in combinations(qatoms, r)
+    )
+
+
+@pytest.mark.parametrize("alg", THEORY_CORPUS + [boolean_lattice(4)], ids=lambda alg: alg.name)
+def test_atom_family_matches_the_subfamily_loop(alg):
+    lattice = con_lattice(alg)
+    rad = spectrum_index(lattice, False)[2]
+    for t in range(len(lattice)):
+        if lattice.leq[t][rad]:
+            assert orthogonal_index(lattice, t)[2] == atom_subfamilies_lift_to_atoms(lattice, t)
+
+
+def test_atom_family_and_subfamilies_catch_one_dropped_atom(monkeypatch):
+    """The atom a1 dropped from the atoms of B(Con(C_5)) that ``lifting``
+    reads: at Delta the quotient atom a1 lifts to itself, now no atom."""
+    alg = fresh_copy(chain_lattice(5))
+    lattice = con_lattice(alg)
+    bottom = lattice.bottom_index
+    assert orthogonal_index(lattice, bottom)[2] and atom_subfamilies_lift_to_atoms(lattice, bottom)
+    real = lifting.center_index
+    a1 = real(lattice)[2][0]
+
+    def dropped(lat):
+        members, complement, atoms = real(lat)
+        if lat is lattice:
+            atoms = tuple(a for a in atoms if a != a1)
+        return members, complement, atoms
+
+    monkeypatch.setattr(lifting, "center_index", dropped)
+    assert orthogonal_index(lattice, bottom)[2] is False
+    assert atom_subfamilies_lift_to_atoms(lattice, bottom) is False

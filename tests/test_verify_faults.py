@@ -4,10 +4,11 @@ when one cell it reads is wrong.
 Every check passes on every corpus input, so the pinned JSON alone cannot
 tell a working check from one that has become always-true.  Each test plants
 one wrong cell (a commutator value, a residuum, a radical, a lambda value,
-a join or meet cell of Con(A), or a stored principal congruence) in what
-one suite reads, runs that suite on a fresh copy of C_5 and asserts that
-the named check fails.  Con(C_5) is the 16-element Boolean lattice: every
-congruence is central and radical, and the commutator is the meet.
+a join or meet cell of Con(A), a stored principal congruence, or a cell of
+a center-map row) in what one suite reads, runs that suite on a fresh copy
+of C_5 and asserts that the named check fails.  Con(C_5) is the 16-element
+Boolean lattice: every congruence is central and radical, and the
+commutator is the meet.
 """
 
 import importlib
@@ -239,6 +240,36 @@ def _plant_verdict(monkeypatch, alg, t: int) -> None:
         return (not cblp, *rest) if lat is lattice and i == t else (cblp, *rest)
 
     monkeypatch.setattr(verify, "cblp_index", planted)
+
+
+def _plant_row(monkeypatch, alg, t: int, a: int, value: int) -> None:
+    """verify reads the cell of complemented congruence a in the center-map
+    row of congruence t of Con(alg) as value."""
+    lattice = con_lattice(alg)
+    real = verify.center_map_index
+    cell = verify.center_index(lattice)[0].index(a)
+
+    def planted(lat, i):
+        row = real(lat, i)
+        if lat is lattice and i == t:
+            assert row[cell] != value
+            return row[:cell] + (value,) + row[cell + 1 :]
+        return row
+
+    monkeypatch.setattr(verify, "center_map_index", planted)
+
+
+def test_lifting_suite_catches_one_center_map_cell(monkeypatch, alg):
+    # at Delta the image of a1 read as the bottom of the quotient: a1 no
+    # longer projects onto its target, and the image of a1 joined with that
+    # of its complement is no longer the top
+    bottom, _, a1, _, _ = _elements(alg)
+    qbottom = verify.projection(con_lattice(alg), bottom).lattice.bottom_index
+    _plant_row(monkeypatch, alg, bottom, a1, qbottom)
+    assert _failed(verify._suite_lifting, alg) == {
+        "cblp-decided-everywhere",
+        "projection-center-morphism",
+    }
 
 
 def _z8():

@@ -17,7 +17,9 @@ one measurement is reused by the next:
   ``con_s + surrogates_s``, and the sum of all steps is ``verify_s``, the
   time of one ``verify_algebra`` call.  ``delta_closures`` is the number
   of Delta_{gamma,beta} closures that Con(A) has stored by then, the work
-  count of the commutator layer.  Before any step it imports the package
+  count of the commutator layer, and ``stored_results`` the number of
+  entries in Con(A)'s whole result store, which grows with what the
+  suites keep.  Before any step it imports the package
   (``import_s``): the start-up cost that every fresh process pays, counted
   in none of the other times.  The sources are byte-compiled before the
   first measurement and the children run without
@@ -98,6 +100,7 @@ def child(name: str, label: str) -> dict:
         checks, seconds = _timed(lambda: list(suite(alg)))
         out["suites"][suite_label] = {"seconds": seconds, "checks": len(checks)}
     out["delta_closures"] = len(lattice._caches.get("congruence_lab.commutator._close_delta", {}))
+    out["stored_results"] = sum(map(len, lattice._caches.values()))
     return out
 
 
@@ -154,6 +157,7 @@ def measure(name: str) -> dict:
         "setup_s": round(sequence["setup_s"], 3),
         "verify_s": round(total, 3),
         "delta_closures": sequence["delta_closures"],
+        "stored_results": sequence["stored_results"],
         "suites": suites,
     }
 
@@ -178,7 +182,8 @@ def main(argv=None) -> int:
             f"{name}: |Con| = {record['con_size']}, import {record['import_s']:.3f} s, "
             f"setup {record['setup_s']:.2f} s "
             f"(Con(A) {record['con_s']:.2f} s, surrogates {record['surrogates_s']:.2f} s), "
-            f"verify {record['verify_s']:.2f} s, {record['delta_closures']} Delta closures"
+            f"verify {record['verify_s']:.2f} s, {record['delta_closures']} Delta closures, "
+            f"{record['stored_results']} stored results"
         )
         print(f"  {'suite':<14}{'checks':>7}{'alone s':>10}{'in sequence s':>15}")
         for label, row in record["suites"].items():
