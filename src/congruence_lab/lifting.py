@@ -23,11 +23,18 @@ verdicts.  The quotient A/theta, chi/theta and the section back into
 [theta) are read from the index maps of ``congruences.projection``.
 
 B(p_theta) is one stored row per theta, ``center_map_index``: the image in
-Con(A/theta) of each complemented congruence, in center order, from the
-unstored single-alpha core ``projection_image_index``, which cross-checks
-the projected join against the generated image.  CBLP and its witnesses,
-the fibers of orthogonal lifting, the Rad-injectivity test and ``verify``'s
+Con(A/theta) of each complemented congruence, in center order, read off the
+projected join.  Its cross-check generates the images of the atoms of B(A)
+only, as the single-alpha core ``projection_image_index`` generates any
+alpha, and compares every other cell with the quotient join of two smaller
+ones, since generation preserves joins.  CBLP and its witnesses, the fibers
+of orthogonal lifting, the Rad-injectivity test and ``verify``'s
 certificate and morphism checks all read that row.
+
+Clauses (2) and (3) of the characterization read only the coprime pairs
+that no center pair separates at their own commutator: separation at theta
+reads theta v phi and theta v psi, which grow with theta.  ``has_id_blp``
+reads L/(g] off the interval [g, 1] of L instead of building it.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from .congruences import (
     projection,
     stored,
 )
-from .errors import Falsified, HypothesisNotMet, NoCBLP, NotOrthogonal
-from .lattices import FiniteLattice, LatticeIdeal, lattice_center, quotient_by_ideal
+from .errors import Falsified, HypothesisNotMet, NoCBLP, NotALattice, NotOrthogonal
+from .lattices import FiniteLattice, LatticeIdeal, lattice_center
 from .spectrum import brute_force_clopens, is_hyperarchimedean, radical_index, spectrum_index
 
 __all__ = [
@@ -139,16 +146,17 @@ def center_index(
     annihilator, which is cross-checked to be one.
     """
     mates = lattice.complements
-    members = tuple(i for i in range(len(lattice)) if mates[i])
-    complement = {}
-    for i in members:
-        complement[i] = residuation_index(lattice, i, lattice.bottom_index)
-        if complement[i] not in mates[i]:
-            raise Falsified(
-                f"{lattice.algebra.name}: annihilator of a complemented congruence"
-                " is not a complement"
-            )
     bottom, leq = lattice.bottom_index, lattice.leq
+    members = tuple(i for i in range(len(lattice)) if mates[i])
+    # bottom-up, in reversed index order, so each residuation row is filled
+    # from the commutators stored one lower cover down
+    annihilator = {i: residuation_index(lattice, i, bottom) for i in reversed(members)}
+    complement = {i: annihilator[i] for i in members}
+    if any(complement[i] not in mates[i] for i in members):
+        raise Falsified(
+            f"{lattice.algebra.name}: annihilator of a complemented congruence"
+            " is not a complement"
+        )
     atoms = tuple(
         i
         for i in members
@@ -183,9 +191,63 @@ def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -
 
 @stored
 def center_map_index(lattice: CongruenceLattice, t: int) -> tuple[int, ...]:
-    """B(p_theta) as one row: ``projection_image_index`` of each member of
-    ``center_index``, in center order."""
-    return tuple(projection_image_index(lattice, t, a) for a in center_index(lattice)[0])
+    """B(p_theta) as one row: the projected join (alpha v theta)/theta of
+    each member of ``center_index``, in center order, cross-checked against
+    the generated image with theta's block map built once.  Generation
+    preserves joins (the pairs of alpha v beta are chains of pairs of alpha
+    and of beta), so a member that ``_center_splits`` splits into two
+    smaller members is compared with the quotient join of their cells, and
+    only the rest, the bottom and the atoms of B(A), are generated: unfolded,
+    every cell is compared with its generated image."""
+    p = projection(lattice, t)
+    members, join = center_index(lattice)[0], lattice.join_table
+    row = tuple(p.down[join[a][t]] for a in members)
+    image, qjoin = _block_map(lattice, t), p.lattice.join_table
+    for a, cell, split in zip(members, row, _center_splits(lattice)):
+        if split is None:
+            expected = _generated_image(lattice, p, image, a)
+        else:
+            expected = qjoin[row[split[0]]][row[split[1]]]
+        if cell != expected:
+            raise Falsified(f"{lattice.algebra.name}: projected join and generated image disagree")
+    return row
+
+
+@stored
+def _center_splits(lattice: CongruenceLattice) -> tuple[tuple[int, int] | None, ...]:
+    """For each member alpha of ``center_index``, in center order, the
+    positions of two members strictly below alpha whose join is alpha:
+    alpha ^ e' and e, for e the first atom of B(A) below alpha and e' its
+    complement; None for the bottom, the atoms, and any member that this
+    pair does not split."""
+    members, complement, atoms = center_index(lattice)
+    position = {a: k for k, a in enumerate(members)}
+    join, meet, leq = lattice.join_table, lattice.meet_table, lattice.leq
+    splits = []
+    for a in members:
+        e = next((e for e in atoms if leq[e][a] and e != a), None)
+        rest = None if e is None else meet[a][complement[e]]
+        if rest is None or rest == a or rest not in position or join[rest][e] != a:
+            splits.append(None)
+        else:
+            splits.append((position[rest], position[e]))
+    return tuple(splits)
+
+
+def _block_map(lattice: CongruenceLattice, t: int) -> list[int]:
+    """x -> its element of A/theta: the theta-blocks numbered by least
+    representative, as in ``congruences.projection``."""
+    theta = lattice.congruences[t].blocks
+    block_of = {r: k for k, r in enumerate(sorted(set(theta)))}
+    return [block_of[r] for r in theta]
+
+
+def _generated_image(lattice: CongruenceLattice, p, image: list[int], a: int) -> int:
+    """The congruence of A/theta generated by the projected pairs of alpha:
+    the join of their principal congruences in Con(A/theta)."""
+    m, principals = p.quotient.size, p.lattice.principals
+    alpha = lattice.congruences[a].blocks
+    return p.lattice.join_many({principals[image[x] * m + image[r]] for x, r in enumerate(alpha)})
 
 
 def projection_image_index(lattice: CongruenceLattice, t: int, a: int) -> int:
@@ -197,13 +259,7 @@ def projection_image_index(lattice: CongruenceLattice, t: int, a: int) -> int:
     """
     p = projection(lattice, t)
     via_interval = p.down[lattice.join_table[a][t]]
-    theta, alpha = lattice.congruences[t].blocks, lattice.congruences[a].blocks
-    block_of = {r: k for k, r in enumerate(sorted(set(theta)))}
-    image = [block_of[r] for r in theta]  # x -> its element of A/theta
-    m, principals = len(block_of), p.lattice.principals
-    cgs = {principals[image[x] * m + image[rep]] for x, rep in enumerate(alpha)}
-    via_generation = p.lattice.join_many(cgs)
-    if via_interval != via_generation:
+    if via_interval != _generated_image(lattice, p, _block_map(lattice, t), a):
         raise Falsified(f"{lattice.algebra.name}: projected join and generated image disagree")
     return via_interval
 
@@ -378,20 +434,41 @@ class IdBlpReport:
 
 def has_id_blp(lattice: FiniteLattice, ideal: LatticeIdeal) -> IdBlpReport:
     """Whether every complemented class of L/I lifts to a complemented
-    element of L; the quotient is by x ~ y iff x v i = y v i for some i in I."""
-    quo, class_of = quotient_by_ideal(ideal)
-    center_l = set(lattice_center(lattice))
-    center_q = set(lattice_center(quo))
+    element of L; the quotient is by x ~ y iff x v i = y v i for some i in I.
+
+    L/I is read off the tables of the ideal's lattice without building it:
+    as in ``quotient_by_ideal``, its classes are the members y of the
+    interval [g, 1], numbered in the order of their least members, and the
+    interval's bounds, joins and meets are the parent's, so y is
+    complemented in L/I iff y v z = 1 and y ^ z = g for some z >= g.
+    """
+    center_l = lattice_center(lattice)  # first: L's NotALattice comes before L/I's
+    lat, g = ideal.lattice, ideal.generator
+    join, meet, top = lat.join_table, lat.meet_table, lat.top_index
+    position: dict[int, int] = {}  # the class of x is position[x v g]
+    for y in join[g]:
+        position.setdefault(y, len(position))
+    reps = list(position)
+    center_q = []
+    for y in reps:
+        join_y, meet_y = join[y], meet[y]
+        mates = [z for z in reps if join_y[z] == top and meet_y[z] == g]
+        if len(mates) > 1:
+            raise NotALattice(
+                f"element {position[y]} has several complements: {[position[z] for z in mates]}"
+            )
+        if mates:
+            center_q.append(position[y])
+    lift_of: dict[int, int] = {}  # each class's least complemented member
+    for x in center_l:
+        lift_of.setdefault(position[join[g][x]], x)
     witnesses = []
     counterexample = None
-    for target in sorted(center_q):
-        lift = next(
-            (x for x in sorted(center_l) if class_of[x] == target), None
-        )
-        if lift is None:
+    for target in center_q:
+        if target not in lift_of:
             counterexample = target
             break
-        witnesses.append((target, lift))
+        witnesses.append((target, lift_of[target]))
     return IdBlpReport(
         lattice=lattice,
         ideal=ideal,
@@ -582,15 +659,32 @@ def cblp_characterization(alg: FiniteAlgebra, theta: Congruence) -> LiftingRepor
     return _lifting_report(alg, lattice, t, thm63, exploratory)
 
 
+@stored
+def _unseparated_pairs(lattice: CongruenceLattice) -> tuple[tuple[int, int, int], ...]:
+    """The coprime pairs (phi, psi, [phi, psi]) that no center pair
+    separates at theta = [phi, psi], the least theta whose clause (2) reads
+    them.  Separation at theta reads theta v phi and theta v psi, which grow
+    with theta, and so do the center pairs below them: a pair separated at
+    [phi, psi] is separated at every theta above it."""
+    below_a, below_na = _center_pair_bits(lattice)
+    join = lattice.join_table
+    return tuple(
+        (i, j, cij)
+        for i, j, cij in _coprime_pairs(lattice)
+        if not below_a[join[cij][i]] & below_na[join[cij][j]]
+    )
+
+
 def cblp_characterization_index(lattice: CongruenceLattice, t: int) -> tuple[bool, ...]:
     below_a, below_na = _center_pair_bits(lattice)
     leq, join_t = lattice.leq, lattice.join_table[t]
 
     # phi, psi are separated when some center pair (alpha, alpha') has
-    # alpha <= theta v phi and alpha' <= theta v psi
+    # alpha <= theta v phi and alpha' <= theta v psi; only the pairs that
+    # fail at [phi, psi] can fail at theta (``_unseparated_pairs``)
     c2 = True
     c3 = True  # c3's pairs ([phi,psi] = theta) are a subset of c2's
-    for i, j, cij in _coprime_pairs(lattice):
+    for i, j, cij in _unseparated_pairs(lattice):
         if not leq[cij][t] or below_a[join_t[i]] & below_na[join_t[j]]:
             continue
         c2 = False

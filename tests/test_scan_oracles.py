@@ -42,17 +42,27 @@
   family tested pairwise, against the liftable orthogonal pairs alone;
 * ``orthogonal_index``'s ``atoms_lift_to_atoms``: every subfamily of the
   quotient center's atoms lifted by ``lift_orthogonal_index``, against the
-  witnesses of the atoms and the one lift of the whole atom family.
+  witnesses of the atoms and the one lift of the whole atom family;
+* ``center-join-distributes``, ``commutator-monotone`` and
+  ``residuation-adjunction``: the law at every member of B, every
+  comparable pair and every fiber, against the members that are no join of
+  two smaller ones, the covers and the lower covers;
+* ``center_map_index``: every member's image generated, against the atoms
+  generated and every other cell a quotient join of two smaller ones;
+* ``cblp_characterization_index``: every coprime pair at every theta,
+  against the pairs unseparated at their own commutator;
+* ``has_id_blp``: the center of the lattice ``quotient_by_ideal`` builds,
+  against the interval [g, 1] read off the parent's tables.
 """
 
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import NotALattice, SizeBudgetExceeded, lifting
+from congruence_lab import Falsified, NotALattice, SizeBudgetExceeded, lifting, verify
 from congruence_lab.algebra import load_algebra, product
 from congruence_lab.builders import boolean_lattice, chain_lattice, ring_zn, standard_corpus
 from congruence_lab.commutator import (
@@ -74,12 +84,20 @@ from congruence_lab.congruences import (
     con_lattice,
     projection,
 )
-from congruence_lab.lattices import FiniteLattice, all_ideals, is_prime_ideal, lattice_from_leq
+from congruence_lab.lattices import (
+    FiniteLattice,
+    all_ideals,
+    is_prime_ideal,
+    lattice_center,
+    lattice_from_leq,
+    quotient_by_ideal,
+)
 from congruence_lab.lifting import (
     _coprime_pairs,
     boolean_center_of_congruences,
     cblp_characterization,
     center_index,
+    has_id_blp,
     is_b_normal,
     lift_orthogonal_index,
     orthogonal_index,
@@ -90,7 +108,7 @@ from congruence_lab.reticulation import build_reticulation
 from congruence_lab.spectrum import radical_index, spectrum_index
 from congruence_lab.verify import _radical_frame_ok
 
-from conftest import fresh_copy
+from conftest import fresh_copy, replace
 from test_commutator import associative_algebras
 from test_congruences import random_algebras
 from test_verify_faults import _plant_commutator
@@ -786,3 +804,241 @@ def test_atom_family_and_subfamilies_catch_one_dropped_atom(monkeypatch):
     monkeypatch.setattr(lifting, "center_index", dropped)
     assert orthogonal_index(lattice, bottom)[2] is False
     assert atom_subfamilies_lift_to_atoms(lattice, bottom) is False
+
+
+# ---------------------------------------------------------------------------
+# the scans that the generator routes replaced: center distributivity over
+# every member of B, monotonicity over every comparable pair, the adjunction
+# over every fiber, the generated image of every member, the separation of
+# every coprime pair at every theta, and Id-BLP on the built quotient L/I
+
+
+def scan_center_join_distributes(lattice) -> bool:
+    """(t ^ u) v a = (t v a) ^ (u v a) for every member a of B(Con(A)) and
+    all t, u, one row of u per t."""
+    join, meet = lattice.join_table, lattice.meet_table
+    ok = True
+    for a in center_index(lattice)[0]:
+        join_a = [row[a] for row in join]
+        right: dict[int, list[int]] = {}
+        for t in range(len(lattice)):
+            v = join_a[t]
+            if v not in right:
+                right[v] = list(map(meet[v].__getitem__, join_a))
+            if list(map(join_a.__getitem__, meet[t])) != right[v]:
+                ok = False
+    return ok
+
+
+def scan_commutator_monotone(lattice, table) -> bool:
+    """[i, b] <= [i2, b] for every comparable pair i <= i2 and every b."""
+    leq = lattice.leq
+    ok = True
+    for i, row in enumerate(table):
+        ups = [leq[c] for c in row]
+        for i2, above in enumerate(leq[i]):
+            if above and not all(up[c] for up, c in zip(ups, table[i2])):
+                ok = False
+    return ok
+
+
+def scan_residuation_adjunction(lattice, table) -> bool:
+    """down(b -> c) = {a : [a, b] <= c} for every b and c, the right side
+    as the union of every fiber {a : [a, b] = v} with v <= c."""
+    leq, down, size = lattice.leq, lattice.down_sets, len(lattice)
+    ok = True
+    for b in range(size):
+        fibers: dict[int, int] = {}
+        for a, row in enumerate(table):
+            fibers[row[b]] = fibers.get(row[b], 0) | 1 << a
+        for c in range(size):
+            below_c = 0
+            for v, members in fibers.items():
+                if leq[v][c]:
+                    below_c |= members
+            if down[residuation_index(lattice, b, c)] != below_c:
+                ok = False
+    return ok
+
+
+def scan_center_map(lattice, t) -> tuple:
+    """B(p_theta) with every member's cell cross-checked against its own
+    generated image."""
+    return tuple(projection_image_index(lattice, t, a) for a in center_index(lattice)[0])
+
+
+def scan_characterization(lattice, t) -> tuple[bool, bool]:
+    """Clauses (2) and (3) from every coprime pair at this theta."""
+    below_a, below_na = lifting._center_pair_bits(lattice)
+    leq, join_t = lattice.leq, lattice.join_table[t]
+    c2 = c3 = True
+    for i, j, cij in _coprime_pairs(lattice):
+        if not leq[cij][t] or below_a[join_t[i]] & below_na[join_t[j]]:
+            continue
+        c2 = False
+        if cij == t:
+            c3 = False
+    return c2, c3
+
+
+def quotient_id_blp(lattice, ideal) -> tuple:
+    """(lifts, witnesses, counterexample) of Id-BLP, read off the quotient
+    lattice that ``quotient_by_ideal`` builds and its center."""
+    quo, class_of = quotient_by_ideal(ideal)
+    center_l = lattice_center(lattice)
+    witnesses = []
+    for target in lattice_center(quo):
+        lift = next((x for x in center_l if class_of[x] == target), None)
+        if lift is None:
+            return False, tuple(witnesses), target
+        witnesses.append((target, lift))
+    return True, tuple(witnesses), None
+
+
+def _id_blp_outcome(route, lattice, ideal):
+    try:
+        return route(lattice, ideal)
+    except NotALattice as exc:
+        return str(exc)
+
+
+def _report(lattice, ideal) -> tuple:
+    report = has_id_blp(lattice, ideal)
+    return report.lifts, report.witnesses, report.counterexample
+
+
+GENERATOR_LADDER = THEORY_CORPUS + [boolean_lattice(4), ring_zn(30), chain_lattice(9)]
+
+
+def _verdicts(suite, alg) -> dict[str, bool]:
+    return {check.name: check.passed for check in suite(alg)}
+
+
+@pytest.mark.parametrize("alg", GENERATOR_LADDER, ids=lambda alg: alg.name)
+def test_generator_routes_match_the_scans(alg):
+    """Each check and result that now reads generators (B-join-irreducibles,
+    covers, lower covers, atoms, the pairs unseparated at their commutator,
+    the interval [g, 1]) against the scan it replaced."""
+    lattice = con_lattice(alg)
+    table = commutator_table(lattice)
+    commutator_checks = _verdicts(verify._suite_commutator_axioms, alg)
+    assert commutator_checks["commutator-monotone"] == scan_commutator_monotone(lattice, table)
+    assert commutator_checks["residuation-adjunction"] == scan_residuation_adjunction(
+        lattice, table
+    )
+    center_checks = _verdicts(verify._suite_boolean_center, alg)
+    assert center_checks["center-join-distributes"] == scan_center_join_distributes(lattice)
+    for t in range(len(lattice)):
+        assert lifting.center_map_index(lattice, t) == scan_center_map(lattice, t)
+        assert lifting.cblp_characterization_index(lattice, t)[1:3] == scan_characterization(
+            lattice, t
+        )
+    rl = build_reticulation(alg).lattice
+    for ideal in all_ideals(rl):
+        assert _report(rl, ideal) == quotient_id_blp(rl, ideal)
+
+
+@given(set_lattices())
+@settings(max_examples=200, deadline=None)
+def test_id_blp_matches_the_built_quotient(lattice):
+    """On every ideal of a random lattice, distributive or not, down to the
+    NotALattice message for an element with several complements."""
+    for ideal in all_ideals(lattice):
+        assert _id_blp_outcome(_report, lattice, ideal) == _id_blp_outcome(
+            quotient_id_blp, lattice, ideal
+        )
+
+
+def _c5_cell_plants():
+    """Every single-cell plant of the join or meet table of Con(C_5), the
+    16-element Boolean lattice, to a value other than the true one."""
+    return st.tuples(
+        st.sampled_from(["join_table", "meet_table"]),
+        st.integers(0, 15),
+        st.integers(0, 15),
+        st.integers(0, 15),
+    )
+
+
+C5 = chain_lattice(5)
+
+
+@given(_c5_cell_plants())
+@settings(max_examples=150, deadline=None)
+def test_center_generators_differ_from_the_scan_only_off_a_lattice(plant):
+    """A plant on which center-join-distributes and the scan over every
+    member disagree breaks the lattice axioms, and the congruences suite
+    fails it.  Only the scan then fails: the reduction to the generators
+    reads the join as associative and commutative."""
+    table, x, y, value = plant
+    lattice = con_lattice(C5)
+    rows = [list(row) for row in getattr(lattice, table)]
+    assume(rows[x][y] != value)
+    rows[x][y] = value
+    planted = replace(lattice, **{table: tuple(map(tuple, rows))})
+    real = verify.con_lattice
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "con_lattice", lambda a, cap=None: planted if a is C5 else real(a, cap))
+        new = _verdicts(verify._suite_boolean_center, C5)["center-join-distributes"]
+        axioms = _verdicts(verify._suite_con_enumeration, C5)["join-meet-lattice-axioms"]
+    old = scan_center_join_distributes(planted)
+    if new != old:
+        assert (new, old, axioms) == (True, False, False)
+
+
+def test_one_sided_join_off_the_generators_fails_only_the_scan(monkeypatch):
+    """a3 v (a1 v a2) read as the top, the reverse order left alone: the law
+    at a1 v a2 fails, and only the scan tests a1 v a2.  The join table is no
+    longer commutative, which join-meet-lattice-axioms reports."""
+    alg = fresh_copy(C5)
+    lattice = con_lattice(alg)
+    a1, a2, a3, _ = lattice.atoms()
+    rows = [list(row) for row in lattice.join_table]
+    rows[a3][lattice.join_index(a1, a2)] = lattice.top_index
+    planted = replace(lattice, join_table=tuple(map(tuple, rows)))
+    real = verify.con_lattice
+    monkeypatch.setattr(
+        verify, "con_lattice", lambda a, cap=None: planted if a is alg else real(a, cap)
+    )
+    assert _verdicts(verify._suite_boolean_center, alg)["center-join-distributes"]
+    assert not scan_center_join_distributes(planted)
+    assert not _verdicts(verify._suite_con_enumeration, alg)["join-meet-lattice-axioms"]
+
+
+@given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
+@settings(max_examples=150, deadline=None)
+def test_monotonicity_and_adjunction_match_the_scans_under_one_wrong_commutator(i, j, value):
+    """A commutator table of Con(C_5) with one cell wrong: the cover route
+    and the lower-cover route decide exactly as the scans do."""
+    lattice = con_lattice(C5)
+    rows = [list(row) for row in commutator_table(lattice)]
+    assume(rows[i][j] != value)
+    rows[i][j] = value
+    planted = tuple(map(tuple, rows))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "commutator_table", lambda lat: planted)
+        new = _verdicts(verify._suite_commutator_axioms, C5)
+    assert new["commutator-monotone"] == scan_commutator_monotone(lattice, planted)
+    assert new["residuation-adjunction"] == scan_residuation_adjunction(lattice, planted)
+
+
+def test_center_map_generates_the_atoms_only():
+    """Cg(2, 0) of Con(A/Delta) read as the top, on C_5: the pair (2, 0)
+    lies in Cg(0, 1) v Cg(1, 2) and in no atom of B(A), so only the scan,
+    which generates every member's image, reads it.  The generator route
+    takes the image of a join to be the join of the images, which a wrong
+    principal congruence of a non-atom pair breaks."""
+    lattice = all_congruences(fresh_copy(C5))  # nothing stored
+    t = lattice.bottom_index
+    real = projection(lattice, t)
+    qlattice = real.lattice
+    principals = list(qlattice.principals)
+    principals[2 * real.quotient.size + 0] = qlattice.top_index
+    lattice._caches["congruence_lab.congruences.projection"][(t,)] = replace(
+        real, lattice=replace(qlattice, principals=tuple(principals), _caches={})
+    )
+    assert lifting.center_map_index(lattice, t) == tuple(
+        real.down[a] for a in center_index(lattice)[0]
+    )
+    with pytest.raises(Falsified, match="projected join and generated image disagree"):
+        scan_center_map(lattice, t)

@@ -353,3 +353,102 @@ def test_clopen_completeness_catches_a_missing_clopen(monkeypatch, alg):
     monkeypatch.setattr(spectrum_module, "brute_force_clopens", planted)
     monkeypatch.setattr(verify, "brute_force_clopens", planted)
     assert _failed(verify._suite_spectrum, alg) == {"clopen-witness-completeness"}
+
+
+# ---------------------------------------------------------------------------
+# the checks that quantify over generators: each plant goes through a value
+# that the generator route reads
+
+
+def test_center_distributivity_catches_one_join_of_an_atom(monkeypatch, alg):
+    # a2 v a1 read as the top in a1's column of the join table, which the
+    # law at the generator a1 reads for every t
+    _, top, a1, a2, _ = _elements(alg)
+    _plant_cell(monkeypatch, alg, "join_table", a2, a1, top)
+    assert "center-join-distributes" in _failed(verify._suite_boolean_center, alg)
+
+
+def test_monotonicity_catches_one_cover_row(monkeypatch, alg):
+    # [a1 v a2, a1] read as the bottom: below the meet, but below [a1, a1]
+    # along the cover a1 < a1 v a2
+    bottom, _, a1, a2, _ = _elements(alg)
+    _plant_commutator(monkeypatch, alg, con_lattice(alg).join_index(a1, a2), a1, bottom)
+    failed = _failed(verify._suite_commutator_axioms, alg)
+    assert {"commutator-monotone", "residuation-adjunction"} <= failed
+    assert "commutator-below-meet" not in failed
+
+
+def test_adjunction_catches_one_missing_lower_cover(monkeypatch, alg):
+    # the coatom a1 v a2 v a3 dropped from the lower covers of the top: the
+    # congruences [a, nabla] = a below that coatom alone leave below[top]
+    lattice = con_lattice(alg)
+    _, top, a1, a2, a3 = _elements(alg)
+    coatom = lattice.join_many((a1, a2, a3))
+    planted = replace(lattice)
+    lower = list(planted.lower_covers)
+    lower[top] = tuple(c for c in lower[top] if c != coatom)
+    planted.__dict__["lower_covers"] = tuple(lower)
+    real = verify.con_lattice
+    monkeypatch.setattr(
+        verify, "con_lattice", lambda a, cap=None: planted if a is alg else real(a, cap)
+    )
+    assert _failed(verify._suite_commutator_axioms, alg) == {"residuation-adjunction"}
+
+
+@pytest.mark.parametrize("member", ["atom", "join of atoms"])
+def test_center_map_cross_check_catches_one_projected_cell(member):
+    """One wrong cell of theta's projection, at a1 v theta or at
+    a1 v a2 v theta: the atom a1 is compared with its generated image, and
+    a1 v a2 with the quotient join of the cells of a1 and a2."""
+    from congruence_lab.congruences import all_congruences, projection
+    from congruence_lab.errors import Falsified
+
+    lattice = all_congruences(fresh_copy(chain_lattice(5)))  # nothing stored
+    t = lattice.bottom_index
+    a1, a2 = lattice.atoms()[:2]
+    a = a1 if member == "atom" else lattice.join_index(a1, a2)
+    real = projection(lattice, t)
+    down = list(real.down)
+    j = lattice.join_index(a, t)
+    down[j] = real.lattice.top_index
+    lattice._caches["congruence_lab.congruences.projection"][(t,)] = replace(
+        real, down=tuple(down)
+    )
+    with pytest.raises(Falsified, match="projected join and generated image disagree"):
+        lifting.center_map_index(lattice, t)
+
+
+def test_characterization_catches_one_center_pair(monkeypatch):
+    """The center pair (a1, a1') dropped from the bits that clauses (2) and
+    (3) read, on a C_5 with nothing stored: (a1, a1') is a coprime pair with
+    [a1, a1'] = Delta that only that center pair separates, so at theta =
+    Delta the clauses fail while CBLP holds."""
+    alg = fresh_copy(chain_lattice(5))
+    lattice = con_lattice(alg)
+    a1 = lattice.atoms()[0]
+    real = lifting._center_pair_bits
+    k = lifting.center_index(lattice)[0].index(a1)
+
+    def planted(lat):
+        below_a, below_na = real(lat)
+        if lat is lattice:
+            below_a = [bits & ~(1 << k) for bits in below_a]
+        return below_a, below_na
+
+    monkeypatch.setattr(lifting, "_center_pair_bits", planted)
+    assert _failed(verify._suite_lifting, alg) == {"characterization-four-way"}
+
+
+def test_id_blp_catches_one_center_entry(monkeypatch, alg):
+    # lambda(a1) dropped from the center of the reticulation that has_id_blp
+    # reads: at the ideal (lambda(Delta)] the class of lambda(a1) has no lift
+    retic = build_reticulation(alg)
+    dropped = retic._lambda_by_con[_elements(alg)[2]]
+    real = lifting.lattice_center
+    monkeypatch.setattr(
+        lifting,
+        "lattice_center",
+        lambda lat: [x for x in real(lat) if x != dropped] if lat is retic.lattice else real(lat),
+    )
+    failed = _failed(verify._suite_lifting, alg)
+    assert {"star-transfer", "ideal-transfer"} <= failed

@@ -4,7 +4,8 @@ Usage, from the root of a source checkout::
 
     python tools/ladder.py [NAME ...] [--json PATH]
 
-NAME is one of C_9, C_10, B_4, Z_30 and Z_2xZ_9; the default is all five.
+NAME is one of C_9, C_10, C_11, B_4, Z_30 and Z_2xZ_9; the default is all
+but C_11, whose measurement takes several minutes.
 For each algebra the script starts fresh interpreters, so nothing stored by
 one measurement is reused by the next:
 
@@ -57,12 +58,13 @@ def build(name: str):
     builders = {
         "C_9": lambda: chain_lattice(9),
         "C_10": lambda: chain_lattice(10),
+        "C_11": lambda: chain_lattice(11),
         "B_4": lambda: boolean_lattice(4),
         "Z_30": lambda: ring_zn(30),
         "Z_2xZ_9": lambda: product(ring_zn(2), ring_zn(9)),
     }
     if name not in builders:
-        raise SystemExit(f"unknown ladder algebra {name!r}; choose from {', '.join(LADDER)}")
+        raise SystemExit(f"unknown ladder algebra {name!r}; choose from {', '.join(builders)}")
     return builders[name]()
 
 
