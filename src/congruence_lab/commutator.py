@@ -67,23 +67,18 @@ alpha or beta is not join-irreducible costs no closure;
 orbits of bijective translations, is the one ``congruences`` uses to find
 the principal congruences.
 
-``commutator_table`` is the one whole-lattice form of the commutator: the
-rows of [alpha, beta] over Con(A), stored on the lattice and filled through
-``commutator_index`` in reversed index order, which is bottom-up in Con(A),
-so that every entry is a fixpoint seeded one lower cover down.  Every scan
-over all of Con(A) reads it: the ``verify`` suites, the coprime pairs,
-B-normality, the orthogonal lifts and the star property.  Single queries
-and the join-irreducible paths (``commutator``, ``residuation_index``,
-``surrogate_index``, the iterate chains, primality) keep asking
-``commutator_index`` for the pairs they need, so a cold query fills no
-table.
-
-``residuation_index`` reads alpha -> beta as the join of the
-join-irreducibles g with [alpha, g] <= beta, off a row of the pairs
-(g, [alpha, g]) stored once per alpha and filled through
-``commutator_index``: a cold query makes the commutator calls of one
-residuation and fills no table, and every later residuation of alpha reads
-the row.
+Each Con(A) holds [alpha, beta] in one memo: rows over Con(A), None where
+no value is stored yet.  ``commutator_index`` reads it, seeds from it and
+writes both orientations.  ``commutator_table`` fills the missing cells
+through ``commutator_index`` in reversed index order, bottom-up in Con(A),
+so every entry is a fixpoint seeded one lower cover down, then makes the
+rows tuples and returns that one object to every scan over all of Con(A):
+the ``verify`` suites, the coprime pairs, B-normality, the orthogonal lifts
+and the star property.  Single queries and the join-irreducible paths
+(``commutator``, ``surrogate_index``, the iterate chains, primality) ask
+``commutator_index`` for the pairs they need, so a cold query fills only
+those cells.  ``residuation_index`` reads alpha -> beta as the join of the
+join-irreducibles g with [alpha, g] <= beta off row alpha of the memo.
 
 ``matrix_subalgebra`` materializes M and, with the reference fixpoint in
 ``verify``, is the independent oracle for all of this at small sizes.  It
@@ -383,28 +378,25 @@ def commutator_index(
     lattice: CongruenceLattice, i: int, j: int, cap: int | None = None
 ) -> int:
     """[congruences[i], congruences[j]] as an index; the matrix budget is
-    checked on every call, cached or not.  A miss is seeded from the stored
-    values one lower cover down and stops at the meet (see the module
-    docstring)."""
-    # inline rather than a helper call: a C_7 verify makes about 1.4M calls
+    checked on every call, stored or not.  A miss is seeded from the memo
+    one lower cover down and stops at the meet (see the module docstring)."""
     if cap is None:
         cap = config.MATRIX_CAP
     bounds = lattice.matrix_bounds
     if bounds[i] > cap or bounds[j] > cap:
         raise _budget_error(max(bounds[i], bounds[j]), cap)
-    cache = lattice._caches.setdefault("commutator", {})
-    key = (i, j) if i <= j else (j, i)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    a, b = key
+    memo = lattice._caches.get("commutator") or _memo(lattice)
+    result = memo[i][j]
+    if result is not None:
+        return result
+    a, b = (i, j) if i <= j else (j, i)
     bound = lattice.meet_table[a][b]  # [alpha, beta] <= alpha ^ beta
     join, covers = lattice.join_table, lattice.lower_covers
     # [alpha', beta] <= [alpha, beta] for alpha' <= alpha: start above the
     # stored values one step down on either side
     result = lattice.bottom_index
     for c, d in [(c, b) for c in covers[a]] + [(a, d) for d in covers[b]]:
-        below = cache.get((c, d) if c <= d else (d, c))
+        below = memo[c][d]
         if below is not None:
             result = join[result][below]
     if result != bound:
@@ -432,31 +424,37 @@ def commutator_index(
                 scan = classes
             if result == bound:
                 break
-    cache[key] = result
+    memo[a][b] = memo[b][a] = result
     return result
 
 
+def _memo(lattice: CongruenceLattice) -> list | tuple:
+    """The one store of [i, j] on Con(A): rows with None where no value is
+    stored yet, made tuples once ``commutator_table`` has filled them."""
+    memo = lattice._caches.get("commutator")
+    if memo is None:
+        size = len(lattice)
+        memo = lattice._caches["commutator"] = [[None] * size for _ in range(size)]
+    return memo
+
+
 def commutator_table(lattice: CongruenceLattice) -> tuple[tuple[int, ...], ...]:
-    """The rows of [congruences[i], congruences[j]] over Con(A), stored on
-    the lattice; the matrix budget is checked on every call, stored or not,
+    """The memo's rows, filled; the matrix budget is checked on every call
     against the bound of the top congruence, the largest."""
     cap, bound = config.MATRIX_CAP, lattice.matrix_bounds[lattice.top_index]
     if bound > cap:
         raise _budget_error(bound, cap)
-    return _commutator_rows(lattice)
-
-
-@stored
-def _commutator_rows(lattice: CongruenceLattice) -> tuple[tuple[int, ...], ...]:
-    # in reversed index order, bottom-up in Con(A), so each entry is a
-    # fixpoint seeded from the entries one lower cover down; never a join,
-    # which would make join-distributivity true by construction
-    size = len(lattice)
-    rows = [[0] * size for _ in range(size)]
-    for i in reversed(range(size)):
-        for j in reversed(range(size)):
-            rows[i][j] = commutator_index(lattice, i, j)
-    return tuple(map(tuple, rows))
+    memo = _memo(lattice)
+    if type(memo) is list:
+        # in reversed index order, bottom-up in Con(A), so each entry is a
+        # fixpoint seeded from the entries one lower cover down; never a join,
+        # which would make join-distributivity true by construction
+        for i in reversed(range(len(memo))):
+            for j in reversed(range(i + 1)):
+                if memo[i][j] is None:
+                    commutator_index(lattice, i, j)
+        memo = lattice._caches["commutator"] = tuple(map(tuple, memo))
+    return memo
 
 
 def _budget_error(bound: int, cap: int) -> SizeBudgetExceeded:
@@ -507,26 +505,19 @@ def residuation(alg: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> Cong
 def residuation_index(lattice: CongruenceLattice, i: int, j: int) -> int:
     """congruences[i] -> congruences[j], as the join of the qualifying
     join-irreducibles, which is sound because the commutator distributes
-    over joins.  The matrix budget is checked on every call, stored or not,
-    for each pair (i, g) read, as ``commutator_index`` checks it."""
-    largest, row = _residuation_row(lattice, i)
-    if largest > config.MATRIX_CAP:
-        for g, _ in row:  # refused by the first pair over the cap, as when cold
-            commutator_index(lattice, i, g)
-    leq = lattice.leq
-    return lattice.join_many(g for g, c in row if leq[c][j])
-
-
-@stored
-def _residuation_row(lattice: CongruenceLattice, i: int):
-    """The pairs (g, [congruences[i], g]) over the join-irreducibles g, after
-    the largest matrix bound among the pairs (i, g).  Filled through
-    ``commutator_index`` once per i, so a cold query makes the same
-    commutator calls as one residuation and fills no table."""
-    bounds = lattice.matrix_bounds
-    ji = lattice.join_irreducible_indices()
-    largest = max((max(bounds[i], bounds[g]) for g in ji), default=0)
-    return largest, tuple((g, commutator_index(lattice, i, g)) for g in ji)
+    over joins.  Reads row i of the memo; past the cap at the top, every
+    pair (i, g) goes through ``commutator_index``, so the first one over
+    it is refused as when cold."""
+    row, leq, join = _memo(lattice)[i], lattice.leq, lattice.join_table
+    over = lattice.matrix_bounds[lattice.top_index] > config.MATRIX_CAP
+    result = lattice.bottom_index
+    for g in lattice.join_irreducible_indices():
+        c = row[g]
+        if over or c is None:
+            c = commutator_index(lattice, i, g)
+        if leq[c][j]:
+            result = join[result][g]
+    return result
 
 
 def annihilator(alg: FiniteAlgebra, alpha: Congruence) -> Congruence:

@@ -217,22 +217,39 @@ def test_commutator_cap_applies_to_cached_values():
 
 def test_residuation_cap_applies_to_stored_rows(monkeypatch):
     """A residuum is refused under a cap that one of the commutators it
-    reads exceeds, with the message of the cold refusal, whether or not an
-    uncapped call has stored its row."""
+    reads exceeds, with the message of the cold refusal, whether an
+    uncapped residuation or the whole table has filled the memo first."""
     from congruence_lab import config
-    from congruence_lab.commutator import residuation_index
+    from congruence_lab.commutator import commutator_table, residuation_index
 
     alg = ring_zn(4)
-    warm, cold = all_congruences(alg), all_congruences(alg)
+    cold, warm, full = all_congruences(alg), all_congruences(alg), all_congruences(alg)
     top, bottom = warm.top_index, warm.bottom_index
     assert residuation_index(warm, top, bottom) == bottom
+    commutator_table(full)
     monkeypatch.setattr(config, "MATRIX_CAP", 10)
     messages = []
-    for lattice in (cold, warm):
+    for lattice in (cold, warm, full):
         with pytest.raises(SizeBudgetExceeded) as raised:
             residuation_index(lattice, top, bottom)
         messages.append(str(raised.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
+
+
+def test_commutator_values_are_held_once():
+    """After the table, residuations read the memo and store nothing more,
+    and the table is the same object on every call."""
+    from congruence_lab.commutator import commutator_table, residuation_index
+
+    lattice = all_congruences(chain_lattice(7))
+    table = commutator_table(lattice)
+    stored = {name: len(results) for name, results in lattice._caches.items()}
+    size = len(lattice)
+    for i in range(size):
+        for j in range(size):
+            residuation_index(lattice, i, j)
+    assert {name: len(results) for name, results in lattice._caches.items()} == stored
+    assert commutator_table(lattice) is table
 
 
 def test_commutator_agrees_with_materialized_fixpoint():

@@ -748,7 +748,8 @@ def test_center_map_is_one_stored_row_per_theta():
 def test_stored_results_are_index_level(alg):
     """After a verify run, every result stored on Con(A) and on the lattices
     of its quotients is keyed by congruence indices and flags, and holds
-    neither a congruence nor a report naming an algebra."""
+    neither a congruence nor a report naming an algebra; every cell of the
+    commutator memo is an index or, where not filled, None."""
     from congruence_lab import Congruence
     from congruence_lab.verify import verify_algebra
 
@@ -760,6 +761,12 @@ def test_stored_results_are_index_level(alg):
     assert len(lattices) == 1 + len(lattice)
     for owner in lattices:
         for name, results in owner._caches.items():
+            if name == "commutator":
+                assert len(results) == len(owner), name
+                for row in results:
+                    assert len(row) == len(owner), name
+                    assert {type(cell) for cell in row} <= {int, type(None)}, name
+                continue
             for key, value in results.items():
                 assert type(key) is tuple, name
                 assert all(type(arg) in (int, bool) for arg in key), (name, key)

@@ -75,8 +75,8 @@ def _scopes_naming(tree: ast.Module, name: str):
 
 def test_stored_results_have_one_home():
     """Only congruences.stored reads and writes the per-lattice result store;
-    the Con(A) class declares it and commutator_index keeps its own entry,
-    because its budget check must run before any lookup."""
+    the Con(A) class declares it, and the commutator memo is one entry of
+    it, read and written by commutator_index, _memo and commutator_table."""
     found = set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -85,6 +85,8 @@ def test_stored_results_have_one_home():
         "congruences.CongruenceLattice",
         "congruences.stored",
         "commutator.commutator_index",
+        "commutator._memo",
+        "commutator.commutator_table",
     }
 
 

@@ -20,7 +20,10 @@ one measurement is reused by the next:
   of Delta_{gamma,beta} closures that Con(A) has stored by then, the work
   count of the commutator layer, and ``stored_results`` the number of
   entries in Con(A)'s whole result store, which grows with what the
-  suites keep.  Before any step it imports the package
+  suites keep.  ``max_rss_mib`` is its peak resident set size from
+  ``resource.getrusage``; Linux carries the peak across fork and exec, so
+  the RSS of the ladder process itself, which has imported the package,
+  is its floor.  Before any step it imports the package
   (``import_s``): the start-up cost that every fresh process pays, counted
   in none of the other times.  The sources are byte-compiled before the
   first measurement and the children run without
@@ -40,6 +43,7 @@ import compileall
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -103,6 +107,7 @@ def child(name: str, label: str) -> dict:
         out["suites"][suite_label] = {"seconds": seconds, "checks": len(checks)}
     out["delta_closures"] = len(lattice._caches.get("congruence_lab.commutator._close_delta", {}))
     out["stored_results"] = sum(map(len, lattice._caches.values()))
+    out["max_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return out
 
 
@@ -160,6 +165,7 @@ def measure(name: str) -> dict:
         "verify_s": round(total, 3),
         "delta_closures": sequence["delta_closures"],
         "stored_results": sequence["stored_results"],
+        "max_rss_mib": sequence["max_rss_mib"],
         "suites": suites,
     }
 
@@ -185,7 +191,7 @@ def main(argv=None) -> int:
             f"setup {record['setup_s']:.2f} s "
             f"(Con(A) {record['con_s']:.2f} s, surrogates {record['surrogates_s']:.2f} s), "
             f"verify {record['verify_s']:.2f} s, {record['delta_closures']} Delta closures, "
-            f"{record['stored_results']} stored results"
+            f"{record['stored_results']} stored results, max RSS {record['max_rss_mib']} MiB"
         )
         print(f"  {'suite':<14}{'checks':>7}{'alone s':>10}{'in sequence s':>15}")
         for label, row in record["suites"].items():
