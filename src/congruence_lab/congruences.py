@@ -38,17 +38,17 @@ When a binary operation f is associative and G generates the semigroup
 (A, f), the translation x -> f(x, g1 ... gk) is the composition of the
 translations by g1, ..., gk, and likewise on the left; a partition closed
 under the translations by G is then closed under all of them, so the
-closures translate by G alone and get the same congruence.  A
-non-associative or ternary operation has no such factorization, so its
-closures keep every translation.  ``is_congruence`` always tests every
-translation: it is the check that ``brute_force_congruences`` runs as the
-oracle of generation.
+closures translate by G alone and get the same congruence.  G is found
+first (its left-normed products are all of A), and f is associative iff
+(x g) y = x (g y) for all g in G: the a with (x a) y = x (a y) form a
+submagma (Light's test).  Other operations keep every translation.
+``is_congruence`` always tests every translation: it is the check that
+``brute_force_congruences`` runs as the oracle of generation.
 
-``projection(Con(A), t)`` stores the canonical projection A -> A/theta once
-per theta = congruences[t]: the quotient algebra, its Con(A/theta), and the
-correspondence between the interval [theta, nabla] of Con(A) and
-Con(A/theta) as two index maps, ``down`` (chi -> chi/theta) and ``up`` (its
-inverse).
+``projection(Con(A), t)`` stores the canonical projection A -> A/theta for
+theta = congruences[t]: the quotient algebra, built once as
+``_quotient_algebra``, its Con(A/theta), and the index maps ``down`` and
+``up`` between [theta, nabla] and Con(A/theta).
 """
 
 from __future__ import annotations
@@ -171,9 +171,11 @@ def _translation_plan(alg: FiniteAlgebra):
                 tuple([table[(r // stride * n + x) * stride + r % stride] for r in range(n**width)])
                 for x in range(n)
             )
-            if pos == 0 and width == 1 and _is_associative(rows):
-                # A is the pair algebra on the diagonal
-                generators = _semigroup_generators(rows, range(n), range(n), diagonal)
+            if pos == 0 and width == 1:
+                # A is the pair algebra on the diagonal; Light's test
+                found = _semigroup_generators(rows, range(n), range(n), diagonal)
+                if all(rows[r[g]] == tuple([r[c] for c in rows[g]]) for r in rows for g in found):
+                    generators = found
             closing = rows
             if generators is not None and len(generators) < n:
                 closing = tuple(tuple([row[g] for g in generators]) for row in rows)
@@ -181,25 +183,18 @@ def _translation_plan(alg: FiniteAlgebra):
     return tuple(plan)
 
 
-def _is_associative(rows) -> bool:
-    """Whether (a b) c = a (b c) for the binary table with ``rows[a][b] = a b``."""
-    return all(
-        rows[ra[b]] == tuple([ra[c] for c in rows[b]]) for ra in rows for b in range(len(rows))
-    )
-
-
 def _semigroup_generators(rows, firsts, seconds, index_of):
-    """Member indices that generate a pair algebra as a semigroup under an
-    associative binary operation f with ``rows[a][b] = f(a, b)``.
+    """Member indices whose left-normed products under the binary operation
+    f, ``rows[a][b] = f(a, b)``, are the whole pair algebra.
 
     Member i is (firsts[i], seconds[i]) and ``index_of[x * n + y]`` is the
     index of the member (x, y).  Candidates are taken greedily: one that the
     chosen generators do not yet generate becomes a generator.  Elements
     with many multiples f(x, A) and f(A, x), then with long cyclic
     subsemigroups, come first; on a semilattice this is a linear extension
-    of its order, so the greedy set is the minimal one.  The generated
-    subsemigroup is kept closed under multiplication on the right by the
-    generators, which makes it every product of generators.
+    of its order, so the greedy set is the minimal one.  The span is kept
+    closed under multiplication on the right by the generators, which
+    makes it every left-normed product of generators.
     """
     n = len(rows)
     size = len(firsts)
@@ -372,12 +367,8 @@ def meet(theta: Congruence, chi: Congruence) -> Congruence:
 
 
 class CongruenceLattice(FiniteLattice):
-    """Con(A) as a finite lattice: element i is ``congruences[i]``.
-
-    On a finite algebra every congruence is a join of principal congruences,
-    so the compact elements are all of Con(A); this is recorded as a stated
-    assumption rather than re-derived.
-    """
+    """Con(A) as a finite lattice: element i is ``congruences[i]``.  A is
+    finite, so every element is compact."""
 
     def __init__(
         self, leq, join_table, meet_table, bottom_index, top_index, algebra, congruences,
@@ -388,7 +379,7 @@ class CongruenceLattice(FiniteLattice):
         self.congruences = congruences  # canonically sorted by block array
         # the matrix budget of each congruence: its number of related pairs, squared
         self.matrix_bounds = matrix_bounds
-        # the relation of each congruence: bit x * n + y is set when x and y are related
+        # bit x * n + y of masks[i] is set when x and y are related
         self.masks = masks
         # principals[x * n + y] is the index of Cg(x, y), the bottom when x == y
         self.principals = principals
@@ -612,6 +603,12 @@ def stored(fn):
     return once
 
 
+@stored
+def _quotient_algebra(lattice: CongruenceLattice, t: int) -> FiniteAlgebra:
+    """A/theta for theta = congruences[t], built once per Con(A)."""
+    return quotient(lattice.algebra, lattice.congruences[t])
+
+
 class Projection:
     """The canonical projection A -> A/theta as the correspondence between
     the interval [theta, nabla] of Con(A) and Con(A/theta).
@@ -641,7 +638,7 @@ def projection(lattice: CongruenceLattice, t: int) -> Projection:
     projects to, raises :class:`Falsified`.
     """
     alg, theta = lattice.algebra, lattice.congruences[t]
-    quo = quotient(alg, theta)
+    quo = _quotient_algebra(lattice, t)
     qlattice = con_lattice(quo)
     reps = sorted(set(theta.blocks))
     down: list[int | None] = []

@@ -17,10 +17,9 @@ first call for each argument.  A public function runs the theory gate,
 indexes its congruence arguments, calls its core and builds its report for
 the caller's algebra.  The transfer results (radical invariance, the star
 and maximal-interval transfers, the regular-join and non-coprime-meet
-transfers) have no core: each public function reads the stored verdicts of
-``cblp_index`` itself, and ``verify`` checks them over whole lists of those
-verdicts.  The quotient A/theta, chi/theta and the section back into
-[theta) are read from the index maps of ``congruences.projection``.
+transfers) live in ``verify``'s lifting suite alone, which checks each over
+whole lists of ``cblp_index`` verdicts.  The quotient A/theta and chi/theta
+are read from the index maps of ``congruences.projection``.
 
 B(p_theta) is one stored row per theta, ``center_map_index``: the image in
 Con(A/theta) of each complemented congruence, in center order, read off the
@@ -52,31 +51,22 @@ from .congruences import (
     stored,
 )
 from .errors import Falsified, HypothesisNotMet, NoCBLP, NotALattice, NotOrthogonal
-from .lattices import FiniteLattice, LatticeIdeal, lattice_center
-from .spectrum import brute_force_clopens, is_hyperarchimedean, radical_index, spectrum_index
+from .lattices import FiniteLattice, LatticeIdeal, _members, lattice_center
+from .spectrum import brute_force_clopens, is_hyperarchimedean, spectrum_index
 
 __all__ = [
     "BooleanCenter",
     "boolean_center_of_congruences",
     "projection_image",
-    "project_congruence",
-    "quotient_center_congruences",
     "LiftingReport",
     "has_cblp",
     "IdBlpReport",
     "has_id_blp",
-    "cblp_star_transfer",
-    "radical_invariance",
-    "max_interval_transfer",
     "rad_cblp_criterion",
     "diamond",
-    "is_regular",
     "diamond_star_commute",
     "cblp_characterization",
-    "regular_join_transfer",
-    "noncoprime_meet_transfer",
     "quotient_cblp_descent",
-    "literal_quotient_descent",
     "BNormalReport",
     "is_b_normal",
     "hyperarchimedean_cblp",
@@ -169,18 +159,6 @@ def center_index(
 # Canonical projections
 
 
-def project_congruence(
-    alg: FiniteAlgebra, theta: Congruence, chi: Congruence
-) -> Congruence:
-    """chi/theta for theta <= chi, as a congruence of the quotient algebra."""
-    lattice = con_lattice(alg)
-    p = projection(lattice, lattice.index(theta))
-    k = p.down[lattice.index(chi)]
-    if k is None:
-        raise HypothesisNotMet("chi must contain theta")
-    return p.lattice.congruences[k]
-
-
 def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -> Congruence:
     """The image congruence (alpha v theta)/theta of the canonical projection."""
     lattice = con_lattice(alg)
@@ -262,27 +240,6 @@ def projection_image_index(lattice: CongruenceLattice, t: int, a: int) -> int:
     if via_interval != _generated_image(lattice, p, _block_map(lattice, t), a):
         raise Falsified(f"{lattice.algebra.name}: projected join and generated image disagree")
     return via_interval
-
-
-def section_congruence(
-    alg: FiniteAlgebra, theta: Congruence, quotient_congruence: Congruence
-) -> Congruence:
-    """The inverse of chi -> chi/theta: the member of [theta) projecting to
-    the given congruence of A/theta."""
-    lattice = con_lattice(alg)
-    p = projection(lattice, lattice.index(theta))
-    return lattice.congruences[p.up[p.lattice.index(quotient_congruence)]]
-
-
-def quotient_center_congruences(
-    alg: FiniteAlgebra, theta: Congruence
-) -> tuple[FiniteAlgebra, BooleanCenter]:
-    """A/theta and B(Con(A/theta)), from ``quotient_center_index``."""
-    lattice = con_lattice(alg)
-    t = lattice.index(theta)
-    center = quotient_center_index(lattice, t)
-    p = projection(lattice, t)
-    return p.quotient, _center(p.lattice, center)
 
 
 @stored
@@ -478,44 +435,8 @@ def has_id_blp(lattice: FiniteLattice, ideal: LatticeIdeal) -> IdBlpReport:
     )
 
 
-def cblp_star_transfer(alg: FiniteAlgebra, theta: Congruence) -> bool:
-    """theta has CBLP exactly when the ideal theta* of the reticulation has
-    Id-BLP; evaluates the two sides independently."""
-    from .reticulation import reticulation_index
-
-    lattice, t = _indices(alg, theta)
-    _, retic_lattice, lam = reticulation_index(lattice)
-    right = has_id_blp(retic_lattice, LatticeIdeal(retic_lattice, lam[t])).lifts
-    return cblp_index(lattice, t)[0] == right
-
-
 # ---------------------------------------------------------------------------
-# Transfer results
-
-
-def radical_invariance(alg: FiniteAlgebra, theta: Congruence) -> bool:
-    """CBLP is invariant under taking the radical."""
-    lattice, t = _indices(alg, theta)
-    return cblp_index(lattice, t)[0] == cblp_index(lattice, radical_index(lattice, t))[0]
-
-
-def _max_interval(lattice: CongruenceLattice, t: int) -> frozenset:
-    above = lattice.leq[t]
-    return frozenset(m for m in spectrum_index(lattice, False)[1] if above[m])
-
-
-def max_interval_transfer(alg: FiniteAlgebra, theta: Congruence, chi: Congruence) -> bool:
-    """Under theta <= chi with the same maximal congruences above both:
-    chi CBLP implies theta CBLP.  Raises HypothesisNotMet when the
-    precondition fails."""
-    lattice, t, c = _indices(alg, theta, chi)
-    if not lattice.leq[t][c]:
-        raise HypothesisNotMet("theta must be contained in chi")
-    if _max_interval(lattice, t) != _max_interval(lattice, c):
-        raise HypothesisNotMet("theta and chi have different maximal intervals")
-    if not cblp_index(lattice, c)[0]:
-        return True  # implication holds vacuously
-    return cblp_index(lattice, t)[0]
+# The Rad(A) criterion
 
 
 def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
@@ -583,11 +504,6 @@ def diamond_index(lattice: CongruenceLattice, t: int) -> int:
     return lattice.join_many(a for a in center_index(lattice)[0] if leq[a][t])
 
 
-def is_regular(alg: FiniteAlgebra, theta: Congruence) -> bool:
-    lattice, t = _indices(alg, theta)
-    return diamond_index(lattice, t) == t
-
-
 def diamond_star_commute(alg: FiniteAlgebra, theta: Congruence) -> bool:
     """The ideal of the reticulation generated by the complemented part of
     theta* equals (theta-diamond)*; also: regular theta gives a regular
@@ -610,15 +526,13 @@ def diamond_star_commute_index(lattice: CongruenceLattice, t: int) -> bool:
 
 
 @stored
-def _coprime_pairs(lattice: CongruenceLattice) -> list[tuple[int, int, int]]:
-    """(i, j, [i,j]) for all ordered pairs with join the top congruence."""
-    table, top = commutator_table(lattice), lattice.top_index
-    return [
-        (i, j, table[i][j])
-        for i, row in enumerate(lattice.join_table)
-        for j, joined in enumerate(row)
-        if joined == top
-    ]
+def _coprime_pairs(lattice: CongruenceLattice) -> tuple[int, ...]:
+    """For each i, {j : i v j is the top congruence} as an int bitset; the
+    readers take [i, j] from ``commutator_table``."""
+    top = lattice.top_index
+    return tuple(
+        sum(1 << j for j, joined in enumerate(row) if joined == top) for row in lattice.join_table
+    )
 
 
 @stored
@@ -667,12 +581,14 @@ def _unseparated_pairs(lattice: CongruenceLattice) -> tuple[tuple[int, int, int]
     with theta, and so do the center pairs below them: a pair separated at
     [phi, psi] is separated at every theta above it."""
     below_a, below_na = _center_pair_bits(lattice)
-    join = lattice.join_table
-    return tuple(
-        (i, j, cij)
-        for i, j, cij in _coprime_pairs(lattice)
-        if not below_a[join[cij][i]] & below_na[join[cij][j]]
-    )
+    join, table = lattice.join_table, commutator_table(lattice)
+    pairs = []
+    for i, partners in enumerate(_coprime_pairs(lattice)):
+        for j in _members(partners):
+            cij = table[i][j]
+            if not below_a[join[cij][i]] & below_na[join[cij][j]]:
+                pairs.append((i, j, cij))
+    return tuple(pairs)
 
 
 def cblp_characterization_index(lattice: CongruenceLattice, t: int) -> tuple[bool, ...]:
@@ -702,28 +618,6 @@ def cblp_characterization_index(lattice: CongruenceLattice, t: int) -> tuple[boo
     return cblp_index(lattice, t)[0], c2, c3, c4
 
 
-def regular_join_transfer(alg: FiniteAlgebra, theta: Congruence, chi: Congruence) -> bool:
-    """theta CBLP and chi regular imply theta v chi CBLP (vacuously true
-    when the hypotheses fail)."""
-    lattice, t, c = _indices(alg, theta, chi)
-    if not (cblp_index(lattice, t)[0] and diamond_index(lattice, c) == c):
-        return True
-    return cblp_index(lattice, lattice.join_table[t][c])[0]
-
-
-def noncoprime_meet_transfer(alg: FiniteAlgebra, theta: Congruence, chi: Congruence) -> bool:
-    """Non-coprime theta, chi with theta CBLP and trivial center of A/chi
-    give theta n chi CBLP (vacuously true when the hypotheses fail)."""
-    lattice, t, c = _indices(alg, theta, chi)
-    if lattice.join_table[t][c] == lattice.top_index:
-        return True
-    if not cblp_index(lattice, t)[0]:
-        return True
-    if len(quotient_center_index(lattice, c)[0]) > 2:
-        return True
-    return cblp_index(lattice, lattice.meet_table[t][c])[0]
-
-
 def _require_below_rad(lattice: CongruenceLattice, t: int) -> None:
     if not lattice.leq[t][spectrum_index(lattice, False)[2]]:
         raise HypothesisNotMet("theta must be contained in Rad(A)")
@@ -736,8 +630,7 @@ def quotient_cblp_descent(alg: FiniteAlgebra, theta: Congruence) -> bool:
 
     The lifting hypothesis on theta is required: without it the descent is
     refuted by the pentagon with theta = Rad(N5) (the quotient is the 2x2
-    lattice, CBLP everywhere, while Rad(N5) itself does not lift; see
-    ``literal_quotient_descent``).
+    lattice, CBLP everywhere, while Rad(N5) itself does not lift).
     """
     return quotient_cblp_descent_index(*_indices(alg, theta))
 
@@ -752,15 +645,6 @@ def quotient_cblp_descent_index(lattice: CongruenceLattice, t: int) -> bool:
     if b_normal_index(quotient_lattice) is None and b_normal_index(lattice) is not None:
         return False
     return True
-
-
-def literal_quotient_descent(alg: FiniteAlgebra, theta: Congruence) -> bool:
-    """The descent without the lifting hypothesis on theta: false in general
-    (the pentagon refutes it); kept so the counterexample can be exhibited."""
-    lattice, t = _indices(alg, theta)
-    _require_below_rad(lattice, t)
-    quotient_center_index(lattice, t)  # the theory gate on A/theta
-    return _all_cblp(lattice) or not _all_cblp(projection(lattice, t).lattice)
 
 
 class BNormalReport:
@@ -806,7 +690,15 @@ def b_normal_index(lattice: CongruenceLattice) -> tuple[int, int] | None:
         for b, bits in by_b.items():
             if row[b] == top:
                 cov_b[x] |= bits
-    return next(((i, j) for i, j, _ in _coprime_pairs(lattice) if not cov_a[i] & cov_b[j]), None)
+    return next(
+        (
+            (i, j)
+            for i, partners in enumerate(_coprime_pairs(lattice))
+            for j in _members(partners)
+            if not cov_a[i] & cov_b[j]
+        ),
+        None,
+    )
 
 
 def hyperarchimedean_cblp(alg: FiniteAlgebra) -> bool:

@@ -10,7 +10,8 @@ kept as an oracle toggle.
 The topology on Spec(A) has the sets D(theta) = {phi : theta not<= phi} as
 its opens; the family is closed under unions and finite intersections, so on
 a finite spectrum it is the whole topology.  Max(A) carries the subspace
-topology.
+topology; its open family is enumerated once per Con(A), and every clopen
+reader reads that one family.
 """
 
 from __future__ import annotations
@@ -196,13 +197,13 @@ def d_set(alg: FiniteAlgebra, theta: Congruence) -> OpenSet:
     )
 
 
-def _max_open_family(alg: FiniteAlgebra) -> tuple[list[frozenset], int]:
-    """All opens of the subspace Max(A): traces of the D(theta)."""
-    require_theory(alg)
-    lattice = con_lattice(alg)
+@stored
+def _max_open_family(lattice: CongruenceLattice) -> frozenset[frozenset[int]]:
+    """All opens of the subspace Max(A), each a set of positions in the
+    maximals: the traces of the D(theta), closed under unions (on a finite
+    space the unions of basic opens are the opens)."""
     maximals = spectrum_index(lattice, False)[1]
     opens = {frozenset(k for k, m in enumerate(maximals) if not row[m]) for row in lattice.leq}
-    # close under unions (finite space: unions of basic opens are the opens)
     family = set(opens)
     frontier = list(opens)
     while frontier:
@@ -212,19 +213,20 @@ def _max_open_family(alg: FiniteAlgebra) -> tuple[list[frozenset], int]:
             if merged not in family:
                 family.add(merged)
                 frontier.append(merged)
-    return sorted(family, key=lambda s: (len(s), sorted(s))), len(maximals)
+    return frozenset(family)
 
 
 def brute_force_clopens(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """Clopen subsets of Max(A) by direct finite-topology enumeration."""
-    family, count = _max_open_family(alg)
+    """Clopen subsets of Max(A) by direct finite-topology enumeration, read
+    off the stored ``_max_open_family``."""
+    require_theory(alg)
+    lattice = con_lattice(alg)
+    count = len(spectrum_index(lattice, False)[1])
     if count > CLOPEN_CAP:
         raise SizeBudgetExceeded(f"|Max(A)| = {count} exceeds the clopen cap {CLOPEN_CAP}")
-    opens = set(family)
+    opens = _max_open_family(lattice)
     full = frozenset(range(count))
-    return sorted(
-        tuple(sorted(u)) for u in opens if frozenset(full - u) in opens
-    )
+    return sorted(tuple(sorted(u)) for u in opens if full - u in opens)
 
 
 def clopens_of_max(alg: FiniteAlgebra) -> list[ClopenWitness]:

@@ -1,5 +1,6 @@
 """The term-condition commutator, its iterates, residuation and surrogates."""
 
+import random
 from itertools import product as iproduct
 from math import gcd
 from pathlib import Path
@@ -748,13 +749,36 @@ def _ladder_and_corpus():
     ]
 
 
-@pytest.mark.parametrize("alg", _ladder_and_corpus(), ids=lambda alg: alg.name)
+def _random_tables(count=12, seed=31):
+    """Seeded random binary algebras on 2 to 6 elements, in turn: a
+    relabelled semigroup, the same with one cell changed, and a uniformly
+    random table, which is seldom associative."""
+    rng = random.Random(seed)
+    algebras = []
+    for k in range(count):
+        n = rng.randint(2, 6)
+        kind = rng.choice(_FEW_CONGRUENCES)
+        table = [_SEMIGROUPS[kind](n, a, b) for a in range(n) for b in range(n)]
+        if k % 3 == 1:
+            cell = rng.randrange(n * n)
+            table[cell] = (table[cell] + rng.randint(1, n - 1)) % n
+        elif k % 3 == 2:
+            table = [rng.randrange(n) for _ in range(n * n)]
+        alg = FiniteAlgebra(f"random_{k}", n, (Operation("f", 2, tuple(table)),))
+        algebras.append(_relabel(alg, rng.sample(range(n), n)))
+    return algebras
+
+
+@pytest.mark.parametrize("alg", _ladder_and_corpus() + _random_tables(), ids=lambda alg: alg.name)
 def test_stored_generating_sets_generate(alg):
     """Each associative plan entry, and only those, keeps a set that
     generates A, and each A(beta) keeps one that generates A(beta) (or none,
-    meaning all of A(beta)); the universe of A(beta) is every beta-pair."""
+    meaning all of A(beta)); the universe of A(beta) is every beta-pair.
+    Associativity is graded by the cubic scan of ``test_scan_oracles``."""
     from congruence_lab.commutator import _pair_algebra
     from congruence_lab.congruences import _translation_plan
+
+    from test_scan_oracles import cubic_is_associative
 
     n = alg.size
     plan = _translation_plan(alg)
@@ -772,12 +796,7 @@ def test_stored_generating_sets_generate(alg):
 
             assert _generated(mul, [members[g] for g in gens]) == set(members)
     for width, rows, _, of_a in plan:
-        associative = width == 1 and all(
-            rows[rows[a][b]][c] == rows[a][rows[b][c]]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        )
+        associative = width == 1 and cubic_is_associative(rows)
         assert (of_a is not None) == associative
         if associative:
             assert _generated(lambda x, y: rows[x][y], of_a) == set(range(n))

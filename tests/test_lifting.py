@@ -11,7 +11,6 @@ from congruence_lab import (
     Falsified,
     boolean_center_of_congruences,
     cblp_characterization,
-    cblp_star_transfer,
     con_lattice,
     congruence_from_blocks,
     congruence_from_pairs,
@@ -21,19 +20,14 @@ from congruence_lab import (
     has_id_blp,
     hyperarchimedean_cblp,
     is_b_normal,
-    is_regular,
     lift_orthogonal,
-    max_interval_transfer,
     nabla,
-    noncoprime_meet_transfer,
     orthogonal_uniqueness_and_atoms,
     preserves_boolean_center,
     projection_image,
     quotient,
     quotient_cblp_descent,
-    radical_invariance,
     rad_cblp_criterion,
-    regular_join_transfer,
     spectrum,
     surrogate_checks,
 )
@@ -46,15 +40,18 @@ from congruence_lab.builders import (
     pentagon,
     ring_zn,
 )
-from congruence_lab.lattices import lattice_from_leq, principal_ideal
+from congruence_lab.congruences import projection
+from congruence_lab.lattices import LatticeIdeal, lattice_from_leq, principal_ideal
 from congruence_lab.lifting import (
-    literal_quotient_descent,
-    project_congruence,
-    quotient_center_congruences,
+    cblp_index,
+    diamond_index,
+    quotient_center_index,
     ring_idempotent_lifting,
     ring_idempotents,
-    section_congruence,
 )
+from congruence_lab.reticulation import reticulation_index
+from congruence_lab.spectrum import radical_index
+from congruence_lab.verify import _suite_lifting
 
 from conftest import fresh_copy, replace, theta
 from test_scan_oracles import CORPUS_FILES
@@ -126,44 +123,46 @@ STORED_ALGEBRAS = [chain_lattice(5), boolean_lattice(3), pentagon(), ring_zn(12)
 
 
 def test_section_inverts_projection():
-    """chi -> chi/theta and its section are inverse bijections between
-    [theta) and Con(A/theta), for every theta."""
+    """chi -> chi/theta and its section, the maps ``down`` and ``up`` of
+    ``projection``, are inverse bijections between [theta) and
+    Con(A/theta), for every theta; ``down`` is None off [theta)."""
     for alg in STORED_ALGEBRAS:
         lattice = con_lattice(alg)
-        for th in lattice.congruences:
+        for t, th in enumerate(lattice.congruences):
+            p = projection(lattice, t)
             qlattice = con_lattice(quotient(alg, th))
+            assert len(p.lattice) == len(qlattice)
             above = [chi for chi in lattice.congruences if th.leq(chi)]
             assert len(above) == len(qlattice)
-            for chi in lattice.congruences:
+            for c, chi in enumerate(lattice.congruences):
                 if chi not in above:
-                    with pytest.raises(HypothesisNotMet):
-                        project_congruence(alg, th, chi)
+                    assert p.down[c] is None
                     continue
-                down = project_congruence(alg, th, chi)
-                assert section_congruence(alg, th, down) == chi
-            for beta in qlattice.congruences:
-                assert project_congruence(alg, th, section_congruence(alg, th, beta)) == beta
+                assert p.up[p.down[c]] == c
+            for k in range(len(qlattice)):
+                assert p.down[p.up[k]] == k
 
 
 def test_projection_outside_the_quotient_lattice_is_falsified(monkeypatch):
     """A projected congruence missing from Con(A/theta), or a congruence of
     A/theta that nothing projects to, contradicts the correspondence
     theorem: Falsified, not an input error, and nothing is stored."""
-    from congruence_lab import congruences
-
     alg = fresh_copy(ring_zn(12))
-    t6 = theta(alg, 6)
+    lattice = con_lattice(alg)
+    t6, t2 = lattice.index(theta(alg, 6)), lattice.index(theta(alg, 2))
+    store = lattice._caches.setdefault("congruence_lab.congruences._quotient_algebra", {})
     for stand_in, message in (
         # Con(C_6) holds the interval partitions only, so theta_2/theta_6 misses
         (chain_lattice(6), "is not a congruence of the quotient"),
         # every partition of a set without operations is a congruence
         (FiniteAlgebra("6-set", 6, ()), "larger than the interval"),
     ):
-        monkeypatch.setattr(congruences, "quotient", lambda alg, th: stand_in)
+        monkeypatch.setitem(store, (t6,), stand_in)
         with pytest.raises(Falsified, match=message):
-            project_congruence(alg, t6, theta(alg, 2))
+            projection(lattice, t6)
     monkeypatch.undo()
-    assert project_congruence(alg, t6, theta(alg, 2)).blocks == (0, 1, 0, 1, 0, 1)
+    p = projection(lattice, t6)
+    assert p.lattice.congruences[p.down[t2]].blocks == (0, 1, 0, 1, 0, 1)
 
 
 def test_projection_image_routes_check_each_other():
@@ -269,25 +268,47 @@ def test_id_blp_boolean_cube_everywhere():
 # transfer results
 
 
+# The transfer results live in verify's lifting suite, which checks them
+# over lists of cblp_index verdicts; these tests state them on the index
+# cores one congruence or pair at a time.
+
+
+def _verdicts(lattice) -> list[bool]:
+    return [cblp_index(lattice, t)[0] for t in range(len(lattice))]
+
+
 def test_star_transfer(z12, z4):
+    """theta has CBLP iff the ideal theta* = (lambda(theta)] of the
+    reticulation has Id-BLP."""
     for alg in (z12, z4, pentagon()):
-        for c in con_lattice(alg).congruences:
-            assert cblp_star_transfer(alg, c)
+        lattice = con_lattice(alg)
+        _, rl, lam = reticulation_index(lattice)
+        for t, verdict in enumerate(_verdicts(lattice)):
+            assert verdict == has_id_blp(rl, LatticeIdeal(rl, lam[t])).lifts
 
 
 def test_radical_invariance(z12, z4):
     for alg in (z12, z4, pentagon()):
-        for c in con_lattice(alg).congruences:
-            assert radical_invariance(alg, c)
+        lattice = con_lattice(alg)
+        verdicts = _verdicts(lattice)
+        for t, verdict in enumerate(verdicts):
+            assert verdict == verdicts[radical_index(lattice, t)]
 
 
 def test_max_interval_transfer_z4(z4):
+    """theta <= chi with the same maximal congruences above both: chi CBLP
+    implies theta CBLP.  (nabla, Delta) is outside the hypothesis."""
     rad = spectrum(z4).rad
     assert rad == theta(z4, 2)
-    assert max_interval_transfer(z4, delta(z4), rad)
-    assert max_interval_transfer(z4, rad, rad)  # tautology
-    with pytest.raises(HypothesisNotMet):
-        max_interval_transfer(z4, nabla(z4), delta(z4))
+    lattice = con_lattice(z4)
+    verdicts = _verdicts(lattice)
+    maximals = spectrum(z4).maximals
+    above = [{m for m in maximals if th.leq(m)} for th in lattice.congruences]
+    d, r = lattice.index(delta(z4)), lattice.index(rad)
+    for t, c in ((d, r), (r, r)):  # (rad, rad) is a tautology
+        assert lattice.leq[t][c] and above[t] == above[c]
+        assert verdicts[t] or not verdicts[c]
+    assert not lattice.leq[lattice.top_index][d]
 
 
 CORPUS = [load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES]
@@ -297,20 +318,17 @@ CORPUS = [load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILE
     "alg", [alg for alg in CORPUS if surrogate_checks(alg).ok], ids=lambda alg: alg.name
 )
 def test_transfer_results_hold_on_every_pair(alg):
-    """verify checks the transfer results over lists of verdicts; the public
-    functions evaluate them pair by pair, and hold on every pair (for
-    max_interval_transfer, every pair meeting its precondition)."""
-    con = con_lattice(alg).congruences
-    maximals = spectrum(alg).maximals
-    above = [{m.blocks for m in maximals if th.leq(m)} for th in con]
-    for t, th in enumerate(con):
-        assert radical_invariance(alg, th)
-        assert cblp_star_transfer(alg, th)
-        for c, chi in enumerate(con):
-            assert regular_join_transfer(alg, th, chi)
-            assert noncoprime_meet_transfer(alg, th, chi)
-            if th.leq(chi) and above[t] == above[c]:
-                assert max_interval_transfer(alg, th, chi)
+    """verify's lifting suite checks each transfer result over every theta,
+    or every pair meeting its hypotheses, and each check passes."""
+    passed = {check.name: check.passed for check in _suite_lifting(alg)}
+    for name in (
+        "radical-invariance",
+        "star-transfer",
+        "regular-join-transfer",
+        "noncoprime-meet-transfer",
+        "max-interval-transfer",
+    ):
+        assert passed[name], name
 
 
 def test_rad_criterion(z12, z4):
@@ -326,9 +344,14 @@ def test_diamond_examples(z12, z4):
     assert diamond(z12, theta(z12, 2)) == theta(z12, 4)
     assert diamond(z12, nabla(z12)) == nabla(z12)
     assert diamond(z4, theta(z4, 2)) == delta(z4)
-    assert not is_regular(z4, theta(z4, 2))
-    assert is_regular(z12, theta(z12, 4))
-    assert not is_regular(z12, theta(z12, 6))
+
+    def regular(alg, th):
+        lattice = con_lattice(alg)
+        return diamond_index(lattice, lattice.index(th)) == lattice.index(th)
+
+    assert not regular(z4, theta(z4, 2))
+    assert regular(z12, theta(z12, 4))
+    assert not regular(z12, theta(z12, 6))
 
 
 def test_diamond_star_commute(z12, z4):
@@ -369,19 +392,40 @@ def test_characterization_detects_pentagon_failure():
     assert report.thm63 == {"c1": False, "c2": False, "c3": False, "c4": False}
 
 
+def _regular_join_transfer(alg, th, chi) -> bool:
+    """theta CBLP and chi regular imply theta v chi CBLP."""
+    lattice = con_lattice(alg)
+    t, c = lattice.index(th), lattice.index(chi)
+    if not (cblp_index(lattice, t)[0] and diamond_index(lattice, c) == c):
+        return True
+    return cblp_index(lattice, lattice.join_table[t][c])[0]
+
+
+def _noncoprime_meet_transfer(alg, th, chi) -> bool:
+    """Non-coprime theta, chi with theta CBLP and A/chi of trivial center
+    give theta ^ chi CBLP."""
+    lattice = con_lattice(alg)
+    t, c = lattice.index(th), lattice.index(chi)
+    if lattice.join_table[t][c] == lattice.top_index or not cblp_index(lattice, t)[0]:
+        return True
+    if len(quotient_center_index(lattice, c)[0]) > 2:
+        return True
+    return cblp_index(lattice, lattice.meet_table[t][c])[0]
+
+
 def test_regular_join_transfer_examples(z12):
-    assert regular_join_transfer(z12, theta(z12, 6), theta(z12, 4))
+    assert _regular_join_transfer(z12, theta(z12, 6), theta(z12, 4))
     for a in con_lattice(z12).congruences:
         for b in con_lattice(z12).congruences:
-            assert regular_join_transfer(z12, a, b)
+            assert _regular_join_transfer(z12, a, b)
 
 
 def test_noncoprime_meet_transfer_examples(z12, z4):
-    assert noncoprime_meet_transfer(z4, delta(z4), theta(z4, 2))
-    assert noncoprime_meet_transfer(z12, theta(z12, 6), theta(z12, 2))
+    assert _noncoprime_meet_transfer(z4, delta(z4), theta(z4, 2))
+    assert _noncoprime_meet_transfer(z12, theta(z12, 6), theta(z12, 2))
     for a in con_lattice(z12).congruences:
         for b in con_lattice(z12).congruences:
-            assert noncoprime_meet_transfer(z12, a, b)
+            assert _noncoprime_meet_transfer(z12, a, b)
 
 
 def test_quotient_descent(z12, z4):
@@ -398,7 +442,9 @@ def test_literal_descent_refuted_by_pentagon():
     while Rad(N5) does not lift, so N5 is not CBLP."""
     n5 = pentagon()
     rad = spectrum(n5).rad
-    assert not literal_quotient_descent(n5, rad)
+    lattice = con_lattice(n5)
+    quotient_lattice = projection(lattice, lattice.index(rad)).lattice
+    assert all(_verdicts(quotient_lattice)) and not all(_verdicts(lattice))
     # with the lifting hypothesis the descent is vacuous here
     assert quotient_cblp_descent(n5, rad)
     assert quotient_cblp_descent(n5, delta(n5))
@@ -570,9 +616,15 @@ def test_stored_results_match_direct_computation(alg):
     ]
     for t, th in enumerate(lattice.congruences):
         for _ in range(2):  # the first call computes, the second reads the store
-            _, qcenter = quotient_center_congruences(alg, th)
+            qcon = projection(lattice, t).lattice.congruences
+            members, complement, atoms = quotient_center_index(lattice, t)
+            qcenter = (
+                [qcon[i].blocks for i in members],
+                {qcon[i].blocks: qcon[j].blocks for i, j in complement.items()},
+                [qcon[i].blocks for i in atoms],
+            )
             direct = boolean_center_of_congruences(fresh_copy(quotient(alg, th)))
-            assert _center_blocks(qcenter) == _center_blocks(direct)
+            assert qcenter == _center_blocks(direct)
 
             reps = sorted(set(th.blocks))
             for c, chi in enumerate(lattice.congruences):
@@ -580,7 +632,7 @@ def test_stored_results_match_direct_computation(alg):
                     continue
                 labels = [chi.blocks[r] for r in reps]
                 relabelled = tuple(labels.index(v) for v in labels)
-                assert project_congruence(alg, th, chi).blocks == relabelled
+                assert qcon[projection(lattice, t).down[c]].blocks == relabelled
 
             below = [lattice.congruences[i] for i in complemented if lattice.leq_index(i, t)]
             joined = congruence_from_pairs(
@@ -618,9 +670,9 @@ def test_star_property_runs_once_per_verify(monkeypatch):
 
 
 def test_projection_built_once_per_theta(monkeypatch):
-    """verify_algebra builds each theta's projection, and so its quotient
-    algebra, at most once per Con(A)."""
-    from congruence_lab import congruences
+    """verify_algebra builds each theta's quotient algebra once per Con(A):
+    the projection and the interval count read the same one."""
+    from congruence_lab import congruences, verify
     from congruence_lab.verify import verify_algebra
 
     built = []
@@ -631,9 +683,10 @@ def test_projection_built_once_per_theta(monkeypatch):
         return real(alg, th)
 
     monkeypatch.setattr(congruences, "quotient", counting)
-    assert verify_algebra(fresh_copy(chain_lattice(5))).ok
-    assert built
-    assert len(built) == len(set(built))
+    monkeypatch.setattr(verify, "quotient", counting)
+    alg = fresh_copy(chain_lattice(5))
+    assert verify_algebra(alg).ok
+    assert len(built) == len(set(built)) == len(con_lattice(alg))
 
 
 def test_quotient_center_cross_check_raises_on_first_call(monkeypatch):
@@ -651,12 +704,13 @@ def test_quotient_center_cross_check_raises_on_first_call(monkeypatch):
             return members, complement, atoms
         return members[:-1], complement, atoms
 
+    lattice = con_lattice(alg)
+    t = lattice.index(theta6)
     monkeypatch.setattr(lifting, "center_index", drop_one)
     with pytest.raises(Falsified, match="interval and direct quotient centers disagree"):
-        quotient_center_congruences(alg, theta6)
+        quotient_center_index(lattice, t)
     monkeypatch.undo()
-    _, center = quotient_center_congruences(alg, theta6)
-    assert len(center) == len(ring_idempotents(6))
+    assert len(quotient_center_index(lattice, t)[0]) == len(ring_idempotents(6))
 
 
 def test_stored_reports_name_the_callers_algebra(monkeypatch):

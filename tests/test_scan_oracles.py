@@ -52,7 +52,12 @@
 * ``cblp_characterization_index``: every coprime pair at every theta,
   against the pairs unseparated at their own commutator;
 * ``has_id_blp``: the center of the lattice ``quotient_by_ideal`` builds,
-  against the interval [g, 1] read off the parent's tables.
+  against the interval [g, 1] read off the parent's tables;
+* ``_translation_plan``'s associativity test: the cubic scan of
+  (a b) c = a (b c), against Light's test on the generators found first;
+* ``_coprime_pairs``: the coprime pairs with their commutators by a scan of
+  the join table, against the bitsets of partners with [i, j] read off
+  ``commutator_table``.
 """
 
 from itertools import combinations
@@ -86,6 +91,7 @@ from congruence_lab.congruences import (
 )
 from congruence_lab.lattices import (
     FiniteLattice,
+    _members,
     all_ideals,
     is_prime_ideal,
     lattice_center,
@@ -369,6 +375,18 @@ def test_random_lattices_match_the_scans(lattice):
     assert_same_lattice_verdicts(lattice.leq)
 
 
+def coprime_triples(lattice) -> list[tuple[int, int, int]]:
+    """(i, j, [i, j]) for every ordered pair whose join is the top, in
+    row-major order, by a scan of the join table."""
+    table, top = commutator_table(lattice), lattice.top_index
+    return [
+        (i, j, table[i][j])
+        for i, row in enumerate(lattice.join_table)
+        for j, joined in enumerate(row)
+        if joined == top
+    ]
+
+
 def scan_c2_c3(alg, theta):
     lattice = con_lattice(alg)
     t = lattice.index(theta)
@@ -387,7 +405,7 @@ def scan_c2_c3(alg, theta):
 
     c2 = True
     c3 = True
-    for i, j, cij in _coprime_pairs(lattice):
+    for i, j, cij in coprime_triples(lattice):
         if not lattice.leq_index(cij, t):
             continue
         if separated(i, j):
@@ -409,7 +427,7 @@ def scan_b_normal(alg):
         for b in center_indices
         if commutator_index(lattice, a, b) == bottom
     ]
-    for i, j, _ in _coprime_pairs(lattice):
+    for i, j, _ in coprime_triples(lattice):
         if not any(
             lattice.join_index(i, a) == top and lattice.join_index(j, b) == top
             for a, b in orthogonal
@@ -420,7 +438,11 @@ def scan_b_normal(alg):
 
 @pytest.mark.parametrize("alg", _in_theory_corpus(), ids=lambda alg: alg.name)
 def test_separation_and_b_normal_scans_on_the_corpus(alg):
-    for theta in con_lattice(alg).congruences:
+    lattice = con_lattice(alg)
+    assert [(i, j) for i, j, _ in coprime_triples(lattice)] == [
+        (i, j) for i, partners in enumerate(_coprime_pairs(lattice)) for j in _members(partners)
+    ]
+    for theta in lattice.congruences:
         thm = cblp_characterization(alg, theta).thm63
         assert (thm["c2"], thm["c3"]) == scan_c2_c3(alg, theta)
     report = is_b_normal(alg)
@@ -872,7 +894,7 @@ def scan_characterization(lattice, t) -> tuple[bool, bool]:
     below_a, below_na = lifting._center_pair_bits(lattice)
     leq, join_t = lattice.leq, lattice.join_table[t]
     c2 = c3 = True
-    for i, j, cij in _coprime_pairs(lattice):
+    for i, j, cij in coprime_triples(lattice):
         if not leq[cij][t] or below_a[join_t[i]] & below_na[join_t[j]]:
             continue
         c2 = False
@@ -1042,3 +1064,18 @@ def test_center_map_generates_the_atoms_only():
     )
     with pytest.raises(Falsified, match="projected join and generated image disagree"):
         scan_center_map(lattice, t)
+
+
+# ---------------------------------------------------------------------------
+# associativity: the cubic scan that Light's test on the generators replaced
+
+
+def cubic_is_associative(rows) -> bool:
+    """(a b) c = a (b c) for every a, b, c of the table rows[a][b] = a b."""
+    n = len(rows)
+    return all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )

@@ -182,3 +182,31 @@ def test_loops_call_index_cores_not_con_lattice():
                 if (module, top.name, argument) not in allowed:
                     found.append(f"{module}.{top.name}:{call.lineno}")
     assert found == []
+
+
+def test_every_function_is_used_or_exported():
+    """Every module-level function of the library is referenced from library
+    code outside its own body, or exported from the package: a function
+    that only tests reach restates what another layer computes."""
+    exported = set()
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            exported |= {alias.name for alias in node.names}
+    defined = []
+    referenced = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defined.append((path.stem, top.name))
+            for node in ast.walk(top):
+                if node is top:
+                    continue
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if name is not None and not (isinstance(top, ast.FunctionDef) and name == top.name):
+                    referenced.add(name)
+    unused = [f"{module}.{name}" for module, name in defined if name not in referenced | exported]
+    assert unused == []

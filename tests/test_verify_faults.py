@@ -99,6 +99,26 @@ def test_principal_minimality_reads_every_stored_principal(monkeypatch, alg, cel
     assert "principal-minimality" in _failed(verify._suite_con_enumeration, alg)
 
 
+def test_interval_count_catches_one_wrong_quotient():
+    """The stored quotient at theta = Delta read as A/nabla, whose Con has
+    one element against the 16 of [Delta, nabla], on a C_5 with nothing
+    stored: the count check alone fails, and the suite raises nothing,
+    where the projection that reads the same quotient raises Falsified."""
+    from congruence_lab.algebra import quotient
+    from congruence_lab.congruences import _quotient_algebra, projection
+    from congruence_lab.errors import Falsified
+
+    alg = fresh_copy(chain_lattice(5))
+    lattice = con_lattice(alg)
+    bottom, top = lattice.bottom_index, lattice.top_index
+    _quotient_algebra(lattice, bottom)
+    store = lattice._caches["congruence_lab.congruences._quotient_algebra"]
+    store[(bottom,)] = quotient(alg, lattice.congruences[top])
+    assert _failed(verify._suite_con_enumeration, alg) == {"interval-vs-quotient-count"}
+    with pytest.raises(Falsified, match="is not a congruence of the quotient"):
+        projection(lattice, bottom)
+
+
 def test_commutator_above_its_meet(monkeypatch, alg):
     bottom, top, a1, _, _ = _elements(alg)
     _plant_commutator(monkeypatch, alg, bottom, a1, top)
@@ -340,19 +360,16 @@ def test_orthogonal_lifts_catch_one_commutator(monkeypatch, alg):
 
 
 def test_clopen_completeness_catches_a_missing_clopen(monkeypatch, alg):
-    # the direct enumeration of Clop(Max(A)) loses {m_0}: the witnessed
-    # clopens are then exactly the enumerated ones, but the trace of some
-    # witness pair is not among them
+    # the one stored open family of Max(A) loses {m_0}, so every reader of
+    # it loses the clopens {m_0} and {m_1, m_2, m_3}: the witnessed clopens
+    # are then exactly the enumerated ones, but the trace of some witness
+    # pair is not among them, and B(Con(A)) no longer maps onto them
     spectrum_module = importlib.import_module("congruence_lab.spectrum")  # not the function
-    real = spectrum_module.brute_force_clopens
-
-    def planted(a):
-        clopens = real(a)
-        return [u for u in clopens if u != (0,)] if a is alg else clopens
-
-    monkeypatch.setattr(spectrum_module, "brute_force_clopens", planted)
-    monkeypatch.setattr(verify, "brute_force_clopens", planted)
+    store = con_lattice(alg)._caches["congruence_lab.spectrum._max_open_family"]
+    monkeypatch.setitem(store, (), store[()] - {frozenset({0})})
     assert _failed(verify._suite_spectrum, alg) == {"clopen-witness-completeness"}
+    assert len(spectrum_module.clopens_of_max(alg)) == 14
+    assert _failed(verify._suite_lifting, alg) == {"rad-clopen-criterion"}
 
 
 # ---------------------------------------------------------------------------
