@@ -200,17 +200,21 @@ def quotient(alg: FiniteAlgebra, theta) -> FiniteAlgebra:
 
     if not is_congruence(alg, theta.blocks):
         raise NotACongruence(f"{list(theta.blocks)} is not a congruence of {alg.name}")
+    n = alg.size
     reps = sorted(set(theta.blocks))
-    rep_index = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
+    rank = {r: i for i, r in enumerate(reps)}
+    label = [rank[r] for r in theta.blocks]  # x -> the index of its block
+    # cells[a]: the flat table index of every a-tuple of representatives,
+    # in the row-major order of the quotient's table
+    cells = [[0]]
     operations = []
     for op in alg.operations:
-        table = []
-        for args in iproduct(range(k), repeat=op.arity):
-            value = op.apply(alg.size, tuple(reps[a] for a in args))
-            table.append(rep_index[theta.blocks[value]])
-        operations.append(Operation(op.name, op.arity, tuple(table)))
-    return FiniteAlgebra(f"{alg.name}/{list(theta.blocks)}", k, tuple(operations))
+        while len(cells) <= op.arity:
+            cells.append([c * n + r for c in cells[-1] for r in reps])
+        table, arity = op.table, op.arity
+        values = tuple([label[table[c]] for c in cells[arity]])
+        operations.append(Operation(op.name, arity, values))
+    return FiniteAlgebra(f"{alg.name}/{list(theta.blocks)}", len(reps), tuple(operations))
 
 
 def product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:

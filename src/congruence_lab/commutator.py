@@ -41,9 +41,11 @@ once on the firsts and once on the seconds of each pair.  An associative
 operation of A is associative on A(beta), so there the closure translates
 only by a generating set of the semigroup (A(beta), f), found once per beta:
 every translation by a member is a composition of translations by
-generators.  Non-associative and ternary operations keep every member as a
-filler.  A class of diagonal pairs alone generates the bottom and can never
-move delta, so it is not stored.
+generators.  The generator search computes the product t g of every
+member t by each generator g as it spans A(beta); ``_pair_algebra`` keeps
+them and the closure translates by them.  Non-associative and ternary
+operations keep every member as a filler.  A class of diagonal pairs alone
+generates the bottom and can never move delta, so it is not stored.
 
 Two more facts, true in every algebra, skip closures whose results are
 already known:
@@ -62,10 +64,12 @@ closures one (gamma, beta) source at a time, those already stored first,
 runs the fixpoint to a stable delta after each, and stops as soon as delta
 is alpha ^ beta.  In a congruence-modular algebra the commutator
 distributes over joins, so once the values below are stored, a pair whose
-alpha or beta is not join-irreducible costs no closure;
-``surrogate_index`` asks for the lower covers first.  The third fact, on
-orbits of bijective translations, is the one ``congruences`` uses to find
-the principal congruences.
+alpha or beta is not join-irreducible costs no closure.
+``surrogate_index`` asks for [theta, nabla] bottom-up, lower covers first,
+and for [nabla, nabla] last, from the join of the coatoms' stored values:
+nabla, the bound, whenever nabla has two coatoms, so no closure on A x A.
+The third fact, on orbits of bijective translations, is the one
+``congruences`` uses to find the principal congruences.
 
 Each Con(A) holds [alpha, beta] in one memo: rows over Con(A), None where
 no value is stored yet.  ``commutator_index`` reads it, seeds from it and
@@ -261,12 +265,13 @@ def matrix_subalgebra(
 @stored
 def _pair_algebra(lattice: CongruenceLattice, b: int):
     """The universe of A(beta) for beta = congruences[b], as
-    ``(firsts, seconds, index_of, generators)``: member i is
+    ``(firsts, seconds, index_of, products)``: member i is
     (firsts[i], seconds[i]), with x beta y for every member (x, y);
-    ``index_of[x * n + y]`` is the index of (x, y); and ``generators[e]``, for
-    plan entry e, lists the members that generate A(beta) under its
-    associative operation, or is None for every other entry and wherever no
-    proper subset is found."""
+    ``index_of[x * n + y]`` is the index of (x, y); and ``products[e]``, for
+    plan entry e, maps the members that generate A(beta) under its
+    associative operation to their product tuples (see
+    ``_semigroup_generators``), or is None for every other entry and
+    wherever no proper subset is found."""
     alg = lattice.algebra
     n = alg.size
     mask = lattice.masks[b]
@@ -275,15 +280,15 @@ def _pair_algebra(lattice: CongruenceLattice, b: int):
     for i, c in enumerate(cells):
         index_of[c] = i
     firsts, seconds = tuple(c // n for c in cells), tuple(c % n for c in cells)
-    generators = []
-    for _, rows, _, of_a in _translation_plan(alg):
-        gens = None
-        if of_a is not None:  # an associative operation
-            gens = _semigroup_generators(rows, firsts, seconds, index_of)
-            if len(gens) == len(firsts):
-                gens = None
-        generators.append(gens)
-    return firsts, seconds, index_of, tuple(generators)
+    products = []
+    for _, rows, _, _, scores in _translation_plan(alg):
+        found = None
+        if scores is not None:  # an associative operation
+            found = _semigroup_generators(rows, scores, firsts, seconds, index_of)
+            if len(found) == len(firsts):
+                found = None
+        products.append(found)
+    return firsts, seconds, index_of, tuple(products)
 
 
 @stored
@@ -299,14 +304,14 @@ def _close_delta(lattice: CongruenceLattice, g: int, b: int) -> tuple[int, ...]:
     A translation of A(beta) freezes its other arguments to members of
     A(beta), so it acts on the firsts and on the seconds of a member as the
     A-translations whose frozen tuples are the firsts and the seconds of
-    those members.  Each plan entry gets the ranks of those two tuples as
-    two coordinate lists: for every choice of ``width`` members, in product
-    order, or, for an associative operation, for its generators of A(beta)
-    alone, since every translation by a member is a composition of
-    translations by generators.
+    those members.  An associative operation translates by the product
+    tuples of its generators of A(beta) alone, since every translation by a
+    member is a composition of translations by generators.  Every other
+    plan entry gets the ranks of the two frozen tuples as two coordinate
+    lists, for every choice of ``width`` members, in product order.
     """
     n = lattice.algebra.size
-    firsts, seconds, index_of, generators = _pair_algebra(lattice, b)
+    firsts, seconds, index_of, products = _pair_algebra(lattice, b)
     part = _Partition(len(firsts))
     label, merge, pending = part.label, part.merge, part.pending
 
@@ -325,14 +330,20 @@ def _close_delta(lattice: CongruenceLattice, g: int, b: int) -> tuple[int, ...]:
                 [r1 * n + s1 for r1 in r1s for s1 in seconds],
             )
         )
-    steps = []
-    for (width, rows, _, _), gens in zip(plan, generators):
-        if gens is None:
-            steps.append((rows, *fillers[width]))
-        else:
-            steps.append((rows, [firsts[k] for k in gens], [seconds[k] for k in gens]))
+    steps = [
+        (rows, *fillers[width])
+        for (width, rows, *_), found in zip(plan, products)
+        if found is None
+    ]
+    by_generators = [
+        column for found in products if found is not None for column in found.values()
+    ]
     while pending:
         i, j = pending.pop()
+        for column in by_generators:
+            u, v = label[column[i]], label[column[j]]
+            if u != v:
+                merge(u, v)
         p0, p1, q0, q1 = firsts[i], seconds[i], firsts[j], seconds[j]
         for rows, s0s, s1s in steps:
             rp0, rp1, rq0, rq1 = rows[p0], rows[p1], rows[q0], rows[q1]
@@ -576,12 +587,11 @@ def surrogate_index(lattice: CongruenceLattice) -> tuple[bool, bool, bool]:
     """Whether Con(A) is modular, [nabla, nabla] = nabla, and [theta, nabla] =
     theta for every theta."""
     top = lattice.top_index
-    return (
-        lattice.is_modular(),
-        commutator_index(lattice, top, top) == top,
-        # lower covers first, so each query starts from the stored values below
-        all(commutator_index(lattice, i, top) == i for i in reversed(range(len(lattice)))),
-    )
+    modular = lattice.is_modular()
+    # lower covers first, so each query starts from the stored values below;
+    # the top comes last and starts from the join of its coatoms' values
+    neutral = all(commutator_index(lattice, i, top) == i for i in reversed(range(len(lattice))))
+    return modular, commutator_index(lattice, top, top) == top, neutral
 
 
 def require_theory(alg: FiniteAlgebra) -> SurrogateReport:

@@ -139,8 +139,8 @@ def _check_parent(theta: Congruence, chi: Congruence) -> None:
 @lru_cache(maxsize=None)
 def _translation_plan(alg: FiniteAlgebra):
     """Every basic translation x -> f(..., x, ...) of the algebra, as one
-    ``(width, rows, closing, generators)`` entry per operation and argument
-    position.
+    ``(width, rows, closing, generators, scores)`` entry per operation and
+    argument position.
 
     ``width`` is the number of frozen arguments, and ``rows[x][r]`` is the
     value at x of the translation whose frozen arguments are the r-th tuple
@@ -152,6 +152,13 @@ def _translation_plan(alg: FiniteAlgebra):
     associative binary operation f, ``generators`` is a generating set of
     the semigroup (A, f) and ``closing`` keeps only its columns; every other
     entry has ``generators`` None and ``closing`` is ``rows``.
+
+    ``scores[x]``, with (x, y) scoring scores[x] + scores[y], ranks the
+    candidates of the generator searches on f in A and in every A(beta):
+    m(x) * (2n + 1) + c(x), for m(x) multiples f(x, A) and f(A, x) and a
+    cyclic subsemigroup of c(x) elements.  As c(x) + c(y) <= 2n, it orders
+    like the pair of sums (m, c).  It is None where ``generators`` is, and
+    the same in both positions of an associative f.
     """
     plan = []
     n = alg.size
@@ -163,7 +170,7 @@ def _translation_plan(alg: FiniteAlgebra):
         commutative = width == 1 and all(
             table[a * n + b] == table[b * n + a] for a in range(n) for b in range(a)
         )
-        generators = None
+        generators = scores = None
         for pos in range(1 if commutative else op.arity):
             # frozen tuple r = hi * stride + lo splits around position pos
             stride = n ** (width - pos)
@@ -172,51 +179,51 @@ def _translation_plan(alg: FiniteAlgebra):
                 for x in range(n)
             )
             if pos == 0 and width == 1:
+                scores = []
+                for x in range(n):
+                    seen, power = {x}, rows[x][x]
+                    while power not in seen:
+                        seen.add(power)
+                        power = rows[power][x]
+                    multiples = len(set(rows[x]).union([row[x] for row in rows]))
+                    scores.append(multiples * (2 * n + 1) + len(seen))
                 # A is the pair algebra on the diagonal; Light's test
-                found = _semigroup_generators(rows, range(n), range(n), diagonal)
+                found = tuple(_semigroup_generators(rows, scores, range(n), range(n), diagonal))
                 if all(rows[r[g]] == tuple([r[c] for c in rows[g]]) for r in rows for g in found):
-                    generators = found
+                    generators, scores = found, tuple(scores)
+                else:
+                    scores = None
             closing = rows
             if generators is not None and len(generators) < n:
                 closing = tuple(tuple([row[g] for g in generators]) for row in rows)
-            plan.append((width, rows, closing, generators))
+            plan.append((width, rows, closing, generators, scores))
     return tuple(plan)
 
 
-def _semigroup_generators(rows, firsts, seconds, index_of):
+def _semigroup_generators(rows, scores, firsts, seconds, index_of):
     """Member indices whose left-normed products under the binary operation
-    f, ``rows[a][b] = f(a, b)``, are the whole pair algebra.
+    f, ``rows[a][b] = f(a, b)``, are the whole pair algebra, each mapped to
+    the tuple of its products: entry t of g's is the index of t g.
 
     Member i is (firsts[i], seconds[i]) and ``index_of[x * n + y]`` is the
     index of the member (x, y).  Candidates are taken greedily: one that the
-    chosen generators do not yet generate becomes a generator.  Elements
-    with many multiples f(x, A) and f(A, x), then with long cyclic
-    subsemigroups, come first; on a semilattice this is a linear extension
+    chosen generators do not yet generate becomes a generator.  Members
+    with the highest ``scores`` (many multiples, then long cyclic
+    subsemigroups) come first; on a semilattice this is a linear extension
     of its order, so the greedy set is the minimal one.  The span is kept
     closed under multiplication on the right by the generators, which
-    makes it every left-normed product of generators.
+    makes it every left-normed product of generators and computes each
+    product t g once.
     """
     n = len(rows)
     size = len(firsts)
-    multiples = [len(set(rows[x]).union([row[x] for row in rows])) for x in range(n)]
-    cycle = []
-    for x in range(n):
-        seen, power = {x}, rows[x][x]
-        while power not in seen:
-            seen.add(power)
-            power = rows[power][x]
-        cycle.append(len(seen))
-    order = sorted(
-        range(size),
-        key=lambda i: (
-            -multiples[firsts[i]] - multiples[seconds[i]],
-            -cycle[firsts[i]] - cycle[seconds[i]],
-        ),
-    )
+    keys = [scores[x] + scores[y] for x, y in zip(firsts, seconds)]
+    order = sorted(range(size), key=keys.__getitem__, reverse=True)  # ties in index order
     generated = bytearray(size)
     span: list[int] = []  # the subsemigroup generated so far
     generators: list[int] = []
     coordinates: list[tuple[int, int]] = []  # of the generators
+    products: list = [None] * size  # member t: t g for each generator g so far
     for c in order:
         if generated[c]:
             continue
@@ -224,6 +231,8 @@ def _semigroup_generators(rows, firsts, seconds, index_of):
         c0, c1 = firsts[c], seconds[c]
         coordinates.append((c0, c1))
         queue = [index_of[rows[firsts[s]][c0] * n + rows[seconds[s]][c1]] for s in span]
+        for s, t in zip(span, queue):
+            products[s].append(t)
         queue.append(c)
         while queue:
             t = queue.pop()
@@ -232,10 +241,11 @@ def _semigroup_generators(rows, firsts, seconds, index_of):
             generated[t] = 1
             span.append(t)
             t0, t1 = rows[firsts[t]], rows[seconds[t]]
-            queue += [index_of[t0[g0] * n + t1[g1]] for g0, g1 in coordinates]
+            products[t] = [index_of[t0[g0] * n + t1[g1]] for g0, g1 in coordinates]
+            queue += products[t]
         if len(span) == size:
             break
-    return tuple(generators)
+    return dict(zip(generators, zip(*products)))
 
 
 class _Partition:
@@ -285,7 +295,7 @@ def _close_pairs(alg: FiniteAlgebra, seeds) -> tuple[int, ...]:
     plan = _translation_plan(alg)
     while pending:
         a, b = pending.pop()
-        for _, _, rows, _ in plan:
+        for _, _, rows, _, _ in plan:
             for u, v in zip(rows[a], rows[b]):
                 u, v = label[u], label[v]
                 if u != v:
@@ -344,7 +354,7 @@ def is_congruence(alg: FiniteAlgebra, blocks) -> bool:
     for x, rep in enumerate(blocks):
         classes.setdefault(rep, []).append(x)
     related = [cls for cls in classes.values() if len(cls) > 1]
-    for _, rows, _, _ in _translation_plan(alg):
+    for _, rows, _, _, _ in _translation_plan(alg):
         for cls in related:
             first = rows[cls[0]]
             for other in cls[1:]:
@@ -489,7 +499,7 @@ def _pair_orbits(alg: FiniteAlgebra) -> list[list[tuple[int, int]]]:
     identity = tuple(range(n))
     maps = {
         column
-        for _, _, closing, _ in _translation_plan(alg)
+        for _, _, closing, _, _ in _translation_plan(alg)
         for column in zip(*closing)
         if len(set(column)) == n and column != identity
     }

@@ -583,10 +583,11 @@ def test_full_table_closes_only_join_irreducible_deltas():
     """A bottom-up table on B_4 closes Delta_{g,g} for each join-irreducible
     g and nothing else: [alpha, beta] = alpha ^ beta, so every other pair
     starts at its bound, the join of the stored values one lower cover down.
-    A cold surrogate gate on Z_18 closes Delta_{g,nabla} for each
-    join-irreducible g: every theta that is not join-irreducible starts at
-    [theta, nabla] = theta, and a join-irreducible one reaches theta from the
-    closures on A(nabla) alone."""
+    A cold surrogate gate on Z_18 closes nothing on A(nabla) = A x A: every
+    theta below nabla reaches [theta, nabla] = theta from closures on the
+    smaller A(theta), and [nabla, nabla] starts from the join of the two
+    coatoms' values, which is nabla.  On Z_16, whose one coatom makes nabla
+    join-irreducible, the gate closes only Delta_{nabla,nabla} there."""
     lattice = all_congruences(boolean_lattice(4))  # uncached: a cold lattice
     ji = lattice.join_irreducible_indices()
     bottom_up = range(len(lattice) - 1, -1, -1)  # a finer congruence sorts later
@@ -600,7 +601,14 @@ def test_full_table_closes_only_join_irreducible_deltas():
     top = lattice.top_index
     assert surrogate_index(lattice) == (True, True, True)
     store = lattice._caches["congruence_lab.commutator._close_delta"]
-    assert set(store) == {(g, top) for g in lattice.join_irreducible_indices()}
+    assert [b for _, b in store if b == top] == []
+
+    lattice = all_congruences(ring_zn(16))
+    top = lattice.top_index
+    assert top in lattice.join_irreducible_indices()
+    assert surrogate_index(lattice) == (True, True, True)
+    store = lattice._caches["congruence_lab.commutator._close_delta"]
+    assert [(g, b) for g, b in store if b == top] == [(top, top)]
 
 
 # Associative binary operations: the closures translate by a generating set
@@ -773,8 +781,10 @@ def _random_tables(count=12, seed=31):
 def test_stored_generating_sets_generate(alg):
     """Each associative plan entry, and only those, keeps a set that
     generates A, and each A(beta) keeps one that generates A(beta) (or none,
-    meaning all of A(beta)); the universe of A(beta) is every beta-pair.
-    Associativity is graded by the cubic scan of ``test_scan_oracles``."""
+    meaning all of A(beta)), each generator with the tuple of its products,
+    which must be member t times the generator at every t; the universe of
+    A(beta) is every beta-pair.  Associativity is graded by the cubic scan
+    of ``test_scan_oracles``."""
     from congruence_lab.commutator import _pair_algebra
     from congruence_lab.congruences import _translation_plan
 
@@ -784,20 +794,24 @@ def test_stored_generating_sets_generate(alg):
     plan = _translation_plan(alg)
     lattice = con_lattice(alg)
     for b, beta in enumerate(lattice.congruences):
-        firsts, seconds, _, generators = _pair_algebra(lattice, b)
+        firsts, seconds, index_of, products = _pair_algebra(lattice, b)
         members = list(zip(firsts, seconds))
         assert set(members) == {(x, y) for x in range(n) for y in range(n) if beta.related(x, y)}
-        for (_, rows, _, _), gens in zip(plan, generators):
-            if gens is None:
+        for (_, rows, _, _, scores), found in zip(plan, products):
+            if found is None:
                 continue
+            assert scores is not None
 
             def mul(p, q, rows=rows):
                 return rows[p[0]][q[0]], rows[p[1]][q[1]]
 
-            assert _generated(mul, [members[g] for g in gens]) == set(members)
-    for width, rows, _, of_a in plan:
+            assert _generated(mul, [members[g] for g in found]) == set(members)
+            for g, column in found.items():
+                images = [mul(t, members[g]) for t in members]
+                assert column == tuple([index_of[x * n + y] for x, y in images])
+    for width, rows, _, of_a, scores in plan:
         associative = width == 1 and cubic_is_associative(rows)
-        assert (of_a is not None) == associative
+        assert (of_a is not None) == (scores is not None) == associative
         if associative:
             assert _generated(lambda x, y: rows[x][y], of_a) == set(range(n))
 

@@ -57,7 +57,10 @@
   (a b) c = a (b c), against Light's test on the generators found first;
 * ``_coprime_pairs``: the coprime pairs with their commutators by a scan of
   the join table, against the bitsets of partners with [i, j] read off
-  ``commutator_table``.
+  ``commutator_table``;
+* ``_semigroup_generators``' candidate order: the tuple (multiples, cycle
+  length) counted from the table on every search, against the int scores
+  that ``_translation_plan`` counts once per operation.
 """
 
 from itertools import combinations
@@ -72,6 +75,7 @@ from congruence_lab.algebra import load_algebra, product
 from congruence_lab.builders import boolean_lattice, chain_lattice, ring_zn, standard_corpus
 from congruence_lab.commutator import (
     _close_delta,
+    _pair_algebra,
     commutator_index,
     commutator_table,
     residuation_index,
@@ -85,6 +89,7 @@ from congruence_lab.congruences import (
     _close_pairs,
     _join_blocks,
     _meet_blocks,
+    _translation_plan,
     all_congruences,
     con_lattice,
     projection,
@@ -1079,3 +1084,86 @@ def cubic_is_associative(rows) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+# ---------------------------------------------------------------------------
+# generator search: the tuple sort key that the plan's int scores replaced
+
+
+def tuple_key_generators(rows, firsts, seconds, index_of) -> tuple[int, ...]:
+    """The greedy generators of the pair algebra with members (firsts[i],
+    seconds[i]) under rows[a][b] = a b, candidates sorted by the tuple
+    (most multiples f(x, A) and f(A, x), then longest cyclic subsemigroup,
+    each summed over both coordinates), counted from the table on every
+    call; the span is kept closed under multiplication on the right by the
+    generators."""
+    n = len(rows)
+    size = len(firsts)
+    multiples = [len(set(rows[x]).union([row[x] for row in rows])) for x in range(n)]
+    cycle = []
+    for x in range(n):
+        seen, power = {x}, rows[x][x]
+        while power not in seen:
+            seen.add(power)
+            power = rows[power][x]
+        cycle.append(len(seen))
+    order = sorted(
+        range(size),
+        key=lambda i: (
+            -multiples[firsts[i]] - multiples[seconds[i]],
+            -cycle[firsts[i]] - cycle[seconds[i]],
+        ),
+    )
+
+    def times(s, t):
+        return index_of[rows[firsts[s]][firsts[t]] * n + rows[seconds[s]][seconds[t]]]
+
+    generated = set()
+    generators = []
+    for c in order:
+        if c in generated:
+            continue
+        generators.append(c)
+        queue = [c] + [times(s, c) for s in generated]
+        while queue:
+            t = queue.pop()
+            if t not in generated:
+                generated.add(t)
+                queue += [times(t, g) for g in generators]
+    return tuple(generators)
+
+
+def assert_int_scores_choose_the_tuple_key_generators(alg):
+    """The plan's generators of A and each A(beta)'s stored generators (all
+    of A(beta) where none are stored) against the tuple key's."""
+    n = alg.size
+    diagonal = [-1] * (n * n)
+    for x in range(n):
+        diagonal[x * n + x] = x
+    lattice = con_lattice(alg)
+    stored = [_pair_algebra(lattice, b) for b in range(len(lattice))]
+    for e, (_, rows, _, generators, _) in enumerate(_translation_plan(alg)):
+        if generators is None:
+            continue
+        assert generators == tuple_key_generators(rows, range(n), range(n), diagonal)
+        for firsts, seconds, index_of, products in stored:
+            oracle = tuple_key_generators(rows, firsts, seconds, index_of)
+            if products[e] is None:
+                assert len(oracle) == len(firsts)
+            else:
+                assert tuple(products[e]) == oracle
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES] + LADDER,
+    ids=lambda alg: alg.name,
+)
+def test_int_scores_choose_the_tuple_key_generators(alg):
+    assert_int_scores_choose_the_tuple_key_generators(alg)
+
+
+@given(associative_algebras())
+@settings(max_examples=100, deadline=None)
+def test_int_scores_choose_the_tuple_key_generators_on_semigroups(alg):
+    assert_int_scores_choose_the_tuple_key_generators(alg)

@@ -18,15 +18,17 @@ one measurement is reused by the next:
   ``con_s + surrogates_s``, and the sum of all steps is ``verify_s``, the
   time of one ``verify_algebra`` call.  ``delta_closures`` is the number
   of Delta_{gamma,beta} closures that Con(A) has stored by then, the work
-  count of the commutator layer, and ``stored_results`` the number of
-  entries in Con(A)'s whole result store, which grows with what the
-  suites keep.  ``max_rss_mib`` is its peak resident set size from
-  ``resource.getrusage``; Linux carries the peak across fork and exec, so
-  the RSS of the ladder process itself, which has imported the package,
-  is its floor.  Before any step it imports the package
-  (``import_s``): the start-up cost that every fresh process pays, counted
-  in none of the other times.  The sources are byte-compiled before the
-  first measurement and the children run without
+  count of the commutator layer, and ``pair_members`` the number of members
+  of the pair algebras A(beta) they ran on, which weighs them by size (a
+  closure on A(nabla) = A x A reads n**2 members, one on a small A(beta)
+  few); ``stored_results`` is the number of entries in Con(A)'s whole
+  result store, which grows with what the suites keep.  ``max_rss_mib``
+  is its peak resident set size from ``resource.getrusage``; Linux
+  carries the peak across fork and exec, so the RSS of the ladder process
+  itself, which has imported the package, is its floor.  Before any step
+  it imports the package (``import_s``): the start-up cost that every
+  fresh process pays, counted in none of the other times.  The sources are
+  byte-compiled before the first measurement and the children run without
   ``PYTHONDONTWRITEBYTECODE``, so ``import_s`` counts no compilation.
 
 Suites that ``verify_algebra`` skips on an exploratory algebra are not run.
@@ -105,8 +107,11 @@ def child(name: str, label: str) -> dict:
             continue
         checks, seconds = _timed(lambda: list(suite(alg)))
         out["suites"][suite_label] = {"seconds": seconds, "checks": len(checks)}
-    out["delta_closures"] = len(lattice._caches.get("congruence_lab.commutator._close_delta", {}))
-    out["stored_results"] = sum(map(len, lattice._caches.values()))
+    caches = lattice._caches
+    out["delta_closures"] = len(caches.get("congruence_lab.commutator._close_delta", {}))
+    universes = caches.get("congruence_lab.commutator._pair_algebra", {}).values()
+    out["pair_members"] = sum(len(firsts) for firsts, *_ in universes)
+    out["stored_results"] = sum(map(len, caches.values()))
     out["max_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return out
 
@@ -164,6 +169,7 @@ def measure(name: str) -> dict:
         "setup_s": round(sequence["setup_s"], 3),
         "verify_s": round(total, 3),
         "delta_closures": sequence["delta_closures"],
+        "pair_members": sequence["pair_members"],
         "stored_results": sequence["stored_results"],
         "max_rss_mib": sequence["max_rss_mib"],
         "suites": suites,
@@ -190,7 +196,8 @@ def main(argv=None) -> int:
             f"{name}: |Con| = {record['con_size']}, import {record['import_s']:.3f} s, "
             f"setup {record['setup_s']:.2f} s "
             f"(Con(A) {record['con_s']:.2f} s, surrogates {record['surrogates_s']:.2f} s), "
-            f"verify {record['verify_s']:.2f} s, {record['delta_closures']} Delta closures, "
+            f"verify {record['verify_s']:.2f} s, {record['delta_closures']} Delta closures "
+            f"on {record['pair_members']} pair members, "
             f"{record['stored_results']} stored results, max RSS {record['max_rss_mib']} MiB"
         )
         print(f"  {'suite':<14}{'checks':>7}{'alone s':>10}{'in sequence s':>15}")
