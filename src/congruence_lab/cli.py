@@ -5,9 +5,14 @@ cblp | verify | report.  Inputs are algebra documents (JSON operation
 tables); congruence arguments are block arrays like ``[0,1,0,1,0,1]``.
 
 Exit codes: 0 pass, 1 falsification, 2 input error, 3 hypothesis failure.
+``verify`` reports every input on its own: a falsification on one input is
+a failed check on it (exit 1), and any other library error raised while
+verifying it, a budget or hypothesis failure included, is that input's
+error (exit 2); the other inputs still report.
 Text and JSON output render the same report dictionaries, so the verdicts
-are identical in both formats.  The environment variable
-``CONGRUENCE_LAB_CAP`` overrides both size caps; explicit flags win over it.
+are identical in both formats.  Each size cap is ``--cap-con`` or
+``--cap-matrix`` when given, else the environment variable
+``CONGRUENCE_LAB_CAP``, else the default; a zero from either is refused.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .errors import (
     Falsified,
     HypothesisNotMet,
     InputError,
-    SizeBudgetExceeded,
     TheoryHypothesisFailed,
 )
 from .lifting import boolean_center_of_congruences, cblp_characterization
@@ -39,26 +43,6 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
-
-
-class RunConfig:
-    """One resolved invocation: exactly one command over some input paths."""
-
-    __slots__ = ("command", "paths", "json_output", "cap_con", "cap_matrix", "jobs", "extra")
-
-    def __init__(
-        self, command, paths, json_output=False, cap_con=config.DEFAULT_CON_CAP,
-        cap_matrix=config.DEFAULT_MATRIX_CAP, jobs=1, extra=None,
-    ):
-        if cap_con <= 0 or cap_matrix <= 0 or jobs <= 0:
-            raise InputError("caps and job counts must be positive")
-        self.command = command
-        self.paths = paths
-        self.json_output = json_output
-        self.cap_con = cap_con
-        self.cap_matrix = cap_matrix
-        self.jobs = jobs
-        self.extra = {} if extra is None else extra
 
 
 def _apply_caps(caps: tuple[int, int]) -> tuple[int, int]:
@@ -193,12 +177,10 @@ def report_cblp(alg, theta=None) -> dict:
 
 
 def report_full(alg) -> dict:
+    surrogates = surrogate_checks(alg)
     return {
         "algebra": alg.name,
-        "surrogates": {
-            "ok": surrogate_checks(alg).ok,
-            "failures": surrogate_checks(alg).failures(),
-        },
+        "surrogates": {"ok": surrogates.ok, "failures": surrogates.failures()},
         "congruences": report_congruences(alg),
         "center": report_center(alg),
         "spectrum": report_spectrum(alg),
@@ -209,8 +191,9 @@ def report_full(alg) -> dict:
 
 def _verify_one_path(caps: tuple[int, int], path: str) -> dict:
     """Worker for verify: self-contained so it can run in a subprocess, and
-    failures in one input never mask the others.  A budget error is that
-    input's error (exit 2); a falsification is a failed check on it (exit 1).
+    failures in one input never mask the others.  A falsification is a
+    failed check on it (exit 1); any other library error is that input's
+    error (exit 2).
 
     The caps ``(cap_con, cap_matrix)`` are passed in and applied here, since
     a worker started by ``spawn`` or ``forkserver`` re-imports ``config``
@@ -233,11 +216,11 @@ def _verify_one_path(caps: tuple[int, int], path: str) -> dict:
     result["algebra"] = alg.name
     try:
         report = verify.verify_algebra(alg)
-    except SizeBudgetExceeded as exc:
-        result["input_error"] = str(exc)
-        return result
     except Falsified as exc:
         result["checks"] = [{"name": "falsified", "passed": False, "detail": str(exc)}]
+        return result
+    except CongruenceLabError as exc:
+        result["input_error"] = str(exc)
         return result
     result.update(
         exploratory=report.exploratory,
@@ -286,7 +269,7 @@ def _print_congruences(rep):
             tags.append("top")
         if i in rep["join_irreducibles"]:
             tags.append("join-irreducible")
-        label = rep["labels"].get(i) or rep["labels"].get(str(i))
+        label = rep["labels"].get(i)
         name = f" {label}" if label else ""
         suffix = f"  ({', '.join(tags)})" if tags else ""
         print(f"  [{i}]{name} {json.dumps(blocks)}{suffix}")
@@ -400,7 +383,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _caps(args) -> tuple[int, int]:
+    """``(cap_con, cap_matrix)``: each flag, else ``CONGRUENCE_LAB_CAP``,
+    else the default.  A given value, zero included, must be positive, and so
+    must ``--jobs``."""
     env_cap = os.environ.get("CONGRUENCE_LAB_CAP")
     env_value = None
     if env_cap is not None:
@@ -410,95 +396,76 @@ def _config_from_args(args) -> RunConfig:
             raise InputError(f"CONGRUENCE_LAB_CAP must be an integer, got {env_cap!r}")
 
     def resolve(flag, default):
-        # a given value, zero included, reaches RunConfig's positivity check
         return next(v for v in (flag, env_value, default) if v is not None)
 
-    cap_con = resolve(args.cap_con, config.DEFAULT_CON_CAP)
-    cap_matrix = resolve(args.cap_matrix, config.DEFAULT_MATRIX_CAP)
-    paths = getattr(args, "paths", None) or [args.path]
-    return RunConfig(
-        command=args.command,
-        paths=paths,
-        json_output=args.json,
-        cap_con=cap_con,
-        cap_matrix=cap_matrix,
-        jobs=args.jobs,
-        extra={
-            "alpha": getattr(args, "alpha", None),
-            "beta": getattr(args, "beta", None),
-            "theta": getattr(args, "theta", None),
-        },
+    caps = (
+        resolve(args.cap_con, config.DEFAULT_CON_CAP),
+        resolve(args.cap_matrix, config.DEFAULT_MATRIX_CAP),
     )
+    if min(*caps, args.jobs) <= 0:
+        raise InputError("caps and job counts must be positive")
+    return caps
 
 
-def run(config: RunConfig) -> int:
-    """Run one command under its caps, and restore the caps on return, so
-    that an in-process call leaves the next one at the budgets it had."""
-    caps = (config.cap_con, config.cap_matrix)
+# every single-input command: its report builder, called with the loaded
+# algebra and the parsed arguments, and its text printer (None prints JSON)
+COMMANDS = {
+    "congruences": (lambda alg, args: report_congruences(alg), _print_congruences),
+    "commutator": (
+        lambda alg, args: report_commutator(
+            alg, _parse_blocks(alg, args.alpha), _parse_blocks(alg, args.beta)
+        ),
+        None,
+    ),
+    "spectrum": (lambda alg, args: report_spectrum(alg), _print_spectrum),
+    "reticulation": (lambda alg, args: report_reticulation(alg), None),
+    "center": (lambda alg, args: report_center(alg), None),
+    "cblp": (
+        lambda alg, args: report_cblp(
+            alg, _parse_blocks(alg, args.theta) if args.theta else None
+        ),
+        _print_cblp,
+    ),
+    "report": (lambda alg, args: report_full(alg), None),
+}
+
+
+def run(args, caps: tuple[int, int]) -> int:
+    """Run the parsed command under ``caps`` and restore the previous caps
+    on return, so that an in-process call leaves the next one at the
+    budgets it had."""
     previous = _apply_caps(caps)
     try:
-        if config.command == "verify":
-            rep = report_verify(config.paths, config.jobs, caps)
-            if config.json_output:
-                print(json.dumps(rep, indent=2))
-            else:
-                _print_verify(rep)
-            if rep["input_errors"]:
-                return EXIT_INPUT
-            return EXIT_OK if rep["ok"] else EXIT_FALSIFIED
-
-        alg = _load(config.paths[0])
-        if config.command == "congruences":
-            rep = report_congruences(alg)
-            printer = _print_congruences
-        elif config.command == "commutator":
-            alpha = _parse_blocks(alg, config.extra["alpha"])
-            beta = _parse_blocks(alg, config.extra["beta"])
-            rep = report_commutator(alg, alpha, beta)
-            printer = None
-        elif config.command == "spectrum":
-            rep = report_spectrum(alg)
-            printer = _print_spectrum
-        elif config.command == "reticulation":
-            rep = report_reticulation(alg)
-            printer = None
-        elif config.command == "center":
-            rep = report_center(alg)
-            printer = None
-        elif config.command == "cblp":
-            theta = _parse_blocks(alg, config.extra["theta"]) if config.extra["theta"] else None
-            rep = report_cblp(alg, theta)
-            printer = _print_cblp
-        elif config.command == "report":
-            rep = report_full(alg)
-            printer = None
-        else:  # pragma: no cover - argparse restricts the choices
-            raise InputError(f"unknown command {config.command!r}")
-
-        if config.json_output or printer is None:
+        if args.command == "verify":
+            rep = report_verify(args.paths, args.jobs, caps)
+            printer = _print_verify
+        else:
+            build, printer = COMMANDS[args.command]
+            rep = build(_load(args.path), args)
+        if args.json or printer is None:
             print(json.dumps(rep, indent=2))
         else:
             printer(rep)
-        return EXIT_OK
     finally:
         _apply_caps(previous)
+    if args.command != "verify":
+        return EXIT_OK
+    if rep["input_errors"]:
+        return EXIT_INPUT
+    return EXIT_OK if rep["ok"] else EXIT_FALSIFIED
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config)
+        return run(args, _caps(args))
     except Falsified as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     except (TheoryHypothesisFailed, HypothesisNotMet) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (InputError, SizeBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CongruenceLabError as exc:  # pragma: no cover - safety net
+    except CongruenceLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,6 +12,7 @@ from congruence_lab import config, dump_algebra
 from congruence_lab.builders import chain_lattice, pentagon, pointed_pair, ring_zn
 from congruence_lab.cli import EXIT_FALSIFIED, EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, main
 from congruence_lab.congruences import all_congruences
+from congruence_lab.errors import NotALattice, TheoryHypothesisFailed
 
 
 @pytest.fixture()
@@ -371,3 +372,47 @@ def test_verify_json_contract_on_ladder(capsys, monkeypatch, tmp_path):
             del result["elapsed"]
         expected = (REPO / "tests" / "data" / pinned).read_text()
         assert json.dumps(report, indent=2) + "\n" == expected
+
+
+def test_single_input_commands_match_pins(capsys, monkeypatch):
+    """Every single-input command on corpus/z_12.json, in JSON and in text,
+    with block arguments for commutator and cblp: the stdout and exit code
+    are pinned byte for byte in tests/data/cli_z12.json."""
+    from congruence_lab.cli import COMMANDS
+
+    monkeypatch.chdir(REPO)
+    cases = json.loads((REPO / "tests" / "data" / "cli_z12.json").read_text())
+    assert set(COMMANDS) <= {arg for case in cases for arg in case["argv"]}
+    for case in cases:
+        assert main(case["argv"]) == case["exit"], case["argv"]
+        out, err = capsys.readouterr()
+        assert (out, err) == (case["stdout"], ""), case["argv"]
+
+
+@pytest.mark.parametrize("error", [TheoryHypothesisFailed, NotALattice], ids=lambda e: e.__name__)
+def test_verify_isolates_hypothesis_failure(capsys, monkeypatch, error):
+    """A library error other than a falsification, raised while verifying
+    one input, is that input's ERROR; the other inputs still report, and
+    the run exits 2."""
+    from congruence_lab import verify as verify_mod
+
+    real = dict(verify_mod.SUITES)["spectrum"]
+
+    def spectrum_failing_on_z12(alg):
+        if alg.size == 12:
+            raise error("planted failure on Z_12")
+        return real(alg)
+
+    suites = [
+        (label, spectrum_failing_on_z12 if label == "spectrum" else suite)
+        for label, suite in verify_mod.SUITES
+    ]
+    monkeypatch.setattr(verify_mod, "SUITES", suites)
+    monkeypatch.chdir(REPO)
+    paths = ["corpus/z_6.json", "corpus/z_12.json", "corpus/z_2.json"]
+    assert main(["verify", *paths]) == EXIT_INPUT
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("PASS") and "corpus/z_6.json " in line for line in lines)
+    assert any(line.startswith("PASS") and "corpus/z_2.json " in line for line in lines)
+    assert f"{'ERROR':11s} corpus/z_12.json: planted failure on Z_12" in lines
+    assert lines[-1] == "verify: FAIL"
