@@ -14,10 +14,10 @@ tables off up-set and down-set bitsets with ``_tables_from_bitsets``; the
 interval quotient, which already holds correct tables, builds the type
 directly.
 
-A lattice derives one form of its order, the down-set bitsets
-``down_sets``.  The cover tables are read off them, and the
-join-irreducibles (one lower cover), the distributivity and modularity
-tests and ideal primeness read those two forms only.
+A lattice derives one form of its order, the down-set bitsets ``down_sets``,
+and its Boolean center ``center``, each once.  The cover tables are read off
+the bitsets, and the join-irreducibles (one lower cover), the distributivity
+and modularity tests and ideal primeness read those two forms only.
 
 Every ideal of a finite lattice is principal (a nonempty down-set closed
 under binary join contains the join of all its members), so a
@@ -46,8 +46,6 @@ __all__ = [
     "prime_ideals",
     "maximal_ideals",
     "quotient_by_ideal",
-    "complemented_elements",
-    "lattice_center",
 ]
 
 
@@ -138,6 +136,16 @@ class FiniteLattice:
             tuple(y for y in range(self.size) if join[x][y] == top and meet[x][y] == bottom)
             for x in range(self.size)
         )
+
+    @cached_property
+    def center(self) -> tuple[int, ...]:
+        """The complemented elements, in increasing order.  Complements are
+        unique in a distributive lattice; an element with several raises
+        NotALattice, on every read, since a raise stores nothing."""
+        for x, mates in enumerate(self.complements):
+            if len(mates) > 1:
+                raise NotALattice(f"element {x} has several complements: {list(mates)}")
+        return tuple(x for x, mates in enumerate(self.complements) if mates)
 
     @cached_property
     def _join_irreducibles(self) -> tuple[int, ...]:
@@ -349,22 +357,3 @@ def quotient_by_ideal(ideal: LatticeIdeal) -> tuple[FiniteLattice, list[int]]:
     )
     return quotient, [position[y] for y in image]
 
-
-def complemented_elements(lattice: FiniteLattice) -> dict[int, int]:
-    """Map of complemented elements to their complement.
-
-    In a distributive lattice complements are unique; a repeated complement
-    would indicate a non-distributive input and raises NotALattice.
-    """
-    out: dict[int, int] = {}
-    for x, mates in enumerate(lattice.complements):
-        if len(mates) > 1:
-            raise NotALattice(f"element {x} has several complements: {list(mates)}")
-        if mates:
-            out[x] = mates[0]
-    return out
-
-
-def lattice_center(lattice: FiniteLattice) -> list[int]:
-    """The complemented elements, sorted."""
-    return sorted(complemented_elements(lattice))

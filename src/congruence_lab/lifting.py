@@ -51,8 +51,8 @@ from .congruences import (
     stored,
 )
 from .errors import Falsified, HypothesisNotMet, NoCBLP, NotALattice, NotOrthogonal
-from .lattices import FiniteLattice, LatticeIdeal, _members, lattice_center
-from .spectrum import brute_force_clopens, is_hyperarchimedean, spectrum_index
+from .lattices import FiniteLattice, LatticeIdeal, _members
+from .spectrum import clopen_index, is_hyperarchimedean, open_table, spectrum_index
 
 __all__ = [
     "BooleanCenter",
@@ -399,7 +399,7 @@ def has_id_blp(lattice: FiniteLattice, ideal: LatticeIdeal) -> IdBlpReport:
     interval's bounds, joins and meets are the parent's, so y is
     complemented in L/I iff y v z = 1 and y ^ z = g for some z >= g.
     """
-    center_l = lattice_center(lattice)  # first: L's NotALattice comes before L/I's
+    center_l = lattice.center  # first: L's NotALattice comes before L/I's
     lat, g = ideal.lattice, ideal.generator
     join, meet, top = lat.join_table, lat.meet_table, lat.top_index
     position: dict[int, int] = {}  # the class of x is position[x v g]
@@ -449,15 +449,13 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
     """
     require_theory(alg)
     lattice = con_lattice(alg)
-    _, maximals, rad, _ = spectrum_index(lattice, False)
-    # each image as an int bitset of the maximal congruences, by position
-    clopens = {sum(1 << k for k in u) for u in brute_force_clopens(alg)}
-
-    def g_image(i: int) -> int:
-        return sum(1 << k for k, m in enumerate(maximals) if not lattice.leq[i][m])
+    rad = spectrum_index(lattice, False)[2]
+    # each image Max(A) n D(alpha) is an int bitset of the maximals, by position
+    clopens = clopen_index(lattice)
+    traces = open_table(lattice)[1]
 
     members = center_index(lattice)[0]
-    g_values = [g_image(a) for a in members]
+    g_values = [traces[a] for a in members]
     # g is always an injective Boolean morphism here; surjectivity onto the
     # clopens is the criterion
     if any(u not in clopens for u in g_values):
@@ -466,7 +464,7 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
 
     # the quotient-center map: classes of [Rad) project to Clop(Max(A))
     p = projection(lattice, rad)
-    f_values = {k: g_image(p.up[k]) for k in quotient_center_index(lattice, rad)[0]}
+    f_values = {k: traces[p.up[k]] for k in quotient_center_index(lattice, rad)[0]}
     f_iso = (
         len(set(f_values.values())) == len(f_values)
         and set(f_values.values()) == clopens
@@ -515,14 +513,13 @@ def diamond_star_commute_index(lattice: CongruenceLattice, t: int) -> bool:
     from .reticulation import reticulation_index
 
     _, retic_lattice, lam = reticulation_index(lattice)
-    center = set(lattice_center(retic_lattice))
-    ideal = LatticeIdeal(retic_lattice, lam[t])  # theta*
+    g, below = lam[t], retic_lattice.leq  # theta* = (g]
     # the generator of the ideal generated by the complemented part of theta*
-    ideal_diamond = retic_lattice.join_many(x for x in ideal.members() if x in center)
+    ideal_diamond = retic_lattice.join_many(x for x in retic_lattice.center if below[x][g])
     dia = diamond_index(lattice, t)
     if ideal_diamond != lam[dia]:
         return False
-    return dia != t or ideal_diamond == ideal.generator
+    return dia != t or ideal_diamond == g
 
 
 @stored

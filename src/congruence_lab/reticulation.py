@@ -18,13 +18,12 @@ from .errors import TheoryHypothesisFailed
 from .lattices import (
     FiniteLattice,
     LatticeIdeal,
-    complemented_elements,
     lattice_from_leq,
     maximal_ideals,
     prime_ideals,
     serialize_lattice,
 )
-from .spectrum import radical_index, spectrum_index, v_set_index
+from .spectrum import open_table, radical_table, spectrum_index
 
 __all__ = [
     "Reticulation",
@@ -93,7 +92,7 @@ def reticulation_index(
     reticulation on them; and lambda as the position of each congruence's
     radical."""
     name = lattice.algebra.name
-    lambda_by_con = [radical_index(lattice, i) for i in range(len(lattice))]
+    lambda_by_con = radical_table(lattice)
     radicals = sorted(set(lambda_by_con))  # index order is canonical order
     position = {i: k for k, i in enumerate(radicals)}
     size = len(radicals)
@@ -225,10 +224,10 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
                 if leq[p][q] != rl.leq[images[p]][images[q]]:
                     failures.append(f"star does not preserve/reflect order at {con[p]}, {con[q]}")
 
-    # basic opens: the primes above alpha go to the prime ideals containing
-    # lambda(alpha)
-    for a, la in enumerate(lam):
-        left = {primes[k] for k in v_set_index(lattice, a)}
+    # basic opens: the primes outside D(alpha) go to the prime ideals
+    # containing lambda(alpha)
+    for a, (la, d_a) in enumerate(zip(lam, open_table(lattice)[0])):
+        left = {p for k, p in enumerate(primes) if not d_a >> k & 1}
         if left != {down[g] for g in ideal_keys if rl.leq[la][g]}:
             failures.append(f"V({con[a]}) does not match V_Id(lambda) on primes")
 
@@ -240,6 +239,7 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
         failures.append("star is not injective on radical congruences")
     if generators != set(range(rl.size)):
         failures.append("star does not reach every ideal of the reticulation")
+    rho = radical_table(lattice)
     for x in radicals:
         meet_x, join_x, gx = lattice.meet_table[x], lattice.join_table[x], lam[x]
         for y in radicals:
@@ -247,7 +247,7 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
             # (gx] n (gy] = (gx ^ gy]
             if lam[meet_x[y]] != rl.meet_table[gx][gy]:
                 failures.append(f"star breaks meets at {con[x]}, {con[y]}")
-            if lam[radical_index(lattice, join_x[y])] != rl.join_table[gx][gy]:
+            if lam[rho[join_x[y]]] != rl.join_table[gx][gy]:
                 failures.append(f"star breaks joins at {con[x]}, {con[y]}")
 
     return SpecHomeomorphismReport(
@@ -298,12 +298,12 @@ def center_preservation_index(lattice: CongruenceLattice) -> tuple[bool, int | N
 
     center = set(center_index(lattice)[0])
     _, retic_lattice, lam = reticulation_index(lattice)
-    lattice_center = set(complemented_elements(retic_lattice))
+    retic_center = set(retic_lattice.center)
     violating = next(
         (
             i
             for i in range(len(lattice))
-            if lam[i] in lattice_center and center.isdisjoint(_iterate_chain(lattice, i))
+            if lam[i] in retic_center and center.isdisjoint(_iterate_chain(lattice, i))
         ),
         None,
     )

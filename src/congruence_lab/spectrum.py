@@ -10,8 +10,12 @@ kept as an oracle toggle.
 The topology on Spec(A) has the sets D(theta) = {phi : theta not<= phi} as
 its opens; the family is closed under unions and finite intersections, so on
 a finite spectrum it is the whole topology.  Max(A) carries the subspace
-topology; its open family is enumerated once per Con(A), and every clopen
-reader reads that one family.
+topology.  This module alone builds, once per Con(A) as stored index cores,
+D(theta) and its trace Max(A) n D(theta) as int bitsets over the positions
+of the primes and of the maximals (``open_table``, read off the order, as
+V(theta) is by ``v_set_index`` on its own), rho as one tuple over Con(A)
+(``radical_table``), and the opens of Max(A) (``_max_open_family``), whose
+clopens by direct enumeration check ``clopens_of_max``'s witnesses.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .algebra import FiniteAlgebra
 from .commutator import commutator_index, commutator_table, require_theory, _iterate_chain
 from .congruences import Congruence, CongruenceLattice, con_lattice, stored
 from .errors import Falsified, SizeBudgetExceeded, TheoryHypothesisFailed
+from .lattices import _bitset, _members
 
 __all__ = [
     "SpectrumData",
@@ -136,13 +141,26 @@ def radical(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
     congruence, so rho(nabla) = nabla."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    return lattice.congruences[radical_index(lattice, lattice.index(theta))]
+    return lattice.congruences[radical_table(lattice)[lattice.index(theta)]]
 
 
 @stored
-def radical_index(lattice: CongruenceLattice, i: int) -> int:
-    above = lattice.leq[i]
-    return lattice.meet_many(p for p in spectrum_index(lattice, False)[0] if above[p])
+def radical_table(lattice: CongruenceLattice) -> tuple[int, ...]:
+    """rho of every congruence, as indices."""
+    primes = spectrum_index(lattice, False)[0]
+    return tuple(lattice.meet_many(p for p in primes if above[p]) for above in lattice.leq)
+
+
+@stored
+def open_table(lattice: CongruenceLattice) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """D(theta) of every theta, as an int bitset over the positions of the
+    primes, and Max(A) n D(theta), as an int bitset over the positions of
+    the maximals."""
+    primes, maximals, _, _ = spectrum_index(lattice, False)
+    return tuple(
+        tuple(sum(1 << k for k, p in enumerate(points) if not above[p]) for above in lattice.leq)
+        for points in (primes, maximals)
+    )
 
 
 def radical_oracle(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
@@ -189,23 +207,19 @@ def v_set_index(lattice: CongruenceLattice, i: int) -> tuple[int, ...]:
 
 def d_set(alg: FiniteAlgebra, theta: Congruence) -> OpenSet:
     """D(theta) = Spec(A) - V(theta), the basic open defined by theta."""
-    data = spectrum(alg)
-    inside = set(v_set(alg, theta))
-    return OpenSet(
-        theta=theta,
-        members=tuple(k for k in range(len(data.primes)) if k not in inside),
-    )
+    require_theory(alg)
+    lattice = con_lattice(alg)
+    opens = open_table(lattice)[0]
+    return OpenSet(theta=theta, members=tuple(_members(opens[lattice.index(theta)])))
 
 
 @stored
-def _max_open_family(lattice: CongruenceLattice) -> frozenset[frozenset[int]]:
-    """All opens of the subspace Max(A), each a set of positions in the
-    maximals: the traces of the D(theta), closed under unions (on a finite
-    space the unions of basic opens are the opens)."""
-    maximals = spectrum_index(lattice, False)[1]
-    opens = {frozenset(k for k, m in enumerate(maximals) if not row[m]) for row in lattice.leq}
-    family = set(opens)
-    frontier = list(opens)
+def _max_open_family(lattice: CongruenceLattice) -> frozenset[int]:
+    """All opens of the subspace Max(A), as int bitsets over the positions
+    of the maximals: the traces of the D(theta), closed under unions (on a
+    finite space the unions of basic opens are the opens)."""
+    family = set(open_table(lattice)[1])
+    frontier = list(family)
     while frontier:
         current = frontier.pop()
         for other in list(family):
@@ -216,38 +230,47 @@ def _max_open_family(lattice: CongruenceLattice) -> frozenset[frozenset[int]]:
     return frozenset(family)
 
 
-def brute_force_clopens(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
-    """Clopen subsets of Max(A) by direct finite-topology enumeration, read
-    off the stored ``_max_open_family``."""
-    require_theory(alg)
-    lattice = con_lattice(alg)
+def clopen_index(lattice: CongruenceLattice) -> set[int]:
+    """The clopens of Max(A) as int bitsets over the positions of the
+    maximals, by direct finite-topology enumeration: the members of the
+    stored ``_max_open_family`` whose complement is in it too."""
     count = len(spectrum_index(lattice, False)[1])
     if count > CLOPEN_CAP:
         raise SizeBudgetExceeded(f"|Max(A)| = {count} exceeds the clopen cap {CLOPEN_CAP}")
     opens = _max_open_family(lattice)
-    full = frozenset(range(count))
-    return sorted(tuple(sorted(u)) for u in opens if full - u in opens)
+    full = (1 << count) - 1
+    return {u for u in opens if full & ~u in opens}
+
+
+def brute_force_clopens(alg: FiniteAlgebra) -> list[tuple[int, ...]]:
+    """Clopen subsets of Max(A) by direct finite-topology enumeration, each
+    as the sorted positions of its maximals."""
+    require_theory(alg)
+    return sorted(tuple(_members(u)) for u in clopen_index(con_lattice(alg)))
 
 
 def clopens_of_max(alg: FiniteAlgebra) -> list[ClopenWitness]:
     """Every clopen of Max(A), each with a witnessing pair (alpha, beta).
 
+    alpha is looked up by its trace Max(A) n D(alpha), in index order, and
+    beta is the first congruence in index order that completes the pair.
     Completeness is checked against the direct clopen enumeration: a clopen
     without a witness raises :class:`Falsified`, since it would falsify the
     theory on a hypothesis-passing algebra.
     """
     require_theory(alg)
     lattice = con_lattice(alg)
-    _, maximals, rad, _ = spectrum_index(lattice, False)
+    rad = spectrum_index(lattice, False)[2]
     leq, top = lattice.leq, lattice.top_index
+    with_trace: dict[int, list[int]] = {}
+    for a, trace in enumerate(open_table(lattice)[1]):
+        with_trace.setdefault(trace, []).append(a)
     witnesses = []
     for members in brute_force_clopens(alg):
-        member_set = set(members)
         found = next(
             (
                 (a, b)
-                for a, above in enumerate(leq)
-                if {k for k, m in enumerate(maximals) if not above[m]} == member_set
+                for a in with_trace.get(_bitset(members), ())
                 for b, joined in enumerate(lattice.join_table[a])
                 if joined == top and leq[commutator_index(lattice, a, b)][rad]
             ),

@@ -67,7 +67,7 @@ from .congruences import (
     _canonical,
     _quotient_algebra,
 )
-from .lattices import FiniteLattice, _bitset, _members, all_ideals, lattice_center
+from .lattices import FiniteLattice, _bitset, _members, all_ideals
 from .lifting import (
     b_normal_index,
     cblp_characterization_index,
@@ -95,11 +95,11 @@ from .reticulation import (
     star,
 )
 from .spectrum import (
-    brute_force_clopens,
+    clopen_index,
     clopens_of_max,
-    d_set,
-    radical_index,
+    open_table,
     radical_oracle_table,
+    radical_table,
     spectrum_index,
     v_set_index,
 )
@@ -385,9 +385,9 @@ def _suite_radicals(alg):
     size = len(lattice)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
     table = commutator_table(lattice)
-    rho = [radical_index(lattice, i) for i in range(size)]
+    rho = radical_table(lattice)
 
-    yield Check("radical-dual-path", tuple(rho) == radical_oracle_table(lattice))
+    yield Check("radical-dual-path", rho == radical_oracle_table(lattice))
 
     lemma_ok = True
     top = lattice.top_index
@@ -424,7 +424,7 @@ def _suite_radicals(alg):
     )
 
 
-def _radical_frame_ok(lattice: FiniteLattice, rho: list[int]) -> bool:
+def _radical_frame_ok(lattice: FiniteLattice, rho: tuple[int, ...]) -> bool:
     """Whether the radicals, the values of rho, are closed under ^ and rho(v)
     and pass Birkhoff's test under inclusion, ^ and rho(v).  A join table
     that passes it is the lub of the order, so this is the distributive law
@@ -457,8 +457,7 @@ def _suite_spectrum(alg):
     yield Check("primality-all-pairs-oracle", set(primes) == set(oracle_primes))
 
     size = len(lattice)
-    # D(theta) as an int bitset over the prime indices
-    d_bits = [_bitset(d_set(alg, theta).members) for theta in lattice.congruences]
+    d_bits, traces = open_table(lattice)
     topology_ok = True
     for i in range(size):
         di = d_bits[i]
@@ -467,10 +466,8 @@ def _suite_spectrum(alg):
         if [d_bits[j] for j in lattice.join_table[i]] != [di | dj for dj in d_bits]:
             topology_ok = False
     full = (1 << len(primes)) - 1
-    bottom = lattice.bottom_index
-    if d_bits[lattice.top_index] != full or d_bits[bottom] not in (0, full):
-        topology_ok = False
-    if d_bits[bottom] != _bitset(k for k, p in enumerate(primes) if not leq[bottom][p]):
+    # D(nabla) is all of Spec(A) and D(Delta) is empty
+    if d_bits[lattice.top_index] != full or d_bits[lattice.bottom_index] != 0:
         topology_ok = False
     yield Check("spectral-topology-identities", topology_ok)
 
@@ -478,25 +475,21 @@ def _suite_spectrum(alg):
     yield Check("v-d-complement", v_ok)
 
     # T1: every singleton of Max(A) is closed in the subspace
-    t1_ok = True
-    max_count = len(maximals)
-    clopens = set(brute_force_clopens(alg))
-    opens = {tuple(k for k, m in enumerate(maximals) if not above[m]) for above in leq}
-    for k in range(max_count):
-        complement = tuple(sorted(set(range(max_count)) - {k}))
-        if complement not in opens:
-            t1_ok = False
+    full_max = (1 << len(maximals)) - 1
+    opens = set(traces)
+    t1_ok = all(full_max & ~(1 << k) in opens for k in range(len(maximals)))
     yield Check("max-subspace-T1", t1_ok)
 
     # the direct enumeration against Max(A) n D(alpha) over every witness pair:
     # alpha v beta the top and [alpha, beta] <= Rad(A)
-    traces = {
-        tuple(k for k, m in enumerate(maximals) if not leq[i][m])
+    witnessed = {
+        traces[i]
         for i, partners in enumerate(_coprime_pairs(lattice))
         if any(leq[table[i][j]][rad] for j in _members(partners))
     }
     witnesses = clopens_of_max(alg)
-    yield Check("clopen-witness-completeness", traces == clopens, f"{len(witnesses)} clopens")
+    complete = witnessed == clopen_index(lattice)
+    yield Check("clopen-witness-completeness", complete, f"{len(witnesses)} clopens")
     witness_ok = True
     for w in witnesses:
         a, b = lattice.index(w.alpha), lattice.index(w.beta)
@@ -504,7 +497,8 @@ def _suite_spectrum(alg):
             witness_ok = False
         if not leq[table[a][b]][rad]:
             witness_ok = False
-        if tuple(k for k, m in enumerate(maximals) if not leq[a][m]) != w.members:
+        # the trace read off the order, not off the stored traces
+        if [not leq[a][m] for m in maximals] != [k in w.members for k in range(len(maximals))]:
             witness_ok = False
     yield Check("clopen-witness-conditions", witness_ok)
 
@@ -515,7 +509,7 @@ def _suite_reticulation(alg):
     size = len(lattice)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
     lam = retic._lambda_by_con
-    rho = [radical_index(lattice, i) for i in range(size)]
+    rho = radical_table(lattice)
     rl = retic.lattice
     table = commutator_table(lattice)
 
@@ -658,7 +652,7 @@ def _suite_boolean_center(alg):
                 closure_ok = False
     yield Check("center-closed-under-join-meet", closure_ok)
 
-    lam_center = set(lattice_center(rl))
+    lam_center = set(rl.center)
     lam_ok = True
     images = {}
     for a in members:
@@ -688,14 +682,10 @@ def _suite_boolean_center(alg):
         yield Check("sufficient-conditions-imply-preservation", report.preserves)
 
     # clopen correspondence on Spec(A): D(theta) for every theta
-    primes = spectrum_index(lattice, False)[0]
-    opens = [tuple(k for k, p in enumerate(primes) if not above[p]) for above in lattice.leq]
+    full = (1 << len(spectrum_index(lattice, False)[0])) - 1
+    opens = open_table(lattice)[0]
     spec_opens = set(opens)
-    spec_clopens = {
-        u
-        for u in spec_opens
-        if tuple(sorted(set(range(len(primes))) - set(u))) in spec_opens
-    }
+    spec_clopens = {u for u in spec_opens if full & ~u in spec_opens}
     d_images = {opens[a] for a in members}
     d_injective = len(d_images) == len(members)
     d_iso = d_injective and d_images == spec_clopens
@@ -734,7 +724,7 @@ def _suite_lifting(alg):
     # the per-theta lists that the checks read, each computed once
     results = [cblp_index(lattice, t) for t in range(size)]
     verdicts = [cblp for cblp, _, _ in results]
-    rho = [radical_index(lattice, i) for i in range(size)]
+    rho = radical_table(lattice)
     regular = [diamond_index(lattice, c) == c for c in range(size)]
     trivial_center = [len(quotient_center_index(lattice, c)[0]) <= 2 for c in range(size)]
     id_lifts = [has_id_blp(rl, ideal).lifts for ideal in all_ideals(rl)]  # of (g], by g
@@ -798,7 +788,7 @@ def _suite_lifting(alg):
     )
     yield Check("equal-radicals-equal-verdicts", same_radical_ok)
 
-    _, maximals, rad, nil = spectrum_index(lattice, False)
+    _, _, rad, nil = spectrum_index(lattice, False)
     below_nil_ok = all(verdicts[i] for i in range(size) if leq[i][nil])
     yield Check("below-nilradical-lifts", below_nil_ok)
 
@@ -817,12 +807,13 @@ def _suite_lifting(alg):
     yield Check("quotient-annihilator-identity", res_ok)
     yield Check("residuum-commutator-below-theta", rem_ok)
 
-    signature = [frozenset(m for m in maximals if above[m]) for above in leq]
+    # the same maximals above i and j: the same trace Max(A) n D
+    traces = open_table(lattice)[1]
     transfer_ok = all(
         verdicts[i] or not verdicts[j]
         for i in range(size)
         for j in range(size)
-        if leq[i][j] and signature[i] == signature[j]
+        if leq[i][j] and traces[i] == traces[j]
     )
     yield Check("max-interval-transfer", transfer_ok)
 

@@ -14,12 +14,7 @@ from congruence_lab import (
     quotient_by_ideal,
     serialize_lattice,
 )
-from congruence_lab.lattices import (
-    LatticeIdeal,
-    complemented_elements,
-    is_prime_ideal,
-    lattice_center,
-)
+from congruence_lab.lattices import LatticeIdeal, is_prime_ideal
 
 
 def chain(k):
@@ -142,7 +137,7 @@ def test_quotient_by_ideal_kite():
     assert quo.size == 4
     assert class_of[0] == class_of[1]  # 0 and the collapsed middle merge
     assert quo.is_distributive()
-    assert len(lattice_center(quo)) == 4  # quotient is the Boolean square
+    assert len(quo.center) == 4  # quotient is the Boolean square
 
 
 def definitional_quotient(ideal):
@@ -202,11 +197,13 @@ def test_quotient_by_trivial_and_total_ideal():
 
 
 def test_complemented_elements():
-    assert lattice_center(boolean(2)) == [0, 1, 2, 3]
-    assert lattice_center(kite_lattice()) == [0, 4]
-    assert lattice_center(chain(3)) == [0, 2]
-    with pytest.raises(NotALattice):
-        complemented_elements(m3_lattice())  # complements not unique
+    assert boolean(2).center == (0, 1, 2, 3)
+    assert kite_lattice().center == (0, 4)
+    assert chain(3).center == (0, 2)
+    m3 = m3_lattice()
+    for _ in range(2):  # a raising cached property stores nothing
+        with pytest.raises(NotALattice):
+            m3.center  # complements not unique
 
 
 def test_atoms():

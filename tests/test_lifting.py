@@ -50,7 +50,7 @@ from congruence_lab.lifting import (
     ring_idempotents,
 )
 from congruence_lab.reticulation import reticulation_index
-from congruence_lab.spectrum import radical_index
+from congruence_lab.spectrum import radical_table
 from congruence_lab.verify import _suite_lifting
 
 from conftest import fresh_copy, replace, theta
@@ -292,7 +292,7 @@ def test_radical_invariance(z12, z4):
         lattice = con_lattice(alg)
         verdicts = _verdicts(lattice)
         for t, verdict in enumerate(verdicts):
-            assert verdict == verdicts[radical_index(lattice, t)]
+            assert verdict == verdicts[radical_table(lattice)[t]]
 
 
 def test_max_interval_transfer_z4(z4):

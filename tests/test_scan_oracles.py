@@ -60,7 +60,10 @@
   ``commutator_table``;
 * ``_semigroup_generators``' candidate order: the tuple (multiples, cycle
   length) counted from the table on every search, against the int scores
-  that ``_translation_plan`` counts once per operation.
+  that ``_translation_plan`` counts once per operation;
+* ``clopens_of_max``'s witness search: a scan of all of Con(A) per clopen
+  for the alphas whose trace Max(A) n D(alpha), built as a set, is the
+  clopen, against the alphas looked up by their stored trace bitsets.
 """
 
 from itertools import combinations
@@ -99,7 +102,6 @@ from congruence_lab.lattices import (
     _members,
     all_ideals,
     is_prime_ideal,
-    lattice_center,
     lattice_from_leq,
     quotient_by_ideal,
 )
@@ -116,7 +118,12 @@ from congruence_lab.lifting import (
     quotient_center_index,
 )
 from congruence_lab.reticulation import build_reticulation
-from congruence_lab.spectrum import radical_index, spectrum_index
+from congruence_lab.spectrum import (
+    brute_force_clopens,
+    clopens_of_max,
+    radical_table,
+    spectrum_index,
+)
 from congruence_lab.verify import _radical_frame_ok
 
 from conftest import fresh_copy, replace
@@ -620,7 +627,7 @@ def test_con_lattices_match_the_scans(alg):
 @pytest.mark.parametrize("alg", _in_theory_corpus(), ids=lambda alg: alg.name)
 def test_radical_frames_of_the_corpus_match_the_cubic_law(alg):
     lattice = con_lattice(alg)
-    rho = [radical_index(lattice, i) for i in range(len(lattice))]
+    rho = radical_table(lattice)
     assert _radical_frame_ok(lattice, rho) == cubic_radical_frame(lattice, rho)
 
 
@@ -912,9 +919,9 @@ def quotient_id_blp(lattice, ideal) -> tuple:
     """(lifts, witnesses, counterexample) of Id-BLP, read off the quotient
     lattice that ``quotient_by_ideal`` builds and its center."""
     quo, class_of = quotient_by_ideal(ideal)
-    center_l = lattice_center(lattice)
+    center_l = lattice.center
     witnesses = []
-    for target in lattice_center(quo):
+    for target in quo.center:
         lift = next((x for x in center_l if class_of[x] == target), None)
         if lift is None:
             return False, tuple(witnesses), target
@@ -1167,3 +1174,33 @@ def test_int_scores_choose_the_tuple_key_generators(alg):
 @settings(max_examples=100, deadline=None)
 def test_int_scores_choose_the_tuple_key_generators_on_semigroups(alg):
     assert_int_scores_choose_the_tuple_key_generators(alg)
+
+
+def scan_clopen_witnesses(lattice) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each clopen of Max(A) with its witness pair (alpha, beta) as indices:
+    the first pair in index order with Max(A) n D(alpha) the clopen, alpha
+    v beta the top and [alpha, beta] <= Rad(A), found by scanning all of
+    Con(A) once per clopen."""
+    _, maximals, rad, _ = spectrum_index(lattice, False)
+    leq, top = lattice.leq, lattice.top_index
+    found = []
+    for members in brute_force_clopens(lattice.algebra):
+        member_set = set(members)
+        a, b = next(
+            (a, b)
+            for a, above in enumerate(leq)
+            if {k for k, m in enumerate(maximals) if not above[m]} == member_set
+            for b, joined in enumerate(lattice.join_table[a])
+            if joined == top and leq[commutator_index(lattice, a, b)][rad]
+        )
+        found.append((members, a, b))
+    return found
+
+
+@pytest.mark.parametrize("alg", THEORY_CORPUS + LADDER, ids=lambda alg: alg.name)
+def test_clopen_witnesses_match_the_scan(alg):
+    lattice = con_lattice(alg)
+    witnesses = [
+        (w.members, lattice.index(w.alpha), lattice.index(w.beta)) for w in clopens_of_max(alg)
+    ]
+    assert witnesses == scan_clopen_witnesses(lattice)

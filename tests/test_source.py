@@ -161,10 +161,15 @@ def _per_iteration(node: ast.AST):
 def test_loops_call_index_cores_not_con_lattice():
     """The verify suites and the lifting functions look Con(A) up once and
     loop over congruence indices, calling the index cores; no con_lattice
-    call runs per element or per pair.  The one exception is the
-    interval-vs-quotient count, which enumerates Con(A/theta) of each
-    quotient algebra as a route independent of the projection."""
-    allowed = {("verify", "_suite_con_enumeration", "quo")}
+    call runs per element or per pair, and neither does a public spectral
+    function (d_set, v_set, spectrum, radical, is_prime), each of which
+    runs the theory gate and looks Con(A) up again.  The spectral topology
+    and the radicals are read off the stored tables of ``spectrum``.  The
+    one exception is the interval-vs-quotient count, which enumerates
+    Con(A/theta) of each quotient algebra as a route independent of the
+    projection."""
+    per_element = {"con_lattice", "d_set", "v_set", "spectrum", "radical", "is_prime"}
+    allowed = {("verify", "_suite_con_enumeration", "con_lattice", "quo")}
     found = []
     for module, chosen in (("verify", "_suite_"), ("lifting", "")):
         tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
@@ -175,12 +180,12 @@ def test_loops_call_index_cores_not_con_lattice():
                 call
                 for part in _per_iteration(top)
                 for call in ast.walk(part)
-                if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "con_lattice"
+                if isinstance(call, ast.Call) and getattr(call.func, "id", "") in per_element
             ]
             for call in calls:
                 argument = getattr(call.args[0], "id", None) if call.args else None
-                if (module, top.name, argument) not in allowed:
-                    found.append(f"{module}.{top.name}:{call.lineno}")
+                if (module, top.name, call.func.id, argument) not in allowed:
+                    found.append(f"{module}.{top.name}:{call.lineno} {call.func.id}")
     assert found == []
 
 

@@ -164,15 +164,20 @@ def test_annihilator_catches_one_residuum_at_bottom(monkeypatch, alg):
     assert "annihilator-is-residuum-at-bottom" in _failed(verify._suite_commutator_axioms, alg)
 
 
-def test_radical_of_an_atom(monkeypatch, alg):
+def _plant_radicals(monkeypatch, alg, rho) -> None:
+    """verify reads the stored rho table of Con(alg) as ``rho``."""
     lattice = con_lattice(alg)
-    _, top, a1, _, _ = _elements(alg)
-    real = verify.radical_index
+    real = verify.radical_table
     monkeypatch.setattr(
-        verify,
-        "radical_index",
-        lambda lat, i: top if lat is lattice and i == a1 else real(lat, i),
+        verify, "radical_table", lambda lat: tuple(rho) if lat is lattice else real(lat)
     )
+
+
+def test_radical_of_an_atom(monkeypatch, alg):
+    _, top, a1, _, _ = _elements(alg)
+    rho = list(verify.radical_table(con_lattice(alg)))
+    rho[a1] = top
+    _plant_radicals(monkeypatch, alg, rho)
     failed = _failed(verify._suite_radicals, alg)
     assert {"radical-lemma-suite", "radical-lattice-distributive"} <= failed
 
@@ -190,16 +195,9 @@ def test_radical_frame_distributivity_catches_one_join(monkeypatch, alg):
 def test_radical_frame_distributivity_catches_a_diamond(monkeypatch, alg):
     # radicals read as the bottom, three atoms and the top: closed under
     # intersection and radical-of-join, but the diamond M3, not distributive
-    lattice = con_lattice(alg)
     bottom, top, a1, a2, a3 = _elements(alg)
-    real = verify.radical_index
-    monkeypatch.setattr(
-        verify,
-        "radical_index",
-        lambda lat, i: (i if i in (bottom, a1, a2, a3) else top)
-        if lat is lattice
-        else real(lat, i),
-    )
+    rho = [i if i in (bottom, a1, a2, a3) else top for i in range(len(con_lattice(alg)))]
+    _plant_radicals(monkeypatch, alg, rho)
     assert "radical-lattice-distributive" in _failed(verify._suite_radicals, alg)
 
 
@@ -219,6 +217,50 @@ def test_v_d_complement_catches_one_v_set(monkeypatch, alg):
         lambda lat, i: real(lat, i)[1:] if lat is lattice and i == a1 else real(lat, i),
     )
     assert "v-d-complement" in _failed(verify._suite_spectrum, alg)
+
+
+def test_v_d_complement_catches_a_wrong_v_set_everywhere(monkeypatch, alg):
+    """V(a1) read one prime short by every reader of ``v_set_index``: D is
+    read off the order by ``open_table``, not as the complement of V, so
+    the two no longer agree."""
+    spectrum_module = importlib.import_module("congruence_lab.spectrum")  # not the function
+    lattice = con_lattice(alg)
+    _, _, a1, _, _ = _elements(alg)
+    real = spectrum_module.v_set_index
+
+    def planted(lat, i):
+        return real(lat, i)[1:] if lat is lattice and i == a1 else real(lat, i)
+
+    monkeypatch.setattr(spectrum_module, "v_set_index", planted)
+    monkeypatch.setattr(verify, "v_set_index", planted)
+    assert _failed(verify._suite_spectrum, alg) == {"v-d-complement"}
+
+
+def test_topology_checks_catch_one_wrong_d_bit(monkeypatch, alg):
+    """One bit of the stored D(a1) flipped: the identities of the opens
+    and the complement of V(a1) both read it."""
+    _, _, a1, _, _ = _elements(alg)
+    store = con_lattice(alg)._caches["congruence_lab.spectrum.open_table"]
+    d_bits, traces = store[()]
+    planted = list(d_bits)
+    planted[a1] ^= 1
+    monkeypatch.setitem(store, (), (tuple(planted), traces))
+    failed = _failed(verify._suite_spectrum, alg)
+    assert {"spectral-topology-identities", "v-d-complement"} <= failed
+
+
+def test_witness_conditions_catch_two_swapped_traces(monkeypatch, alg):
+    """The stored traces Max(A) n D of two atoms swapped: the set of traces
+    is unchanged, so the enumerated and witnessed clopens still agree, but
+    clopens_of_max now picks each atom as the witness of the other's clopen,
+    and the trace read off the order tells them apart."""
+    _, _, a1, a2, _ = _elements(alg)
+    store = con_lattice(alg)._caches["congruence_lab.spectrum.open_table"]
+    d_bits, traces = store[()]
+    planted = list(traces)
+    planted[a1], planted[a2] = traces[a2], traces[a1]
+    monkeypatch.setitem(store, (), (d_bits, tuple(planted)))
+    assert _failed(verify._suite_spectrum, alg) == {"clopen-witness-conditions"}
 
 
 def test_lambda_and_star_catch_one_lambda_value(monkeypatch, alg):
@@ -360,13 +402,14 @@ def test_orthogonal_lifts_catch_one_commutator(monkeypatch, alg):
 
 
 def test_clopen_completeness_catches_a_missing_clopen(monkeypatch, alg):
-    # the one stored open family of Max(A) loses {m_0}, so every reader of
-    # it loses the clopens {m_0} and {m_1, m_2, m_3}: the witnessed clopens
-    # are then exactly the enumerated ones, but the trace of some witness
-    # pair is not among them, and B(Con(A)) no longer maps onto them
+    # the one stored open family of Max(A) loses {m_0}, the bitset 1, so
+    # every reader of it loses the clopens {m_0} and {m_1, m_2, m_3}: the
+    # witnessed clopens are then exactly the enumerated ones, but the trace
+    # of some witness pair is not among them, and B(Con(A)) no longer maps
+    # onto them
     spectrum_module = importlib.import_module("congruence_lab.spectrum")  # not the function
     store = con_lattice(alg)._caches["congruence_lab.spectrum._max_open_family"]
-    monkeypatch.setitem(store, (), store[()] - {frozenset({0})})
+    monkeypatch.setitem(store, (), store[()] - {1})
     assert _failed(verify._suite_spectrum, alg) == {"clopen-witness-completeness"}
     assert len(spectrum_module.clopens_of_max(alg)) == 14
     assert _failed(verify._suite_lifting, alg) == {"rad-clopen-criterion"}
@@ -457,15 +500,12 @@ def test_characterization_catches_one_center_pair(monkeypatch):
 
 
 def test_id_blp_catches_one_center_entry(monkeypatch, alg):
-    # lambda(a1) dropped from the center of the reticulation that has_id_blp
-    # reads: at the ideal (lambda(Delta)] the class of lambda(a1) has no lift
+    # lambda(a1) dropped from the center held by the reticulation that
+    # has_id_blp reads: at the ideal (lambda(Delta)] the class of lambda(a1)
+    # has no lift
     retic = build_reticulation(alg)
     dropped = retic._lambda_by_con[_elements(alg)[2]]
-    real = lifting.lattice_center
-    monkeypatch.setattr(
-        lifting,
-        "lattice_center",
-        lambda lat: [x for x in real(lat) if x != dropped] if lat is retic.lattice else real(lat),
-    )
+    center = tuple(x for x in retic.lattice.center if x != dropped)
+    monkeypatch.setattr(retic.lattice, "center", center)
     failed = _failed(verify._suite_lifting, alg)
     assert {"star-transfer", "ideal-transfer"} <= failed
