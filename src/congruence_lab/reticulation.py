@@ -6,7 +6,9 @@ canonical representatives for those classes, the lattice is materialized
 directly on the radical congruences: order is inclusion, join of x and y is
 rho(x v y), meet is intersection, bottom is rho(bottom) and top is the total
 congruence; lambda sends a congruence to its radical.  On a finite algebra
-every congruence is compact, so lambda is defined on all of Con(A).
+every congruence is compact, so lambda is defined on all of Con(A).  Only
+this module builds the tables, each stored once per Con(A) and read by
+every other layer: reticulation_index, costar_table, prime_ideal_index.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 from .algebra import FiniteAlgebra
 from .commutator import commutator_table, require_theory, _iterate_chain
 from .congruences import Congruence, CongruenceLattice, con_lattice, stored
-from .errors import TheoryHypothesisFailed
+from .errors import ParentMismatch, TheoryHypothesisFailed
 from .lattices import (
     FiniteLattice,
     LatticeIdeal,
+    _members,
     lattice_from_leq,
     maximal_ideals,
     prime_ideals,
@@ -59,10 +62,12 @@ class Reticulation:
         return self.elements[self.lattice.top_index]
 
     def element_index(self, value: Congruence) -> int:
-        for k, element in enumerate(self.elements):
-            if element.blocks == value.blocks:
-                return k
-        raise KeyError(f"{list(value.blocks)} is not a radical congruence")
+        lattice = con_lattice(self.algebra)
+        radicals, _, lam = reticulation_index(lattice)
+        i = lattice.index(value)
+        if radicals[lam[i]] != i:
+            raise ParentMismatch(f"{list(value.blocks)} is not a radical congruence")
+        return lam[i]
 
     def lambda_index(self, theta: Congruence) -> int:
         lattice = con_lattice(self.algebra)
@@ -95,31 +100,44 @@ def reticulation_index(
     lambda_by_con = radical_table(lattice)
     radicals = sorted(set(lambda_by_con))  # index order is canonical order
     position = {i: k for k, i in enumerate(radicals)}
-    size = len(radicals)
-    leq = [
-        [lattice.leq_index(radicals[a], radicals[b]) for b in range(size)]
-        for a in range(size)
-    ]
-    retic_lattice = lattice_from_leq(leq)
-    for a in range(size):
-        for b in range(size):
-            met = lattice.meet_index(radicals[a], radicals[b])
-            if met not in position:
-                raise TheoryHypothesisFailed(
-                    f"{name}: intersection of radical congruences is not radical"
-                )
-            if retic_lattice.meet_index(a, b) != position[met]:
-                raise TheoryHypothesisFailed(
-                    f"{name}: reticulation meet disagrees with intersection"
-                )
-            joined = lambda_by_con[lattice.join_index(radicals[a], radicals[b])]
-            if retic_lattice.join_index(a, b) != position[joined]:
-                raise TheoryHypothesisFailed(
-                    f"{name}: reticulation join disagrees with rho of the join"
-                )
+    retic_lattice = lattice_from_leq(
+        [[row[r] for r in radicals] for row in map(lattice.leq.__getitem__, radicals)]
+    )
+    # row a of L(A)'s meet and join against intersection and rho of the join
+    for a, r in enumerate(radicals):
+        met = [lattice.meet_table[r][s] for s in radicals]
+        if not position.keys() >= set(met):
+            raise TheoryHypothesisFailed(
+                f"{name}: intersection of radical congruences is not radical"
+            )
+        if tuple(map(position.__getitem__, met)) != retic_lattice.meet_table[a]:
+            raise TheoryHypothesisFailed(f"{name}: reticulation meet disagrees with intersection")
+        joined = [position[lambda_by_con[lattice.join_table[r][s]]] for s in radicals]
+        if tuple(joined) != retic_lattice.join_table[a]:
+            raise TheoryHypothesisFailed(
+                f"{name}: reticulation join disagrees with rho of the join"
+            )
     if not retic_lattice.is_distributive():
         raise TheoryHypothesisFailed(f"{name}: reticulation is not distributive")
     return tuple(radicals), retic_lattice, tuple(position[i] for i in lambda_by_con)
+
+
+@stored
+def costar_table(lattice: CongruenceLattice) -> tuple[int, ...]:
+    """(g]_* for every g of the reticulation: the join of the theta with
+    lambda(theta) <= g."""
+    _, retic_lattice, lam = reticulation_index(lattice)
+    # each lambda-fiber is joined once, and (g]_* joins the fibers over (g]
+    fibers = [lattice.bottom_index] * retic_lattice.size
+    for j, g in enumerate(lam):
+        fibers[g] = lattice.join_table[fibers[g]][j]
+    return tuple(lattice.join_many(fibers[h] for h in _members(d)) for d in retic_lattice.down_sets)
+
+
+@stored
+def prime_ideal_index(lattice: CongruenceLattice) -> tuple[int, ...]:
+    """The generators g of the prime ideals (g] of the reticulation."""
+    return tuple(ideal.generator for ideal in prime_ideals(reticulation_index(lattice)[1]))
 
 
 def lambda_(retic: Reticulation, theta: Congruence) -> Congruence:
@@ -143,12 +161,7 @@ def costar(retic: Reticulation, ideal: LatticeIdeal) -> Congruence:
     """I_* = join of all congruences whose lambda-image lies in I = (g],
     that is the congruences j with lambda(j) <= g."""
     lattice = con_lattice(retic.algebra)
-    return lattice.congruences[costar_index(lattice, retic, ideal.generator)]
-
-
-def costar_index(lattice: CongruenceLattice, retic: Reticulation, g: int) -> int:
-    inside = [row[g] for row in retic.lattice.leq]
-    return lattice.join_many(j for j, lam in enumerate(retic._lambda_by_con) if inside[lam])
+    return lattice.congruences[costar_table(lattice)[ideal.generator]]
 
 
 def ideal_spectra(lattice: FiniteLattice) -> tuple[list[LatticeIdeal], list[LatticeIdeal]]:
@@ -185,20 +198,16 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
     phi* is the ideal generated by lambda(phi), so it is read as that index.
     """
     require_theory(alg)
-    retic = build_reticulation(alg)
     lattice = con_lattice(alg)
-    con, leq, rl, lam = lattice.congruences, lattice.leq, retic.lattice, retic._lambda_by_con
+    radicals, rl, lam = reticulation_index(lattice)
+    con, leq = lattice.congruences, lattice.leq
     primes = spectrum_index(lattice, False)[0]
+    ideal_keys = prime_ideal_index(lattice)
+    down = costar_table(lattice)  # (g]_*
     failures: list[str] = []
 
-    ideal_primes, _ = ideal_spectra(rl)
-    ideal_keys = [ideal.generator for ideal in ideal_primes]
-    down = [costar_index(lattice, retic, g) for g in range(rl.size)]  # (g]_*
-
-    if len(primes) != len(ideal_primes):
-        failures.append(
-            f"|Spec(A)| = {len(primes)} but |Spec_Id(L(A))| = {len(ideal_primes)}"
-        )
+    if len(primes) != len(ideal_keys):
+        failures.append(f"|Spec(A)| = {len(primes)} but |Spec_Id(L(A))| = {len(ideal_keys)}")
 
     images = {}
     for p in primes:
@@ -233,7 +242,6 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
 
     # radical congruences vs the ideal lattice: star is a bounded lattice
     # isomorphism
-    radicals = [lattice.index(r) for r in retic.elements]
     generators = {lam[r] for r in radicals}
     if len(generators) != len(radicals):
         failures.append("star is not injective on radical congruences")
@@ -253,7 +261,7 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
     return SpecHomeomorphismReport(
         algebra=alg,
         prime_count=len(primes),
-        ideal_prime_count=len(ideal_primes),
+        ideal_prime_count=len(ideal_keys),
         failures=tuple(failures),
     )
 

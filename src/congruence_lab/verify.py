@@ -87,12 +87,11 @@ from .lifting import (
     _coprime_pairs,
 )
 from .reticulation import (
-    build_reticulation,
     check_spec_homeomorphism,
-    costar_index,
-    ideal_spectra,
+    costar_table,
     preserves_boolean_center,
-    star,
+    prime_ideal_index,
+    reticulation_index,
 )
 from .spectrum import (
     clopen_index,
@@ -505,12 +504,10 @@ def _suite_spectrum(alg):
 
 def _suite_reticulation(alg):
     lattice = con_lattice(alg)
-    retic = build_reticulation(alg)
+    _, rl, lam = reticulation_index(lattice)
     size = len(lattice)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
-    lam = retic._lambda_by_con
     rho = radical_table(lattice)
-    rl = retic.lattice
     table = commutator_table(lattice)
 
     # the eight quotient-map clauses
@@ -545,38 +542,22 @@ def _suite_reticulation(alg):
             ok = False
     yield Check("lambda-clause-suite", ok)
 
-    star_of = [star(retic, theta) for theta in lattice.congruences]
-    gen = [ideal.generator for ideal in star_of]
-    star_ok = True
-    for a in range(size):
-        # the definition {lambda(alpha) : alpha <= theta} against (lambda(theta)]
-        definitional = {lam[j] for j in range(size) if leq[j][a]}
-        if definitional != set(star_of[a].members()):
-            star_ok = False
-        if gen[a] != gen[rho[a]]:
-            star_ok = False
-        # one row of b at a time; (g] n (h] = (g ^ h]
-        ga = gen[a]
-        if [gen[j] for j in join[a]] != [rl.join_table[ga][gb] for gb in gen]:
-            star_ok = False
-        rl_meet = [rl.meet_table[ga][gb] for gb in gen]
-        if not ([gen[c] for c in table[a]] == [gen[m] for m in meet[a]] == rl_meet):
-            star_ok = False
+    # theta* is the ideal (lambda(theta)], so its join and meet rows are
+    # the lambda rows above; here it is compared with its definition
+    # {lambda(alpha) : alpha <= theta} and with rho(theta)*
+    star_ok = all(
+        _bitset(lam[j] for j in _members(down_a)) == rl.down_sets[lam[a]]
+        and lam[a] == lam[rho[a]]
+        for a, down_a in enumerate(lattice.down_sets)
+    )
     yield Check("star-identity-suite", star_ok)
 
-    # I_* for the ideal I = (g], as an index
-    down = [costar_index(lattice, retic, g) for g in range(rl.size)]
-    costar_ok = True
+    down = costar_table(lattice)  # (g]_*, by g
+    costar_ok = [down[g] for g in lam] == list(rho)
     for g, d in enumerate(down):
-        if rho[d] != d:
+        if rho[d] != d or lam[d] != g:
             costar_ok = False
-        if gen[d] != g:
-            costar_ok = False
-        for a in range(size):
-            if leq[a][d] != rl.leq[lam[a]][g]:
-                costar_ok = False
-    for a in range(size):
-        if down[gen[a]] != rho[a]:
+        if [row[d] for row in leq] != [rl.leq[h][g] for h in lam]:
             costar_ok = False
     yield Check("costar-identity-suite", costar_ok)
 
@@ -587,7 +568,7 @@ def _suite_reticulation(alg):
         "; ".join(homeo.failures[:2]) or f"{homeo.prime_count} primes",
     )
 
-    prime_ideal_count = len(ideal_spectra(rl)[0])
+    prime_ideal_count = len(prime_ideal_index(lattice))
     yield Check(
         "prime-counts-match",
         prime_ideal_count == len(primes),
@@ -597,8 +578,7 @@ def _suite_reticulation(alg):
 
 def _suite_boolean_center(alg):
     lattice = con_lattice(alg)
-    retic = build_reticulation(alg)
-    rl, lam = retic.lattice, retic._lambda_by_con
+    _, rl, lam = reticulation_index(lattice)
     members, complement, _ = center_index(lattice)
     size = len(lattice)
     member = set(members)
@@ -715,8 +695,7 @@ def _join_generators(lattice: FiniteLattice, members) -> list[int]:
 
 def _suite_lifting(alg):
     lattice = con_lattice(alg)
-    retic = build_reticulation(alg)
-    rl, lam = retic.lattice, retic._lambda_by_con
+    _, rl, lam = reticulation_index(lattice)
     size = len(lattice)
     leq, join, meet = lattice.leq, lattice.join_table, lattice.meet_table
     table = commutator_table(lattice)
@@ -775,9 +754,8 @@ def _suite_lifting(alg):
 
     yield Check("radical-invariance", all(verdicts[t] == verdicts[rho[t]] for t in range(size)))
     yield Check("star-transfer", all(verdicts[t] == id_lifts[lam[t]] for t in range(size)))
-    ideal_ok = all(
-        lifts == verdicts[costar_index(lattice, retic, g)] for g, lifts in enumerate(id_lifts)
-    )
+    down = costar_table(lattice)  # (g]_*, by g
+    ideal_ok = all(lifts == verdicts[down[g]] for g, lifts in enumerate(id_lifts))
     yield Check("ideal-transfer", ideal_ok)
 
     same_radical_ok = all(

@@ -3,6 +3,7 @@
 import pytest
 
 from congruence_lab import (
+    ParentMismatch,
     TheoryHypothesisFailed,
     build_reticulation,
     check_spec_homeomorphism,
@@ -17,6 +18,7 @@ from congruence_lab import (
     spectrum,
     star,
 )
+from congruence_lab import lattices, reticulation, verify
 from congruence_lab.builders import (
     boolean_lattice,
     chain_lattice,
@@ -27,7 +29,7 @@ from congruence_lab.builders import (
 )
 from congruence_lab.lattices import principal_ideal
 
-from conftest import theta
+from conftest import fresh_copy, theta
 
 
 def test_reticulation_of_z12_is_boolean_square(z12):
@@ -65,6 +67,46 @@ def test_lambda_examples(z12, z4):
     assert lambda_(retic, nabla(z12)) == nabla(z12)
     retic4 = build_reticulation(z4)
     assert lambda_(retic4, theta(z4, 2)) == retic4.bottom
+
+
+def test_element_index_refuses_a_congruence_that_is_not_radical(z12, z4):
+    retic = build_reticulation(z12)
+    assert retic.element_index(theta(z12, 2)) == retic.lambda_index(theta(z12, 4))
+    with pytest.raises(ParentMismatch, match=r"\[0, 1, 2, .*\] is not a radical congruence"):
+        retic.element_index(delta(z12))  # rho(Delta) is the mod-6 congruence
+    with pytest.raises(ParentMismatch):
+        retic.element_index(theta(z4, 2))  # not a congruence of Z_12
+
+
+class _CountedStore(dict):
+    """A result store that counts the results written into it."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_verify_builds_the_prime_ideals_and_the_costar_table_once(monkeypatch):
+    """One verify_algebra stores the costar table and the prime ideals of
+    L(A) once each, and searches L(A) for prime ideals once."""
+    alg = fresh_copy(chain_lattice(5))
+    lattice = con_lattice(alg)
+    stores = [
+        lattice._caches.setdefault(f"congruence_lab.reticulation.{core}", _CountedStore())
+        for core in ("costar_table", "prime_ideal_index")
+    ]
+    searches = []
+
+    def counted(lat):
+        searches.append(lat)
+        return lattices.prime_ideals(lat)
+
+    monkeypatch.setattr(reticulation, "prime_ideals", counted)
+    assert verify.verify_algebra(alg).ok
+    assert [store.writes for store in stores] == [1, 1]
+    assert len(searches) == 1
 
 
 def test_star_examples(z12):

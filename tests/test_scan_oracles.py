@@ -63,7 +63,10 @@
   that ``_translation_plan`` counts once per operation;
 * ``clopens_of_max``'s witness search: a scan of all of Con(A) per clopen
   for the alphas whose trace Max(A) n D(alpha), built as a set, is the
-  clopen, against the alphas looked up by their stored trace bitsets.
+  clopen, against the alphas looked up by their stored trace bitsets;
+* ``costar_table``: (g]_* as one join over all of Con(A) per g, of the
+  congruences with lambda-value in (g], against the joins of the
+  lambda-fibers joined once each.
 """
 
 from itertools import combinations
@@ -117,7 +120,7 @@ from congruence_lab.lifting import (
     projection_image_index,
     quotient_center_index,
 )
-from congruence_lab.reticulation import build_reticulation
+from congruence_lab.reticulation import build_reticulation, costar_table, reticulation_index
 from congruence_lab.spectrum import (
     brute_force_clopens,
     clopens_of_max,
@@ -1023,8 +1026,11 @@ def test_center_generators_differ_from_the_scan_only_off_a_lattice(plant):
 def test_one_sided_join_off_the_generators_fails_only_the_scan(monkeypatch):
     """a3 v (a1 v a2) read as the top, the reverse order left alone: the law
     at a1 v a2 fails, and only the scan tests a1 v a2.  The join table is no
-    longer commutative, which join-meet-lattice-axioms reports."""
+    longer commutative, which join-meet-lattice-axioms reports.  The stored
+    results are computed first, from the real tables, so the plant changes
+    only the join table that the suites read."""
     alg = fresh_copy(C5)
+    assert verify.verify_algebra(alg).ok
     lattice = con_lattice(alg)
     a1, a2, a3, _ = lattice.atoms()
     rows = [list(row) for row in lattice.join_table]
@@ -1204,3 +1210,18 @@ def test_clopen_witnesses_match_the_scan(alg):
         (w.members, lattice.index(w.alpha), lattice.index(w.beta)) for w in clopens_of_max(alg)
     ]
     assert witnesses == scan_clopen_witnesses(lattice)
+
+
+def scan_costar(lattice, g) -> int:
+    """(g]_* as an index: the join of every congruence j with lambda(j) in
+    (g], one pass over Con(A) per g."""
+    _, retic_lattice, lam = reticulation_index(lattice)
+    inside = [row[g] for row in retic_lattice.leq]
+    return lattice.join_many(j for j, h in enumerate(lam) if inside[h])
+
+
+@pytest.mark.parametrize("alg", THEORY_CORPUS + LADDER, ids=lambda alg: alg.name)
+def test_costar_table_matches_the_per_ideal_join(alg):
+    lattice = con_lattice(alg)
+    size = reticulation_index(lattice)[1].size
+    assert costar_table(lattice) == tuple(scan_costar(lattice, g) for g in range(size))

@@ -90,6 +90,18 @@ def test_stored_results_have_one_home():
     }
 
 
+def test_lambda_table_is_read_in_reticulation_only():
+    """The reticulation's lambda table is read off the stored
+    ``reticulation_index`` everywhere; only reticulation.py names the
+    ``Reticulation`` field that holds a copy of it."""
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if any(_scopes_naming(tree, "_lambda_by_con")):
+            found.add(path.stem)
+    assert found == {"reticulation"}
+
+
 def test_commutator_oracle_names_no_fast_path_helper():
     """The materialized M(alpha, beta) and the term-condition fixpoint on it
     are the oracle for the Delta route, so neither names its table, its
@@ -163,12 +175,29 @@ def test_loops_call_index_cores_not_con_lattice():
     loop over congruence indices, calling the index cores; no con_lattice
     call runs per element or per pair, and neither does a public spectral
     function (d_set, v_set, spectrum, radical, is_prime), each of which
-    runs the theory gate and looks Con(A) up again.  The spectral topology
-    and the radicals are read off the stored tables of ``spectrum``.  The
-    one exception is the interval-vs-quotient count, which enumerates
-    Con(A/theta) of each quotient algebra as a route independent of the
-    projection."""
-    per_element = {"con_lattice", "d_set", "v_set", "spectrum", "radical", "is_prime"}
+    runs the theory gate and looks Con(A) up again, nor a reticulation
+    function (build_reticulation, star, costar, costar_index,
+    ideal_spectra, prime_ideals), each of which reads or rebuilds a table
+    that ``reticulation`` stores once.  The spectral topology and the
+    radicals are read off the stored tables of ``spectrum``, lambda, the
+    costar table and the prime ideals of L(A) off those of
+    ``reticulation``.  The one exception is the interval-vs-quotient count,
+    which enumerates Con(A/theta) of each quotient algebra as a route
+    independent of the projection."""
+    per_element = {
+        "con_lattice",
+        "d_set",
+        "v_set",
+        "spectrum",
+        "radical",
+        "is_prime",
+        "build_reticulation",
+        "star",
+        "costar",
+        "costar_index",
+        "ideal_spectra",
+        "prime_ideals",
+    }
     allowed = {("verify", "_suite_con_enumeration", "con_lattice", "quo")}
     found = []
     for module, chosen in (("verify", "_suite_"), ("lifting", "")):

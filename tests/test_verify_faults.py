@@ -4,9 +4,10 @@ when one cell it reads is wrong.
 Every check passes on every corpus input, so the pinned JSON alone cannot
 tell a working check from one that has become always-true.  Each test plants
 one wrong cell (a commutator value, a residuum, a radical, a lambda value,
-a join or meet cell of Con(A), a stored principal congruence, or a cell of
-a center-map row) in what one suite reads, runs that suite on a fresh copy
-of C_5 and asserts that the named check fails.  Con(C_5) is the 16-element
+a costar entry or a prime ideal of the reticulation, a join or meet cell of
+Con(A), a stored principal congruence, or a cell of a center-map row) in
+what one suite reads, runs that suite on a fresh copy of C_5 (the costar
+plant also on Z_12) and asserts that the named check fails.  Con(C_5) is the 16-element
 Boolean lattice: every congruence is central and radical, and the
 commutator is the meet.
 """
@@ -18,7 +19,7 @@ import pytest
 from congruence_lab import lifting, verify
 from congruence_lab.builders import chain_lattice, ring_zn
 from congruence_lab.congruences import con_lattice
-from congruence_lab.reticulation import build_reticulation
+from congruence_lab.reticulation import costar_table, prime_ideal_index, reticulation_index
 
 from conftest import fresh_copy, replace
 
@@ -50,6 +51,13 @@ def _plant_cell(monkeypatch, alg, table: str, x: int, y: int, value: int) -> Non
     assert rows[x][y] != value
     rows[x][y] = value
     _plant_lattice(monkeypatch, alg, **{table: tuple(map(tuple, rows))})
+
+
+def _plant_stored(monkeypatch, alg, core, value) -> None:
+    """Every module reads the stored result of ``core`` (an index core that
+    takes Con(A) alone) for Con(alg) as ``value``."""
+    store = con_lattice(alg)._caches[f"{core.__module__}.{core.__qualname__}"]
+    monkeypatch.setitem(store, (), value)
 
 
 def _plant_lattice(monkeypatch, alg, **fields) -> None:
@@ -264,17 +272,45 @@ def test_witness_conditions_catch_two_swapped_traces(monkeypatch, alg):
 
 
 def test_lambda_and_star_catch_one_lambda_value(monkeypatch, alg):
+    # lambda(a1) read as the top by every module that reads the stored
+    # reticulation; the costar table stays the one built from the real
+    # lambda.  check_spec_homeomorphism reads the stored lambda too.
     _, _, a1, _, _ = _elements(alg)
-    retic = build_reticulation(alg)
-    lam = list(retic._lambda_by_con)
-    lam[a1] = retic.lattice.top_index
-    planted = replace(retic, _lambda_by_con=tuple(lam))
-    real = verify.build_reticulation
-    monkeypatch.setattr(
-        verify, "build_reticulation", lambda a: planted if a is alg else real(a)
-    )
+    radicals, rl, lam = reticulation_index(con_lattice(alg))
+    planted = list(lam)
+    planted[a1] = rl.top_index
+    _plant_stored(monkeypatch, alg, reticulation_index, (radicals, rl, tuple(planted)))
     failed = _failed(verify._suite_reticulation, alg)
     assert {"lambda-clause-suite", "star-identity-suite", "costar-identity-suite"} <= failed
+    assert "spec-homeomorphism" in failed
+    assert {"lambda-boolean-embedding", "center-preservation-equivalences"} <= _failed(
+        verify._suite_boolean_center, alg
+    )
+
+
+@pytest.mark.parametrize("source", [chain_lattice(5), ring_zn(12)], ids=lambda alg: alg.name)
+def test_costar_checks_catch_one_costar_entry(monkeypatch, source):
+    """(g]_* read wrong for one g: the costar identities fail, and the
+    homeomorphism check fails exactly when (g] is a prime ideal, the only
+    ideals whose costar it reads."""
+    alg = fresh_copy(source)
+    assert verify.verify_algebra(alg).ok
+    lattice = con_lattice(alg)
+    down, primes = costar_table(lattice), prime_ideal_index(lattice)
+    for g, d in enumerate(down):
+        planted = list(down)
+        planted[g] = lattice.top_index if d != lattice.top_index else lattice.bottom_index
+        with monkeypatch.context() as patch:
+            _plant_stored(patch, alg, costar_table, tuple(planted))
+            failed = _failed(verify._suite_reticulation, alg)
+        assert "costar-identity-suite" in failed
+        assert ("spec-homeomorphism" in failed) == (g in primes)
+
+
+def test_prime_checks_catch_a_dropped_prime_ideal(monkeypatch, alg):
+    dropped = prime_ideal_index(con_lattice(alg))[1:]
+    _plant_stored(monkeypatch, alg, prime_ideal_index, dropped)
+    assert _failed(verify._suite_reticulation, alg) == {"prime-counts-match", "spec-homeomorphism"}
 
 
 def test_center_meet_catches_one_commutator(monkeypatch, alg):
@@ -377,13 +413,13 @@ def test_transfer_checks_catch_one_flipped_verdict(monkeypatch, alg, check, plan
 def test_star_and_ideal_transfer_catch_one_flipped_id_blp(monkeypatch, alg):
     # the ideal (lambda(a1)] of the reticulation read as not lifting: both
     # transfers read the one Id-BLP verdict of that ideal
-    retic = build_reticulation(alg)
-    g = retic._lambda_by_con[_elements(alg)[2]]
+    _, rl, lam = reticulation_index(con_lattice(alg))
+    g = lam[_elements(alg)[2]]
     real = verify.has_id_blp
 
     def planted(lattice, ideal):
         report = real(lattice, ideal)
-        if lattice is retic.lattice and ideal.generator == g:
+        if lattice is rl and ideal.generator == g:
             return replace(report, lifts=not report.lifts)
         return report
 
@@ -503,9 +539,9 @@ def test_id_blp_catches_one_center_entry(monkeypatch, alg):
     # lambda(a1) dropped from the center held by the reticulation that
     # has_id_blp reads: at the ideal (lambda(Delta)] the class of lambda(a1)
     # has no lift
-    retic = build_reticulation(alg)
-    dropped = retic._lambda_by_con[_elements(alg)[2]]
-    center = tuple(x for x in retic.lattice.center if x != dropped)
-    monkeypatch.setattr(retic.lattice, "center", center)
+    _, rl, lam = reticulation_index(con_lattice(alg))
+    dropped = lam[_elements(alg)[2]]
+    center = tuple(x for x in rl.center if x != dropped)
+    monkeypatch.setattr(rl, "center", center)
     failed = _failed(verify._suite_lifting, alg)
     assert {"star-transfer", "ideal-transfer"} <= failed
