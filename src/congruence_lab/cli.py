@@ -21,13 +21,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache, partial
 
-from . import config, verify
+from . import verify
 from .algebra import FiniteAlgebra, load_algebra
 from .builders import ring_zn
-from .commutator import commutator, surrogate_checks
-from .congruences import con_lattice, congruence_from_blocks
+from .commutator import DEFAULT_MATRIX_CAP, MATRIX_CAP, commutator, surrogate_checks
+from .congruences import CON_CAP, DEFAULT_CON_CAP, con_lattice, congruence_from_blocks
 from .errors import (
     CongruenceLabError,
     Falsified,
@@ -45,11 +46,15 @@ EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 
 
-def _apply_caps(caps: tuple[int, int]) -> tuple[int, int]:
-    """Set the process-wide ``(CON_CAP, MATRIX_CAP)``; return the previous pair."""
-    previous = config.CON_CAP, config.MATRIX_CAP
-    config.CON_CAP, config.MATRIX_CAP = caps
-    return previous
+@contextmanager
+def _caps_set(caps: tuple[int, int]):
+    """Set ``(CON_CAP, MATRIX_CAP)`` in the current context for the block."""
+    con, matrix = CON_CAP.set(caps[0]), MATRIX_CAP.set(caps[1])
+    try:
+        yield
+    finally:
+        CON_CAP.reset(con)
+        MATRIX_CAP.reset(matrix)
 
 
 def _load(path: str) -> FiniteAlgebra:
@@ -64,7 +69,7 @@ def _parse_blocks(alg: FiniteAlgebra, text: str):
     try:
         raw = json.loads(text)
     except json.JSONDecodeError:
-        raise InputError(f"congruence argument must be a JSON block array: {text!r}")
+        raw = None
     if not isinstance(raw, list):
         raise InputError(f"congruence argument must be a JSON block array: {text!r}")
     return congruence_from_blocks(alg, raw)
@@ -75,11 +80,7 @@ def _ring_labels(alg: FiniteAlgebra) -> dict[tuple, str]:
     if alg != ring_zn(alg.size):
         return {}
     n = alg.size
-    out = {}
-    for d in range(1, n + 1):
-        if n % d == 0:
-            out[tuple(x % d for x in range(n))] = f"theta_{d}"
-    return out
+    return {tuple(x % d for x in range(n)): f"theta_{d}" for d in range(1, n + 1) if n % d == 0}
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +196,9 @@ def _verify_one_path(caps: tuple[int, int], path: str) -> dict:
     failed check on it (exit 1); any other library error is that input's
     error (exit 2).
 
-    The caps ``(cap_con, cap_matrix)`` are passed in and applied here, since
-    a worker started by ``spawn`` or ``forkserver`` re-imports ``config``
-    with the default budgets."""
-    _apply_caps(caps)
+    The caps ``(cap_con, cap_matrix)`` are passed in and set around the
+    checks: a pool worker started by ``spawn`` or ``forkserver`` has the
+    default caps."""
     result = {
         "path": path,
         "algebra": None,
@@ -215,7 +215,8 @@ def _verify_one_path(caps: tuple[int, int], path: str) -> dict:
         return result
     result["algebra"] = alg.name
     try:
-        report = verify.verify_algebra(alg)
+        with _caps_set(caps):
+            report = verify.verify_algebra(alg)
     except Falsified as exc:
         result["checks"] = [{"name": "falsified", "passed": False, "detail": str(exc)}]
         return result
@@ -294,11 +295,7 @@ def _print_cblp(rep):
     if rep["exploratory"]:
         print("  EXPLORATORY: the reticulation does not preserve the Boolean center")
     for r in reports:
-        flags = "".join(
-            key for key, value in (("1", r["thm63"]["c1"]), ("2", r["thm63"]["c2"]),
-                                   ("3", r["thm63"]["c3"]), ("4", r["thm63"]["c4"]))
-            if value
-        )
+        flags = "".join(k for k in "1234" if r["thm63"][f"c{k}"])
         print(
             f"  theta={json.dumps(r['theta'])} cblp={r['cblp']} "
             f"regular={r['regular']} thm63={{{flags}}} "
@@ -388,19 +385,13 @@ def _caps(args) -> tuple[int, int]:
     else the default.  A given value, zero included, must be positive, and so
     must ``--jobs``."""
     env_cap = os.environ.get("CONGRUENCE_LAB_CAP")
-    env_value = None
-    if env_cap is not None:
-        try:
-            env_value = int(env_cap)
-        except ValueError:
-            raise InputError(f"CONGRUENCE_LAB_CAP must be an integer, got {env_cap!r}")
-
-    def resolve(flag, default):
-        return next(v for v in (flag, env_value, default) if v is not None)
-
-    caps = (
-        resolve(args.cap_con, config.DEFAULT_CON_CAP),
-        resolve(args.cap_matrix, config.DEFAULT_MATRIX_CAP),
+    try:
+        env_value = None if env_cap is None else int(env_cap)
+    except ValueError:
+        raise InputError(f"CONGRUENCE_LAB_CAP must be an integer, got {env_cap!r}")
+    flags = ((args.cap_con, DEFAULT_CON_CAP), (args.cap_matrix, DEFAULT_MATRIX_CAP))
+    caps = tuple(
+        next(v for v in (flag, env_value, default) if v is not None) for flag, default in flags
     )
     if min(*caps, args.jobs) <= 0:
         raise InputError("caps and job counts must be positive")
@@ -431,11 +422,9 @@ COMMANDS = {
 
 
 def run(args, caps: tuple[int, int]) -> int:
-    """Run the parsed command under ``caps`` and restore the previous caps
-    on return, so that an in-process call leaves the next one at the
-    budgets it had."""
-    previous = _apply_caps(caps)
-    try:
+    """Run the parsed command with ``caps`` set in the current context for
+    this call only."""
+    with _caps_set(caps):
         if args.command == "verify":
             rep = report_verify(args.paths, args.jobs, caps)
             printer = _print_verify
@@ -446,8 +435,6 @@ def run(args, caps: tuple[int, int]) -> int:
             print(json.dumps(rep, indent=2))
         else:
             printer(rep)
-    finally:
-        _apply_caps(previous)
     if args.command != "verify":
         return EXIT_OK
     if rep["input_errors"]:

@@ -100,24 +100,27 @@ runs to the end.
 from __future__ import annotations
 
 from collections import Counter
+from contextvars import ContextVar
 from itertools import product as iproduct
 from operator import add
 
-from . import config
 from .algebra import FiniteAlgebra
 from .congruences import (
     Congruence,
     CongruenceLattice,
     _Partition,
+    _matrix_bound,
+    _relation_mask,
     _semigroup_generators,
     _translation_plan,
     con_lattice,
     stored,
 )
-from .errors import SizeBudgetExceeded, TheoryHypothesisFailed
+from .errors import Falsified, SizeBudgetExceeded, TheoryHypothesisFailed
 
 __all__ = [
     "DEFAULT_MATRIX_CAP",
+    "MATRIX_CAP",
     "MatrixSubalgebra",
     "matrix_subalgebra",
     "commutator",
@@ -132,7 +135,8 @@ __all__ = [
     "require_theory",
 ]
 
-DEFAULT_MATRIX_CAP = config.DEFAULT_MATRIX_CAP
+DEFAULT_MATRIX_CAP = 10**6
+MATRIX_CAP = ContextVar("MATRIX_CAP", default=DEFAULT_MATRIX_CAP)
 
 
 class MatrixSubalgebra:
@@ -181,7 +185,7 @@ def matrix_subalgebra(
     for it.
     """
     if cap is None:
-        cap = config.MATRIX_CAP
+        cap = MATRIX_CAP.get()
     n = alg.size
     nn = n * n
     a, b = alpha.blocks, beta.blocks
@@ -371,13 +375,12 @@ def commutator(
 ) -> Congruence:
     """[alpha, beta]; results are cached on the congruence lattice.
 
-    Raises :class:`SizeBudgetExceeded` when the matrix state bound (number of
-    related pairs squared) exceeds ``cap``; the bound is checked before
-    Con(A) is built.
+    Raises :class:`SizeBudgetExceeded` when the ``_matrix_bound`` of alpha
+    or beta exceeds ``cap``, before Con(A) is built.
     """
     if cap is None:
-        cap = config.MATRIX_CAP
-    bound = max(sum(len(c) ** 2 for c in theta.classes()) for theta in (alpha, beta)) ** 2
+        cap = MATRIX_CAP.get()
+    bound = max(_matrix_bound(_relation_mask(theta.blocks)) for theta in (alpha, beta))
     if bound > cap:
         raise _budget_error(bound, cap)
     lattice = con_lattice(alg)
@@ -392,7 +395,7 @@ def commutator_index(
     checked on every call, stored or not.  A miss is seeded from the memo
     one lower cover down and stops at the meet (see the module docstring)."""
     if cap is None:
-        cap = config.MATRIX_CAP
+        cap = MATRIX_CAP.get()
     bounds = lattice.matrix_bounds
     if bounds[i] > cap or bounds[j] > cap:
         raise _budget_error(max(bounds[i], bounds[j]), cap)
@@ -452,7 +455,7 @@ def _memo(lattice: CongruenceLattice) -> list | tuple:
 def commutator_table(lattice: CongruenceLattice) -> tuple[tuple[int, ...], ...]:
     """The memo's rows, filled; the matrix budget is checked on every call
     against the bound of the top congruence, the largest."""
-    cap, bound = config.MATRIX_CAP, lattice.matrix_bounds[lattice.top_index]
+    cap, bound = MATRIX_CAP.get(), lattice.matrix_bounds[lattice.top_index]
     if bound > cap:
         raise _budget_error(bound, cap)
     memo = _memo(lattice)
@@ -469,8 +472,8 @@ def commutator_table(lattice: CongruenceLattice) -> tuple[tuple[int, ...], ...]:
 
 
 def _budget_error(bound: int, cap: int) -> SizeBudgetExceeded:
-    """The matrix state bound max(pairs(alpha), pairs(beta))**2 is over
-    ``cap`` (default: the process-wide MATRIX_CAP)."""
+    """The larger ``_matrix_bound`` of alpha and beta is over ``cap``
+    (default: the current context's MATRIX_CAP)."""
     return SizeBudgetExceeded(
         f"matrix subalgebra budget {cap} exceeded: up to {bound} matrices"
     )
@@ -520,7 +523,7 @@ def residuation_index(lattice: CongruenceLattice, i: int, j: int) -> int:
     pair (i, g) goes through ``commutator_index``, so the first one over
     it is refused as when cold."""
     row, leq, join = _memo(lattice)[i], lattice.leq, lattice.join_table
-    over = lattice.matrix_bounds[lattice.top_index] > config.MATRIX_CAP
+    over = lattice.matrix_bounds[lattice.top_index] > MATRIX_CAP.get()
     result = lattice.bottom_index
     for g in lattice.join_irreducible_indices():
         c = row[g]
@@ -539,6 +542,29 @@ def annihilator(alg: FiniteAlgebra, alpha: Congruence) -> Congruence:
 
 def annihilator_index(lattice: CongruenceLattice, i: int) -> int:
     return residuation_index(lattice, i, lattice.bottom_index)
+
+
+@stored
+def center_index(lattice: CongruenceLattice) -> tuple:
+    """B(Con(A)) from the lattice's complement search: the complemented
+    congruences, the complement of each, and the atoms.
+
+    Membership means some complement exists; the recorded complement is the
+    annihilator, which is cross-checked to be one.
+    """
+    mates, bottom, leq = lattice.complements, lattice.bottom_index, lattice.leq
+    members = tuple(i for i in range(len(lattice)) if mates[i])
+    # bottom-up, in reversed index order, so each residuation row is filled
+    # from the commutators stored one lower cover down
+    annihilator = {i: annihilator_index(lattice, i) for i in reversed(members)}
+    complement = {i: annihilator[i] for i in members}
+    if any(complement[i] not in mates[i] for i in members):
+        raise Falsified(
+            f"{lattice.algebra.name}: annihilator of a complemented congruence is not a complement"
+        )
+    above = [i for i in members if i != bottom]
+    atoms = tuple(i for i in above if not any(j != i and leq[j][i] for j in above))
+    return members, complement, atoms
 
 
 class SurrogateReport:

@@ -53,10 +53,10 @@ theta = congruences[t]: the quotient algebra, built once as
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from functools import lru_cache, wraps
 from itertools import combinations, compress
 
-from . import config
 from .algebra import FiniteAlgebra, quotient
 from .errors import Falsified, NotACongruence, ParentMismatch, SizeBudgetExceeded
 from .lattices import FiniteLattice, _bitset, _tables_from_bitsets
@@ -64,6 +64,7 @@ from .lattices import FiniteLattice, _bitset, _tables_from_bitsets
 __all__ = [
     "Congruence",
     "CongruenceLattice",
+    "CON_CAP",
     "DEFAULT_CON_CAP",
     "principal_congruence",
     "all_congruences",
@@ -84,7 +85,8 @@ __all__ = [
     "projection",
 ]
 
-DEFAULT_CON_CAP = config.DEFAULT_CON_CAP
+DEFAULT_CON_CAP = 100_000
+CON_CAP = ContextVar("CON_CAP", default=DEFAULT_CON_CAP)
 
 
 class Congruence:
@@ -387,7 +389,7 @@ class CongruenceLattice(FiniteLattice):
         super().__init__(leq, join_table, meet_table, bottom_index, top_index)
         self.algebra = algebra
         self.congruences = congruences  # canonically sorted by block array
-        # the matrix budget of each congruence: its number of related pairs, squared
+        # the ``_matrix_bound`` of each congruence
         self.matrix_bounds = matrix_bounds
         # bit x * n + y of masks[i] is set when x and y are related
         self.masks = masks
@@ -421,10 +423,10 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
     """Enumerate Con(A) by closing its join-irreducibles under binary join.
 
     Raises :class:`SizeBudgetExceeded` when more than ``cap`` congruences
-    would be produced (default: the process-wide CON_CAP).
+    would be produced (default: the current context's CON_CAP).
     """
     if cap is None:
-        cap = config.CON_CAP
+        cap = CON_CAP.get()
     n = alg.size
     pairs: dict[tuple[int, ...], list] = {}  # Cg(a, b) -> every such (a, b)
     for orbit in _pair_orbits(alg):
@@ -476,7 +478,7 @@ def all_congruences(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLat
         top_index=index[(0,) * n],
         algebra=alg,
         congruences=tuple(Congruence(alg, blocks) for blocks in ordered),
-        matrix_bounds=tuple(mask.bit_count() ** 2 for mask in masks),
+        matrix_bounds=tuple(map(_matrix_bound, masks)),
         masks=masks,
         principals=tuple(principals),
         _index=index,
@@ -532,6 +534,11 @@ def _relation_mask(blocks) -> int:
     return mask
 
 
+def _matrix_bound(mask: int) -> int:
+    """The matrix budget of a congruence: its related pairs, squared."""
+    return mask.bit_count() ** 2
+
+
 def _join_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Join of two canonical block arrays: ``a`` is a union-find forest rooted
     at class minima; merging the trees of each x and b[x] hangs the larger root
@@ -569,11 +576,11 @@ def con_lattice(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLattice
     """Cached Con(A); all analyses share one lattice per structural algebra.
 
     The budget is checked on every call, cached or not: |Con(A)| > cap
-    raises :class:`SizeBudgetExceeded` (default cap: the process-wide
+    raises :class:`SizeBudgetExceeded` (default cap: the current context's
     CON_CAP), whatever cap the cached lattice was enumerated under.
     """
     if cap is None:
-        cap = config.CON_CAP
+        cap = CON_CAP.get()
     slot = _cached_lattice(alg)
     if not slot:
         slot.append(all_congruences(alg, cap=cap))

@@ -138,6 +138,23 @@ class FiniteLattice:
         )
 
     @cached_property
+    def interval_complements(self) -> tuple[tuple[dict, ...], dict]:
+        """In one pass over the pairs: for each y, {g: z} for the first z with
+        y v z = top and y ^ z = g (a complement of y in [g, top]), and
+        {(y, g): every such z} where there are several."""
+        members, top, table, several = list(range(self.size)), self.top_index, [], {}
+        for y, (join_y, meet_y) in enumerate(zip(self.join_table, self.meet_table)):
+            mates: dict[int, int] = {}
+            for z in compress(members, [joined == top for joined in join_y]):
+                g = meet_y[z]
+                if g in mates:
+                    several.setdefault((y, g), [mates[g]]).append(z)
+                else:
+                    mates[g] = z
+            table.append(mates)
+        return tuple(table), several
+
+    @cached_property
     def center(self) -> tuple[int, ...]:
         """The complemented elements, in increasing order.  Complements are
         unique in a distributive lattice; an element with several raises

@@ -42,7 +42,9 @@ import json
 from itertools import combinations
 
 from .algebra import FiniteAlgebra
-from .commutator import commutator_index, commutator_table, require_theory, residuation_index
+from .commutator import (
+    center_index, commutator_index, commutator_table, require_theory, residuation_index
+)
 from .congruences import (
     Congruence,
     CongruenceLattice,
@@ -52,6 +54,7 @@ from .congruences import (
 )
 from .errors import Falsified, HypothesisNotMet, NoCBLP, NotALattice, NotOrthogonal
 from .lattices import FiniteLattice, LatticeIdeal, _members
+from .reticulation import center_preservation_index, reticulation_index
 from .spectrum import clopen_index, is_hyperarchimedean, open_table, spectrum_index
 
 __all__ = [
@@ -123,36 +126,6 @@ def _center(lattice: CongruenceLattice, center: tuple) -> BooleanCenter:
         complement={con[i].blocks: con[j] for i, j in complement.items()},
         atoms=tuple(con[i] for i in atoms),
     )
-
-
-@stored
-def center_index(
-    lattice: CongruenceLattice,
-) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...]]:
-    """B(Con(A)) from the lattice's complement search: the complemented
-    congruences, the complement of each, and the atoms.
-
-    Membership means some complement exists; the recorded complement is the
-    annihilator, which is cross-checked to be one.
-    """
-    mates = lattice.complements
-    bottom, leq = lattice.bottom_index, lattice.leq
-    members = tuple(i for i in range(len(lattice)) if mates[i])
-    # bottom-up, in reversed index order, so each residuation row is filled
-    # from the commutators stored one lower cover down
-    annihilator = {i: residuation_index(lattice, i, bottom) for i in reversed(members)}
-    complement = {i: annihilator[i] for i in members}
-    if any(complement[i] not in mates[i] for i in members):
-        raise Falsified(
-            f"{lattice.algebra.name}: annihilator of a complemented congruence"
-            " is not a complement"
-        )
-    atoms = tuple(
-        i
-        for i in members
-        if i != bottom and not any(j != i and j != bottom and leq[j][i] for j in members)
-    )
-    return members, complement, atoms
 
 
 # ---------------------------------------------------------------------------
@@ -401,38 +374,24 @@ def has_id_blp(lattice: FiniteLattice, ideal: LatticeIdeal) -> IdBlpReport:
     """
     center_l = lattice.center  # first: L's NotALattice comes before L/I's
     lat, g = ideal.lattice, ideal.generator
-    join, meet, top = lat.join_table, lat.meet_table, lat.top_index
+    join, (mates, several) = lat.join_table, lat.interval_complements
     position: dict[int, int] = {}  # the class of x is position[x v g]
     for y in join[g]:
         position.setdefault(y, len(position))
-    reps = list(position)
-    center_q = []
-    for y in reps:
-        join_y, meet_y = join[y], meet[y]
-        mates = [z for z in reps if join_y[z] == top and meet_y[z] == g]
-        if len(mates) > 1:
-            raise NotALattice(
-                f"element {position[y]} has several complements: {[position[z] for z in mates]}"
-            )
-        if mates:
-            center_q.append(position[y])
     lift_of: dict[int, int] = {}  # each class's least complemented member
     for x in center_l:
         lift_of.setdefault(position[join[g][x]], x)
-    witnesses = []
-    counterexample = None
-    for target in center_q:
-        if target not in lift_of:
-            counterexample = target
-            break
-        witnesses.append((target, lift_of[target]))
-    return IdBlpReport(
-        lattice=lattice,
-        ideal=ideal,
-        lifts=counterexample is None,
-        witnesses=tuple(witnesses),
-        counterexample=counterexample,
-    )
+    witnesses, counterexample = [], None
+    for y, k in position.items():
+        if (y, g) in several:
+            positions = sorted(position[z] for z in several[y, g])
+            raise NotALattice(f"element {k} has several complements: {positions}")
+        if g in mates[y] and counterexample is None:
+            if k in lift_of:
+                witnesses.append((k, lift_of[k]))
+            else:
+                counterexample = k
+    return IdBlpReport(lattice, ideal, counterexample is None, tuple(witnesses), counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +469,6 @@ def diamond_star_commute(alg: FiniteAlgebra, theta: Congruence) -> bool:
 
 
 def diamond_star_commute_index(lattice: CongruenceLattice, t: int) -> bool:
-    from .reticulation import reticulation_index
-
     _, retic_lattice, lam = reticulation_index(lattice)
     g, below = lam[t], retic_lattice.leq  # theta* = (g]
     # the generator of the ideal generated by the complemented part of theta*
@@ -561,8 +518,6 @@ def cblp_characterization(alg: FiniteAlgebra, theta: Congruence) -> LiftingRepor
     not, the verdicts are still computed and the report is marked
     exploratory.
     """
-    from .reticulation import center_preservation_index
-
     lattice, t = _indices(alg, theta)
     c1, c2, c3, c4 = cblp_characterization_index(lattice, t)
     exploratory = not center_preservation_index(lattice)[0]

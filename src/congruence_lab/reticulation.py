@@ -14,7 +14,7 @@ every other layer: reticulation_index, costar_table, prime_ideal_index.
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra
-from .commutator import commutator_table, require_theory, _iterate_chain
+from .commutator import center_index, commutator_table, require_theory, _iterate_chain
 from .congruences import Congruence, CongruenceLattice, con_lattice, stored
 from .errors import ParentMismatch, TheoryHypothesisFailed
 from .lattices import (
@@ -302,8 +302,6 @@ def preserves_boolean_center(alg: FiniteAlgebra) -> CenterPreservationReport:
 
 @stored
 def center_preservation_index(lattice: CongruenceLattice) -> tuple[bool, int | None, bool, bool]:
-    from .lifting import center_index
-
     center = set(center_index(lattice)[0])
     _, retic_lattice, lam = reticulation_index(lattice)
     retic_center = set(retic_lattice.center)

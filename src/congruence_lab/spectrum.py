@@ -21,7 +21,9 @@ clopens by direct enumeration check ``clopens_of_max``'s witnesses.
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra
-from .commutator import commutator_index, commutator_table, require_theory, _iterate_chain
+from .commutator import (
+    center_index, commutator_index, commutator_table, require_theory, _iterate_chain
+)
 from .congruences import Congruence, CongruenceLattice, con_lattice, stored
 from .errors import Falsified, SizeBudgetExceeded, TheoryHypothesisFailed
 from .lattices import _bitset, _members
@@ -290,8 +292,6 @@ def is_hyperarchimedean(alg: FiniteAlgebra) -> bool:
     scanned only up to its stable value.
     """
     require_theory(alg)
-    from .lifting import center_index
-
     lattice = con_lattice(alg)
     center = set(center_index(lattice)[0])
     for i in range(len(lattice)):

@@ -53,3 +53,14 @@ def replace(obj, **changes):
     obj's store of results unless ``_caches`` is among the changes."""
     fields = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
     return type(obj)(**{**fields, **changes})
+
+
+@pytest.fixture()
+def set_cap():
+    """``set_cap(var, value)`` sets a cap's context variable (``CON_CAP`` or
+    ``MATRIX_CAP``) for the rest of the test; each is reset by its token,
+    last first, after the test."""
+    tokens = []
+    yield lambda var, value: tokens.append((var, var.set(value)))
+    for var, token in reversed(tokens):
+        var.reset(token)

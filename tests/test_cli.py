@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from congruence_lab import config, dump_algebra
+from congruence_lab import dump_algebra
 from congruence_lab.builders import chain_lattice, pentagon, pointed_pair, ring_zn
 from congruence_lab.cli import EXIT_FALSIFIED, EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, main
-from congruence_lab.congruences import all_congruences
+from congruence_lab.commutator import MATRIX_CAP
+from congruence_lab.congruences import CON_CAP, all_congruences
 from congruence_lab.errors import NotALattice, TheoryHypothesisFailed
 
 
@@ -155,12 +156,10 @@ def test_verify_isolates_bad_input(z6_path, bad_path, capsys):
     assert "ERROR" in out
 
 
-def test_verify_isolates_budget_error(tmp_path, capsys, monkeypatch):
+def test_verify_isolates_budget_error(tmp_path, capsys, set_cap):
     """A budget error on one input is that input's ERROR; the others still
     report, and the run exits 2."""
-    from congruence_lab import config
-
-    monkeypatch.setattr(config, "CON_CAP", config.CON_CAP)  # restored after
+    set_cap(CON_CAP, CON_CAP.get())  # reset after
     small, large = tmp_path / "z2.json", tmp_path / "z12.json"
     small.write_text(dump_algebra(ring_zn(2)))
     large.write_text(dump_algebra(ring_zn(12)))
@@ -173,14 +172,12 @@ def test_verify_isolates_budget_error(tmp_path, capsys, monkeypatch):
     )
 
 
-def test_verify_caps_reach_spawned_workers(tmp_path, capsys, monkeypatch):
+def test_verify_caps_reach_spawned_workers(tmp_path, capsys, monkeypatch, set_cap):
     """The caps are passed to each verify worker, so a worker started by
-    spawn (which re-imports the config module) still applies them."""
+    spawn (whose context holds the default caps) still applies them."""
     import concurrent.futures
 
-    from congruence_lab import config
-
-    monkeypatch.setattr(config, "CON_CAP", config.CON_CAP)  # restored after
+    set_cap(CON_CAP, CON_CAP.get())  # reset after
     # cli imports the pool only on the --jobs > 1 path, from this module
     monkeypatch.setattr(
         concurrent.futures,
@@ -274,13 +271,43 @@ def test_caps_do_not_outlive_the_call(tmp_path, z12_path, capsys):
     call at the budgets it had before."""
     z2_path = tmp_path / "z2.json"
     z2_path.write_text(dump_algebra(ring_zn(2)))
-    before = (config.CON_CAP, config.MATRIX_CAP)
+    before = (CON_CAP.get(), MATRIX_CAP.get())
     assert main(["--cap-con", "3", "--cap-matrix", "5", "congruences", str(z2_path)]) == EXIT_OK
-    assert (config.CON_CAP, config.MATRIX_CAP) == before
+    assert (CON_CAP.get(), MATRIX_CAP.get()) == before
     assert len(all_congruences(ring_zn(12))) == 6
     assert main(["--cap-con", "3", "congruences", z12_path]) == EXIT_INPUT
-    assert (config.CON_CAP, config.MATRIX_CAP) == before
+    assert (CON_CAP.get(), MATRIX_CAP.get()) == before
     assert len(all_congruences(ring_zn(12))) == 6
+
+
+def test_caps_of_a_call_stay_in_its_thread(z12_path, capsys, monkeypatch):
+    """While a capped call runs in one thread, held inside ``cli._load``, a
+    library call in another thread runs under the default caps."""
+    import threading
+
+    from congruence_lab import cli
+
+    entered, release, exits = threading.Event(), threading.Event(), []
+    real_load = cli._load
+
+    def held_load(path):
+        entered.set()
+        release.wait(timeout=30)
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "_load", held_load)
+    capped = threading.Thread(
+        target=lambda: exits.append(main(["--cap-con", "3", "congruences", z12_path]))
+    )
+    capped.start()
+    try:
+        assert entered.wait(timeout=30)
+        assert len(all_congruences(ring_zn(12))) == 6
+    finally:
+        release.set()
+        capped.join(timeout=30)
+    assert exits == [EXIT_INPUT]
+    assert "exceeds the cap of 3" in capsys.readouterr().err
 
 
 def test_env_cap_override(z12_path, capsys, monkeypatch):
@@ -318,14 +345,16 @@ def test_bad_congruence_argument(z12_path, capsys):
 def test_falsified_cross_check_exits_one(tmp_path, monkeypatch, capsys):
     """A failing internal cross-check is an error mapped to exit 1, not an
     assert that vanishes under python -O."""
-    from congruence_lab import lifting
+    from importlib import import_module
+
     from congruence_lab.algebra import product
 
     path = tmp_path / "z3xz2.json"
     path.write_text(dump_algebra(product(ring_zn(3), ring_zn(2))))
     # break the residuation route of the Boolean-center cross-check: the
     # annihilator of each complemented congruence becomes the congruence itself
-    monkeypatch.setattr(lifting, "residuation_index", lambda lattice, i, j: i)
+    commutator = import_module("congruence_lab.commutator")  # not the function of that name
+    monkeypatch.setattr(commutator, "residuation_index", lambda lattice, i, j: i)
     assert main(["center", str(path)]) == EXIT_FALSIFIED
     assert "annihilator of a complemented congruence" in capsys.readouterr().err
 

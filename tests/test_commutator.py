@@ -216,19 +216,18 @@ def test_commutator_cap_applies_to_cached_values():
         commutator_index(lattice, top, top, cap=10)
 
 
-def test_residuation_cap_applies_to_stored_rows(monkeypatch):
+def test_residuation_cap_applies_to_stored_rows(set_cap):
     """A residuum is refused under a cap that one of the commutators it
     reads exceeds, with the message of the cold refusal, whether an
     uncapped residuation or the whole table has filled the memo first."""
-    from congruence_lab import config
-    from congruence_lab.commutator import commutator_table, residuation_index
+    from congruence_lab.commutator import MATRIX_CAP, commutator_table, residuation_index
 
     alg = ring_zn(4)
     cold, warm, full = all_congruences(alg), all_congruences(alg), all_congruences(alg)
     top, bottom = warm.top_index, warm.bottom_index
     assert residuation_index(warm, top, bottom) == bottom
     commutator_table(full)
-    monkeypatch.setattr(config, "MATRIX_CAP", 10)
+    set_cap(MATRIX_CAP, 10)
     messages = []
     for lattice in (cold, warm, full):
         with pytest.raises(SizeBudgetExceeded) as raised:

@@ -319,19 +319,19 @@ def test_bottom_top_markers(z12):
     assert lattice.congruences[lattice.top_index] == nabla(z12)
 
 
-def test_con_lattice_budget_applies_to_cached_lattice(monkeypatch):
+def test_con_lattice_budget_applies_to_cached_lattice(set_cap):
     """Every call checks |Con(A)| against the cap in force, including a
     lattice enumerated earlier under a larger one; one entry per algebra."""
-    from congruence_lab import config
+    from congruence_lab.congruences import CON_CAP
 
     alg = ring_zn(12)
     lattice = con_lattice(alg)
     assert len(lattice) == 6
-    monkeypatch.setattr(config, "CON_CAP", 3)
+    set_cap(CON_CAP, 3)
     with pytest.raises(SizeBudgetExceeded, match=r"\|Con\(Z_12\)\| exceeds the cap of 3"):
         con_lattice(alg)
     with pytest.raises(SizeBudgetExceeded, match="exceeds the cap of 5"):
         con_lattice(alg, cap=5)
     assert con_lattice(alg, cap=6) is lattice
-    monkeypatch.setattr(config, "CON_CAP", 6)
+    set_cap(CON_CAP, 6)
     assert con_lattice(alg) is lattice

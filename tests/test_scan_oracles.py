@@ -53,6 +53,9 @@
   against the pairs unseparated at their own commutator;
 * ``has_id_blp``: the center of the lattice ``quotient_by_ideal`` builds,
   against the interval [g, 1] read off the parent's tables;
+* ``has_id_blp``'s complements in [g, 1]: every pair of the interval
+  tested for each ideal, against one table of the pairs y v z = 1 keyed by
+  y ^ z, built in one pass over the lattice (``interval_complements``);
 * ``_translation_plan``'s associativity test: the cubic scan of
   (a b) c = a (b c), against Light's test on the generators found first;
 * ``_coprime_pairs``: the coprime pairs with their commutators by a scan of
@@ -942,6 +945,63 @@ def _id_blp_outcome(route, lattice, ideal):
 def _report(lattice, ideal) -> tuple:
     report = has_id_blp(lattice, ideal)
     return report.lifts, report.witnesses, report.counterexample
+
+
+def interval_id_blp(lattice, ideal) -> tuple:
+    """(lifts, witnesses, counterexample) of Id-BLP, the complements of each
+    member y of [g, 1] found by testing y against every member of [g, 1]."""
+    center_l = lattice.center
+    join, meet, top = lattice.join_table, lattice.meet_table, lattice.top_index
+    g = ideal.generator
+    position: dict[int, int] = {}
+    for y in join[g]:
+        position.setdefault(y, len(position))
+    center_q = []
+    for y in position:
+        mates = [z for z in position if join[y][z] == top and meet[y][z] == g]
+        if len(mates) > 1:
+            raise NotALattice(
+                f"element {position[y]} has several complements: {[position[z] for z in mates]}"
+            )
+        if mates:
+            center_q.append(position[y])
+    lift_of: dict[int, int] = {}
+    for x in center_l:
+        lift_of.setdefault(position[join[g][x]], x)
+    witnesses = []
+    for target in center_q:
+        if target not in lift_of:
+            return False, tuple(witnesses), target
+        witnesses.append((target, lift_of[target]))
+    return True, tuple(witnesses), None
+
+
+# M3 and N5 raise at L's own center; 1 + M3 (a new bottom below M3) has
+# the center {0, 1} and raises at the interval [g, 1] = M3 over its atom g
+SEVERAL_COMPLEMENTS = {
+    "M3": NAMED_ORDERS["M3"],
+    "N5": NAMED_ORDERS["N5"],
+    "1+M3": _order(6, {(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)}),
+}
+
+
+@pytest.mark.parametrize(
+    "source",
+    THEORY_CORPUS + LADDER + sorted(SEVERAL_COMPLEMENTS),
+    ids=lambda source: getattr(source, "name", source),
+)
+def test_id_blp_matches_the_per_ideal_search(source):
+    """On every ideal of a reticulation, and of three lattices where both
+    routes raise the same NotALattice message."""
+    if isinstance(source, str):
+        lattice = lattice_from_leq(SEVERAL_COMPLEMENTS[source])
+    else:
+        lattice = build_reticulation(source).lattice
+    outcomes = [_id_blp_outcome(_report, lattice, ideal) for ideal in all_ideals(lattice)]
+    assert outcomes == [
+        _id_blp_outcome(interval_id_blp, lattice, ideal) for ideal in all_ideals(lattice)
+    ]
+    assert any(isinstance(outcome, str) for outcome in outcomes) == isinstance(source, str)
 
 
 GENERATOR_LADDER = THEORY_CORPUS + [boolean_lattice(4), ring_zn(30), chain_lattice(9)]

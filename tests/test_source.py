@@ -244,3 +244,53 @@ def test_every_function_is_used_or_exported():
                     referenced.add(name)
     unused = [f"{module}.{name}" for module, name in defined if name not in referenced | exported]
     assert unused == []
+
+
+def _imports_library(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return bool(node.level) or (node.module or "").partition(".")[0] == "congruence_lab"
+    if isinstance(node, ast.Import):
+        return any(alias.name.partition(".")[0] == "congruence_lab" for alias in node.names)
+    return False
+
+
+def test_functions_import_no_library_module():
+    """Every library import is at module level, so no function-level import
+    hides a cycle between the layers.  The one exception is
+    ``algebra.quotient``, which checks its argument with
+    ``congruences.is_congruence`` from the layer above."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.stem}.{function.name}"
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if _imports_library(node)
+        ]
+    assert found == ["algebra.quotient"]
+
+
+def test_no_module_assigns_an_attribute_of_an_imported_module():
+    """A setting is a value passed or a context variable set, never an
+    attribute written into another module, where every thread and every
+    later call would read it."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        found += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+        ]
+    assert found == []

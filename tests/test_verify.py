@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import SizeBudgetExceeded, config, load_algebra
+from congruence_lab import SizeBudgetExceeded, load_algebra
 from congruence_lab.algebra import FiniteAlgebra, Operation
 from congruence_lab.builders import pointed_pair, ring_zn, chain_lattice
-from congruence_lab.commutator import commutator, commutator_index, commutator_table
+from congruence_lab.commutator import MATRIX_CAP, commutator, commutator_index, commutator_table
 from congruence_lab.congruences import all_congruences, con_lattice
 from congruence_lab.lifting import has_cblp
 from congruence_lab.verify import verify_algebra, verify_corpus
@@ -87,7 +87,7 @@ def test_single_queries_store_no_table():
     assert unfilled(alg) == 0
 
 
-def test_stored_table_is_refused_under_a_cap_below_its_bound(monkeypatch):
+def test_stored_table_is_refused_under_a_cap_below_its_bound(set_cap):
     """The budget is checked on every call against the top congruence, whose
     bound is the largest: a stored table is refused under a cap one below
     it, while a query on smaller congruences still passes that cap."""
@@ -95,7 +95,7 @@ def test_stored_table_is_refused_under_a_cap_below_its_bound(monkeypatch):
     bound = lattice.matrix_bounds[lattice.top_index]
     assert max(lattice.matrix_bounds) == bound
     table = commutator_table(lattice)
-    monkeypatch.setattr(config, "MATRIX_CAP", bound - 1)
+    set_cap(MATRIX_CAP, bound - 1)
     with pytest.raises(SizeBudgetExceeded):
         commutator_table(lattice)
     bottom = lattice.bottom_index
