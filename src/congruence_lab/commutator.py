@@ -545,25 +545,30 @@ def annihilator_index(lattice: CongruenceLattice, i: int) -> int:
 
 
 @stored
-def center_index(lattice: CongruenceLattice) -> tuple:
-    """B(Con(A)) from the lattice's complement search: the complemented
-    congruences, the complement of each, and the atoms.
+def center_index(lattice: CongruenceLattice, t: int) -> tuple:
+    """B([theta, nabla]), which is B(Con(A/theta)) and, at theta = Delta,
+    B(Con(A)): the chi >= theta with a complement in the interval, read off
+    ``interval_complements``, the complement of each, and the atoms.
 
-    Membership means some complement exists; the recorded complement is the
-    annihilator, which is cross-checked to be one.
+    The recorded complement is chi -> theta, cross-checked to be one: as
+    [alpha/theta, beta/theta] = ([alpha, beta] v theta)/theta in a
+    congruence-modular variety, (chi -> theta)/theta annihilates chi/theta.
     """
-    mates, bottom, leq = lattice.complements, lattice.bottom_index, lattice.leq
-    members = tuple(i for i in range(len(lattice)) if mates[i])
+    mates, down = lattice.interval_complements[0], lattice.down_sets
+    join, meet, top = lattice.join_table, lattice.meet_table, lattice.top_index
+    members = tuple(i for i, row in enumerate(mates) if t in row)
     # bottom-up, in reversed index order, so each residuation row is filled
     # from the commutators stored one lower cover down
-    annihilator = {i: annihilator_index(lattice, i) for i in reversed(members)}
-    complement = {i: annihilator[i] for i in members}
-    if any(complement[i] not in mates[i] for i in members):
+    arrow = {i: residuation_index(lattice, i, t) for i in reversed(members)}
+    complement = {i: arrow[i] for i in members}
+    if any(join[i][c] != top or meet[i][c] != t for i, c in complement.items()):
         raise Falsified(
             f"{lattice.algebra.name}: annihilator of a complemented congruence is not a complement"
         )
-    above = [i for i in members if i != bottom]
-    atoms = tuple(i for i in above if not any(j != i and leq[j][i] for j in above))
+    # an atom has no member but theta strictly below it
+    below = [down[i] & ~(1 << i | 1 << t) for i in members]
+    inside = sum(1 << i for i in members)
+    atoms = tuple(i for i, mask in zip(members, below) if i != t and not mask & inside)
     return members, complement, atoms
 
 

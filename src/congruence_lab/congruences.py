@@ -45,10 +45,11 @@ submagma (Light's test).  Other operations keep every translation.
 ``is_congruence`` always tests every translation: it is the check that
 ``brute_force_congruences`` runs as the oracle of generation.
 
-``projection(Con(A), t)`` stores the canonical projection A -> A/theta for
-theta = congruences[t]: the quotient algebra, built once as
-``_quotient_algebra``, its Con(A/theta), and the index maps ``down`` and
-``up`` between [theta, nabla] and Con(A/theta).
+By the correspondence theorem Con(A/theta) is the interval [theta, nabla]
+of Con(A), and the library computes on it; ``quotient_edge`` maps its
+members to congruences of A/theta and back for the public reports.
+``projection(Con(A), t)`` enumerates Con(A/theta) and maps it onto
+[theta, nabla], for the oracles in ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ __all__ = [
     "stored",
     "Projection",
     "projection",
+    "quotient_edge",
 ]
 
 DEFAULT_CON_CAP = 100_000
@@ -624,6 +626,31 @@ def stored(fn):
 def _quotient_algebra(lattice: CongruenceLattice, t: int) -> FiniteAlgebra:
     """A/theta for theta = congruences[t], built once per Con(A)."""
     return quotient(lattice.algebra, lattice.congruences[t])
+
+
+def quotient_edge(lattice: CongruenceLattice, t: int) -> tuple:
+    """(down, up) for theta = congruences[t]: chi_j -> chi_j/theta, chi_j
+    restricted to the elements of ``_quotient_algebra``, the least
+    representatives of theta's blocks, and relabelled; and its inverse,
+    which raises :class:`ParentMismatch` on no congruence of A/theta."""
+    quo, theta = _quotient_algebra(lattice, t), lattice.congruences[t].blocks
+    reps = sorted(set(theta))
+    element = {r: k for k, r in enumerate(reps)}
+
+    def down(j: int) -> Congruence:
+        chi = lattice.congruences[j].blocks
+        return Congruence(quo, _canonical([chi[r] for r in reps]))
+
+    def up(beta: Congruence) -> int:
+        # x goes to the least representative that beta relates to its own
+        blocks, j = tuple(beta.blocks), None
+        if len(blocks) == len(reps) and _canonical(blocks) == blocks:
+            j = lattice._index.get(tuple(reps[blocks[element[r]]] for r in theta))
+        if j is None:
+            raise ParentMismatch(f"{list(beta.blocks)} is not a congruence of {quo.name}")
+        return j
+
+    return down, up
 
 
 class Projection:

@@ -17,7 +17,8 @@ directly.
 A lattice derives one form of its order, the down-set bitsets ``down_sets``,
 and its Boolean center ``center``, each once.  The cover tables are read off
 the bitsets, and the join-irreducibles (one lower cover), the distributivity
-and modularity tests and ideal primeness read those two forms only.
+and modularity tests and ideal primeness read those two forms only.  One
+scan of the pairs, ``interval_complements``, holds all complements.
 
 Every ideal of a finite lattice is principal (a nonempty down-set closed
 under binary join contains the join of all its members), so a
@@ -129,19 +130,22 @@ class FiniteLattice:
 
     @cached_property
     def complements(self) -> tuple[tuple[int, ...], ...]:
-        """For each element x, every y with x v y = top and x ^ y = bottom."""
-        join, meet = self.join_table, self.meet_table
-        top, bottom = self.top_index, self.bottom_index
+        """For each element x, every y with x v y = top and x ^ y = bottom,
+        in increasing order: the g = bottom slice of ``interval_complements``."""
+        mates, several = self.interval_complements
+        bottom = self.bottom_index
         return tuple(
-            tuple(y for y in range(self.size) if join[x][y] == top and meet[x][y] == bottom)
-            for x in range(self.size)
+            tuple(several[x, bottom]) if (x, bottom) in several
+            else (row[bottom],) if bottom in row
+            else ()
+            for x, row in enumerate(mates)
         )
 
     @cached_property
     def interval_complements(self) -> tuple[tuple[dict, ...], dict]:
         """In one pass over the pairs: for each y, {g: z} for the first z with
         y v z = top and y ^ z = g (a complement of y in [g, top]), and
-        {(y, g): every such z} where there are several."""
+        {(y, g): every such z, in increasing order} where there are several."""
         members, top, table, several = list(range(self.size)), self.top_index, [], {}
         for y, (join_y, meet_y) in enumerate(zip(self.join_table, self.meet_table)):
             mates: dict[int, int] = {}

@@ -3,32 +3,33 @@ characterization/transfer suites built on it.
 
 A congruence theta has CBLP when the Boolean-center map of the canonical
 projection is surjective: every complemented congruence of A/theta is
-(alpha v theta)/theta for some complemented alpha of A.  The center of the
-quotient is computed twice, once inside the interval [theta) via residuation
-(chi/theta is complemented iff chi v (chi -> theta) is the top congruence)
-and once directly on the quotient algebra; a disagreement is an internal
-falsification and raises :class:`Falsified`.
+(alpha v theta)/theta for some complemented alpha of A.
+
+A/theta is read as the interval [theta, nabla] of Con(A).  By the
+correspondence theorem chi -> chi/theta maps it onto Con(A/theta), keeping
+the index order, and in a congruence-modular variety [alpha/theta,
+beta/theta] = ([alpha, beta] v theta)/theta (Freese and McKenzie, ch. 4).
+So A/theta has the joins, meets and order of Con(A) above theta, the
+commutator [alpha, beta] v theta, and the center ``center_index`` at base
+theta.  A is the case theta = Delta: A and every A/theta take one code
+path, and no Con(A/theta) is built here; the quotient side of each
+identity is an oracle in ``verify``.
 
 Indices inside, ``Congruence`` at the public edge.  Each result that the
 ``verify`` suites read has an index core, named after it with an ``_index``
 suffix, that takes Con(A) and congruence indices and returns indices and
-flags; the cores that run a cross-check are ``@stored``, so it runs on the
-first call for each argument.  A public function runs the theory gate,
-indexes its congruence arguments, calls its core and builds its report for
-the caller's algebra.  The transfer results (radical invariance, the star
-and maximal-interval transfers, the regular-join and non-coprime-meet
-transfers) live in ``verify``'s lifting suite alone, which checks each over
-whole lists of ``cblp_index`` verdicts.  The quotient A/theta and chi/theta
-are read from the index maps of ``congruences.projection``.
+flags; a member chi of [theta, nabla] stands for chi/theta.  A public
+function runs the theory gate, indexes its congruence arguments, calls its
+core and builds its report for the caller's algebra, mapping chi to
+chi/theta and back with ``congruences.quotient_edge``.  The transfer
+results (radical invariance, the star and maximal-interval transfers, the
+regular-join and non-coprime-meet transfers) live in ``verify``'s lifting
+suite alone, which checks each over whole lists of ``cblp_index`` verdicts.
 
-B(p_theta) is one stored row per theta, ``center_map_index``: the image in
-Con(A/theta) of each complemented congruence, in center order, read off the
-projected join.  Its cross-check generates the images of the atoms of B(A)
-only, as the single-alpha core ``projection_image_index`` generates any
-alpha, and compares every other cell with the quotient join of two smaller
-ones, since generation preserves joins.  CBLP and its witnesses, the fibers
-of orthogonal lifting, the Rad-injectivity test and ``verify``'s
-certificate and morphism checks all read that row.
+B(p_theta) is one stored row per theta, ``center_map_index``: alpha v theta
+for each complemented congruence alpha, in center order.  CBLP and its
+witnesses, the fibers of orthogonal lifting, the Rad-injectivity test and
+``verify``'s certificate and morphism checks all read that row.
 
 Clauses (2) and (3) of the characterization read only the coprime pairs
 that no center pair separates at their own commutator: separation at theta
@@ -39,19 +40,11 @@ reads L/(g] off the interval [g, 1] of L instead of building it.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, compress
 
 from .algebra import FiniteAlgebra
-from .commutator import (
-    center_index, commutator_index, commutator_table, require_theory, residuation_index
-)
-from .congruences import (
-    Congruence,
-    CongruenceLattice,
-    con_lattice,
-    projection,
-    stored,
-)
+from .commutator import center_index, commutator_index, commutator_table, require_theory
+from .congruences import Congruence, CongruenceLattice, con_lattice, quotient_edge, stored
 from .errors import Falsified, HypothesisNotMet, NoCBLP, NotALattice, NotOrthogonal
 from .lattices import FiniteLattice, LatticeIdeal, _members
 from .reticulation import center_preservation_index, reticulation_index
@@ -111,15 +104,10 @@ class BooleanCenter:
 
 
 def boolean_center_of_congruences(alg: FiniteAlgebra) -> BooleanCenter:
-    """B(Con(A)), from ``center_index``."""
+    """B(Con(A)), from ``center_index`` at theta = Delta."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    return _center(lattice, center_index(lattice))
-
-
-def _center(lattice: CongruenceLattice, center: tuple) -> BooleanCenter:
-    """A result of ``center_index(lattice)`` as congruences."""
-    members, complement, atoms = center
+    members, complement, atoms = center_index(lattice, lattice.bottom_index)
     con = lattice.congruences
     return BooleanCenter(
         elements=tuple(con[i] for i in members),
@@ -136,105 +124,16 @@ def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -
     """The image congruence (alpha v theta)/theta of the canonical projection."""
     lattice = con_lattice(alg)
     t = lattice.index(theta)
-    k = projection_image_index(lattice, t, lattice.index(alpha))
-    return projection(lattice, t).lattice.congruences[k]
+    down, _ = quotient_edge(lattice, t)
+    return down(lattice.join_table[lattice.index(alpha)][t])
 
 
 @stored
 def center_map_index(lattice: CongruenceLattice, t: int) -> tuple[int, ...]:
-    """B(p_theta) as one row: the projected join (alpha v theta)/theta of
-    each member of ``center_index``, in center order, cross-checked against
-    the generated image with theta's block map built once.  Generation
-    preserves joins (the pairs of alpha v beta are chains of pairs of alpha
-    and of beta), so a member that ``_center_splits`` splits into two
-    smaller members is compared with the quotient join of their cells, and
-    only the rest, the bottom and the atoms of B(A), are generated: unfolded,
-    every cell is compared with its generated image."""
-    p = projection(lattice, t)
-    members, join = center_index(lattice)[0], lattice.join_table
-    row = tuple(p.down[join[a][t]] for a in members)
-    image, qjoin = _block_map(lattice, t), p.lattice.join_table
-    for a, cell, split in zip(members, row, _center_splits(lattice)):
-        if split is None:
-            expected = _generated_image(lattice, p, image, a)
-        else:
-            expected = qjoin[row[split[0]]][row[split[1]]]
-        if cell != expected:
-            raise Falsified(f"{lattice.algebra.name}: projected join and generated image disagree")
-    return row
-
-
-@stored
-def _center_splits(lattice: CongruenceLattice) -> tuple[tuple[int, int] | None, ...]:
-    """For each member alpha of ``center_index``, in center order, the
-    positions of two members strictly below alpha whose join is alpha:
-    alpha ^ e' and e, for e the first atom of B(A) below alpha and e' its
-    complement; None for the bottom, the atoms, and any member that this
-    pair does not split."""
-    members, complement, atoms = center_index(lattice)
-    position = {a: k for k, a in enumerate(members)}
-    join, meet, leq = lattice.join_table, lattice.meet_table, lattice.leq
-    splits = []
-    for a in members:
-        e = next((e for e in atoms if leq[e][a] and e != a), None)
-        rest = None if e is None else meet[a][complement[e]]
-        if rest is None or rest == a or rest not in position or join[rest][e] != a:
-            splits.append(None)
-        else:
-            splits.append((position[rest], position[e]))
-    return tuple(splits)
-
-
-def _block_map(lattice: CongruenceLattice, t: int) -> list[int]:
-    """x -> its element of A/theta: the theta-blocks numbered by least
-    representative, as in ``congruences.projection``."""
-    theta = lattice.congruences[t].blocks
-    block_of = {r: k for k, r in enumerate(sorted(set(theta)))}
-    return [block_of[r] for r in theta]
-
-
-def _generated_image(lattice: CongruenceLattice, p, image: list[int], a: int) -> int:
-    """The congruence of A/theta generated by the projected pairs of alpha:
-    the join of their principal congruences in Con(A/theta)."""
-    m, principals = p.quotient.size, p.lattice.principals
-    alpha = lattice.congruences[a].blocks
-    return p.lattice.join_many({principals[image[x] * m + image[r]] for x, r in enumerate(alpha)})
-
-
-def projection_image_index(lattice: CongruenceLattice, t: int, a: int) -> int:
-    """(alpha v theta)/theta as an index of Con(A/theta).
-
-    Computed both as the projected join and as the congruence of the quotient
-    generated by the projected pairs of alpha, the join of their principal
-    congruences in Con(A/theta); the two must agree.
-    """
-    p = projection(lattice, t)
-    via_interval = p.down[lattice.join_table[a][t]]
-    if via_interval != _generated_image(lattice, p, _block_map(lattice, t), a):
-        raise Falsified(f"{lattice.algebra.name}: projected join and generated image disagree")
-    return via_interval
-
-
-@stored
-def quotient_center_index(lattice: CongruenceLattice, t: int) -> tuple:
-    """B(Con(A/theta)) as ``center_index`` of Con(A/theta), computed on the
-    quotient algebra and cross-checked against the interval route
-    chi v (chi -> theta) = nabla."""
-    p = projection(lattice, t)
-    require_theory(p.quotient)
-    direct = center_index(p.lattice)
-    join, top = lattice.join_table, lattice.top_index
-    interval_route = {
-        k
-        for j, k in enumerate(p.down)
-        if k is not None and join[j][residuation_index(lattice, j, t)] == top
-    }
-    if interval_route != set(direct[0]):
-        raise Falsified(
-            f"{lattice.algebra.name}: interval and direct quotient centers disagree"
-            f" for theta={lattice.congruences[t]}"
-        )
-    return direct
+    """B(p_theta) as one row: alpha v theta for each member alpha of
+    B(Con(A)), in center order."""
+    join_t = lattice.join_table[t]
+    return tuple(join_t[a] for a in center_index(lattice, lattice.bottom_index)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +211,14 @@ def _lifting_report(
     alg: FiniteAlgebra, lattice: CongruenceLattice, t: int, thm63=None, exploratory=False
 ) -> LiftingReport:
     cblp, witnesses, counterexample = cblp_index(lattice, t)
-    con, qcon = lattice.congruences, projection(lattice, t).lattice.congruences
+    con, down = lattice.congruences, quotient_edge(lattice, t)[0]
     dia = diamond_index(lattice, t)
     return LiftingReport(
         algebra=alg,
         theta=con[t],
         cblp=cblp,
-        witnesses=tuple((qcon[k], con[a]) for k, a in witnesses),
-        counterexample=None if counterexample is None else qcon[counterexample],
+        witnesses=tuple((down(k), con[a]) for k, a in witnesses),
+        counterexample=None if counterexample is None else down(counterexample),
         regular=dia == t,
         diamond=con[dia],
         thm63=thm63,
@@ -329,11 +228,11 @@ def _lifting_report(
 
 @stored
 def cblp_index(lattice: CongruenceLattice, t: int) -> tuple[bool, tuple, int | None]:
-    """Whether theta has CBLP; the witnesses (k, a), each complemented
-    congruence k of A/theta in order with a complemented lift a; and the
-    first k with no lift, or None."""
-    targets = quotient_center_index(lattice, t)[0]
-    members = center_index(lattice)[0]
+    """Whether theta has CBLP; the witnesses (k, a), each member k of
+    B([theta, nabla]) in order with a complemented lift a; and the first k
+    with no lift, or None."""
+    targets = center_index(lattice, t)[0]
+    members = center_index(lattice, lattice.bottom_index)[0]
     images = center_map_index(lattice, t)
     witnesses = []
     for k in targets:
@@ -343,8 +242,16 @@ def cblp_index(lattice: CongruenceLattice, t: int) -> tuple[bool, tuple, int | N
     return True, tuple(witnesses), None
 
 
-def _all_cblp(lattice: CongruenceLattice) -> bool:
-    return all(cblp_index(lattice, t)[0] for t in range(len(lattice)))
+@stored
+def _all_cblp(lattice: CongruenceLattice, t: int) -> bool:
+    """Whether A/theta has CBLP at every congruence: chi/theta has it when
+    B([chi, nabla]) lies inside {beta v chi : beta in B([theta, nabla])}.
+    At theta = Delta these are the verdicts of ``cblp_index``."""
+    members, join = center_index(lattice, t)[0], lattice.join_table
+    return all(
+        set(center_index(lattice, c)[0]).issubset([join[b][c] for b in members])
+        for c in compress(range(len(lattice)), lattice.leq[t])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +320,7 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
     clopens = clopen_index(lattice)
     traces = open_table(lattice)[1]
 
-    members = center_index(lattice)[0]
+    members = center_index(lattice, lattice.bottom_index)[0]
     g_values = [traces[a] for a in members]
     # g is always an injective Boolean morphism here; surjectivity onto the
     # clopens is the criterion
@@ -421,21 +328,11 @@ def rad_cblp_criterion(alg: FiniteAlgebra) -> bool:
         return False
     g_iso = len(set(g_values)) == len(g_values) and set(g_values) == clopens
 
-    # the quotient-center map: classes of [Rad) project to Clop(Max(A))
-    p = projection(lattice, rad)
-    f_values = {k: traces[p.up[k]] for k in quotient_center_index(lattice, rad)[0]}
-    f_iso = (
-        len(set(f_values.values())) == len(f_values)
-        and set(f_values.values()) == clopens
-    )
-    if not f_iso:
+    # the quotient-center map: B([Rad, nabla]) onto Clop(Max(A)), a Boolean
+    # morphism since D takes joins to unions and meets to intersections
+    f_values = [traces[k] for k in center_index(lattice, rad)[0]]
+    if len(set(f_values)) != len(f_values) or set(f_values) != clopens:
         return False
-    # join/meet preservation for f on the quotient center
-    qjoin, qmeet = p.lattice.join_table, p.lattice.meet_table
-    for k1, u1 in f_values.items():
-        for k2, u2 in f_values.items():
-            if f_values[qjoin[k1][k2]] != u1 | u2 or f_values[qmeet[k1][k2]] != u1 & u2:
-                return False
 
     # injectivity of the center map of the Rad projection
     rad_images = center_map_index(lattice, rad)
@@ -458,7 +355,9 @@ def diamond(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
 @stored
 def diamond_index(lattice: CongruenceLattice, t: int) -> int:
     leq = lattice.leq
-    return lattice.join_many(a for a in center_index(lattice)[0] if leq[a][t])
+    return lattice.join_many(
+        a for a in center_index(lattice, lattice.bottom_index)[0] if leq[a][t]
+    )
 
 
 def diamond_star_commute(alg: FiniteAlgebra, theta: Congruence) -> bool:
@@ -494,7 +393,7 @@ def _center_pair_bits(lattice: CongruenceLattice) -> tuple[list[int], list[int]]
     """Over the center pairs (alpha, alpha'), k-th in center order, where
     alpha' is alpha's complement: for each congruence x, the int bitsets
     {k : alpha_k <= x} and {k : alpha'_k <= x}."""
-    members, complement, _ = center_index(lattice)
+    members, complement, _ = center_index(lattice, lattice.bottom_index)
     below_a = [0] * len(lattice)
     below_na = [0] * len(lattice)
     for k, a in enumerate(members):
@@ -563,7 +462,7 @@ def cblp_characterization_index(lattice: CongruenceLattice, t: int) -> tuple[boo
     c4 = True
     for m in spectrum_index(lattice, False)[1]:
         joined = join_t[diamond_index(lattice, m)]
-        if len(quotient_center_index(lattice, joined)[0]) > 2:
+        if len(center_index(lattice, joined)[0]) > 2:
             c4 = False
             break
 
@@ -591,10 +490,10 @@ def quotient_cblp_descent_index(lattice: CongruenceLattice, t: int) -> bool:
     _require_below_rad(lattice, t)
     if not cblp_index(lattice, t)[0]:
         return True
-    quotient_lattice = projection(lattice, t).lattice
-    if _all_cblp(quotient_lattice) and not _all_cblp(lattice):
+    bottom = lattice.bottom_index
+    if _all_cblp(lattice, t) and not _all_cblp(lattice, bottom):
         return False
-    if b_normal_index(quotient_lattice) is None and b_normal_index(lattice) is not None:
+    if b_normal_index(lattice, t) is None and b_normal_index(lattice, bottom) is not None:
         return False
     return True
 
@@ -613,20 +512,21 @@ def is_b_normal(alg: FiniteAlgebra) -> BNormalReport:
     with chi v alpha = eps v beta = nabla and [alpha, beta] = bottom."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    pair = b_normal_index(lattice)
+    pair = b_normal_index(lattice, lattice.bottom_index)
     if pair is not None:
         pair = tuple(lattice.congruences[i] for i in pair)
     return BNormalReport(alg, pair is None, pair)
 
 
 @stored
-def b_normal_index(lattice: CongruenceLattice) -> tuple[int, int] | None:
-    """The first coprime pair with no separating pair, or None."""
-    top = lattice.top_index
-    bottom = lattice.bottom_index
-    members, table = center_index(lattice)[0], commutator_table(lattice)
+def b_normal_index(lattice: CongruenceLattice, t: int) -> tuple[int, int] | None:
+    """The first coprime pair of [theta, nabla] that no alpha, beta of
+    B([theta, nabla]) with [alpha, beta] <= theta separate, or None when
+    A/theta is B-normal."""
+    top, leq = lattice.top_index, lattice.leq
+    members, table = center_index(lattice, t)[0], commutator_table(lattice)
     # the candidate separating pairs (alpha, beta), k-th as an int bit
-    orthogonal = [(a, b) for a in members for b in members if table[a][b] == bottom]
+    orthogonal = [(a, b) for a in members for b in members if leq[table[a][b]][t]]
     by_a: dict[int, int] = {}  # a -> {k : alpha_k = a}
     by_b: dict[int, int] = {}
     for k, (a, b) in enumerate(orthogonal):
@@ -642,12 +542,14 @@ def b_normal_index(lattice: CongruenceLattice) -> tuple[int, int] | None:
         for b, bits in by_b.items():
             if row[b] == top:
                 cov_b[x] |= bits
+    above = leq[t]
     return next(
         (
             (i, j)
             for i, partners in enumerate(_coprime_pairs(lattice))
+            if above[i]
             for j in _members(partners)
-            if not cov_a[i] & cov_b[j]
+            if above[j] and not cov_a[i] & cov_b[j]
         ),
         None,
     )
@@ -656,21 +558,27 @@ def b_normal_index(lattice: CongruenceLattice) -> tuple[int, int] | None:
 def hyperarchimedean_cblp(alg: FiniteAlgebra) -> bool:
     """A hyperarchimedean algebra has CBLP at every congruence (vacuously
     true when the algebra is not hyperarchimedean)."""
-    return not is_hyperarchimedean(alg) or _all_cblp(con_lattice(alg))
+    if not is_hyperarchimedean(alg):
+        return True
+    lattice = con_lattice(alg)
+    return _all_cblp(lattice, lattice.bottom_index)
 
 
 # ---------------------------------------------------------------------------
 # Orthogonal lifting
 
 
-def _check_orthogonal(lattice: CongruenceLattice, members, items) -> None:
-    con, bottom = lattice.congruences, lattice.bottom_index
+def _check_orthogonal(lattice: CongruenceLattice, t: int, members, items) -> None:
+    """Items of [theta, nabla] pairwise orthogonal in A/theta, x ^ y = theta
+    and [x, y] <= theta, and each in ``members``."""
+    leq = lattice.leq
     for x, y in combinations(items, 2):
-        if lattice.meet_index(x, y) != bottom or commutator_index(lattice, x, y) != bottom:
-            raise NotOrthogonal(f"{con[x]} and {con[y]} are not orthogonal")
+        if lattice.meet_index(x, y) != t or not leq[commutator_index(lattice, x, y)][t]:
+            down = quotient_edge(lattice, t)[0]
+            raise NotOrthogonal(f"{down(x)} and {down(y)} are not orthogonal")
     for x in items:
         if x not in members:
-            raise NotOrthogonal(f"{con[x]} is not complemented")
+            raise NotOrthogonal(f"{quotient_edge(lattice, t)[0](x)} is not complemented")
 
 
 def lift_orthogonal(
@@ -680,8 +588,7 @@ def lift_orthogonal(
     of B(Con(A)) mapping onto it, by inductive disjointing: each raw lift is
     cut down by the complement of the join of the lifts built so far."""
     lattice, t = _indices(alg, theta)
-    qlattice = projection(lattice, t).lattice
-    family = tuple(qlattice.index(beta) for beta in omega_prime)
+    family = tuple(map(quotient_edge(lattice, t)[1], omega_prime))
     return [lattice.congruences[a] for a in lift_orthogonal_index(lattice, t, family)]
 
 
@@ -689,11 +596,10 @@ def lift_orthogonal_index(lattice: CongruenceLattice, t: int, family) -> list[in
     cblp, witnesses, _ = cblp_index(lattice, t)
     if not cblp:
         raise NoCBLP(f"{lattice.congruences[t]} does not have CBLP")
-    qlattice = projection(lattice, t).lattice
-    _check_orthogonal(qlattice, quotient_center_index(lattice, t)[0], family)
+    _check_orthogonal(lattice, t, center_index(lattice, t)[0], family)
 
-    name = lattice.algebra.name
-    members, complement, _ = center_index(lattice)
+    name, bottom = lattice.algebra.name, lattice.bottom_index
+    members, complement, _ = center_index(lattice, bottom)
     witness = dict(witnesses)
     lifted: list[int] = []
     for k in family:
@@ -701,12 +607,11 @@ def lift_orthogonal_index(lattice: CongruenceLattice, t: int, family) -> list[in
         if sofar not in complement:
             raise Falsified(f"{name}: join of complemented congruences left the center")
         alpha = lattice.meet_index(witness[k], complement[sofar])
-        if projection_image_index(lattice, t, alpha) != k:
-            raise Falsified(
-                f"{name}: disjointed lift of {qlattice.congruences[k]} no longer projects onto it"
-            )
+        if lattice.join_index(alpha, t) != k:
+            target = quotient_edge(lattice, t)[0](k)
+            raise Falsified(f"{name}: disjointed lift of {target} no longer projects onto it")
         lifted.append(alpha)
-    _check_orthogonal(lattice, members, lifted)
+    _check_orthogonal(lattice, bottom, members, lifted)
     return lifted
 
 
@@ -744,8 +649,8 @@ def orthogonal_index(lattice: CongruenceLattice, t: int) -> tuple:
     """The fields of ``OrthogonalReport`` after ``theta``, in order."""
     _require_below_rad(lattice, t)
     rad = spectrum_index(lattice, False)[2]
-    members, complement, atoms = center_index(lattice)
-    qmembers, _, qatoms = quotient_center_index(lattice, t)
+    members, complement, atoms = center_index(lattice, lattice.bottom_index)
+    qmembers, _, qatoms = center_index(lattice, t)
     leq, meet, bottom = lattice.leq, lattice.meet_table, lattice.bottom_index
 
     # difference lemma: alpha - beta below Rad(A) forces alpha <= beta, which
@@ -762,12 +667,13 @@ def orthogonal_index(lattice: CongruenceLattice, t: int) -> tuple:
         lift.setdefault(k, a)
     unique = len(lift) == len(members)
 
-    # each liftable orthogonal pair of the quotient center
-    qlattice, table = projection(lattice, t).lattice, commutator_table(lattice)
+    # each liftable orthogonal pair of the quotient center, whose meet in
+    # A/theta is theta
+    table = commutator_table(lattice)
     lifts_orthogonal = all(
         meet[lift[k1]][lift[k2]] == bottom and table[lift[k1]][lift[k2]] == bottom
         for k1, k2 in combinations([k for k in qmembers if k in lift], 2)
-        if qlattice.meet_table[k1][k2] == qlattice.bottom_index
+        if meet[k1][k2] == t
     )
 
     # a singleton {k} lifts to its witness; when every witness is an atom,

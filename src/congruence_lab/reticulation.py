@@ -302,7 +302,7 @@ def preserves_boolean_center(alg: FiniteAlgebra) -> CenterPreservationReport:
 
 @stored
 def center_preservation_index(lattice: CongruenceLattice) -> tuple[bool, int | None, bool, bool]:
-    center = set(center_index(lattice)[0])
+    center = set(center_index(lattice, lattice.bottom_index)[0])
     _, retic_lattice, lam = reticulation_index(lattice)
     retic_center = set(retic_lattice.center)
     violating = next(

@@ -293,7 +293,7 @@ def is_hyperarchimedean(alg: FiniteAlgebra) -> bool:
     """
     require_theory(alg)
     lattice = con_lattice(alg)
-    center = set(center_index(lattice)[0])
+    center = set(center_index(lattice, lattice.bottom_index)[0])
     for i in range(len(lattice)):
         chain = _iterate_chain(lattice, i)
         # values taken at n >= 1: the tail of the chain (a length-1 chain is

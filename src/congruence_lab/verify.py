@@ -22,6 +22,12 @@ congruences, and the matrix and brute-force oracles at their universe
 sizes, as before.  The caps match the sizes the suites are specified at and
 are recorded in each check's detail string when they bite.
 
+The library reads A/theta as the interval [theta, nabla] of Con(A); the
+quotient algebras and their Con(A/theta) appear only here, on one side of
+interval-vs-quotient-count, commutator-projection-identity,
+quotient-iterate-identity, projection-center-morphism and
+quotient-annihilator-identity.
+
 Three checks test their quantifier on generators, each exact by an order or
 lattice identity of the tables it reads.  ``center-join-distributes`` tests
 the bottom and the members of B that are not the join of two smaller
@@ -51,6 +57,7 @@ from .algebra import (
 from .builders import ring_congruence, ring_zn
 from .commutator import (
     annihilator_index,
+    center_index,
     commutator_table,
     matrix_subalgebra,
     residuation_index,
@@ -72,7 +79,6 @@ from .lifting import (
     b_normal_index,
     cblp_characterization_index,
     cblp_index,
-    center_index,
     center_map_index,
     diamond_index,
     diamond_star_commute_index,
@@ -80,7 +86,6 @@ from .lifting import (
     hyperarchimedean_cblp,
     orthogonal_index,
     quotient_cblp_descent_index,
-    quotient_center_index,
     rad_cblp_criterion,
     ring_idempotent_lifting,
     ring_idempotents,
@@ -579,7 +584,7 @@ def _suite_reticulation(alg):
 def _suite_boolean_center(alg):
     lattice = con_lattice(alg)
     _, rl, lam = reticulation_index(lattice)
-    members, complement, _ = center_index(lattice)
+    members, complement, _ = center_index(lattice, lattice.bottom_index)
     size = len(lattice)
     member = set(members)
 
@@ -705,24 +710,33 @@ def _suite_lifting(alg):
     verdicts = [cblp for cblp, _, _ in results]
     rho = radical_table(lattice)
     regular = [diamond_index(lattice, c) == c for c in range(size)]
-    trivial_center = [len(quotient_center_index(lattice, c)[0]) <= 2 for c in range(size)]
+    trivial_center = [len(center_index(lattice, c)[0]) <= 2 for c in range(size)]
     id_lifts = [has_id_blp(rl, ideal).lifts for ideal in all_ideals(rl)]  # of (g], by g
 
     # one pass over theta for the first two checks.  Every verdict carries
-    # its certificate: the witnesses lift the members of the quotient center
+    # its certificate: the witnesses lift the members of B([theta, nabla])
     # in order, each by a complemented congruence projecting onto it, and a
     # false verdict's unliftable member comes next and is the image of no
-    # complemented congruence.  The projection's center map really is a
-    # Boolean morphism: images of complemented congruences are complemented,
-    # complements go to complements, and (for small centers) joins and
-    # meets are preserved.
-    members, complement, _ = center_index(lattice)
+    # complemented congruence.  Through the projection, the morphism check
+    # finds B([theta, nabla]) to be the center of Con(A/theta), whose
+    # algebra passes the surrogates; the images of the bottom and the atoms
+    # of B(A) to be the congruences their projected pairs generate, and
+    # every other cell the join of two smaller ones, as generation
+    # preserves joins; and the center map a Boolean morphism.
+    members, complement, atoms = center_index(lattice, lattice.bottom_index)
     position = {a: i for i, a in enumerate(members)}  # a's cell in each row
+    # the cells of alpha ^ e' and e, for e the first atom of B(A) below
+    # alpha, where these two smaller members join to alpha
+    splits = []
+    for a in members:
+        e = next((e for e in atoms if leq[e][a] and e != a), None)
+        rest = None if e is None else meet[a][complement[e]]
+        split = rest not in (None, a) and rest in position and join[rest][e] == a
+        splits.append((position[rest], position[e]) if split else None)
     certified_ok = True
     morphism_ok = True
     for t in range(size):
-        qmembers = quotient_center_index(lattice, t)[0]
-        qlattice = projection(lattice, t).lattice
+        qmembers, qcomplement, qatoms = center_index(lattice, t)
         row = center_map_index(lattice, t)
         cblp, witnesses, unliftable = results[t]
         listed = tuple(k for k, _ in witnesses) + (() if cblp else (unliftable,))
@@ -733,21 +747,48 @@ def _suite_lifting(alg):
             or unliftable in row
         ):
             certified_ok = False
-        if not set(qmembers).issuperset(row):
+
+        p = projection(lattice, t)
+        qlattice, down = p.lattice, p.down
+        qrow = [down[x] for x in row]
+        direct = center_index(qlattice, qlattice.bottom_index)
+        mapped = (
+            tuple(down[k] for k in qmembers),
+            {down[k]: down[c] for k, c in qcomplement.items()},
+            tuple(down[k] for k in qatoms),
+        )
+        if (
+            not surrogate_checks(p.quotient).ok
+            or mapped != direct
+            or not set(direct[0]).issuperset(qrow)
+        ):
             morphism_ok = False
-        for a, x in zip(members, row):
-            nx = row[position[complement[a]]]
+            continue
+        theta = lattice.congruences[t].blocks
+        element = {r: k for k, r in enumerate(sorted(set(theta)))}  # of A/theta
+        m, principals = p.quotient.size, qlattice.principals
+        qjoin, qmeet = qlattice.join_table, qlattice.meet_table
+        for a, x, split in zip(members, qrow, splits):
+            if split is None:
+                pairs = zip(theta, lattice.congruences[a].blocks)
+                expected = qlattice.join_many(
+                    {principals[element[u] * m + element[theta[v]]] for u, v in pairs}
+                )
+            else:
+                expected = qjoin[qrow[split[0]]][qrow[split[1]]]
+            nx = qrow[position[complement[a]]]
             if (
-                qlattice.join_index(x, nx) != qlattice.top_index
-                or qlattice.meet_index(x, nx) != qlattice.bottom_index
+                x != expected
+                or qjoin[x][nx] != qlattice.top_index
+                or qmeet[x][nx] != qlattice.bottom_index
             ):
                 morphism_ok = False
         if len(members) <= 16:
-            for a, x in zip(members, row):
-                for b, y in zip(members, row):
-                    if row[position[join[a][b]]] != qlattice.join_index(x, y):
+            for a, x in zip(members, qrow):
+                for b, y in zip(members, qrow):
+                    if qrow[position[join[a][b]]] != qjoin[x][y]:
                         morphism_ok = False
-                    if row[position[meet[a][b]]] != qlattice.meet_index(x, y):
+                    if qrow[position[meet[a][b]]] != qmeet[x][y]:
                         morphism_ok = False
     yield Check("cblp-decided-everywhere", certified_ok, f"{sum(verdicts)}/{size} lift")
     yield Check("projection-center-morphism", morphism_ok)
@@ -832,7 +873,7 @@ def _suite_lifting(alg):
     descent_ok = all(quotient_cblp_descent_index(lattice, i) for i in range(size) if leq[i][rad])
     yield Check("quotient-descent", descent_ok)
 
-    b_normal = b_normal_index(lattice) is None
+    b_normal = b_normal_index(lattice, lattice.bottom_index) is None
     yield Check("b-normal-iff-cblp", b_normal == all(verdicts), f"b_normal={b_normal}")
 
 
@@ -854,7 +895,7 @@ def _suite_ring_oracles(alg):
     n = alg.size
     lattice = con_lattice(alg)
     idempotents = ring_idempotents(n)
-    members = center_index(lattice)[0]
+    members = center_index(lattice, lattice.bottom_index)[0]
     yield Check(
         "center-counts-idempotents",
         len(members) == len(idempotents),

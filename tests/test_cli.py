@@ -405,8 +405,10 @@ def test_verify_json_contract_on_ladder(capsys, monkeypatch, tmp_path):
 
 def test_single_input_commands_match_pins(capsys, monkeypatch):
     """Every single-input command on corpus/z_12.json, in JSON and in text,
-    with block arguments for commutator and cblp: the stdout and exit code
-    are pinned byte for byte in tests/data/cli_z12.json."""
+    with block arguments for commutator and cblp, and ``--json cblp`` on
+    corpus/n5.json, whose theta = [0, 1, 1, 3, 4] is the one corpus target
+    without CBLP: the stdout and exit code are pinned byte for byte in
+    tests/data/cli_z12.json."""
     from congruence_lab.cli import COMMANDS
 
     monkeypatch.chdir(REPO)

@@ -31,7 +31,7 @@ from congruence_lab import (
     spectrum,
     surrogate_checks,
 )
-from congruence_lab.algebra import FiniteAlgebra, load_algebra
+from congruence_lab.algebra import FiniteAlgebra, load_algebra, product
 from congruence_lab.builders import (
     boolean_lattice,
     chain_lattice,
@@ -40,12 +40,13 @@ from congruence_lab.builders import (
     pentagon,
     ring_zn,
 )
-from congruence_lab.congruences import projection
+from congruence_lab import lifting
+from congruence_lab.commutator import center_index
+from congruence_lab.congruences import projection, quotient_edge
 from congruence_lab.lattices import LatticeIdeal, lattice_from_leq, principal_ideal
 from congruence_lab.lifting import (
     cblp_index,
     diamond_index,
-    quotient_center_index,
     ring_idempotent_lifting,
     ring_idempotents,
 )
@@ -54,7 +55,7 @@ from congruence_lab.spectrum import radical_table
 from congruence_lab.verify import _suite_lifting
 
 from conftest import fresh_copy, replace, theta
-from test_scan_oracles import CORPUS_FILES
+from test_scan_oracles import CORPUS_FILES, LADDER
 
 
 def kite_as_lattice():
@@ -143,6 +144,57 @@ def test_section_inverts_projection():
                 assert p.down[p.up[k]] == k
 
 
+@pytest.mark.parametrize(
+    "alg",
+    [load_algebra(path.read_text(encoding="utf-8")) for path in CORPUS_FILES]
+    + LADDER
+    + [chain_lattice(10)],
+    ids=lambda alg: alg.name,
+)
+def test_correspondence_keeps_the_index_order(alg):
+    """chi -> chi/theta is increasing from [theta, nabla] onto Con(A/theta),
+    both in block-array order, at every theta: two block arrays above theta
+    first differ at a least representative of a theta-block.  So the
+    members of B([theta, nabla]) come in the order of B(Con(A/theta)), and
+    the witnesses of a LiftingReport in the order that Con(A/theta) gives."""
+    lattice = con_lattice(alg)
+    for t in range(len(lattice)):
+        up = projection(lattice, t).up
+        assert list(up) == sorted(up)
+
+
+def _c3_to_the_4():
+    c3 = chain_lattice(3)
+    return product(product(product(c3, c3), c3), c3)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: ring_zn(30), lambda: chain_lattice(9), _c3_to_the_4],
+    ids=["Z_30", "C_9", "C_3^4"],
+)
+def test_has_cblp_enumerates_no_quotient_lattice(monkeypatch, set_cap, build):
+    """has_cblp at every theta, once Con(A) and the surrogates are built,
+    reads the interval [theta, nabla] and enumerates no Con(A/theta):
+    all_congruences is not called.  (Building each Con(A/theta) made 7
+    calls on Z_30, 8 on C_9 and 30 on C_3^4.)  C_3^4 has 81 elements, and
+    the matrix bound of its top congruence, 6,561 related pairs squared, is
+    over the default MATRIX_CAP of 10**6, so the cap is raised for it."""
+    from congruence_lab import congruences
+    from congruence_lab.commutator import MATRIX_CAP
+
+    set_cap(MATRIX_CAP, 10**8)
+    alg = fresh_copy(build())
+    lattice = con_lattice(alg)
+    assert surrogate_checks(alg).ok
+    calls = []
+    real = congruences.all_congruences
+    monkeypatch.setattr(
+        congruences, "all_congruences", lambda a, cap=None: calls.append(a) or real(a, cap)
+    )
+    assert all(has_cblp(alg, th).cblp for th in lattice.congruences)
+    assert calls == []
+
+
 def test_projection_outside_the_quotient_lattice_is_falsified(monkeypatch):
     """A projected congruence missing from Con(A/theta), or a congruence of
     A/theta that nothing projects to, contradicts the correspondence
@@ -168,15 +220,17 @@ def test_projection_outside_the_quotient_lattice_is_falsified(monkeypatch):
 def test_projection_image_routes_check_each_other():
     """The generated image reads neither ``down`` nor ``up``, and the
     projected join reads no principal congruence of A/theta, so one wrong
-    cell of either is Falsified.  On the chain C_5, theta = Cg(3, 4) and
-    alpha = Cg(0, 1) = 01|2|3|4, whose one projected pair is (1, 0)."""
-    from congruence_lab.congruences import all_congruences, principal_congruence, projection
-    from congruence_lab.lifting import projection_image_index
+    cell of either fails projection-center-morphism, the check that holds
+    the quotient side of the center map.  On the chain C_5, theta = Cg(3, 4)
+    and alpha = Cg(0, 1) = 01|2|3|4, an atom of B(A) whose one projected
+    pair is (1, 0).  The plant keeps every stored result, so only the
+    projection reads it."""
+    from congruence_lab.congruences import principal_congruence
 
-    alg = chain_lattice(5)
-    message = "projected join and generated image disagree"
     for planted in ("down", "principals"):
-        lattice = all_congruences(alg)  # uncached: nothing else reads the plant
+        alg = fresh_copy(chain_lattice(5))
+        assert _suite_passes(alg)
+        lattice = con_lattice(alg)
         t = lattice.index(principal_congruence(alg, 3, 4))
         a = lattice.index(principal_congruence(alg, 0, 1))
         real = projection(lattice, t)
@@ -189,12 +243,16 @@ def test_projection_image_routes_check_each_other():
         else:
             principals = list(qlattice.principals)
             principals[1 * real.quotient.size + 0] = qlattice.top_index
-            wrong = replace(
-                real, lattice=replace(qlattice, principals=tuple(principals), _caches={})
-            )
+            wrong = replace(real, lattice=replace(qlattice, principals=tuple(principals)))
         lattice._caches["congruence_lab.congruences.projection"][(t,)] = wrong
-        with pytest.raises(Falsified, match=message):
-            projection_image_index(lattice, t, a)
+        assert not _suite_passes(alg, "projection-center-morphism")
+
+
+def _suite_passes(alg, name=None) -> bool:
+    """Whether the lifting suite passes on alg: every check, or the one
+    named."""
+    verdicts = {check.name: check.passed for check in _suite_lifting(alg)}
+    return all(verdicts.values()) if name is None else verdicts[name]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +466,7 @@ def _noncoprime_meet_transfer(alg, th, chi) -> bool:
     t, c = lattice.index(th), lattice.index(chi)
     if lattice.join_table[t][c] == lattice.top_index or not cblp_index(lattice, t)[0]:
         return True
-    if len(quotient_center_index(lattice, c)[0]) > 2:
+    if len(center_index(lattice, c)[0]) > 2:
         return True
     return cblp_index(lattice, lattice.meet_table[t][c])[0]
 
@@ -443,8 +501,11 @@ def test_literal_descent_refuted_by_pentagon():
     n5 = pentagon()
     rad = spectrum(n5).rad
     lattice = con_lattice(n5)
-    quotient_lattice = projection(lattice, lattice.index(rad)).lattice
+    r = lattice.index(rad)
+    quotient_lattice = projection(lattice, r).lattice
     assert all(_verdicts(quotient_lattice)) and not all(_verdicts(lattice))
+    # the interval [Rad, nabla] decides CBLP of N5/Rad as its own Con does
+    assert lifting._all_cblp(lattice, r) and not lifting._all_cblp(lattice, lattice.bottom_index)
     # with the lifting hypothesis the descent is vacuous here
     assert quotient_cblp_descent(n5, rad)
     assert quotient_cblp_descent(n5, delta(n5))
@@ -511,6 +572,23 @@ def test_lift_orthogonal_rejects_non_orthogonal(z12):
         # theta_2/theta_6 of the quotient Z_6 is complemented, but the pair
         # (theta_2, theta_2) is not orthogonal to itself
         lift_orthogonal(z12, t6, [theta(quo, 2), theta(quo, 2)])
+
+
+@pytest.mark.parametrize(
+    "blocks", [(0, 0, 1, 1, 2, 2), (0, 1, 0, 1), (0, 0, 0, 3, 3, 3)],
+    ids=["not canonical", "wrong length", "not compatible"],
+)
+def test_lift_orthogonal_rejects_a_block_array_off_the_quotient(z12, blocks):
+    """A member of omega' that is no congruence of A/theta is mapped back
+    to no member of [theta, nabla]: ParentMismatch, with the message that
+    Con(A/theta).index gave."""
+    from congruence_lab import Congruence, ParentMismatch
+
+    t6 = theta(z12, 6)
+    quo = quotient(z12, t6)
+    with pytest.raises(ParentMismatch) as raised:
+        lift_orthogonal(z12, t6, [Congruence(quo, blocks)])
+    assert str(raised.value) == f"{list(blocks)} is not a congruence of {quo.name}"
 
 
 def test_orthogonal_uniqueness_and_atoms_z12(z12):
@@ -616,12 +694,14 @@ def test_stored_results_match_direct_computation(alg):
     ]
     for t, th in enumerate(lattice.congruences):
         for _ in range(2):  # the first call computes, the second reads the store
+            # B([theta, nabla]) mapped to A/theta against the quotient's own center
             qcon = projection(lattice, t).lattice.congruences
-            members, complement, atoms = quotient_center_index(lattice, t)
+            down, up = quotient_edge(lattice, t)
+            members, complement, atoms = center_index(lattice, t)
             qcenter = (
-                [qcon[i].blocks for i in members],
-                {qcon[i].blocks: qcon[j].blocks for i, j in complement.items()},
-                [qcon[i].blocks for i in atoms],
+                [down(i).blocks for i in members],
+                {down(i).blocks: down(j).blocks for i, j in complement.items()},
+                [down(i).blocks for i in atoms],
             )
             direct = boolean_center_of_congruences(fresh_copy(quotient(alg, th)))
             assert qcenter == _center_blocks(direct)
@@ -633,6 +713,7 @@ def test_stored_results_match_direct_computation(alg):
                 labels = [chi.blocks[r] for r in reps]
                 relabelled = tuple(labels.index(v) for v in labels)
                 assert qcon[projection(lattice, t).down[c]].blocks == relabelled
+                assert down(c).blocks == relabelled and up(down(c)) == c
 
             below = [lattice.congruences[i] for i in complemented if lattice.leq_index(i, t)]
             joined = congruence_from_pairs(
@@ -689,28 +770,50 @@ def test_projection_built_once_per_theta(monkeypatch):
     assert len(built) == len(set(built)) == len(con_lattice(alg))
 
 
-def test_quotient_center_cross_check_raises_on_first_call(monkeypatch):
-    """A broken direct route is caught on the first call for theta, and the
-    failed result is not stored."""
-    from congruence_lab import lifting
+def test_quotient_center_oracle_catches_one_dropped_member(monkeypatch):
+    """The last member dropped from the center of every Con(A/theta) that
+    verify reads, on a verified Z_12: projection-center-morphism compares
+    B([theta, nabla]) with the quotient's own center and fails, while the
+    interval center that the library reads is unchanged."""
+    from congruence_lab import verify
 
     alg = fresh_copy(ring_zn(12))
-    theta6 = theta(alg, 6)
-    real = lifting.center_index
+    assert _suite_passes(alg)
+    lattice = con_lattice(alg)
+    real = verify.center_index
 
-    def drop_one(lattice):
-        members, complement, atoms = real(lattice)
-        if lattice is con_lattice(alg):
+    def drop_one(lat, t):
+        members, complement, atoms = real(lat, t)
+        if lat is lattice:
             return members, complement, atoms
         return members[:-1], complement, atoms
 
-    lattice = con_lattice(alg)
-    t = lattice.index(theta6)
-    monkeypatch.setattr(lifting, "center_index", drop_one)
-    with pytest.raises(Falsified, match="interval and direct quotient centers disagree"):
-        quotient_center_index(lattice, t)
+    monkeypatch.setattr(verify, "center_index", drop_one)
+    assert not _suite_passes(alg, "projection-center-morphism")
     monkeypatch.undo()
-    assert len(quotient_center_index(lattice, t)[0]) == len(ring_idempotents(6))
+    assert _suite_passes(alg)
+    t = lattice.index(theta(alg, 6))
+    assert len(center_index(lattice, t)[0]) == len(ring_idempotents(6))
+
+
+def test_quotient_center_oracle_catches_one_dropped_atom(monkeypatch):
+    """The first atom dropped from the atoms of the center of every
+    Con(A/theta) that verify reads, its members kept, on a verified Z_12:
+    only the comparison of B([theta, nabla]) with the quotient's own center
+    reads the atoms, and projection-center-morphism fails."""
+    from congruence_lab import verify
+
+    alg = fresh_copy(ring_zn(12))
+    assert _suite_passes(alg)
+    lattice = con_lattice(alg)
+    real = verify.center_index
+
+    def drop_atom(lat, t):
+        members, complement, atoms = real(lat, t)
+        return members, complement, atoms if lat is lattice else atoms[1:]
+
+    monkeypatch.setattr(verify, "center_index", drop_atom)
+    assert not _suite_passes(alg, "projection-center-morphism")
 
 
 def test_stored_reports_name_the_callers_algebra(monkeypatch):
@@ -784,9 +887,8 @@ def test_theory_gate_names_the_callers_algebra():
 
 def test_center_map_is_one_stored_row_per_theta():
     """After a verify run, Con(A) holds B(p_theta) as one center-map row per
-    theta, with one cell per complemented congruence, and no image stored
-    per (theta, alpha)."""
-    from congruence_lab.lifting import center_index
+    theta, with one cell per complemented congruence, each a member of
+    [theta, nabla]: the quotient is read as that interval."""
     from congruence_lab.verify import verify_algebra
 
     alg = fresh_copy(chain_lattice(5))
@@ -794,8 +896,9 @@ def test_center_map_is_one_stored_row_per_theta():
     lattice = con_lattice(alg)
     rows = lattice._caches["congruence_lab.lifting.center_map_index"]
     assert sorted(rows) == [(t,) for t in range(len(lattice))]
-    assert {len(row) for row in rows.values()} == {len(center_index(lattice)[0])}
-    assert "congruence_lab.lifting.projection_image_index" not in lattice._caches
+    members = center_index(lattice, lattice.bottom_index)[0]
+    assert {len(row) for row in rows.values()} == {len(members)}
+    assert all(lattice.leq[t][x] for (t,), row in rows.items() for x in row)
 
 
 @pytest.mark.parametrize("alg", [chain_lattice(5), ring_zn(12)], ids=lambda alg: alg.name)

@@ -20,6 +20,9 @@
   at alpha ^ beta, with the table asked for bottom-up and in drawn orders;
 * ``FiniteLattice.lower_covers``: the quadratic scan of the elements below
   each element, against the table read off down-set bitsets;
+* ``FiniteLattice.complements`` and ``center``: every pair tested for
+  x v y = 1 and x ^ y = 0, against the g = 0 slice of
+  ``interval_complements``, down to the ``NotALattice`` message;
 * ``FiniteLattice.upper_covers``: the same scan of the elements above each
   element, against the inverse of the lower cover table;
 * ``FiniteLattice.join_irreducible_indices``: the join of everything
@@ -38,8 +41,9 @@
   relabelled by least elements, against one union-find whose roots are the
   least elements of their classes;
 * ``orthogonal_index``'s ``lifts_orthogonal``: every orthogonal family of the
-  quotient center, enumerated depth first, with the lifts of each liftable
-  family tested pairwise, against the liftable orthogonal pairs alone;
+  center of Con(A/theta), enumerated depth first on the quotient's own
+  lattice, with the lifts of each liftable family tested pairwise, against
+  the liftable orthogonal pairs of the interval [theta, nabla] alone;
 * ``orthogonal_index``'s ``atoms_lift_to_atoms``: every subfamily of the
   quotient center's atoms lifted by ``lift_orthogonal_index``, against the
   witnesses of the atoms and the one lift of the whole atom family;
@@ -47,8 +51,10 @@
   ``residuation-adjunction``: the law at every member of B, every
   comparable pair and every fiber, against the members that are no join of
   two smaller ones, the covers and the lower covers;
-* ``center_map_index``: every member's image generated, against the atoms
-  generated and every other cell a quotient join of two smaller ones;
+* ``center_map_index``: every member's image generated in Con(A/theta),
+  against the projected join alpha v theta; ``projection-center-morphism``
+  generates the images of the atoms only and takes every other cell as a
+  quotient join of two smaller ones;
 * ``cblp_characterization_index``: every coprime pair at every theta,
   against the pairs unseparated at their own commutator;
 * ``has_id_blp``: the center of the lattice ``quotient_by_ideal`` builds,
@@ -101,6 +107,7 @@ from congruence_lab.congruences import (
     _translation_plan,
     all_congruences,
     con_lattice,
+    congruence_from_blocks,
     projection,
 )
 from congruence_lab.lattices import (
@@ -120,8 +127,6 @@ from congruence_lab.lifting import (
     is_b_normal,
     lift_orthogonal_index,
     orthogonal_index,
-    projection_image_index,
-    quotient_center_index,
 )
 from congruence_lab.reticulation import build_reticulation, costar_table, reticulation_index
 from congruence_lab.spectrum import (
@@ -325,6 +330,60 @@ def test_named_lattices_distributivity():
 def test_named_lattices_modularity():
     verdicts = {name: lattice_from_leq(leq).is_modular() for name, leq in NAMED_ORDERS.items()}
     assert verdicts == {"M3": True, "N5": False, "C_5": True, "B_3": True}
+
+
+def scan_complements(lattice) -> tuple:
+    """For each x, every y with x v y = 1 and x ^ y = 0, by testing every
+    pair."""
+    join, meet = lattice.join_table, lattice.meet_table
+    top, bottom = lattice.top_index, lattice.bottom_index
+    return tuple(
+        tuple(y for y in range(lattice.size) if join[x][y] == top and meet[x][y] == bottom)
+        for x in range(lattice.size)
+    )
+
+
+def scan_center(lattice) -> tuple:
+    """The complemented elements off ``scan_complements``; NotALattice, with
+    the complements in increasing order, at the first element with
+    several."""
+    complements = scan_complements(lattice)
+    for x, mates in enumerate(complements):
+        if len(mates) > 1:
+            raise NotALattice(f"element {x} has several complements: {list(mates)}")
+    return tuple(x for x, mates in enumerate(complements) if mates)
+
+
+def _complement_lattices():
+    """Every Con(A) and L(A) of the corpus, L(C_9), and N5 and M3, whose
+    centers raise."""
+    for path in CORPUS_FILES:
+        alg = load_algebra(path.read_text(encoding="utf-8"))
+        yield pytest.param(lambda alg=alg: con_lattice(alg), False, id=f"Con({alg.name})")
+        if surrogate_checks(alg).ok:
+            yield pytest.param(
+                lambda alg=alg: build_reticulation(alg).lattice, False, id=f"L({alg.name})"
+            )
+    yield pytest.param(lambda: build_reticulation(chain_lattice(9)).lattice, False, id="L(C_9)")
+    for name in ("N5", "M3"):
+        yield pytest.param(lambda name=name: lattice_from_leq(NAMED_ORDERS[name]), True, id=name)
+
+
+@pytest.mark.parametrize("build, raises", _complement_lattices())
+def test_complements_are_the_bottom_slice_of_the_interval_table(build, raises):
+    """One scan of the pairs, ``interval_complements``, gives the
+    complements and the center that the per-element scan gave, and the
+    same NotALattice message where an element has several complements."""
+    lattice = build()
+    assert lattice.complements == scan_complements(lattice)
+    outcomes = []
+    for center in (lambda: lattice.center, lambda: scan_center(lattice)):
+        try:
+            outcomes.append(center())
+        except NotALattice as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) == raises
 
 
 def _in_theory_corpus():
@@ -759,17 +818,20 @@ def orthogonal_families(lattice, elements) -> list[tuple]:
 
 
 def family_lifts_orthogonal(lattice, t) -> bool:
-    """Whether the lifts of every liftable orthogonal family of the quotient
-    center are pairwise orthogonal, family by family; the commutator is read
-    through ``lifting.commutator_table``, as ``orthogonal_index`` reads it."""
+    """Whether the lifts of every liftable orthogonal family of the center
+    of Con(A/theta), the quotient's own, are pairwise orthogonal, family by
+    family, each complemented alpha lying in the fiber of its generated
+    image; the commutator is read through ``lifting.commutator_table``, as
+    ``orthogonal_index`` reads it."""
     fibers = {}
-    for a in center_index(lattice)[0]:
-        fibers.setdefault(projection_image_index(lattice, t, a), []).append(a)
-    qmembers = quotient_center_index(lattice, t)[0]
+    for a in center_index(lattice, lattice.bottom_index)[0]:
+        fibers.setdefault(generated_image(lattice, t, a), []).append(a)
+    qlattice = projection(lattice, t).lattice
+    qmembers = center_index(qlattice, qlattice.bottom_index)[0]
     table = lifting.commutator_table(lattice)
     meet, bottom = lattice.meet_table, lattice.bottom_index
     ok = True
-    for family in orthogonal_families(projection(lattice, t).lattice, qmembers):
+    for family in orthogonal_families(qlattice, qmembers):
         if any(k not in fibers for k in family):
             continue
         for x, y in combinations([fibers[k][0] for k in family], 2):
@@ -803,12 +865,12 @@ def test_orthogonal_pairs_and_families_catch_one_commutator(monkeypatch):
 def atom_subfamilies_lift_to_atoms(lattice, t) -> bool | None:
     """Whether every subfamily of the quotient center's atoms lifts to atoms
     of B(Con(A)), one ``lift_orthogonal_index`` call per subfamily; None
-    when theta lacks CBLP.  The atoms are read through
+    when theta lacks CBLP.  Both sets of atoms are read through
     ``lifting.center_index``, as ``orthogonal_index`` reads them."""
     if not lifting.cblp_index(lattice, t)[0]:
         return None
-    atoms = set(lifting.center_index(lattice)[2])
-    qatoms = quotient_center_index(lattice, t)[2]
+    atoms = set(lifting.center_index(lattice, lattice.bottom_index)[2])
+    qatoms = lifting.center_index(lattice, t)[2]
     return all(
         set(lift_orthogonal_index(lattice, t, chosen)) <= atoms
         for r in range(len(qatoms) + 1)
@@ -826,24 +888,29 @@ def test_atom_family_matches_the_subfamily_loop(alg):
 
 
 def test_atom_family_and_subfamilies_catch_one_dropped_atom(monkeypatch):
-    """The atom a1 dropped from the atoms of B(Con(C_5)) that ``lifting``
-    reads: at Delta the quotient atom a1 lifts to itself, now no atom."""
-    alg = fresh_copy(chain_lattice(5))
+    """The first atom a1 dropped from the atoms of B(Con(Z_12)) that
+    ``lifting`` reads, and not from those of B([theta_6, nabla]): at theta_6,
+    below Rad(Z_12), both atoms of the quotient Z_6 lift to atoms of
+    B(Con(Z_12)), one of them a1, now no atom.  At theta = Delta the two
+    sets of atoms are one stored value, so a plant there drops a1 from
+    both."""
+    alg = fresh_copy(ring_zn(12))
     lattice = con_lattice(alg)
     bottom = lattice.bottom_index
-    assert orthogonal_index(lattice, bottom)[2] and atom_subfamilies_lift_to_atoms(lattice, bottom)
+    t = lattice.index(congruence_from_blocks(alg, [x % 6 for x in range(12)]))
+    assert orthogonal_index(lattice, t)[2] and atom_subfamilies_lift_to_atoms(lattice, t)
     real = lifting.center_index
-    a1 = real(lattice)[2][0]
+    a1 = real(lattice, bottom)[2][0]
 
-    def dropped(lat):
-        members, complement, atoms = real(lat)
-        if lat is lattice:
+    def dropped(lat, base):
+        members, complement, atoms = real(lat, base)
+        if lat is lattice and base == bottom:
             atoms = tuple(a for a in atoms if a != a1)
         return members, complement, atoms
 
     monkeypatch.setattr(lifting, "center_index", dropped)
-    assert orthogonal_index(lattice, bottom)[2] is False
-    assert atom_subfamilies_lift_to_atoms(lattice, bottom) is False
+    assert orthogonal_index(lattice, t)[2] is False
+    assert atom_subfamilies_lift_to_atoms(lattice, t) is False
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +925,7 @@ def scan_center_join_distributes(lattice) -> bool:
     all t, u, one row of u per t."""
     join, meet = lattice.join_table, lattice.meet_table
     ok = True
-    for a in center_index(lattice)[0]:
+    for a in center_index(lattice, lattice.bottom_index)[0]:
         join_a = [row[a] for row in join]
         right: dict[int, list[int]] = {}
         for t in range(len(lattice)):
@@ -901,10 +968,24 @@ def scan_residuation_adjunction(lattice, table) -> bool:
     return ok
 
 
+def generated_image(lattice, t, a) -> int:
+    """The congruence of A/theta generated by the projected pairs of alpha =
+    congruences[a], as an index of Con(A/theta), enumerated on its own: the
+    join of the principal congruences of those pairs."""
+    p = projection(lattice, t)
+    theta, alpha = lattice.congruences[t].blocks, lattice.congruences[a].blocks
+    element = {r: k for k, r in enumerate(sorted(set(theta)))}
+    image = [element[r] for r in theta]
+    m, principals = p.quotient.size, p.lattice.principals
+    return p.lattice.join_many({principals[image[x] * m + image[r]] for x, r in enumerate(alpha)})
+
+
 def scan_center_map(lattice, t) -> tuple:
-    """B(p_theta) with every member's cell cross-checked against its own
-    generated image."""
-    return tuple(projection_image_index(lattice, t, a) for a in center_index(lattice)[0])
+    """B(p_theta) with every member's cell generated in Con(A/theta) and
+    read back into [theta, nabla]."""
+    up = projection(lattice, t).up
+    members = center_index(lattice, lattice.bottom_index)[0]
+    return tuple(up[generated_image(lattice, t, a)] for a in members)
 
 
 def scan_characterization(lattice, t) -> tuple[bool, bool]:
@@ -1123,25 +1204,29 @@ def test_monotonicity_and_adjunction_match_the_scans_under_one_wrong_commutator(
 
 
 def test_center_map_generates_the_atoms_only():
-    """Cg(2, 0) of Con(A/Delta) read as the top, on C_5: the pair (2, 0)
-    lies in Cg(0, 1) v Cg(1, 2) and in no atom of B(A), so only the scan,
-    which generates every member's image, reads it.  The generator route
-    takes the image of a join to be the join of the images, which a wrong
-    principal congruence of a non-atom pair breaks."""
-    lattice = all_congruences(fresh_copy(C5))  # nothing stored
+    """Cg(2, 0) of Con(A/Delta) read as the top, on a verified C_5 whose
+    stored results the plant keeps: the pair (2, 0) lies in
+    Cg(0, 1) v Cg(1, 2) and in no atom of B(A), so only the scan, which
+    generates every member's image, reads it and differs from the center
+    map.  projection-center-morphism generates the atoms only and takes the
+    image of a join to be the join of the images, which a wrong principal
+    congruence of a non-atom pair breaks, so it passes."""
+    alg = fresh_copy(C5)
+    assert verify.verify_algebra(alg).ok
+    lattice = con_lattice(alg)
     t = lattice.bottom_index
     real = projection(lattice, t)
     qlattice = real.lattice
     principals = list(qlattice.principals)
     principals[2 * real.quotient.size + 0] = qlattice.top_index
     lattice._caches["congruence_lab.congruences.projection"][(t,)] = replace(
-        real, lattice=replace(qlattice, principals=tuple(principals), _caches={})
+        real, lattice=replace(qlattice, principals=tuple(principals))
     )
-    assert lifting.center_map_index(lattice, t) == tuple(
-        real.down[a] for a in center_index(lattice)[0]
-    )
-    with pytest.raises(Falsified, match="projected join and generated image disagree"):
-        scan_center_map(lattice, t)
+    row = lifting.center_map_index(lattice, t)
+    members = center_index(lattice, lattice.bottom_index)[0]
+    assert row == tuple(lattice.join_table[a][t] for a in members)
+    assert scan_center_map(lattice, t) != row
+    assert _verdicts(verify._suite_lifting, alg)["projection-center-morphism"]
 
 
 # ---------------------------------------------------------------------------

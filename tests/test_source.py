@@ -155,6 +155,27 @@ def test_congruence_check_keeps_every_translation():
     assert "_semigroup_generators" not in names
 
 
+def test_per_theta_layers_build_no_quotient():
+    """The spectrum, reticulation and lifting layers read A/theta as the
+    interval [theta, nabla] of Con(A): they call neither ``projection`` nor
+    a congruence enumeration or closure, build no quotient algebra, and
+    call ``con_lattice`` only on the algebra they were given.  Quotient
+    algebras and their Con(A/theta) are for the oracles in ``verify``."""
+    forbidden = {"projection", "all_congruences", "_close_pairs", "quotient", "_quotient_algebra"}
+    found = []
+    for module in ("lifting", "spectrum", "reticulation"):
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                given = ast.unparse(node.args[0]) if node.args else None
+                if name in forbidden or (
+                    name == "con_lattice" and given not in ("alg", "self.algebra", "retic.algebra")
+                ):
+                    found.append(f"{module}:{node.lineno} {name}({given})")
+    assert found == []
+
+
 def _per_iteration(node: ast.AST):
     """The parts of node that run once per iteration: the bodies of its for
     loops, and the element, conditions and inner iterables of its

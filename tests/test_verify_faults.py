@@ -5,7 +5,8 @@ Every check passes on every corpus input, so the pinned JSON alone cannot
 tell a working check from one that has become always-true.  Each test plants
 one wrong cell (a commutator value, a residuum, a radical, a lambda value,
 a costar entry or a prime ideal of the reticulation, a join or meet cell of
-Con(A), a stored principal congruence, or a cell of a center-map row) in
+Con(A), a stored principal congruence, a cell of a center-map row, or a
+cell of the projection onto a quotient) in
 what one suite reads, runs that suite on a fresh copy of C_5 (the costar
 plant also on Z_12) and asserts that the named check fails.  Con(C_5) is the 16-element
 Boolean lattice: every congruence is central and radical, and the
@@ -345,7 +346,7 @@ def _plant_row(monkeypatch, alg, t: int, a: int, value: int) -> None:
     row of congruence t of Con(alg) as value."""
     lattice = con_lattice(alg)
     real = verify.center_map_index
-    cell = verify.center_index(lattice)[0].index(a)
+    cell = verify.center_index(lattice, lattice.bottom_index)[0].index(a)
 
     def planted(lat, i):
         row = real(lat, i)
@@ -358,12 +359,13 @@ def _plant_row(monkeypatch, alg, t: int, a: int, value: int) -> None:
 
 
 def test_lifting_suite_catches_one_center_map_cell(monkeypatch, alg):
-    # at Delta the image of a1 read as the bottom of the quotient: a1 no
-    # longer projects onto its target, and the image of a1 joined with that
-    # of its complement is no longer the top
+    # at Delta the image of a1 read as theta = Delta, the bottom of the
+    # interval: a1 no longer projects onto its target, its image differs
+    # from the congruence that its projected pairs generate in the
+    # quotient, and the image of a1 joined with that of its complement is
+    # no longer the top
     bottom, _, a1, _, _ = _elements(alg)
-    qbottom = verify.projection(con_lattice(alg), bottom).lattice.bottom_index
-    _plant_row(monkeypatch, alg, bottom, a1, qbottom)
+    _plant_row(monkeypatch, alg, bottom, a1, bottom)
     assert _failed(verify._suite_lifting, alg) == {
         "cblp-decided-everywhere",
         "projection-center-morphism",
@@ -492,17 +494,19 @@ def test_adjunction_catches_one_missing_lower_cover(monkeypatch, alg):
 
 
 @pytest.mark.parametrize("member", ["atom", "join of atoms"])
-def test_center_map_cross_check_catches_one_projected_cell(member):
+def test_center_map_cross_check_catches_one_projected_cell(alg, member):
     """One wrong cell of theta's projection, at a1 v theta or at
-    a1 v a2 v theta: the atom a1 is compared with its generated image, and
-    a1 v a2 with the quotient join of the cells of a1 and a2."""
-    from congruence_lab.congruences import all_congruences, projection
-    from congruence_lab.errors import Falsified
+    a1 v a2 v theta, on a verified C_5: projection-center-morphism, which
+    holds the quotient side of the center map, maps the row and the
+    interval center through the projection and fails.  The library's
+    center map reads no projection and is unchanged."""
+    from congruence_lab.congruences import projection
 
-    lattice = all_congruences(fresh_copy(chain_lattice(5)))  # nothing stored
+    lattice = con_lattice(alg)
     t = lattice.bottom_index
     a1, a2 = lattice.atoms()[:2]
     a = a1 if member == "atom" else lattice.join_index(a1, a2)
+    row = lifting.center_map_index(lattice, t)
     real = projection(lattice, t)
     down = list(real.down)
     j = lattice.join_index(a, t)
@@ -510,8 +514,8 @@ def test_center_map_cross_check_catches_one_projected_cell(member):
     lattice._caches["congruence_lab.congruences.projection"][(t,)] = replace(
         real, down=tuple(down)
     )
-    with pytest.raises(Falsified, match="projected join and generated image disagree"):
-        lifting.center_map_index(lattice, t)
+    assert "projection-center-morphism" in _failed(verify._suite_lifting, alg)
+    assert lifting.center_map_index(lattice, t) == row
 
 
 def test_characterization_catches_one_center_pair(monkeypatch):
@@ -523,7 +527,7 @@ def test_characterization_catches_one_center_pair(monkeypatch):
     lattice = con_lattice(alg)
     a1 = lattice.atoms()[0]
     real = lifting._center_pair_bits
-    k = lifting.center_index(lattice)[0].index(a1)
+    k = lifting.center_index(lattice, lattice.bottom_index)[0].index(a1)
 
     def planted(lat):
         below_a, below_na = real(lat)
