@@ -82,7 +82,8 @@ and the star property.  Single queries and the join-irreducible paths
 (``commutator``, ``surrogate_index``, the iterate chains, primality) ask
 ``commutator_index`` for the pairs they need, so a cold query fills only
 those cells.  ``residuation_index`` reads alpha -> beta as the join of the
-join-irreducibles g with [alpha, g] <= beta off row alpha of the memo.
+join-irreducibles g with [alpha, g] <= beta off row alpha of the memo;
+``verify`` checks each complement in ``lattices.center_index`` against it.
 
 ``matrix_subalgebra`` materializes M and, with the reference fixpoint in
 ``verify``, is the independent oracle for all of this at small sizes.  It
@@ -114,9 +115,9 @@ from .congruences import (
     _semigroup_generators,
     _translation_plan,
     con_lattice,
-    stored,
 )
-from .errors import Falsified, SizeBudgetExceeded, TheoryHypothesisFailed
+from .errors import SizeBudgetExceeded, TheoryHypothesisFailed
+from .lattices import stored
 
 __all__ = [
     "DEFAULT_MATRIX_CAP",
@@ -542,34 +543,6 @@ def annihilator(alg: FiniteAlgebra, alpha: Congruence) -> Congruence:
 
 def annihilator_index(lattice: CongruenceLattice, i: int) -> int:
     return residuation_index(lattice, i, lattice.bottom_index)
-
-
-@stored
-def center_index(lattice: CongruenceLattice, t: int) -> tuple:
-    """B([theta, nabla]), which is B(Con(A/theta)) and, at theta = Delta,
-    B(Con(A)): the chi >= theta with a complement in the interval, read off
-    ``interval_complements``, the complement of each, and the atoms.
-
-    The recorded complement is chi -> theta, cross-checked to be one: as
-    [alpha/theta, beta/theta] = ([alpha, beta] v theta)/theta in a
-    congruence-modular variety, (chi -> theta)/theta annihilates chi/theta.
-    """
-    mates, down = lattice.interval_complements[0], lattice.down_sets
-    join, meet, top = lattice.join_table, lattice.meet_table, lattice.top_index
-    members = tuple(i for i, row in enumerate(mates) if t in row)
-    # bottom-up, in reversed index order, so each residuation row is filled
-    # from the commutators stored one lower cover down
-    arrow = {i: residuation_index(lattice, i, t) for i in reversed(members)}
-    complement = {i: arrow[i] for i in members}
-    if any(join[i][c] != top or meet[i][c] != t for i, c in complement.items()):
-        raise Falsified(
-            f"{lattice.algebra.name}: annihilator of a complemented congruence is not a complement"
-        )
-    # an atom has no member but theta strictly below it
-    below = [down[i] & ~(1 << i | 1 << t) for i in members]
-    inside = sum(1 << i for i in members)
-    atoms = tuple(i for i, mask in zip(members, below) if i != t and not mask & inside)
-    return members, complement, atoms
 
 
 class SurrogateReport:

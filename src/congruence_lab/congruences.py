@@ -55,12 +55,12 @@ members to congruences of A/theta and back for the public reports.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations, compress
 
 from .algebra import FiniteAlgebra, quotient
 from .errors import Falsified, NotACongruence, ParentMismatch, SizeBudgetExceeded
-from .lattices import FiniteLattice, _bitset, _tables_from_bitsets
+from .lattices import FiniteLattice, _bitset, _tables_from_bitsets, stored
 
 __all__ = [
     "Congruence",
@@ -81,7 +81,6 @@ __all__ = [
     "congruence_from_pairs",
     "all_partitions",
     "brute_force_congruences",
-    "stored",
     "Projection",
     "projection",
     "quotient_edge",
@@ -398,8 +397,8 @@ class CongruenceLattice(FiniteLattice):
         # principals[x * n + y] is the index of Cg(x, y), the bottom when x == y
         self.principals = principals
         self._index = _index
-        # the results of @stored functions, one dict per function
-        self._caches = {} if _caches is None else _caches
+        if _caches is not None:  # a copy that shares the store of results
+            self._caches = _caches
 
     def _key(self) -> tuple:
         return self.leq, self.algebra, self.congruences, self.matrix_bounds
@@ -593,33 +592,6 @@ def con_lattice(alg: FiniteAlgebra, cap: int | None = None) -> CongruenceLattice
 
 con_lattice.cache_info = _cached_lattice.cache_info
 con_lattice.cache_clear = _cached_lattice.cache_clear
-
-
-def stored(fn):
-    """Compute ``fn(lattice, *args)`` once per argument tuple and keep the
-    result on ``lattice``, a Con(A).
-
-    Indices inside, ``Congruence`` at the public edge: a stored function is
-    an index core, and every other argument is a congruence index or a flag,
-    passed positionally, so ``args`` is the key.  A result holds indices,
-    flags and tables, never a congruence or a report naming an algebra, so
-    algebras with the same tables share it whatever their names; the public
-    functions build their reports from it for the caller's algebra.  A
-    result is stored only when ``fn`` returns: a cross-check that raises
-    stores nothing and runs again on the next call.
-    """
-    name = f"{fn.__module__}.{fn.__qualname__}"
-
-    @wraps(fn)
-    def once(lattice, *args):
-        try:  # a hit costs two lookups
-            return lattice._caches[name][args]
-        except KeyError:
-            pass
-        hit = lattice._caches.setdefault(name, {})[args] = fn(lattice, *args)
-        return hit
-
-    return once
 
 
 @stored

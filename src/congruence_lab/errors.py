@@ -40,7 +40,7 @@ class NotALattice(InputError):
 
 
 class ParentMismatch(InputError):
-    """Congruences of different algebras were combined."""
+    """Congruences of different algebras, or an ideal and another lattice, were combined."""
 
 
 class NotOrthogonal(InputError):

@@ -18,7 +18,10 @@ A lattice derives one form of its order, the down-set bitsets ``down_sets``,
 and its Boolean center ``center``, each once.  The cover tables are read off
 the bitsets, and the join-irreducibles (one lower cover), the distributivity
 and modularity tests and ideal primeness read those two forms only.  One
-scan of the pairs, ``interval_complements``, holds all complements.
+scan of the pairs, ``interval_complements``, holds all complements, and
+``center_index`` reads B([g, 1]) off it for every g and every lattice, Con(A)
+too: this module imports only ``errors``, so no center reads a commutator.
+A lattice keeps the results of its ``stored`` index cores, such as this one.
 
 Every ideal of a finite lattice is principal (a nonempty down-set closed
 under binary join contains the join of all its members), so a
@@ -30,13 +33,15 @@ those of the coatoms, and the quotient by (g] is the interval [g, 1].
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations, compress
 
 from .errors import MalformedDoc, NotALattice
 
 __all__ = [
     "FiniteLattice",
+    "stored",
+    "center_index",
     "LatticeIdeal",
     "lattice_from_leq",
     "parse_lattice",
@@ -59,6 +64,8 @@ class FiniteLattice:
         self.meet_table = meet_table
         self.bottom_index = bottom_index
         self.top_index = top_index
+        # the results of @stored functions, one dict per function
+        self._caches = {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -129,19 +136,6 @@ class FiniteLattice:
         return list(self.upper_covers[self.bottom_index])
 
     @cached_property
-    def complements(self) -> tuple[tuple[int, ...], ...]:
-        """For each element x, every y with x v y = top and x ^ y = bottom,
-        in increasing order: the g = bottom slice of ``interval_complements``."""
-        mates, several = self.interval_complements
-        bottom = self.bottom_index
-        return tuple(
-            tuple(several[x, bottom]) if (x, bottom) in several
-            else (row[bottom],) if bottom in row
-            else ()
-            for x, row in enumerate(mates)
-        )
-
-    @cached_property
     def interval_complements(self) -> tuple[tuple[dict, ...], dict]:
         """In one pass over the pairs: for each y, {g: z} for the first z with
         y v z = top and y ^ z = g (a complement of y in [g, top]), and
@@ -163,10 +157,11 @@ class FiniteLattice:
         """The complemented elements, in increasing order.  Complements are
         unique in a distributive lattice; an element with several raises
         NotALattice, on every read, since a raise stores nothing."""
-        for x, mates in enumerate(self.complements):
-            if len(mates) > 1:
-                raise NotALattice(f"element {x} has several complements: {list(mates)}")
-        return tuple(x for x, mates in enumerate(self.complements) if mates)
+        bottom = self.bottom_index
+        for (x, g), mates in self.interval_complements[1].items():
+            if g == bottom:
+                raise NotALattice(f"element {x} has several complements: {mates}")
+        return center_index(self, bottom)[0]
 
     @cached_property
     def _join_irreducibles(self) -> tuple[int, ...]:
@@ -201,6 +196,49 @@ class FiniteLattice:
             for row in covers
             for a, b in combinations(row, 2)
         )
+
+
+def stored(fn):
+    """Compute ``fn(lattice, *args)`` once per argument tuple and keep the
+    result on ``lattice``, a :class:`FiniteLattice`.
+
+    Indices inside, values at the public edge: a stored function is an
+    index core, and every other argument is an element index or a flag,
+    passed positionally, so ``args`` is the key.  A result holds indices,
+    flags and tables, never a congruence or a report naming an algebra, so
+    algebras with the same tables share it whatever their names; the public
+    functions build their reports from it for the caller's algebra.  A
+    result is stored only when ``fn`` returns: a cross-check that raises
+    stores nothing and runs again on the next call.
+    """
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def once(lattice, *args):
+        try:  # a hit costs two lookups
+            return lattice._caches[name][args]
+        except KeyError:
+            pass
+        hit = lattice._caches.setdefault(name, {})[args] = fn(lattice, *args)
+        return hit
+
+    return once
+
+
+@stored
+def center_index(lattice: FiniteLattice, g: int) -> tuple:
+    """B([g, top]): the y with a complement in the interval, in increasing
+    order; the complement of each, its first mate z in ``interval_complements``;
+    and the atoms.  On Con(A) at theta it is B(Con(A/theta))."""
+    mates, down = lattice.interval_complements[0], lattice.down_sets
+    elements = lattice.join_table[lattice.bottom_index]  # y = bottom v y: no new ints
+    members = tuple(compress(elements, [g in row for row in mates]))
+    complement = {y: mates[y][g] for y in members}
+    # an atom has no member but g strictly below it
+    below = [down[y] & ~(1 << y | 1 << g) for y in members]
+    inside = _bitset(members)
+    atoms = tuple(y for y, mask in zip(members, below) if y != g and not mask & inside)
+    return members, complement, atoms
 
 
 def _bitset(indices) -> int:

@@ -11,9 +11,10 @@ the index order, and in a congruence-modular variety [alpha/theta,
 beta/theta] = ([alpha, beta] v theta)/theta (Freese and McKenzie, ch. 4).
 So A/theta has the joins, meets and order of Con(A) above theta, the
 commutator [alpha, beta] v theta, and the center ``center_index`` at base
-theta.  A is the case theta = Delta: A and every A/theta take one code
-path, and no Con(A/theta) is built here; the quotient side of each
-identity is an oracle in ``verify``.
+theta, a function of any lattice, as are the cores that read only it.  A is
+the case theta = Delta: A and every A/theta take one code path, and no
+Con(A/theta) is built here; the quotient side of each identity is an
+oracle in ``verify``.
 
 Indices inside, ``Congruence`` at the public edge.  Each result that the
 ``verify`` suites read has an index core, named after it with an ``_index``
@@ -43,10 +44,10 @@ import json
 from itertools import combinations, compress
 
 from .algebra import FiniteAlgebra
-from .commutator import center_index, commutator_index, commutator_table, require_theory
-from .congruences import Congruence, CongruenceLattice, con_lattice, quotient_edge, stored
-from .errors import Falsified, HypothesisNotMet, NoCBLP, NotALattice, NotOrthogonal
-from .lattices import FiniteLattice, LatticeIdeal, _members
+from .commutator import commutator_index, commutator_table, require_theory
+from .congruences import Congruence, CongruenceLattice, con_lattice, quotient_edge
+from .errors import Falsified, HypothesisNotMet, NoCBLP, NotALattice, NotOrthogonal, ParentMismatch
+from .lattices import FiniteLattice, LatticeIdeal, _members, center_index, stored
 from .reticulation import center_preservation_index, reticulation_index
 from .spectrum import clopen_index, is_hyperarchimedean, open_table, spectrum_index
 
@@ -129,7 +130,7 @@ def projection_image(alg: FiniteAlgebra, theta: Congruence, alpha: Congruence) -
 
 
 @stored
-def center_map_index(lattice: CongruenceLattice, t: int) -> tuple[int, ...]:
+def center_map_index(lattice: FiniteLattice, t: int) -> tuple[int, ...]:
     """B(p_theta) as one row: alpha v theta for each member alpha of
     B(Con(A)), in center order."""
     join_t = lattice.join_table[t]
@@ -227,7 +228,7 @@ def _lifting_report(
 
 
 @stored
-def cblp_index(lattice: CongruenceLattice, t: int) -> tuple[bool, tuple, int | None]:
+def cblp_index(lattice: FiniteLattice, t: int) -> tuple[bool, tuple, int | None]:
     """Whether theta has CBLP; the witnesses (k, a), each member k of
     B([theta, nabla]) in order with a complemented lift a; and the first k
     with no lift, or None."""
@@ -243,7 +244,7 @@ def cblp_index(lattice: CongruenceLattice, t: int) -> tuple[bool, tuple, int | N
 
 
 @stored
-def _all_cblp(lattice: CongruenceLattice, t: int) -> bool:
+def _all_cblp(lattice: FiniteLattice, t: int) -> bool:
     """Whether A/theta has CBLP at every congruence: chi/theta has it when
     B([chi, nabla]) lies inside {beta v chi : beta in B([theta, nabla])}.
     At theta = Delta these are the verdicts of ``cblp_index``."""
@@ -278,10 +279,13 @@ def has_id_blp(lattice: FiniteLattice, ideal: LatticeIdeal) -> IdBlpReport:
     interval [g, 1], numbered in the order of their least members, and the
     interval's bounds, joins and meets are the parent's, so y is
     complemented in L/I iff y v z = 1 and y ^ z = g for some z >= g.
+    Raises :class:`ParentMismatch` when I is an ideal of another lattice.
     """
+    if ideal.lattice != lattice:
+        raise ParentMismatch("the ideal is not an ideal of the given lattice")
     center_l = lattice.center  # first: L's NotALattice comes before L/I's
-    lat, g = ideal.lattice, ideal.generator
-    join, (mates, several) = lat.join_table, lat.interval_complements
+    g = ideal.generator
+    join, (mates, several) = lattice.join_table, lattice.interval_complements
     position: dict[int, int] = {}  # the class of x is position[x v g]
     for y in join[g]:
         position.setdefault(y, len(position))
@@ -353,7 +357,7 @@ def diamond(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
 
 
 @stored
-def diamond_index(lattice: CongruenceLattice, t: int) -> int:
+def diamond_index(lattice: FiniteLattice, t: int) -> int:
     leq = lattice.leq
     return lattice.join_many(
         a for a in center_index(lattice, lattice.bottom_index)[0] if leq[a][t]
@@ -369,9 +373,9 @@ def diamond_star_commute(alg: FiniteAlgebra, theta: Congruence) -> bool:
 
 def diamond_star_commute_index(lattice: CongruenceLattice, t: int) -> bool:
     _, retic_lattice, lam = reticulation_index(lattice)
-    g, below = lam[t], retic_lattice.leq  # theta* = (g]
+    g = lam[t]  # theta* = (g]
     # the generator of the ideal generated by the complemented part of theta*
-    ideal_diamond = retic_lattice.join_many(x for x in retic_lattice.center if below[x][g])
+    ideal_diamond = diamond_index(retic_lattice, g)
     dia = diamond_index(lattice, t)
     if ideal_diamond != lam[dia]:
         return False

@@ -14,17 +14,19 @@ every other layer: reticulation_index, costar_table, prime_ideal_index.
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra
-from .commutator import center_index, commutator_table, require_theory, _iterate_chain
-from .congruences import Congruence, CongruenceLattice, con_lattice, stored
+from .commutator import commutator_table, require_theory, _iterate_chain
+from .congruences import Congruence, CongruenceLattice, con_lattice
 from .errors import ParentMismatch, TheoryHypothesisFailed
 from .lattices import (
     FiniteLattice,
     LatticeIdeal,
     _members,
+    center_index,
     lattice_from_leq,
     maximal_ideals,
     prime_ideals,
     serialize_lattice,
+    stored,
 )
 from .spectrum import open_table, radical_table, spectrum_index
 

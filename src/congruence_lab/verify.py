@@ -57,7 +57,6 @@ from .algebra import (
 from .builders import ring_congruence, ring_zn
 from .commutator import (
     annihilator_index,
-    center_index,
     commutator_table,
     matrix_subalgebra,
     residuation_index,
@@ -74,7 +73,7 @@ from .congruences import (
     _canonical,
     _quotient_algebra,
 )
-from .lattices import FiniteLattice, _bitset, _members, all_ideals
+from .lattices import FiniteLattice, _bitset, _members, all_ideals, center_index
 from .lifting import (
     b_normal_index,
     cblp_characterization_index,
@@ -584,11 +583,17 @@ def _suite_reticulation(alg):
 def _suite_boolean_center(alg):
     lattice = con_lattice(alg)
     _, rl, lam = reticulation_index(lattice)
-    members, complement, _ = center_index(lattice, lattice.bottom_index)
+    members = center_index(lattice, lattice.bottom_index)[0]
     size = len(lattice)
     member = set(members)
 
-    unique_ok = all(lattice.complements[a] == (complement[a],) for a in members)
+    # the complement of chi in [theta, nabla] is unique, and it is chi -> theta
+    several = lattice.interval_complements[1]
+    unique_ok = all(
+        (i, t) not in several and residuation_index(lattice, i, t) == c
+        for t in range(size)
+        for i, c in center_index(lattice, t)[1].items()
+    )
     yield Check("center-complement-unique", unique_ok)
 
     join, meet, table = lattice.join_table, lattice.meet_table, commutator_table(lattice)

@@ -50,7 +50,8 @@ def replace(obj, **changes):
     """A new instance of obj's class, built by its constructor from obj's
     fields with ``changes`` applied.  Like ``dataclasses.replace``, the
     new instance recomputes its cached properties, and a Con(A) keeps
-    obj's store of results unless ``_caches`` is among the changes."""
+    obj's store of results unless ``_caches`` is among the changes; a
+    plain lattice starts with an empty store."""
     fields = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
     return type(obj)(**{**fields, **changes})
 

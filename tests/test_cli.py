@@ -348,15 +348,21 @@ def test_falsified_cross_check_exits_one(tmp_path, monkeypatch, capsys):
     from importlib import import_module
 
     from congruence_lab.algebra import product
+    from congruence_lab.congruences import con_lattice
 
+    from conftest import fresh_copy
+
+    alg = fresh_copy(product(ring_zn(3), ring_zn(2)))
     path = tmp_path / "z3xz2.json"
-    path.write_text(dump_algebra(product(ring_zn(3), ring_zn(2))))
-    # break the residuation route of the Boolean-center cross-check: the
-    # annihilator of each complemented congruence becomes the congruence itself
-    commutator = import_module("congruence_lab.commutator")  # not the function of that name
-    monkeypatch.setattr(commutator, "residuation_index", lambda lattice, i, j: i)
-    assert main(["center", str(path)]) == EXIT_FALSIFIED
-    assert "annihilator of a complemented congruence" in capsys.readouterr().err
+    path.write_text(dump_algebra(alg))
+    # with the spectrum stored, the witness search of clopens_of_max reads
+    # every commutator as nabla: no pair has [alpha, beta] <= Rad(A), so the
+    # clopens that the direct enumeration finds have no witness
+    spectrum = import_module("congruence_lab.spectrum")
+    spectrum.spectrum_index(con_lattice(alg), False)
+    monkeypatch.setattr(spectrum, "commutator_index", lambda lattice, i, j: lattice.top_index)
+    assert main(["verify", str(path)]) == EXIT_FALSIFIED
+    assert "    FAIL falsified no witness pair for clopen" in capsys.readouterr().out
 
 
 REPO = Path(__file__).resolve().parent.parent

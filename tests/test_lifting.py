@@ -9,6 +9,7 @@ from congruence_lab import (
     NoCBLP,
     NotOrthogonal,
     Falsified,
+    ParentMismatch,
     boolean_center_of_congruences,
     cblp_characterization,
     con_lattice,
@@ -41,9 +42,8 @@ from congruence_lab.builders import (
     ring_zn,
 )
 from congruence_lab import lifting
-from congruence_lab.commutator import center_index
 from congruence_lab.congruences import projection, quotient_edge
-from congruence_lab.lattices import LatticeIdeal, lattice_from_leq, principal_ideal
+from congruence_lab.lattices import LatticeIdeal, center_index, lattice_from_leq, principal_ideal
 from congruence_lab.lifting import (
     cblp_index,
     diamond_index,
@@ -299,6 +299,29 @@ def test_lifting_report_json(z12):
     assert doc["diamond"] == list(delta(z12).blocks)
 
 
+def _filled_commutator_cells(lattice) -> int:
+    return sum(len(row) - row.count(None) for row in lattice._caches["commutator"])
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [chain_lattice(9), ring_zn(30), boolean_lattice(4), product(ring_zn(2), ring_zn(9))],
+    ids=lambda alg: alg.name,
+)
+def test_cblp_and_center_fill_no_commutator_cell(alg):
+    """B([theta, nabla]) is read off the lattice alone: after the surrogate
+    gate, has_cblp at every theta and then B(Con(A)) fill no cell of the
+    commutator memo."""
+    alg = fresh_copy(alg)
+    assert surrogate_checks(alg).ok
+    lattice = con_lattice(alg)
+    filled = _filled_commutator_cells(lattice)
+    for th in lattice.congruences:
+        has_cblp(alg, th)
+    boolean_center_of_congruences(alg)
+    assert _filled_commutator_cells(lattice) == filled
+
+
 # ---------------------------------------------------------------------------
 # Id-BLP
 
@@ -320,6 +343,17 @@ def test_id_blp_boolean_cube_everywhere():
     lat = lattice_from_leq([[a & b == a for b in range(8)] for a in range(8)])
     for x in range(lat.size):
         assert has_id_blp(lat, principal_ideal(lat, x)).lifts
+
+
+def test_id_blp_refuses_an_ideal_of_another_lattice():
+    """The center and the tables come from one lattice: the 4-chain with
+    the ideal (1] of the Boolean square, also of four elements, is refused,
+    not reported as a mix of the two."""
+    chain = lattice_from_leq([[a <= b for b in range(4)] for a in range(4)])
+    square = lattice_from_leq([[a & b == a for b in range(4)] for a in range(4)])
+    with pytest.raises(ParentMismatch, match="not an ideal of the given lattice"):
+        has_id_blp(chain, principal_ideal(square, 1))
+    assert has_id_blp(square, principal_ideal(square, 1)).witnesses == ((0, 0), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +616,7 @@ def test_lift_orthogonal_rejects_a_block_array_off_the_quotient(z12, blocks):
     """A member of omega' that is no congruence of A/theta is mapped back
     to no member of [theta, nabla]: ParentMismatch, with the message that
     Con(A/theta).index gave."""
-    from congruence_lab import Congruence, ParentMismatch
+    from congruence_lab import Congruence
 
     t6 = theta(z12, 6)
     quo = quotient(z12, t6)

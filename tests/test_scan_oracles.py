@@ -20,7 +20,7 @@
   at alpha ^ beta, with the table asked for bottom-up and in drawn orders;
 * ``FiniteLattice.lower_covers``: the quadratic scan of the elements below
   each element, against the table read off down-set bitsets;
-* ``FiniteLattice.complements`` and ``center``: every pair tested for
+* ``center_index`` at the bottom and ``center``: every pair tested for
   x v y = 1 and x ^ y = 0, against the g = 0 slice of
   ``interval_complements``, down to the ``NotALattice`` message;
 * ``FiniteLattice.upper_covers``: the same scan of the elements above each
@@ -114,6 +114,7 @@ from congruence_lab.lattices import (
     FiniteLattice,
     _members,
     all_ideals,
+    center_index,
     is_prime_ideal,
     lattice_from_leq,
     quotient_by_ideal,
@@ -122,7 +123,6 @@ from congruence_lab.lifting import (
     _coprime_pairs,
     boolean_center_of_congruences,
     cblp_characterization,
-    center_index,
     has_id_blp,
     is_b_normal,
     lift_orthogonal_index,
@@ -372,10 +372,16 @@ def _complement_lattices():
 @pytest.mark.parametrize("build, raises", _complement_lattices())
 def test_complements_are_the_bottom_slice_of_the_interval_table(build, raises):
     """One scan of the pairs, ``interval_complements``, gives the
-    complements and the center that the per-element scan gave, and the
-    same NotALattice message where an element has several complements."""
+    complements and the center that the per-element scan gave: its members
+    and first mates at the bottom, ``center_index``, with every further mate
+    in its table of several, and the same NotALattice message where an
+    element has several complements."""
     lattice = build()
-    assert lattice.complements == scan_complements(lattice)
+    bottom, scanned = lattice.bottom_index, scan_complements(lattice)
+    members, complement, _ = center_index(lattice, bottom)
+    several = lattice.interval_complements[1]
+    assert members == tuple(x for x, mates in enumerate(scanned) if mates)
+    assert all(tuple(several.get((x, bottom), [complement[x]])) == scanned[x] for x in members)
     outcomes = []
     for center in (lambda: lattice.center, lambda: scan_center(lattice)):
         try:

@@ -74,20 +74,31 @@ def _scopes_naming(tree: ast.Module, name: str):
 
 
 def test_stored_results_have_one_home():
-    """Only congruences.stored reads and writes the per-lattice result store;
-    the Con(A) class declares it, and the commutator memo is one entry of
-    it, read and written by commutator_index, _memo and commutator_table."""
+    """Only lattices.stored reads and writes the per-lattice result store;
+    the lattice class declares it, Con(A) takes a shared one for a copy,
+    and the commutator memo is one entry of it, read and written by
+    commutator_index, _memo and commutator_table."""
     found = set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found |= {f"{path.stem}.{scope}" for scope in _scopes_naming(tree, "_caches")}
     assert found == {
+        "lattices.FiniteLattice",
+        "lattices.stored",
         "congruences.CongruenceLattice",
-        "congruences.stored",
         "commutator.commutator_index",
         "commutator._memo",
         "commutator.commutator_table",
     }
+
+
+def test_lattices_import_no_library_module_but_errors():
+    """``lattices`` imports no library module except ``errors``, so the
+    center and lifting cores, which take any finite lattice, never reach
+    the commutator or an algebra."""
+    tree = ast.parse((SOURCE / "lattices.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if _imports_library(node)}
+    assert imported == {"errors"}
 
 
 def test_lambda_table_is_read_in_reticulation_only():

@@ -3,17 +3,19 @@ when one cell it reads is wrong.
 
 Every check passes on every corpus input, so the pinned JSON alone cannot
 tell a working check from one that has become always-true.  Each test plants
-one wrong cell (a commutator value, a residuum, a radical, a lambda value,
-a costar entry or a prime ideal of the reticulation, a join or meet cell of
-Con(A), a stored principal congruence, a cell of a center-map row, or a
-cell of the projection onto a quotient) in
+one wrong cell (a commutator value, a residuum, a radical, a prime
+congruence, a lambda value, a costar entry or a prime ideal of the
+reticulation, a join or meet cell of Con(A), a stored principal congruence,
+a cell of a center-map row, or a cell of the projection onto a quotient) in
 what one suite reads, runs that suite on a fresh copy of C_5 (the costar
-plant also on Z_12) and asserts that the named check fails.  Con(C_5) is the 16-element
+plant also on Z_12, the dropped prime on Z_6 through ``verify``) and
+asserts that the named check fails.  Con(C_5) is the 16-element
 Boolean lattice: every congruence is central and radical, and the
 commutator is the meet.
 """
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +173,28 @@ def test_annihilator_catches_one_residuum_at_bottom(monkeypatch, alg):
     monkeypatch.setattr(commutator, "residuation_index", planted)
     monkeypatch.setattr(verify, "residuation_index", planted)
     assert "annihilator-is-residuum-at-bottom" in _failed(verify._suite_commutator_axioms, alg)
+
+
+def test_center_complement_catches_one_residuum_above_delta(monkeypatch):
+    """(a1 v a2) -> a1 read as the top, on a C_5 with nothing stored: a1 v a2
+    is a member of B([a1, nabla]) whose complement there is a1 v a3 v a4,
+    so center-complement-unique, which compares every complement in every
+    interval with its residuum, fails.  The library's center reads no
+    residuum, so has_cblp at a1 still answers."""
+    alg = fresh_copy(chain_lattice(5))
+    lattice = con_lattice(alg)
+    _, top, a1, a2, _ = _elements(alg)
+    member = lattice.join_index(a1, a2)
+    commutator = importlib.import_module("congruence_lab.commutator")  # not the function
+    real = commutator.residuation_index
+
+    def planted(lat, i, j):
+        return top if lat is lattice and (i, j) == (member, a1) else real(lat, i, j)
+
+    monkeypatch.setattr(commutator, "residuation_index", planted)
+    monkeypatch.setattr(verify, "residuation_index", planted)
+    assert lifting.has_cblp(alg, lattice.congruences[a1]).cblp
+    assert _failed(verify._suite_boolean_center, alg) == {"center-complement-unique"}
 
 
 def _plant_radicals(monkeypatch, alg, rho) -> None:
@@ -437,6 +461,26 @@ def test_orthogonal_lifts_catch_one_commutator(monkeypatch, alg):
     _, _, a1, a2, _ = _elements(alg)
     _plant_commutator(monkeypatch, alg, a1, a2, a1, module=lifting)
     assert _failed(verify._suite_orthogonal, alg) == {"orthogonal-lift-orthogonal"}
+
+
+def test_maximals_are_prime_catches_a_dropped_prime(tmp_path, monkeypatch, capsys):
+    """The first prime dropped from every primality test, on a fresh copy of
+    corpus/z_6.json: a maximal congruence is then not prime, which verify
+    reports as a failed check (exit 1), not as an input error."""
+    from congruence_lab.algebra import dump_algebra, load_algebra
+    from congruence_lab.cli import EXIT_FALSIFIED, main
+
+    path = tmp_path / "z_6.json"
+    corpus = Path(__file__).resolve().parent.parent / "corpus" / "z_6.json"
+    path.write_text(dump_algebra(fresh_copy(load_algebra(corpus.read_text(encoding="utf-8")))))
+    spectrum_module = importlib.import_module("congruence_lab.spectrum")  # not the function
+    real = spectrum_module._prime_indices
+    monkeypatch.setattr(
+        spectrum_module, "_prime_indices", lambda lattice, all_pairs: real(lattice, all_pairs)[1:]
+    )
+    assert main(["verify", str(path)]) == EXIT_FALSIFIED
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.split()[:2] == ["FAIL", "spectrum.maximals-are-prime"] for line in lines)
 
 
 def test_clopen_completeness_catches_a_missing_clopen(monkeypatch, alg):
