@@ -138,6 +138,15 @@ def test_costar_examples(z12):
     assert costar(retic, bottom_ideal) == theta(z12, 6)  # rho(bottom)
 
 
+@pytest.mark.parametrize("generator", [2, 10])
+def test_costar_refuses_an_ideal_of_another_reticulation(z12, generator):
+    """An ideal of L(C_5) is no ideal of L(Z_12): (2] used to be read as
+    L(Z_12)'s (2], and (10] lies outside L(Z_12)'s four elements."""
+    other = principal_ideal(build_reticulation(chain_lattice(5)).lattice, generator)
+    with pytest.raises(ParentMismatch, match="not an ideal of the reticulation"):
+        costar(build_reticulation(z12), other)
+
+
 def test_costar_star_is_radical(z12, z6, z4):
     from congruence_lab import radical
 

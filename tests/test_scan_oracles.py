@@ -75,7 +75,10 @@
   clopen, against the alphas looked up by their stored trace bitsets;
 * ``costar_table``: (g]_* as one join over all of Con(A) per g, of the
   congruences with lambda-value in (g], against the joins of the
-  lambda-fibers joined once each.
+  lambda-fibers joined once each;
+* ``_star_property``: every n of [alpha, beta]'s iterate chain searched for
+  an m with [[alpha,alpha]^m, [beta,beta]^m] below it, against one
+  comparison per pair at the stable iterates.
 """
 
 from itertools import combinations
@@ -86,10 +89,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congruence_lab import Falsified, NotALattice, SizeBudgetExceeded, lifting, verify
-from congruence_lab.algebra import load_algebra, product
+from congruence_lab.algebra import FiniteAlgebra, Operation, load_algebra, product
 from congruence_lab.builders import boolean_lattice, chain_lattice, ring_zn, standard_corpus
 from congruence_lab.commutator import (
     _close_delta,
+    _iterate_chain,
     _pair_algebra,
     commutator_index,
     commutator_table,
@@ -128,7 +132,12 @@ from congruence_lab.lifting import (
     lift_orthogonal_index,
     orthogonal_index,
 )
-from congruence_lab.reticulation import build_reticulation, costar_table, reticulation_index
+from congruence_lab.reticulation import (
+    _star_property,
+    build_reticulation,
+    costar_table,
+    reticulation_index,
+)
 from congruence_lab.spectrum import (
     brute_force_clopens,
     clopens_of_max,
@@ -1376,3 +1385,77 @@ def test_costar_table_matches_the_per_ideal_join(alg):
     lattice = con_lattice(alg)
     size = reticulation_index(lattice)[1].size
     assert costar_table(lattice) == tuple(scan_costar(lattice, g) for g in range(size))
+
+
+def scan_star_property(lattice) -> bool:
+    """For every pair and every value [alpha,beta]^n of its chain, a search
+    for an m with [[alpha,alpha]^m, [beta,beta]^m] <= [alpha,beta]^n, m
+    bounded by the longer of the two chains."""
+    table = commutator_table(lattice)
+    chains = [_iterate_chain(lattice, i) for i in range(len(lattice))]
+    for a, chain_a in enumerate(chains):
+        for b, chain_b in enumerate(chains):
+            bound = max(len(chain_a), len(chain_b))
+            for n_value in chains[table[a][b]]:  # the values [alpha,beta]^n, n >= 1
+                found = False
+                for m in range(bound):
+                    am = chain_a[min(m, len(chain_a) - 1)]
+                    bm = chain_b[min(m, len(chain_b) - 1)]
+                    if lattice.leq_index(table[am][bm], n_value):
+                        found = True
+                        break
+                if not found:
+                    return False
+    return True
+
+
+def upper_triangular_f2() -> FiniteAlgebra:
+    """T_2(F_2), the ring of upper-triangular 2x2 matrices over F_2, with
+    ``ring_zn``'s signature; [[a, b], [0, c]] is the element 4a + 2b + c."""
+    entries = [(x >> 2, x >> 1 & 1, x & 1) for x in range(8)]
+
+    def index(a, b, c):
+        return 4 * (a % 2) + 2 * (b % 2) + c % 2
+
+    add = tuple(index(a + p, b + q, c + r) for a, b, c in entries for p, q, r in entries)
+    mul = tuple(index(a * p, a * q + b * r, c * r) for a, b, c in entries for p, q, r in entries)
+    return FiniteAlgebra(
+        "T_2(F_2)",
+        8,
+        (
+            Operation("add", 2, add),
+            Operation("neg", 1, tuple(range(8))),
+            Operation("mul", 2, mul),
+            Operation("zero", 0, (0,)),
+            Operation("one", 0, (index(1, 0, 1),)),
+        ),
+    )
+
+
+# Z_8 (in the corpus), Z_16, Z_24 and Z_27 have iterate chains of length 3
+STAR_INPUTS = THEORY_CORPUS + [
+    boolean_lattice(4),
+    ring_zn(30),
+    product(ring_zn(2), ring_zn(9)),
+    ring_zn(16),
+    ring_zn(24),
+    ring_zn(27),
+]
+
+
+@pytest.mark.parametrize("alg", STAR_INPUTS, ids=lambda alg: alg.name)
+def test_star_property_matches_the_iterate_scan(alg):
+    lattice = con_lattice(alg)
+    assert _star_property(lattice) == scan_star_property(lattice)
+
+
+def test_star_property_fails_on_upper_triangular_matrices():
+    """T_2(F_2) has five congruences and passes the surrogates.  Its
+    ideals I_1 (a = 0) and I_2 (c = 0) are idempotent and [I_1, I_2] is
+    J (a = c = 0), but J^2 = 0: no iterates of I_1 and I_2 have their
+    commutator below [I_1, I_2]^2."""
+    alg = upper_triangular_f2()
+    assert surrogate_checks(alg).ok
+    lattice = con_lattice(alg)
+    assert len(lattice) == 5
+    assert _star_property(lattice) is scan_star_property(lattice) is False

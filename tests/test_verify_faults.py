@@ -206,6 +206,24 @@ def _plant_radicals(monkeypatch, alg, rho) -> None:
     )
 
 
+def test_wrong_radical_of_a_join_is_a_failed_check(monkeypatch):
+    """The stored rho table of a C_5 with nothing else stored read as the
+    bottom, a1, a2, a1 v a2 v a3 and the top fixed and every other
+    congruence sent to the top, before L(A) is built: rho(a1 v a2) is the
+    top, not the join a1 v a2 v a3 of a1 and a2 in L(A)'s order.  L(A) is
+    still distributive and is built from that order; verify reports the
+    wrong rho as failed checks instead of refusing the input."""
+    alg = fresh_copy(chain_lattice(5))
+    lattice = con_lattice(alg)
+    bottom, top, a1, a2, a3 = _elements(alg)
+    kept = {bottom, a1, a2, lattice.join_many((a1, a2, a3)), top}
+    verify.radical_table(lattice)  # the real table, stored for the plant to replace
+    rho = tuple(i if i in kept else top for i in range(len(lattice)))
+    _plant_stored(monkeypatch, alg, verify.radical_table, rho)
+    failed = {check.name for check in verify.verify_algebra(alg).checks if not check.passed}
+    assert "reticulation.lambda-clause-suite" in failed
+
+
 def test_radical_of_an_atom(monkeypatch, alg):
     _, top, a1, _, _ = _elements(alg)
     rho = list(verify.radical_table(con_lattice(alg)))
