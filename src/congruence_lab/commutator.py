@@ -510,6 +510,11 @@ def _iterate_chain(lattice: CongruenceLattice, i: int) -> tuple[int, ...]:
         chain.append(nxt)
 
 
+@stored
+def _stable_iterates(lattice: CongruenceLattice) -> tuple[int, ...]:
+    return tuple(_iterate_chain(lattice, i)[-1] for i in range(len(lattice)))
+
+
 def residuation(alg: FiniteAlgebra, alpha: Congruence, beta: Congruence) -> Congruence:
     """alpha -> beta: the largest gamma with [alpha, gamma] <= beta."""
     lattice = con_lattice(alg)

@@ -385,7 +385,7 @@ class CongruenceLattice(FiniteLattice):
 
     def __init__(
         self, leq, join_table, meet_table, bottom_index, top_index, algebra, congruences,
-        matrix_bounds, masks, principals, _index, _caches=None,
+        matrix_bounds, masks, principals, _index,
     ):
         super().__init__(leq, join_table, meet_table, bottom_index, top_index)
         self.algebra = algebra
@@ -397,8 +397,6 @@ class CongruenceLattice(FiniteLattice):
         # principals[x * n + y] is the index of Cg(x, y), the bottom when x == y
         self.principals = principals
         self._index = _index
-        if _caches is not None:  # a copy that shares the store of results
-            self._caches = _caches
 
     def _key(self) -> tuple:
         return self.leq, self.algebra, self.congruences, self.matrix_bounds

@@ -3,8 +3,8 @@
 :class:`FiniteLattice` is the one lattice type of the package: a lattice on
 the elements 0..size-1 given by its order matrix and its join and meet
 tables.  The congruence lattice Con(A) is its subclass
-``congruences.CongruenceLattice``; the reticulation and the standalone
-distributive lattices of the ideal lifting machinery are plain instances.
+``congruences.CongruenceLattice``; a reticulation other than Con(A) and
+the distributive lattices of the ideal lifting machinery are plain ones.
 A lattice serializes as ``{"size": k, "leq": [[bool, ...], ...]}``.
 
 ``lattice_from_leq`` is the validating constructor, for orders that come

@@ -1,20 +1,21 @@
 """The reticulation of a finite algebra.
 
 The reticulation is the bounded distributive lattice of classes of
-congruences under "same radical".  Since the radical map is a system of
-canonical representatives for those classes, the lattice is materialized
-directly on the radical congruences: order is inclusion, join of x and y is
-rho(x v y), meet is intersection, bottom is rho(bottom) and top is the total
-congruence; lambda sends a congruence to its radical.  On a finite algebra
-every congruence is compact, so lambda is defined on all of Con(A).  Only
-this module builds the tables, each stored once per Con(A) and read by
-every other layer: reticulation_index, costar_table, prime_ideal_index.
+congruences under "same radical".  The radical map picks a canonical
+representative of each class, so the lattice lives on the radical
+congruences, and is Con(A) itself where every congruence is radical:
+order is inclusion, join of x and y is rho(x v y), meet is intersection,
+bottom is rho(bottom) and top is the total congruence; lambda sends a
+congruence to its radical.  On a finite algebra every congruence is
+compact, so lambda is defined on all of Con(A).  Only this module builds
+the tables, each stored once per Con(A) and read by every other layer:
+reticulation_index, costar_table, prime_ideal_index.
 """
 
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra
-from .commutator import commutator_table, require_theory, _iterate_chain
+from .commutator import commutator_table, require_theory, _iterate_chain, _stable_iterates
 from .congruences import Congruence, CongruenceLattice, con_lattice
 from .errors import ParentMismatch, TheoryHypothesisFailed
 from .lattices import (
@@ -63,12 +64,10 @@ class Reticulation:
         return self.elements[self.lattice.top_index]
 
     def element_index(self, value: Congruence) -> int:
-        lattice = con_lattice(self.algebra)
-        radicals, _, lam = reticulation_index(lattice)
-        i = lattice.index(value)
-        if radicals[lam[i]] != i:
+        g = self.lambda_index(value)
+        if self.elements[g].blocks != value.blocks:
             raise ParentMismatch(f"{list(value.blocks)} is not a radical congruence")
-        return lam[i]
+        return g
 
     def lambda_index(self, theta: Congruence) -> int:
         lattice = con_lattice(self.algebra)
@@ -92,15 +91,15 @@ def reticulation_index(
     lattice: CongruenceLattice,
 ) -> tuple[tuple[int, ...], FiniteLattice, tuple[int, ...]]:
     """The radical congruences as indices, in canonical order; the
-    reticulation on them; and lambda as the position of each congruence's
-    radical.  The radicals are the fixed points of the closure operator
-    rho, so the meet and join of their order are the intersection and rho
-    of the join: L(A) is read off that order alone, and ``verify``
-    compares it with Con(A)'s tables."""
+    reticulation on them, Con(A) itself where rho is the identity; and
+    lambda as the position of each congruence's radical.  The radicals are
+    the fixed points of the closure operator rho, so the meet and join of
+    their order are the intersection and rho of the join: L(A) is read off
+    that order alone, and ``verify`` compares it with Con(A)'s tables."""
     lambda_by_con = radical_table(lattice)
     radicals = sorted(set(lambda_by_con))  # index order is canonical order
     position = {i: k for k, i in enumerate(radicals)}
-    retic_lattice = lattice_from_leq(
+    retic_lattice = lattice if lambda_by_con == tuple(range(len(lattice))) else lattice_from_leq(
         [[row[r] for r in radicals] for row in map(lattice.leq.__getitem__, radicals)]
     )
     if not retic_lattice.is_distributive():
@@ -294,14 +293,8 @@ def center_preservation_index(lattice: CongruenceLattice) -> tuple[bool, int | N
     center = set(center_index(lattice, lattice.bottom_index)[0])
     _, retic_lattice, lam = reticulation_index(lattice)
     retic_center = set(retic_lattice.center)
-    violating = next(
-        (
-            i
-            for i in range(len(lattice))
-            if lam[i] in retic_center and center.isdisjoint(_iterate_chain(lattice, i))
-        ),
-        None,
-    )
+    candidates = [i for i, g in enumerate(lam) if g in retic_center]
+    violating = next((i for i in candidates if center.isdisjoint(_iterate_chain(lattice, i))), None)
     semiprime = spectrum_index(lattice, False)[3] == lattice.bottom_index
     return violating is None, violating, _star_property(lattice), semiprime
 
@@ -312,8 +305,7 @@ def _star_property(lattice: CongruenceLattice) -> bool:
     decrease and the commutator is monotone, so the left side is least at
     the stable iterates and the right side at the stable value of
     [alpha,beta]'s chain: one comparison per pair."""
-    table = commutator_table(lattice)
-    stable = [_iterate_chain(lattice, i)[-1] for i in range(len(lattice))]
+    table, stable = commutator_table(lattice), _stable_iterates(lattice)
     return all(
         lattice.leq_index(table[stable[a]][stable[b]], stable[c])
         for a, row in enumerate(table)

@@ -22,7 +22,8 @@ every maximal is prime is ``verify``'s check, not a raise.
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra
-from .commutator import commutator_index, commutator_table, require_theory, _iterate_chain
+from .commutator import commutator_index, commutator_table, require_theory
+from .commutator import _iterate_chain, _stable_iterates
 from .congruences import Congruence, CongruenceLattice, con_lattice
 from .errors import Falsified, SizeBudgetExceeded
 from .lattices import _bitset, _members, center_index, stored
@@ -172,13 +173,10 @@ def radical_oracle(alg: FiniteAlgebra, theta: Congruence) -> Congruence:
 
 @stored
 def radical_oracle_table(lattice: CongruenceLattice) -> tuple[int, ...]:
-    """``radical_oracle`` of every congruence, as indices.
-
-    The chain is decreasing, so it falls below theta at some n exactly when
-    its stable value does; each stable value is read once.
-    """
-    leq = lattice.leq
-    stable = [_iterate_chain(lattice, a)[-1] for a in range(len(lattice))]
+    """``radical_oracle`` of every congruence, as indices.  The chain is
+    decreasing, so it falls below theta at some n exactly when its stable
+    value does."""
+    leq, stable = lattice.leq, _stable_iterates(lattice)
     return tuple(
         lattice.join_many(a for a, s in enumerate(stable) if leq[s][i])
         for i in range(len(lattice))

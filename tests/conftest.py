@@ -6,6 +6,7 @@ import pytest
 from congruence_lab import con_lattice, congruence_from_blocks
 from congruence_lab.algebra import FiniteAlgebra, Operation
 from congruence_lab.builders import ring_zn
+from congruence_lab.congruences import CongruenceLattice
 
 
 def theta(alg, d):
@@ -49,11 +50,14 @@ def fresh_copy(alg):
 def replace(obj, **changes):
     """A new instance of obj's class, built by its constructor from obj's
     fields with ``changes`` applied.  Like ``dataclasses.replace``, the
-    new instance recomputes its cached properties, and a Con(A) keeps
-    obj's store of results unless ``_caches`` is among the changes; a
-    plain lattice starts with an empty store."""
+    new instance recomputes its cached properties.  A Con(A) shares obj's
+    store of results, so a plant changes only the fields it names; a plain
+    lattice starts with an empty store."""
     fields = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
-    return type(obj)(**{**fields, **changes})
+    new = type(obj)(**{**fields, **changes})
+    if isinstance(obj, CongruenceLattice):
+        new._caches = obj._caches
+    return new
 
 
 @pytest.fixture()

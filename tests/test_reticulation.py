@@ -1,5 +1,9 @@
 """The reticulation, its quotient map, star/costar and the spectrum match."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from congruence_lab import (
@@ -10,6 +14,7 @@ from congruence_lab import (
     con_lattice,
     costar,
     delta,
+    has_id_blp,
     ideal_spectra,
     lambda_,
     nabla,
@@ -145,6 +150,46 @@ def test_costar_refuses_an_ideal_of_another_reticulation(z12, generator):
     other = principal_ideal(build_reticulation(chain_lattice(5)).lattice, generator)
     with pytest.raises(ParentMismatch, match="not an ideal of the reticulation"):
         costar(build_reticulation(z12), other)
+
+
+def test_an_ideal_of_con_is_an_ideal_of_the_reticulation_where_rho_is_the_identity():
+    """Every congruence of C_5 is radical, so L(C_5) is Con(C_5) itself: an
+    ideal (g] of Con(A) is the ideal (g] of the reticulation, whose costar
+    is g, and has_id_blp reads it as one."""
+    alg = chain_lattice(5)
+    lattice, retic = con_lattice(alg), build_reticulation(alg)
+    assert retic.lattice is lattice
+    for g, theta_g in enumerate(lattice.congruences):
+        ideal = principal_ideal(lattice, g)
+        assert costar(retic, ideal) == theta_g
+        assert has_id_blp(retic.lattice, ideal).lifts is has_id_blp(lattice, ideal).lifts
+
+
+def test_an_ideal_of_con_is_refused_where_rho_is_not_the_identity(z12):
+    """rho(Delta) of Z_12 is the mod-6 congruence, so L(Z_12) is a lattice
+    of its own, and an ideal of Con(Z_12) is refused by both readers."""
+    retic = build_reticulation(z12)
+    assert retic.lattice is not con_lattice(z12)
+    ideal = principal_ideal(con_lattice(z12), 1)
+    with pytest.raises(ParentMismatch, match="not an ideal of the reticulation"):
+        costar(retic, ideal)
+    with pytest.raises(ParentMismatch, match="not an ideal of the given lattice"):
+        has_id_blp(retic.lattice, ideal)
+
+
+def test_reticulation_of_a_chain_is_its_congruence_lattice_in_a_fresh_process():
+    """The reticulation of C_6 stores no second copy of Con(C_6)."""
+    code = (
+        "from congruence_lab import build_reticulation, con_lattice\n"
+        "from congruence_lab.builders import chain_lattice\n"
+        "alg = chain_lattice(6)\n"
+        "print(build_reticulation(alg).lattice is con_lattice(alg))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["True"]
 
 
 def test_costar_star_is_radical(z12, z6, z4):

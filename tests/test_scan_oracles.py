@@ -78,7 +78,9 @@
   lambda-fibers joined once each;
 * ``_star_property``: every n of [alpha, beta]'s iterate chain searched for
   an m with [[alpha,alpha]^m, [beta,beta]^m] below it, against one
-  comparison per pair at the stable iterates.
+  comparison per pair at the stable iterates;
+* ``reticulation_index`` where rho is the identity: L(A) built from the
+  order of the radicals by ``lattice_from_leq``, against Con(A) itself.
 """
 
 from itertools import combinations
@@ -1459,3 +1461,36 @@ def test_star_property_fails_on_upper_triangular_matrices():
     lattice = con_lattice(alg)
     assert len(lattice) == 5
     assert _star_property(lattice) is scan_star_property(lattice) is False
+
+
+@pytest.mark.parametrize("alg", THEORY_CORPUS + [chain_lattice(9)], ids=lambda alg: alg.name)
+def test_reticulation_is_con_where_rho_is_the_identity(alg):
+    """Where every congruence is radical (C_5, B_3 and C_9 among them), L(A)
+    is Con(A) itself and lambda the identity; the order route would have
+    built the same tables.  Every other input gets a lattice of its own, on
+    fewer elements."""
+    lattice = con_lattice(alg)
+    radicals, retic_lattice, lam = reticulation_index(lattice)
+    identity = tuple(range(len(lattice)))
+    if radical_table(lattice) != identity:
+        assert type(retic_lattice) is FiniteLattice
+        assert retic_lattice.size == len(radicals) < len(lattice)
+        return
+    assert retic_lattice is lattice and lam == identity
+    rebuilt = lattice_from_leq(lattice.leq)
+    assert rebuilt.join_table == lattice.join_table
+    assert rebuilt.meet_table == lattice.meet_table
+    assert (rebuilt.bottom_index, rebuilt.top_index) == (lattice.bottom_index, lattice.top_index)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [ring_zn(8), ring_zn(24), product(ring_zn(2), ring_zn(9)), upper_triangular_f2()],
+    ids=lambda alg: alg.name,
+)
+def test_reticulation_is_built_where_rho_is_not_the_identity(alg):
+    lattice = con_lattice(alg)
+    radicals, retic_lattice, _ = reticulation_index(lattice)
+    assert radical_table(lattice) != tuple(range(len(lattice)))
+    assert type(retic_lattice) is FiniteLattice
+    assert retic_lattice.size == len(radicals) < len(lattice)

@@ -75,9 +75,8 @@ def _scopes_naming(tree: ast.Module, name: str):
 
 def test_stored_results_have_one_home():
     """Only lattices.stored reads and writes the per-lattice result store;
-    the lattice class declares it, Con(A) takes a shared one for a copy,
-    and the commutator memo is one entry of it, read and written by
-    commutator_index, _memo and commutator_table."""
+    the lattice class declares it, and the commutator memo is one entry of
+    it, read and written by commutator_index, _memo and commutator_table."""
     found = set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -85,7 +84,6 @@ def test_stored_results_have_one_home():
     assert found == {
         "lattices.FiniteLattice",
         "lattices.stored",
-        "congruences.CongruenceLattice",
         "commutator.commutator_index",
         "commutator._memo",
         "commutator.commutator_table",
