@@ -178,17 +178,20 @@ class SpecHomeomorphismReport:
 
 
 def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
-    """Verify that phi -> phi* and P -> P_* are mutually inverse order
-    isomorphisms between the prime congruences and the prime ideals of the
-    reticulation, carry the basic opens across, and restrict to a lattice
-    isomorphism between the radical congruences and the ideal lattice.
+    """Verify that phi -> phi* and P -> P_* are mutually inverse bijections
+    between the prime congruences and the prime ideals of the reticulation
+    that carry the basic opens across.  At alpha = p the opens say
+    p <= q iff lambda(p) <= lambda(q), so the bijections are order
+    isomorphisms.  That lambda is a lattice isomorphism from the radical
+    congruences onto the reticulation is stated by verify's
+    costar-identity-suite, lambda-clause-suite and star-identity-suite.
 
     phi* is the ideal generated by lambda(phi), so it is read as that index.
     """
     require_theory(alg)
     lattice = con_lattice(alg)
-    radicals, rl, lam = reticulation_index(lattice)
-    con, leq = lattice.congruences, lattice.leq
+    _, rl, lam = reticulation_index(lattice)
+    con = lattice.congruences
     primes = spectrum_index(lattice, False)[0]
     ideal_keys = prime_ideal_index(lattice)
     down = costar_table(lattice)  # (g]_*
@@ -215,36 +218,12 @@ def check_spec_homeomorphism(alg: FiniteAlgebra) -> SpecHomeomorphismReport:
         if lam[down[g]] != g:
             failures.append("star(costar(I)) != I for a prime ideal")
 
-    if len(images) == len(primes):
-        for p in primes:
-            for q in primes:
-                if leq[p][q] != rl.leq[images[p]][images[q]]:
-                    failures.append(f"star does not preserve/reflect order at {con[p]}, {con[q]}")
-
     # basic opens: the primes outside D(alpha) go to the prime ideals
     # containing lambda(alpha)
     for a, (la, d_a) in enumerate(zip(lam, open_table(lattice)[0])):
         left = {p for k, p in enumerate(primes) if not d_a >> k & 1}
         if left != {down[g] for g in ideal_keys if rl.leq[la][g]}:
             failures.append(f"V({con[a]}) does not match V_Id(lambda) on primes")
-
-    # radical congruences vs the ideal lattice: star is a bounded lattice
-    # isomorphism
-    generators = {lam[r] for r in radicals}
-    if len(generators) != len(radicals):
-        failures.append("star is not injective on radical congruences")
-    if generators != set(range(rl.size)):
-        failures.append("star does not reach every ideal of the reticulation")
-    rho = radical_table(lattice)
-    for x in radicals:
-        meet_x, join_x, gx = lattice.meet_table[x], lattice.join_table[x], lam[x]
-        for y in radicals:
-            gy = lam[y]
-            # (gx] n (gy] = (gx ^ gy]
-            if lam[meet_x[y]] != rl.meet_table[gx][gy]:
-                failures.append(f"star breaks meets at {con[x]}, {con[y]}")
-            if lam[rho[join_x[y]]] != rl.join_table[gx][gy]:
-                failures.append(f"star breaks joins at {con[x]}, {con[y]}")
 
     return SpecHomeomorphismReport(
         algebra=alg,

@@ -113,7 +113,7 @@ def is_prime(alg: FiniteAlgebra, phi: Congruence, all_pairs: bool = False) -> bo
     every pair of congruences instead of the join-irreducibles."""
     require_theory(alg)
     lattice = con_lattice(alg)
-    return lattice.index(phi) in set(_prime_indices(lattice, all_pairs))
+    return lattice.index(phi) in spectrum_index(lattice, all_pairs)[0]
 
 
 def spectrum(alg: FiniteAlgebra, all_pairs: bool = False) -> SpectrumData:

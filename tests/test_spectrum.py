@@ -1,5 +1,7 @@
 """Prime/maximal congruences, radicals and the spectral topology."""
 
+import importlib
+
 import pytest
 
 from congruence_lab import (
@@ -23,7 +25,7 @@ from congruence_lab.spectrum import (
     spectrum_index,
 )
 
-from conftest import theta
+from conftest import fresh_copy, theta
 
 
 def test_primes_of_z12(z12):
@@ -43,6 +45,26 @@ def test_is_prime_examples(z12):
     assert not is_prime(z12, nabla(z12))
     assert is_prime(z12, theta(z12, 2), all_pairs=True)
     assert not is_prime(z12, theta(z12, 4), all_pairs=True)
+
+
+def test_is_prime_reads_the_stored_primes(monkeypatch):
+    """Primality is decided once per flag value on a fresh Z_12: every
+    later is_prime call, like spectrum, reads the stored primes."""
+    spectrum_module = importlib.import_module("congruence_lab.spectrum")  # not the function
+    real = spectrum_module._prime_indices
+    calls = []
+
+    def counted(lattice, all_pairs):
+        calls.append(all_pairs)
+        return real(lattice, all_pairs)
+
+    monkeypatch.setattr(spectrum_module, "_prime_indices", counted)
+    alg = fresh_copy(ring_zn(12))
+    for all_pairs in (False, True):
+        for d in (1, 2, 3, 4, 6, 12):
+            assert is_prime(alg, theta(alg, d), all_pairs) == (d in (2, 3))
+    assert spectrum(alg).primes == spectrum(alg, all_pairs=True).primes
+    assert calls == [False, True]
 
 
 def test_all_pairs_oracle_agreement():

@@ -8,8 +8,9 @@ congruence, a lambda value, a costar entry or a prime ideal of the
 reticulation, a join or meet cell of Con(A), a stored principal congruence,
 a cell of a center-map row, or a cell of the projection onto a quotient) in
 what one suite reads, runs that suite on a fresh copy of C_5 (the costar
-plant also on Z_12, the dropped prime on Z_6 through ``verify``) and
-asserts that the named check fails.  Con(C_5) is the 16-element
+plant also on Z_12, the plants that show which one check states a
+spectral fact on Z_12 alone, the dropped prime on Z_6 through ``verify``)
+and asserts that the named check fails.  Con(C_5) is the 16-element
 Boolean lattice: every congruence is central and radical, and the
 commutator is the meet.
 """
@@ -611,3 +612,108 @@ def test_id_blp_catches_one_center_entry(monkeypatch, alg):
     monkeypatch.setattr(rl, "center", center)
     failed = _failed(verify._suite_lifting, alg)
     assert {"star-transfer", "ideal-transfer"} <= failed
+
+
+def test_clopen_completeness_reports_a_clopen_without_a_witness(monkeypatch, alg):
+    """The stored commutator [a, a'] read as a, for a an atom of B and a'
+    its complement: the pair (a, a') was the only witness of the clopen
+    Max(A) n D(a).  The check reports it, and clopens_of_max, which raises
+    on that fault, is not called, so the rest of the suite still reports."""
+    lattice = con_lattice(alg)
+    _, complement, atoms = verify.center_index(lattice, lattice.bottom_index)
+    a = atoms[0]
+    memo = [list(row) for row in lattice._caches["commutator"]]
+    memo[a][complement[a]] = a
+    monkeypatch.setitem(lattice._caches, "commutator", tuple(map(tuple, memo)))
+    assert _failed(verify._suite_spectrum, alg) == {
+        "clopen-witness-completeness",
+        "spectral-topology-identities",
+    }
+
+
+# ---------------------------------------------------------------------------
+# each fact stated by one check: a plant in what the check reads fails it,
+# and a check that no longer repeats the comparison passes
+
+
+def _z12():
+    """A fresh Z_12, verified: L(A) is the four-element Boolean lattice on
+    the radicals (6), (2), (3) and Z_12, a lattice of its own, and lambda
+    maps B(Con(A)) = {0, (4), (3), Z_12} onto it."""
+    alg = fresh_copy(ring_zn(12))
+    assert verify.verify_algebra(alg).ok
+    return alg
+
+
+def _center_atoms(lattice):
+    """The two atoms of B(Con(Z_12)), the congruences mod 4 and mod 3."""
+    atoms = verify.center_index(lattice, lattice.bottom_index)[2]
+    assert len(atoms) == 2
+    return atoms
+
+
+@pytest.mark.parametrize("table", ["join_table", "meet_table"])
+def test_lambda_clauses_alone_catch_one_cell_of_the_reticulation(monkeypatch, table):
+    """One join or meet cell of the stored L(A) read as the first of its
+    two arguments, the images of the atoms of B: lambda-clause-suite
+    compares it with Con(A)'s tables and fails.  spec-homeomorphism reads
+    L(A)'s order only and passes."""
+    alg = _z12()
+    lattice = con_lattice(alg)
+    radicals, rl, lam = reticulation_index(lattice)
+    gx, gy = (lam[a] for a in _center_atoms(lattice))
+    rows = [list(row) for row in getattr(rl, table)]
+    assert rows[gx][gy] != gx
+    rows[gx][gy] = gx
+    planted = replace(rl, **{table: tuple(map(tuple, rows))})
+    _plant_stored(monkeypatch, alg, reticulation_index, (radicals, planted, lam))
+    failed = _failed(verify._suite_reticulation, alg)
+    assert "lambda-clause-suite" in failed
+    assert "spec-homeomorphism" not in failed
+
+
+def test_lambda_clauses_alone_catch_one_join_of_the_center(monkeypatch):
+    """The join of the two atoms of B read as the first, still a member of
+    B: lambda-clause-suite fails, and lambda-boolean-embedding, which reads
+    membership and injectivity only, passes."""
+    alg = _z12()
+    lattice = con_lattice(alg)
+    a, b = _center_atoms(lattice)
+    _plant_cell(monkeypatch, alg, "join_table", a, b, a)
+    assert "lambda-clause-suite" in _failed(verify._suite_reticulation, alg)
+    assert "lambda-boolean-embedding" not in _failed(verify._suite_boolean_center, alg)
+
+
+def test_lift_uniqueness_alone_catches_a_non_injective_rad_center_map(monkeypatch):
+    """The stored center-map row at Rad(A) = (6) with the image of an atom
+    of B read as Rad itself, the image of the bottom: orthogonal-lift-unique
+    fails at theta = Rad, and rad-clopen-criterion passes."""
+    alg = _z12()
+    lattice = con_lattice(alg)
+    rad = verify.spectrum_index(lattice, False)[2]
+    store = lattice._caches["congruence_lab.lifting.center_map_index"]
+    row = list(store[(rad,)])
+    members = verify.center_index(lattice, lattice.bottom_index)[0]
+    k = members.index(_center_atoms(lattice)[0])
+    assert row[k] != rad
+    row[k] = rad
+    monkeypatch.setitem(store, (rad,), tuple(row))
+    assert "orthogonal-lift-unique" in _failed(verify._suite_orthogonal, alg)
+    assert "rad-clopen-criterion" not in _failed(verify._suite_lifting, alg)
+
+
+def test_upper_triangular_ring_fails_the_lifting_transfers():
+    """T_2(F_2) passes the hypothesis surrogates but lambda does not carry
+    its Boolean center onto L(A)'s: verify fails exactly these six lifting
+    checks on it."""
+    from test_scan_oracles import upper_triangular_f2
+
+    failed = {check.name for check in verify.verify_algebra(upper_triangular_f2()).failures()}
+    assert failed == {
+        "lifting.radical-invariance",
+        "lifting.star-transfer",
+        "lifting.ideal-transfer",
+        "lifting.equal-radicals-equal-verdicts",
+        "lifting.below-nilradical-lifts",
+        "lifting.diamond-star-commute",
+    }

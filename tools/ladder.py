@@ -21,8 +21,10 @@ one measurement is reused by the next:
   count of the commutator layer, and ``pair_members`` the number of members
   of the pair algebras A(beta) they ran on, which weighs them by size (a
   closure on A(nabla) = A x A reads n**2 members, one on a small A(beta)
-  few); ``stored_results`` is the number of entries in Con(A)'s whole
-  result store, which grows with what the suites keep.  ``max_rss_mib``
+  few); ``stored_results`` is the number of entries in the result stores
+  of every lattice the run reached, each counted once: Con(A), L(A) where
+  it is a lattice of its own, and the Con(A/theta) of each stored
+  projection.  It grows with what the suites keep.  ``max_rss_mib``
   is its peak resident set size from ``resource.getrusage``; Linux
   carries the peak across fork and exec, so the RSS of the ladder process
   itself, which has imported the package, is its floor.  Before any step
@@ -111,7 +113,14 @@ def child(name: str, label: str) -> dict:
     out["delta_closures"] = len(caches.get("congruence_lab.commutator._close_delta", {}))
     universes = caches.get("congruence_lab.commutator._pair_algebra", {}).values()
     out["pair_members"] = sum(len(firsts) for firsts, *_ in universes)
-    out["stored_results"] = sum(map(len, caches.values()))
+    # each lattice once, by identity: L(A) is Con(A) where rho is the
+    # identity, and quotient algebras that compare equal share one Con
+    reached = {id(lattice): lattice}
+    for _, retic, _ in caches.get("congruence_lab.reticulation.reticulation_index", {}).values():
+        reached[id(retic)] = retic
+    for p in caches.get("congruence_lab.congruences.projection", {}).values():
+        reached[id(p.lattice)] = p.lattice
+    out["stored_results"] = sum(len(s) for lat in reached.values() for s in lat._caches.values())
     out["max_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     return out
 
